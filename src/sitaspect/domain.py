@@ -375,14 +375,14 @@ def static_guard_groundings(domain: Domain, guard: Guard, env: dict) -> list[dic
             nxt.extend(envs)
         envs = nxt
     # Drop groundings where some literal occurs both positively and negatively.
+    # Only fully bound negative literals can clash, so most groundings are
+    # kept without instantiating their positive literals.
+    positives = [g.fluent for g in guard if isinstance(g, GuardLiteral) and g.positive]
+    negatives = [g.fluent for g in guard if isinstance(g, GuardLiteral) and not g.positive]
     ok = []
     for e in envs:
-        pos = {instantiate_pat(g.fluent, e)
-               for g in guard if isinstance(g, GuardLiteral) and g.positive}
-        neg = {instantiate_pat(g.fluent, e)
-               for g in guard
-               if isinstance(g, GuardLiteral) and not g.positive and _fully_bound(g.fluent, e)}
-        if not (pos & neg):
+        neg = {instantiate_pat(f, e) for f in negatives if _fully_bound(f, e)}
+        if not neg or neg.isdisjoint(instantiate_pat(f, e) for f in positives):
             ok.append(e)
     return _dedupe(ok)
 

@@ -9,7 +9,7 @@ through integer bitmask rows, one row per situation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Union
 
 from .errors import ModelError
@@ -130,14 +130,7 @@ class FiniteModel:
             for beta in self.action_aspects.values():
                 if _set_paths_disjoint(alpha, beta):
                     pairs.add((alpha, beta))
-        return FiniteModel(
-            name=self.name, situations=self.situations,
-            aspect_rels=self.aspect_rels, functional=self.functional,
-            action_maps=self.action_maps, valuations=self.valuations,
-            fluent_aspects=self.fluent_aspects, action_aspects=self.action_aspects,
-            witnesses=self.witnesses, collective_rels=self.collective_rels,
-            collective_witnesses=self.collective_witnesses,
-            d_table=frozenset(pairs))
+        return replace(self, d_table=frozenset(pairs))
 
 
 def _set_paths_disjoint(alpha: AspectPath, beta: AspectPath) -> bool:

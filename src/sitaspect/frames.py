@@ -9,7 +9,7 @@ answers queries by aspect-based regression with recorded proof traces.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 from .disjoint import SeqExistsDiff, SimpleInequality, d_eval
@@ -20,8 +20,10 @@ from .domain import (
     GuardLiteral,
     MemberGuard,
     Pat,
+    Precondition,
     SetTemplate,
     Var,
+    _literal_candidates,
     check_ground_action,
     check_ground_fluent,
     ground_actions,
@@ -191,24 +193,43 @@ def progress(domain: Domain, state: WorldState, a: GroundAction) -> WorldState:
 
 
 def _check_applicable(domain: Domain, state: WorldState, a: GroundAction) -> None:
+    """Raise unless a is applicable in `state` (see `applicable_actions`).
+
+    This is the only place that tells the two failures apart: a failed
+    precondition whose literals reach a fluent outside the modeled portion
+    raises UndefinedActionError, any other failed precondition raises
+    InapplicableActionError.
+    """
+    failed = _failed_precondition(domain, state, a)
+    if failed is None:
+        return
+    pre, env0 = failed
+    if _touches_unmodeled(domain, state, pre.guard, env0):
+        raise UndefinedActionError(
+            f"{a}: precondition refers outside the modeled portion")
+    raise InapplicableActionError(f"{a}: precondition does not hold")
+
+
+def _failed_precondition(domain: Domain, state: WorldState,
+                         a: GroundAction) -> Optional[tuple[Precondition, dict]]:
+    """The first precondition of a whose guard has no solution in `state`,
+    with its argument binding, or None when every precondition holds."""
     for pre in domain.preconditions_for(a.schema):
         env0 = match_args(pre.action.args, a.args)
-        if env0 is None:
-            continue
-        if solve_guard(domain, state, pre.guard, env0):
-            continue
-        if _touches_unmodeled(domain, state, pre.guard, env0):
-            raise UndefinedActionError(
-                f"{a}: precondition refers outside the modeled portion")
-        raise InapplicableActionError(f"{a}: precondition does not hold")
+        if env0 is not None and not solve_guard(domain, state, pre.guard, env0):
+            return pre, env0
+    return None
 
 
 def _touches_unmodeled(domain: Domain, state: WorldState, guard, env0) -> bool:
     for g in static_guard_groundings(domain, guard, env0):
         for atom in guard:
             if isinstance(atom, GuardLiteral):
-                if eval_fluent(state, instantiate_pat(atom.fluent, g)) is None:
-                    return True
+                # Negated literals leave their variables unbound (negation
+                # as failure); every grounding of them is looked up.
+                for g2 in _literal_candidates(domain, atom.fluent, g):
+                    if eval_fluent(state, instantiate_pat(atom.fluent, g2)) is None:
+                        return True
     return False
 
 
@@ -233,14 +254,14 @@ def _net_effects(domain: Domain, state: WorldState,
 
 
 def applicable_actions(domain: Domain, state: WorldState) -> list[GroundAction]:
-    out = []
-    for a in ground_actions(domain):
-        try:
-            _check_applicable(domain, state, a)
-        except (InapplicableActionError, UndefinedActionError):
-            continue
-        out.append(a)
-    return out
+    """The ground actions applicable in `state`, in `ground_actions` order.
+
+    An action is applicable iff the guard of every precondition matching it
+    has a solution in `state`. Whether a left-out action is undefined here
+    or merely inapplicable is told only by `progress`.
+    """
+    return [a for a in ground_actions(domain)
+            if _failed_precondition(domain, state, a) is None]
 
 
 def reachable_states(domain: Domain, init: WorldState,
@@ -294,11 +315,7 @@ def derive_frame_axioms(domain: Domain,
 def _with_universe(domain: Domain, universe: dict[str, tuple[str, ...]]) -> Domain:
     sorts = dict(domain.sorts)
     sorts.update({k: tuple(v) for k, v in universe.items()})
-    return Domain(name=domain.name, sorts=sorts, fluents=domain.fluents,
-                  actions=domain.actions, aspect_rules=domain.aspect_rules,
-                  effects=domain.effects, preconditions=domain.preconditions,
-                  frame_decls=domain.frame_decls, disjointness=domain.disjointness,
-                  homes=domain.homes)
+    return replace(domain, sorts=sorts)
 
 
 def _schematic_axioms(domain: Domain) -> tuple[list[SchematicFrameAxiom], list[str]]:
@@ -447,23 +464,23 @@ def _template_members(t):
 def _aspect_combos(domain: Domain, kind: str, schema: str, args, label: str,
                    errors: list[str]):
     """Static (aspect, guard-rendering) combinations for a ground atom."""
-    combos: list[tuple[AspectPath, tuple[str, ...]]] = []
+    # A dict keeps first-seen order and finds duplicates in constant time.
+    combos: dict[tuple[AspectPath, tuple[str, ...]], None] = {}
     any_rule = False
     for rule in domain.rules_for(kind, schema):
         env0 = match_args(rule.target.args, args)
         if env0 is None:
             continue
         any_rule = True
+        # The rendering shows the guard under the argument binding only.
+        guard_txt = tuple(_render_guard_atom(atom, env0) for atom in rule.guard)
         for g in static_guard_groundings(domain, rule.guard, env0):
-            asp = instantiate_template(rule.template, g)
-            guard_txt = tuple(_render_guard_atom(atom, env0) for atom in rule.guard)
-            if (asp, guard_txt) not in combos:
-                combos.append((asp, guard_txt))
+            combos[instantiate_template(rule.template, g), guard_txt] = None
     if not any_rule:
         errors.append(f"no aspect rule matches {kind} {label}")
     elif not combos:
         errors.append(f"aspect rules for {kind} {label} have unsatisfiable guards")
-    return combos
+    return list(combos)
 
 
 def _render_guard_atom(atom: GuardAtom, env: dict) -> str:
@@ -581,9 +598,7 @@ def check_aspect_soundness(domain: Domain,
             valuations_checked += 1
             base = dict(zip(relevant, bits))
             state = build_state({(): base}, schemas=frozenset(domain.fluents))
-            try:
-                _check_applicable(domain, state, a)
-            except (InapplicableActionError, UndefinedActionError):
+            if _failed_precondition(domain, state, a) is not None:
                 continue
             try:
                 beta = aspect_of_action(domain, state, a)
@@ -629,8 +644,6 @@ def _relevant_fluents(domain: Domain, a: GroundAction) -> list[GroundFluent]:
     out: set[GroundFluent] = set()
 
     def add_guard(guard, env0):
-        from .domain import _literal_candidates
-
         for g in static_guard_groundings(domain, guard, env0):
             for atom in guard:
                 if isinstance(atom, GuardLiteral):

@@ -15,7 +15,7 @@ of them satisfies the premises instead of being vacuous.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .disjoint import CommutativeCanonical, d_eval
@@ -455,12 +455,4 @@ def _with_naive_dtable(model: FiniteModel) -> FiniteModel:
     (0,1) pair is additionally declared disjoint."""
     naive = set(model.d_table)
     naive.add((path("1", "0"), path("0", "1")))
-    return FiniteModel(
-        name=model.name + "-naive", situations=model.situations,
-        aspect_rels=model.aspect_rels, functional=model.functional,
-        action_maps=model.action_maps, valuations=model.valuations,
-        fluent_aspects=model.fluent_aspects, action_aspects=model.action_aspects,
-        witnesses={(p, f): w for (p, f), w in model.witnesses.items()},
-        collective_rels=model.collective_rels,
-        collective_witnesses=model.collective_witnesses,
-        d_table=frozenset(naive))
+    return replace(model, name=model.name + "-naive", d_table=frozenset(naive))

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 from sitaspect.cli import main
-from tests.conftest import BLOCKS_INIT, FIXTURES
+from tests.conftest import BLOCKS_INIT, FIXTURES, ROOMS_INIT
 
 BLOCKS = str(FIXTURES / "blocks.dom")
 ECONOMY = str(FIXTURES / "economy.dom")
@@ -31,6 +32,22 @@ def test_frames_matches_golden_file(capsys):
     assert code == 0
     golden = (FIXTURES / "frames_blocks.golden").read_text(encoding="utf-8")
     assert out == golden
+
+
+PINNED_REPORTS = json.loads(
+    (FIXTURES / "report_digests.json").read_text(encoding="utf-8"))["reports"]
+
+
+@pytest.mark.parametrize("pinned", PINNED_REPORTS,
+                         ids=[" ".join(p["argv"][:2]) for p in PINNED_REPORTS])
+def test_json_report_matches_pinned_digest(capsys, pinned):
+    # The fixture reports must stay byte-identical; frames_blocks.golden
+    # alone never reaches the multi-combination rules of rooms.dom.
+    argv = [str(FIXTURES / a) if a.endswith(".dom") else
+            ROOMS_INIT if a == "ROOMS_INIT" else a for a in pinned["argv"]]
+    code, out, _ = run(capsys, *argv)
+    assert code == pinned["exit"]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == pinned["sha256"]
 
 
 def test_simulate_final_state(capsys):

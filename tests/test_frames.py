@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import pytest
 
+from sitaspect.domain import ground_actions, initial_state
 from sitaspect.dsl import parse_domain, parse_state
 from sitaspect.errors import (
     AmbiguousAspectError,
     InapplicableActionError,
     NoProofError,
+    UndefinedActionError,
 )
 from sitaspect.frames import (
     D_EVALUATION,
+    applicable_actions,
     aspect_of_action,
     aspect_of_fluent,
     check_aspect_soundness,
@@ -185,6 +188,70 @@ def test_progress_outside_modeled_portion_is_undefined(display):
     # ...but the meteorite touches the window, which is not modeled here.
     with pytest.raises(UndefinedActionError):
         progress(display, only_display, action("meteorite"))
+
+
+# A lamp whose switch needs power from the cellar, a separate component.
+LAMP_DOMAIN = """\
+domain lamp
+objects lamp: l1
+fluent lit(lamp)
+fluent powered()
+action switch_on(lamp)
+home lit (room)
+home powered (cellar)
+aspect lit(x) (room, x)
+aspect powered() (cellar)
+aspect switch_on(x) (room, x)
+pre switch_on(x) powered()
+effect switch_on(x) add lit(x)
+"""
+
+
+def test_precondition_outside_modeled_portion_is_undefined():
+    lamp = parse_domain(LAMP_DOMAIN)
+    switch = action("switch_on", "l1")
+    room_only = initial_state(lamp, [], only=[("room",)])
+    assert eval_fluent(room_only, fluent("powered")) is None
+    with pytest.raises(UndefinedActionError,
+                       match="precondition refers outside the modeled portion"):
+        progress(lamp, room_only, switch)
+    assert switch not in applicable_actions(lamp, room_only)
+    # Modeled but false, the same precondition makes the action inapplicable.
+    unpowered = initial_state(lamp, [])
+    with pytest.raises(InapplicableActionError, match="precondition does not hold"):
+        progress(lamp, unpowered, switch)
+    assert applicable_actions(lamp, initial_state(lamp, [fluent("powered")])) == [switch]
+
+
+def test_failed_negated_existential_precondition_is_inapplicable():
+    grab = parse_domain("""\
+domain grab
+objects thing: a, b
+fluent holding(thing)
+action grab(thing)
+aspect holding(x) (x)
+aspect grab(x) (x)
+pre grab(x) !holding(y)
+effect grab(x) add holding(x)
+""")
+    # y is bound by no positive literal: grab(a) needs no thing to be held.
+    state = initial_state(grab, [fluent("holding", "b")])
+    assert applicable_actions(grab, state) == []
+    with pytest.raises(InapplicableActionError, match="precondition does not hold"):
+        progress(grab, state, action("grab", "a"))
+
+
+@pytest.mark.parametrize("name", ["blocks", "rooms", "display"])
+def test_actions_left_out_are_the_ones_progress_refuses(request, name):
+    domain = request.getfixturevalue(name)
+    init = request.getfixturevalue(f"{name}_init")
+    for state in reachable_states(domain, init, 2):
+        applicable = applicable_actions(domain, state)
+        for a in ground_actions(domain):
+            if a in applicable:
+                continue
+            with pytest.raises((InapplicableActionError, UndefinedActionError)):
+                progress(domain, state, a)
 
 
 def test_transfer_moves_room_membership(rooms, rooms_init):
