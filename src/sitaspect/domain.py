@@ -313,36 +313,7 @@ def solve_guard(domain: Domain, state: WorldState, guard: Guard,
     variables read as negated existentials (no grounding may be True).
     Results are deterministic and duplicate-free.
     """
-    envs = [dict(env)]
-    for atom in guard:
-        nxt: list[dict] = []
-        if isinstance(atom, MemberGuard):
-            for e in envs:
-                coll = _resolve_arg(atom.collection, e)
-                if not isinstance(coll, frozenset):
-                    raise SitAspectError(
-                        f"membership guard needs a set-valued collection, got {coll!r}")
-                if isinstance(atom.member, Var) and atom.member.name not in e:
-                    for member in sorted(coll):
-                        e2 = dict(e)
-                        e2[atom.member.name] = member
-                        nxt.append(e2)
-                else:
-                    member = _resolve_arg(atom.member, e)
-                    if member in coll:
-                        nxt.append(e)
-        elif atom.positive:
-            for e in envs:
-                for e2 in _literal_candidates(domain, atom.fluent, e):
-                    if eval_fluent(state, instantiate_pat(atom.fluent, e2)) is True:
-                        nxt.append(e2)
-        else:
-            for e in envs:
-                if not any(eval_fluent(state, instantiate_pat(atom.fluent, e2)) is True
-                           for e2 in _literal_candidates(domain, atom.fluent, e)):
-                    nxt.append(e)
-        envs = nxt
-    return _dedupe(envs)
+    return _ground_guard(domain, guard, env, state)
 
 
 def static_guard_groundings(domain: Domain, guard: Guard, env: dict) -> list[dict]:
@@ -350,6 +321,27 @@ def static_guard_groundings(domain: Domain, guard: Guard, env: dict) -> list[dic
 
     Used for whole-universe analyses: every grounding that is not internally
     contradictory counts as satisfiable in some state.
+    """
+    envs = _ground_guard(domain, guard, env, None)
+    # Drop groundings where some literal occurs both positively and negatively.
+    # Only fully bound negative literals can clash, so most groundings are
+    # kept without instantiating their positive literals.
+    positives = [g.fluent for g in guard if isinstance(g, GuardLiteral) and g.positive]
+    negatives = [g.fluent for g in guard if isinstance(g, GuardLiteral) and not g.positive]
+    ok = []
+    for e in envs:
+        neg = {instantiate_pat(f, e) for f in negatives if _fully_bound(f, e)}
+        if not neg or neg.isdisjoint(instantiate_pat(f, e) for f in positives):
+            ok.append(e)
+    return ok
+
+
+def _ground_guard(domain: Domain, guard: Guard, env: dict,
+                  state: Optional[WorldState]) -> list[dict]:
+    """Extensions of `env` satisfying the guard in `state`, duplicate-free.
+
+    With no state every literal counts as satisfiable: positive literals
+    ground over their sorts and negative ones keep every extension.
     """
     envs = [dict(env)]
     for atom in guard:
@@ -365,26 +357,20 @@ def static_guard_groundings(domain: Domain, guard: Guard, env: dict) -> list[dic
                         e2 = dict(e)
                         e2[atom.member.name] = member
                         nxt.append(e2)
-                else:
-                    if _resolve_arg(atom.member, e) in coll:
-                        nxt.append(e)
+                elif _resolve_arg(atom.member, e) in coll:
+                    nxt.append(e)
         elif atom.positive:
             for e in envs:
-                nxt.extend(_literal_candidates(domain, atom.fluent, e))
+                for e2 in _literal_candidates(domain, atom.fluent, e):
+                    if state is None or \
+                            eval_fluent(state, instantiate_pat(atom.fluent, e2)) is True:
+                        nxt.append(e2)
         else:
-            nxt.extend(envs)
+            nxt = [e for e in envs if state is None or not any(
+                eval_fluent(state, instantiate_pat(atom.fluent, e2)) is True
+                for e2 in _literal_candidates(domain, atom.fluent, e))]
         envs = nxt
-    # Drop groundings where some literal occurs both positively and negatively.
-    # Only fully bound negative literals can clash, so most groundings are
-    # kept without instantiating their positive literals.
-    positives = [g.fluent for g in guard if isinstance(g, GuardLiteral) and g.positive]
-    negatives = [g.fluent for g in guard if isinstance(g, GuardLiteral) and not g.positive]
-    ok = []
-    for e in envs:
-        neg = {instantiate_pat(f, e) for f in negatives if _fully_bound(f, e)}
-        if not neg or neg.isdisjoint(instantiate_pat(f, e) for f in positives):
-            ok.append(e)
-    return _dedupe(ok)
+    return _dedupe(envs)
 
 
 def _fully_bound(pat: Pat, env: dict) -> bool:

@@ -105,18 +105,6 @@ class FiniteModel:
             mask |= 1 << idx[s]
         return mask
 
-    def func_vec(self, atom: str) -> list[int]:
-        """Successor index per situation for a relation that is a total function."""
-        rows = self.rel_rows(atom)
-        vec = []
-        for i, row in enumerate(rows):
-            if row == 0 or row & (row - 1):
-                raise ModelError(
-                    f"relation '{atom}' is not a total function at "
-                    f"{self.situations[i]}")
-            vec.append(row.bit_length() - 1)
-        return vec
-
     def with_derived_dtable(self) -> "FiniteModel":
         """Fill d_table from set-aspect disjointness when none was given.
 

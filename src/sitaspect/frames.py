@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .disjoint import SeqExistsDiff, SimpleInequality, d_eval
 from .domain import (
@@ -222,15 +222,19 @@ def _failed_precondition(domain: Domain, state: WorldState,
 
 
 def _touches_unmodeled(domain: Domain, state: WorldState, guard, env0) -> bool:
+    return any(eval_fluent(state, f) is None
+               for f in _guard_fluents(domain, guard, env0))
+
+
+def _guard_fluents(domain: Domain, guard, env0) -> Iterator[GroundFluent]:
+    """Every ground fluent the guard's literals read, over its static groundings."""
     for g in static_guard_groundings(domain, guard, env0):
         for atom in guard:
             if isinstance(atom, GuardLiteral):
                 # Negated literals leave their variables unbound (negation
-                # as failure); every grounding of them is looked up.
+                # as failure); every grounding of them is read.
                 for g2 in _literal_candidates(domain, atom.fluent, g):
-                    if eval_fluent(state, instantiate_pat(atom.fluent, g2)) is None:
-                        return True
-    return False
+                    yield instantiate_pat(atom.fluent, g2)
 
 
 def _net_effects(domain: Domain, state: WorldState,
@@ -642,36 +646,24 @@ def _bump(counter: dict[str, int], key: str) -> None:
 def _relevant_fluents(domain: Domain, a: GroundAction) -> list[GroundFluent]:
     """Ground guard/precondition fluents that bear on a's firing and aspects."""
     out: set[GroundFluent] = set()
-
-    def add_guard(guard, env0):
-        for g in static_guard_groundings(domain, guard, env0):
-            for atom in guard:
-                if isinstance(atom, GuardLiteral):
-                    # Negated literals leave their variables unbound (negation
-                    # as failure); every grounding of them is relevant.
-                    for g2 in _literal_candidates(domain, atom.fluent, g):
-                        out.add(instantiate_pat(atom.fluent, g2))
-
-    target_schemas: set[str] = set()
     for rule in domain.rules_for("action", a.schema):
         env0 = match_args(rule.target.args, a.args)
         if env0 is not None:
-            add_guard(rule.guard, env0)
+            out.update(_guard_fluents(domain, rule.guard, env0))
     for pre in domain.preconditions_for(a.schema):
         env0 = match_args(pre.action.args, a.args)
         if env0 is not None:
-            add_guard(pre.guard, env0)
+            out.update(_guard_fluents(domain, pre.guard, env0))
     for eff in domain.effects_for(a.schema):
         env0 = match_args(eff.action.args, a.args)
         if env0 is not None:
-            add_guard(eff.guard, env0)
-            target_schemas.add(eff.fluent.schema)
+            out.update(_guard_fluents(domain, eff.guard, env0))
             for g in static_guard_groundings(domain, eff.guard, env0):
                 target = instantiate_pat(eff.fluent, g)
                 for frule in domain.rules_for("fluent", target.schema):
                     fenv = match_args(frule.target.args, target.args)
                     if fenv is not None:
-                        add_guard(frule.guard, fenv)
+                        out.update(_guard_fluents(domain, frule.guard, fenv))
     return sorted(out, key=lambda f: f.sort_key())
 
 

@@ -6,7 +6,8 @@ behind the checked aspect, the action map, and the fluent valuation, with
 witnesses searched over all predicates. Relations behind unrelated aspect
 labels never enter any axiom, and composed relations range over the full
 relation space (the identity is an admissible factor), so this enumeration
-covers all factored models of the same size.
+covers all factored models of the same size. A function is searched as a
+relation whose rows are singletons, so every premise test reads rows only.
 
 The random layer samples larger structures, biased so that a useful share
 of them satisfies the premises instead of being vacuous.
@@ -89,24 +90,18 @@ def search_counterexample(formalism: str, max_situations: int = 3, seed: int = 0
                         random_models, random_premise, seed, tuple(scope))
 
 
-def _definable_valuations(n: int, rows: Optional[list[int]], vec: Optional[list[int]],
-                          universal: bool) -> set[int]:
+def _witness_mask(n: int, rows: list[int], universal: bool, q: int) -> int:
+    """The valuation the witness predicate q defines over the aspect rows."""
+    mask = 0
+    for s in range(n):
+        if (rows[s] & ~q) == 0 if universal else rows[s] & q:
+            mask |= 1 << s
+    return mask
+
+
+def _definable_valuations(n: int, rows: list[int], universal: bool) -> set[int]:
     """All valuations expressible as a witness predicate over the aspect."""
-    full = (1 << n) - 1
-    out = set()
-    for q in range(1 << n):
-        mask = 0
-        for s in range(n):
-            if vec is not None:
-                bit = bool(q >> vec[s] & 1)
-            elif universal:
-                bit = (rows[s] & ~q & full) == 0
-            else:
-                bit = (rows[s] & q) != 0
-            if bit:
-                mask |= 1 << s
-        out.add(mask)
-    return out
+    return {_witness_mask(n, rows, universal, q) for q in range(1 << n)}
 
 
 def _all_relation_rows(n: int):
@@ -129,22 +124,17 @@ def _all_vecs(n: int):
 
 
 def _exhaustive_level(formalism: str, n: int):
-    functional = is_functional(formalism)
     universal = is_universal(formalism)
     checked = 0
     premise_models = 0
-    if functional:
-        structures = ((None, vec) for vec in _all_vecs(n))
+    if is_functional(formalism):
+        structures = ([1 << t for t in vec] for vec in _all_vecs(n))
     else:
-        structures = ((rows, None) for rows in _all_relation_rows(n))
-    for rows, vec in structures:
-        definable = _definable_valuations(n, rows, vec, universal)
+        structures = _all_relation_rows(n)
+    for rows in structures:
+        definable = _definable_valuations(n, rows, universal)
         for act in _all_vecs(n):
-            if vec is not None:
-                stable = all(vec[s] == vec[act[s]] for s in range(n))
-            else:
-                stable = all(rows[s] == rows[act[s]] for s in range(n))
-            if not stable:
+            if any(rows[s] != rows[act[s]] for s in range(n)):
                 checked += 1 << n  # every valuation of this structure is vacuous
                 continue
             for val in range(1 << n):
@@ -153,15 +143,13 @@ def _exhaustive_level(formalism: str, n: int):
                     continue  # fluent-factorization premise fails
                 premise_models += 1
                 if any((val >> s & 1) != (val >> act[s] & 1) for s in range(n)):
-                    model = _materialize(formalism, n, rows, vec, act, val)
+                    model = _materialize(formalism, n, rows, act, val)
                     return model, checked, premise_models
     return None, checked, premise_models
 
 
-def _materialize(formalism: str, n: int, rows, vec, act, val) -> FiniteModel:
+def _materialize(formalism: str, n: int, rows, act, val) -> FiniteModel:
     sits = tuple(f"s{i}" for i in range(n))
-    if vec is not None:
-        rows = [1 << t for t in vec]
     rel = frozenset((sits[s], sits[t]) for s in range(n)
                     for t in range(n) if rows[s] >> t & 1)
     action_map = {sits[s]: sits[act[s]] for s in range(n)}
@@ -180,7 +168,7 @@ def _materialize(formalism: str, n: int, rows, vec, act, val) -> FiniteModel:
     return FiniteModel(
         name=f"{formalism}-counterexample", situations=sits,
         aspect_rels={"a1": rel, "a2": frozenset()},
-        functional=frozenset(("a1",)) if vec is not None else frozenset(),
+        functional=frozenset(("a1",)) if is_functional(formalism) else frozenset(),
         action_maps={"act": action_map}, valuations={"p": valuation},
         fluent_aspects={"p": alpha}, action_aspects={"act": beta},
         d_table=frozenset({(alpha, beta)}))
@@ -195,50 +183,29 @@ def _random_sweep(formalism: str, samples: int, seed: int, max_n: int):
     for _ in range(samples):
         checked += 1
         n = rng.randint(2, max_n)
-        full = (1 << n) - 1
-        if functional:
-            f1 = [rng.randrange(n) for _ in range(n)]
-            f2 = [rng.randrange(n) for _ in range(n)]
-            vec = [f2[f1[s]] for s in range(n)]
-            rows = None
-        else:
-            r1 = [rng.randrange(1 << n) for _ in range(n)]
-            r2 = [rng.randrange(1 << n) for _ in range(n)]
-            rows = compose_rows(r1, r2)
-            vec = None
+        # A function's rows are singletons, so its draws are successor indices.
+        draws = [1 << rng.randrange(n) if functional else rng.randrange(1 << n)
+                 for _ in range(2 * n)]
+        rows = compose_rows(draws[:n], draws[n:])
         if rng.random() < 0.5:
             act = [rng.randrange(n) for _ in range(n)]
         else:
-            sig = vec if vec is not None else rows
             classes: dict[int, list[int]] = {}
             for s in range(n):
-                classes.setdefault(sig[s], []).append(s)
-            act = [rng.choice(classes[sig[s]]) for s in range(n)]
+                classes.setdefault(rows[s], []).append(s)
+            act = [rng.choice(classes[rows[s]]) for s in range(n)]
         q = rng.randrange(1 << n)
         if rng.random() < 0.5:
-            val = 0
-            for s in range(n):
-                if vec is not None:
-                    bit = bool(q >> vec[s] & 1)
-                elif universal:
-                    bit = (rows[s] & ~q & full) == 0
-                else:
-                    bit = (rows[s] & q) != 0
-                if bit:
-                    val |= 1 << s
+            val = _witness_mask(n, rows, universal, q)
         else:
             val = rng.randrange(1 << n)
-        if vec is not None:
-            stable = all(vec[s] == vec[act[s]] for s in range(n))
-        else:
-            stable = all(rows[s] == rows[act[s]] for s in range(n))
-        if not stable:
+        if any(rows[s] != rows[act[s]] for s in range(n)):
             continue
-        if val not in _definable_valuations(n, rows, vec, universal):
+        if val not in _definable_valuations(n, rows, universal):
             continue
         premise_models += 1
         if any((val >> s & 1) != (val >> act[s] & 1) for s in range(n)):
-            return _materialize(formalism, n, rows, vec, act, val), checked, premise_models
+            return _materialize(formalism, n, rows, act, val), checked, premise_models
     return None, checked, premise_models
 
 

@@ -5,7 +5,8 @@ non-interfering with an aspect leave that aspect's relation or function
 unchanged) with a fluent-factorization axiom (the fluent's valuation factors
 through a witness predicate over the aspect). The non-interference
 conclusion is then checked model-wide: declared-disjoint action/fluent pairs
-must never change the fluent's value.
+must never change the fluent's value. Functional formalisms are checked as
+relational ones over the rows of total functions, one successor per row.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ FACTORIZATION = "fluent-factorization"
 PRESERVATION = "aspect-preservation"
 
 _WITNESS_SEARCH_LIMIT = 10
+_MODAL_SITUATION_LIMIT = 12
+_JOINT_SEARCH_LIMIT = 4096
 
 
 def is_collective(formalism: str) -> bool:
@@ -122,7 +125,8 @@ def check_premises(model: FiniteModel, formalism: str,
 
     Existential witness axioms use the stored witness when one is declared;
     otherwise every predicate over the situations is searched (models up to
-    `witness_search_limit` situations).
+    `witness_search_limit` situations). A collective fluent's witness family
+    is searched jointly, up to _JOINT_SEARCH_LIMIT families.
     """
     if formalism not in FORMALISMS:
         raise ModelError(f"unknown formalism '{formalism}'")
@@ -132,7 +136,7 @@ def check_premises(model: FiniteModel, formalism: str,
     notes: list[str] = []
     if is_collective(formalism):
         checks += _collective_stability(model, formalism)
-        checks += _collective_factorization(model, formalism, witness_search_limit)
+        checks += _collective_factorization(model, formalism)
         notes.append(
             "collective d(alpha,beta) is validated under the empty-intersection "
             "reading; a nonempty-intersection reading would contradict "
@@ -163,22 +167,12 @@ def _stability(model: FiniteModel, formalism: str) -> list[PremiseCheck]:
         for alpha, beta2 in sorted(model.d_table, key=str):
             if beta2 != beta:
                 continue
-            subject = f"R{alpha} under {act}"
-            if is_functional(formalism):
-                vec = _path_func_vec(model, alpha)
-                bad = [s for s in range(len(vec)) if vec[s] != vec[avec[s]]]
-            elif is_modal(formalism):
+            if is_modal(formalism):
                 bad = _modal_stability_fails(model, alpha, avec,
                                              universal=is_universal(formalism))
             else:
-                rows = model.path_rows(alpha)
-                bad = [s for s in range(len(rows)) if rows[s] != rows[avec[s]]]
-            if bad:
-                w = model.situations[bad[0]]
-                checks.append(PremiseCheck(STABILITY, subject, False,
-                                           f"changes at situation {w}"))
-            else:
-                checks.append(PremiseCheck(STABILITY, subject, True))
+                bad = _changed(_path_rows(model, alpha, formalism), avec)
+            checks.append(_stability_check(model, f"R{alpha} under {act}", bad))
     return checks
 
 
@@ -186,9 +180,10 @@ def _modal_stability_fails(model: FiniteModel, alpha: AspectPath,
                            avec: list[int], universal: bool) -> list[int]:
     """Situations where some subset valuation distinguishes w from a(w)."""
     n = len(model.situations)
-    if n > 12:
-        raise ModelError("subset quantification over modal schemas is "
-                         "limited to 12 situations")
+    if n > _MODAL_SITUATION_LIMIT:
+        raise ModelError(f"subset quantification over modal schemas is limited "
+                         f"to {_MODAL_SITUATION_LIMIT} situations; the model "
+                         f"has {n}")
     rows = model.path_rows(alpha)
     full = (1 << n) - 1
     bad = []
@@ -218,77 +213,83 @@ def _collective_stability(model: FiniteModel, formalism: str) -> list[PremiseChe
         beta_elems = {a.name for a in beta[0].atoms}
         avec = model.act_vec(act)
         for x in elements:
-            if x in beta_elems:
-                continue
-            subject = f"R_{x} under {act}"
-            if is_functional(formalism):
-                vec = _element_func_vec(model, x)
-                bad = [s for s in range(len(vec)) if vec[s] != vec[avec[s]]]
-            else:
-                rows = model.element_rows(x)
-                bad = [s for s in range(len(rows)) if rows[s] != rows[avec[s]]]
-            if bad:
-                w = model.situations[bad[0]]
-                checks.append(PremiseCheck(STABILITY, subject, False,
-                                           f"changes at situation {w}"))
-            else:
-                checks.append(PremiseCheck(STABILITY, subject, True))
+            if x not in beta_elems:
+                bad = _changed(_element_rows(model, x, formalism), avec)
+                checks.append(_stability_check(model, f"R_{x} under {act}", bad))
     return checks
 
 
-def _path_func_vec(model: FiniteModel, path: AspectPath) -> list[int]:
-    n = len(model.situations)
-    vec = list(range(n))
-    for elem in path:
-        if not isinstance(elem, AspectAtom):
-            raise ModelError(f"functional composition needs atom paths, got {path}")
-        step = model.func_vec(elem.name)
-        vec = [step[v] for v in vec]
-    return vec
+def _changed(rows: list[int], avec: list[int]) -> list[int]:
+    return [s for s in range(len(rows)) if rows[s] != rows[avec[s]]]
 
 
-def _element_func_vec(model: FiniteModel, elem: str) -> list[int]:
+def _stability_check(model: FiniteModel, subject: str, bad: list[int]) -> PremiseCheck:
+    if bad:
+        return PremiseCheck(STABILITY, subject, False,
+                            f"changes at situation {model.situations[bad[0]]}")
+    return PremiseCheck(STABILITY, subject, True)
+
+
+def _path_rows(model: FiniteModel, path: AspectPath, formalism: str) -> list[int]:
+    """Rows of the relation composed along an atom path; a functional
+    formalism first checks that each atom's relation is a total function."""
+    if is_functional(formalism):
+        for elem in path:
+            if not isinstance(elem, AspectAtom):
+                raise ModelError(f"functional composition needs atom paths, got {path}")
+            _total(model, f"relation '{elem.name}'", model.rel_rows(elem.name))
+    return model.path_rows(path)
+
+
+def _element_rows(model: FiniteModel, elem: str, formalism: str) -> list[int]:
     rows = model.element_rows(elem)
-    vec = []
+    if is_functional(formalism):
+        _total(model, f"element relation '{elem}'", rows)
+    return rows
+
+
+def _total(model: FiniteModel, what: str, rows: list[int]) -> None:
+    """A total function's rows are singletons: one successor per situation."""
     for i, row in enumerate(rows):
         if row == 0 or row & (row - 1):
-            raise ModelError(f"element relation '{elem}' is not a total function "
-                             f"at {model.situations[i]}")
-        vec.append(row.bit_length() - 1)
-    return vec
+            raise ModelError(f"{what} is not a total function at {model.situations[i]}")
+
+
+def _defined(rows: list[int], q: int, universal: bool) -> int:
+    """The valuation the witness predicate q defines over the aspect rows:
+    s is in it when all (universal) or some of s's successors are in q."""
+    out = 0
+    for s, row in enumerate(rows):
+        if (row & ~q) == 0 if universal else row & q:
+            out |= 1 << s
+    return out
 
 
 def _factorization(model: FiniteModel, formalism: str,
                    witness_search_limit: int) -> list[PremiseCheck]:
     checks = []
     n = len(model.situations)
+    universal = is_universal(formalism)
     for p in sorted(model.valuations):
         alpha = model.fluent_aspects.get(p)
         if alpha is None:
             raise ModelError(f"fluent '{p}' has no aspect assignment")
         val = model.val_mask(p)
-        if is_functional(formalism):
-            vec = _path_func_vec(model, alpha)
-            define = lambda q: _mask(n, lambda s: bool(q >> vec[s] & 1))
-        else:
-            rows = model.path_rows(alpha)
-            if is_universal(formalism):
-                define = lambda q: _mask(n, lambda s: (rows[s] & ~q) & ((1 << n) - 1) == 0)
-            else:
-                define = lambda q: _mask(n, lambda s: (rows[s] & q) != 0)
+        rows = _path_rows(model, alpha, formalism)
         stored = model.witnesses.get((p, formalism))
         subject = f"{p} over {alpha}"
         if stored is not None:
-            q = _to_mask(model, stored)
-            holds = define(q) == val
+            holds = _defined(rows, _to_mask(model, stored), universal) == val
             note = "" if holds else "stored witness does not reproduce the valuation"
             checks.append(PremiseCheck(FACTORIZATION, subject, holds, note))
         else:
             if n > witness_search_limit:
                 raise ModelError(
                     f"fluent '{p}' has no stored witness and the model is too "
-                    f"large for exhaustive search")
-            found = next((q for q in range(1 << n) if define(q) == val), None)
+                    f"large for exhaustive search: {n} situations, the limit "
+                    f"is {witness_search_limit}")
+            found = next((q for q in range(1 << n)
+                          if _defined(rows, q, universal) == val), None)
             if found is None:
                 checks.append(PremiseCheck(FACTORIZATION, subject, False,
                                            "no witness predicate exists"))
@@ -300,56 +301,44 @@ def _factorization(model: FiniteModel, formalism: str,
     return checks
 
 
-def _collective_factorization(model: FiniteModel, formalism: str,
-                              witness_search_limit: int) -> list[PremiseCheck]:
+def _collective_factorization(model: FiniteModel, formalism: str) -> list[PremiseCheck]:
     checks = []
     n = len(model.situations)
+    full = (1 << n) - 1
+    universal = is_universal(formalism)
     for p in sorted(model.valuations):
         alpha = model.fluent_aspects.get(p)
         if alpha is None:
             raise ModelError(f"fluent '{p}' has no aspect assignment")
         elems = sorted(a.name for a in alpha[0].atoms)
         val = model.val_mask(p)
-        if is_functional(formalism):
-            vecs = {x: _element_func_vec(model, x) for x in elems}
-            per_elem = lambda x, q, s: bool(q >> vecs[x][s] & 1)
-        else:
-            rows = {x: model.element_rows(x) for x in elems}
-            if is_universal(formalism):
-                per_elem = lambda x, q, s: (rows[x][s] & ~q) & ((1 << n) - 1) == 0
-            else:
-                per_elem = lambda x, q, s: (rows[x][s] & q) != 0
+        rows = [_element_rows(model, x, formalism) for x in elems]
+
+        def family(qs) -> int:
+            out = full
+            for r, q in zip(rows, qs):
+                out &= _defined(r, q, universal)
+            return out
+
         subject = f"{p} over {alpha}"
-        stored = {x: model.collective_witnesses.get((p, formalism, x)) for x in elems}
-        if all(v is not None for v in stored.values()):
-            qs = {x: _to_mask(model, stored[x]) for x in elems}
-            got = _mask(n, lambda s: all(per_elem(x, qs[x], s) for x in elems))
-            holds = got == val
+        stored = [model.collective_witnesses.get((p, formalism, x)) for x in elems]
+        if all(v is not None for v in stored):
+            holds = family([_to_mask(model, v) for v in stored]) == val
             note = "" if holds else "stored witnesses do not reproduce the valuation"
             checks.append(PremiseCheck(FACTORIZATION, subject, holds, note))
         else:
-            if (1 << n) ** len(elems) > 4096:
+            size = (1 << n) ** len(elems)
+            if size > _JOINT_SEARCH_LIMIT:
                 raise ModelError(
                     f"fluent '{p}' lacks stored witnesses and the joint search "
-                    f"space is too large")
-            holds = False
-            for combo in itertools.product(range(1 << n), repeat=len(elems)):
-                qs = dict(zip(elems, combo))
-                if _mask(n, lambda s: all(per_elem(x, qs[x], s) for x in elems)) == val:
-                    holds = True
-                    break
+                    f"space is too large: {size} witness families, the limit "
+                    f"is {_JOINT_SEARCH_LIMIT}")
+            holds = any(family(qs) == val for qs in
+                        itertools.product(range(1 << n), repeat=len(elems)))
             note = "witness family found by exhaustive search" if holds else \
                 "no witness family exists"
             checks.append(PremiseCheck(FACTORIZATION, subject, holds, note))
     return checks
-
-
-def _mask(n: int, bit) -> int:
-    out = 0
-    for s in range(n):
-        if bit(s):
-            out |= 1 << s
-    return out
 
 
 def _to_mask(model: FiniteModel, subset: frozenset[str]) -> int:

@@ -404,3 +404,39 @@ def test_completeness_lint_reports_blocks_gaps(blocks):
 
 def test_completeness_lint_display_clean(display):
     assert completeness_lint(display).clean
+
+
+@pytest.mark.parametrize("name", ["blocks", "rooms", "display"])
+def test_every_guard_solution_is_a_static_grounding(request, name):
+    # solve_guard and static_guard_groundings share one grounder: whatever
+    # solves a guard in a reachable state is one of its static groundings.
+    from sitaspect.domain import (
+        ground_fluents,
+        match_args,
+        solve_guard,
+        static_guard_groundings,
+    )
+
+    domain = request.getfixturevalue(name)
+    init = request.getfixturevalue(f"{name}_init")
+    matched = []
+    for p in ground_fluents(domain):
+        matched += [(r.guard, match_args(r.target.args, p.args))
+                    for r in domain.rules_for("fluent", p.schema)]
+    for a in ground_actions(domain):
+        matched += [(r.guard, match_args(r.target.args, a.args))
+                    for r in domain.rules_for("action", a.schema)]
+        matched += [(r.guard, match_args(r.action.args, a.args))
+                    for r in domain.preconditions_for(a.schema)]
+        matched += [(r.guard, match_args(r.action.args, a.args))
+                    for r in domain.effects_for(a.schema)]
+    statics = [(guard, env0, {frozenset(g.items())
+                              for g in static_guard_groundings(domain, guard, env0)})
+               for guard, env0 in matched if env0 is not None]
+    solved = 0
+    for state in reachable_states(domain, init, 2):
+        for guard, env0, static in statics:
+            for sol in solve_guard(domain, state, guard, env0):
+                assert frozenset(sol.items()) in static, (guard, sol)
+                solved += 1
+    assert solved > 0, solved

@@ -49,30 +49,28 @@ def test_search_fast_path_agrees_with_reference_checker():
     import itertools
 
     from sitaspect.search import _definable_valuations, _materialize
-    from sitaspect.validator import is_universal
+    from sitaspect.validator import is_functional, is_universal
 
     n = 2
-    for formalism in ("rel-exists", "rel-forall", "fun", "modal-box",
-                      "coll-rel-exists", "seq-rel-exists"):
-        functional = formalism == "fun"
+    for formalism in ("rel-exists", "rel-forall", "fun", "seq-fun", "modal-box",
+                      "modal-diamond", "coll-rel-exists", "coll-fun",
+                      "seq-rel-exists"):
         universal = is_universal(formalism)
-        structures = (itertools.product(range(n), repeat=n) if functional
-                      else itertools.product(range(1 << n), repeat=n))
-        for struct in structures:
-            if functional:
-                vec, rows = list(struct), None
-                sig = vec
-            else:
-                rows, vec = list(struct), None
-                sig = rows
-            definable = _definable_valuations(n, rows, vec, universal)
+        if is_functional(formalism):
+            structures = ([1 << t for t in vec]
+                          for vec in itertools.product(range(n), repeat=n))
+        else:
+            structures = (list(rows)
+                          for rows in itertools.product(range(1 << n), repeat=n))
+        for rows in structures:
+            definable = _definable_valuations(n, rows, universal)
             for act in itertools.product(range(n), repeat=n):
-                stable = all(sig[s] == sig[act[s]] for s in range(n))
+                stable = all(rows[s] == rows[act[s]] for s in range(n))
                 for val in range(1 << n):
                     premises = stable and val in definable
                     conclusion = all((val >> s & 1) == (val >> act[s] & 1)
                                      for s in range(n))
-                    model = _materialize(formalism, n, rows, vec, list(act), val)
+                    model = _materialize(formalism, n, rows, list(act), val)
                     verdict = verify_theorem(formalism, model)
                     if not premises:
                         assert verdict.verdict == "vacuous"

@@ -20,7 +20,7 @@ from sitaspect.finite import (
     diamond_seq,
     modal_eval,
 )
-from sitaspect.terms import path
+from sitaspect.terms import AspectPath, path
 from sitaspect.validator import (
     FORMALISMS,
     check_commutativity,
@@ -301,3 +301,113 @@ def test_compose_rows_is_relation_composition():
     r1 = [0b010, 0b100, 0b000]
     r2 = [0b001, 0b110, 0b011]
     assert compose_rows(r1, r2) == [0b110, 0b011, 0b000]
+
+
+# -- functional formalisms read total-function relations ----------------------
+
+def _functional_model(**changes) -> FiniteModel:
+    fields = dict(
+        name="fn", situations=("w", "t"),
+        aspect_rels={"a": frozenset({("w", "t"), ("t", "t")}),
+                     "b": frozenset({("w", "w"), ("t", "t")})},
+        action_maps={"go": {"w": "w", "t": "t"}},
+        valuations={"p": frozenset()},
+        fluent_aspects={"p": path("a")}, action_aspects={"go": path("b")},
+        d_table=frozenset({(path("a"), path("b"))}))
+    fields.update(changes)
+    return FiniteModel(**fields)
+
+
+def test_functional_base_model_passes():
+    assert verify_theorem("fun", _functional_model()).verdict == "pass"
+    assert verify_theorem("seq-fun", _functional_model()).verdict == "pass"
+
+
+def test_fun_rejects_a_relation_with_two_successors():
+    model = _functional_model(aspect_rels={
+        "a": frozenset({("w", "t"), ("w", "w"), ("t", "t")}),
+        "b": frozenset({("w", "w"), ("t", "t")})})
+    with pytest.raises(ModelError) as err:
+        check_premises(model, "fun")
+    assert str(err.value) == "relation 'a' is not a total function at w"
+
+
+def test_coll_fun_rejects_an_element_relation_without_successor():
+    model = FiniteModel(
+        name="coll-fn", situations=("w", "t"),
+        collective_rels={"x": frozenset({("w", "w")}),
+                         "y": frozenset({("w", "w"), ("t", "t")})},
+        action_maps={"go": {"w": "w", "t": "t"}},
+        valuations={"p": frozenset()},
+        fluent_aspects={"p": AspectPath.of({"x"})},
+        action_aspects={"go": AspectPath.of({"y"})})
+    with pytest.raises(ModelError) as err:
+        verify_theorem("coll-fun", model)
+    assert str(err.value) == "element relation 'x' is not a total function at t"
+
+
+def test_seq_fun_rejects_a_set_element_in_the_path():
+    alpha = AspectPath.of("a", {"x"})
+    model = _functional_model(d_table=frozenset({(alpha, path("b"))}))
+    with pytest.raises(ModelError) as err:
+        check_premises(model, "seq-fun")
+    assert str(err.value) == f"functional composition needs atom paths, got {alpha}"
+    assert str(alpha) == "(a,{x})"
+
+
+# -- enumeration limits name the size they met ---------------------------------
+
+def _identity_model(n: int, **changes) -> FiniteModel:
+    sits = tuple(f"s{i}" for i in range(n))
+    ident = frozenset((s, s) for s in sits)
+    fields = dict(
+        name="wide", situations=sits, aspect_rels={"a": ident, "b": ident},
+        action_maps={"go": {s: s for s in sits}},
+        valuations={"p": frozenset()},
+        fluent_aspects={"p": path("a")}, action_aspects={"go": path("b")},
+        d_table=frozenset({(path("a"), path("b"))}))
+    fields.update(changes)
+    return FiniteModel(**fields)
+
+
+def test_witness_search_limit_is_named():
+    from sitaspect.validator import _WITNESS_SEARCH_LIMIT
+
+    n = _WITNESS_SEARCH_LIMIT + 1
+    with pytest.raises(ModelError) as err:
+        check_premises(_identity_model(n), "rel-exists")
+    assert str(err.value) == (
+        f"fluent 'p' has no stored witness and the model is too large for "
+        f"exhaustive search: {n} situations, the limit is {_WITNESS_SEARCH_LIMIT}")
+
+
+def test_modal_situation_limit_is_named():
+    from sitaspect.validator import _MODAL_SITUATION_LIMIT
+
+    n = _MODAL_SITUATION_LIMIT + 1
+    with pytest.raises(ModelError) as err:
+        check_premises(_identity_model(n), "modal-box")
+    assert str(err.value) == (
+        f"subset quantification over modal schemas is limited to "
+        f"{_MODAL_SITUATION_LIMIT} situations; the model has {n}")
+
+
+def test_joint_search_limit_is_named():
+    from sitaspect.validator import _JOINT_SEARCH_LIMIT
+
+    sits = tuple(f"s{i}" for i in range(7))
+    ident = frozenset((s, s) for s in sits)
+    model = FiniteModel(
+        name="wide-coll", situations=sits,
+        collective_rels={"x": ident, "y": ident, "z": ident},
+        action_maps={"go": {s: s for s in sits}},
+        valuations={"p": frozenset()},
+        fluent_aspects={"p": AspectPath.of({"x", "y"})},
+        action_aspects={"go": AspectPath.of({"z"})})
+    assert (1 << 7) ** 2 > _JOINT_SEARCH_LIMIT
+    with pytest.raises(ModelError) as err:
+        verify_theorem("coll-rel-exists", model)
+    assert str(err.value) == (
+        f"fluent 'p' lacks stored witnesses and the joint search space is too "
+        f"large: {(1 << 7) ** 2} witness families, the limit is "
+        f"{_JOINT_SEARCH_LIMIT}")
