@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .disjoint import DisjointnessSpec, SeqExistsDiff
@@ -23,7 +24,6 @@ from .terms import (
     AspectSet,
     GroundFluent,
     GroundTerm,
-    term_sort_key,
 )
 
 
@@ -171,14 +171,29 @@ class Domain:
         return frozenset(self.fluents)
 
     def rules_for(self, kind: str, schema: str) -> tuple[AspectRule, ...]:
-        return tuple(r for r in self.aspect_rules
-                     if r.kind == kind and r.target.schema == schema)
+        return self._by_schema.get(("aspect", kind, schema), ())
 
     def effects_for(self, action_schema: str) -> tuple[EffectRule, ...]:
-        return tuple(e for e in self.effects if e.action.schema == action_schema)
+        return self._by_schema.get(("effect", action_schema), ())
 
     def preconditions_for(self, action_schema: str) -> tuple[Precondition, ...]:
-        return tuple(p for p in self.preconditions if p.action.schema == action_schema)
+        return self._by_schema.get(("pre", action_schema), ())
+
+    # Built once per Domain object; dataclasses.replace makes a fresh one.
+    @cached_property
+    def _by_schema(self) -> dict[tuple, tuple]:
+        keyed = [(("aspect", r.kind, r.target.schema), r) for r in self.aspect_rules]
+        keyed += [(("effect", e.action.schema), e) for e in self.effects]
+        keyed += [(("pre", p.action.schema), p) for p in self.preconditions]
+        out: dict[tuple, tuple] = {}
+        for key, item in keyed:
+            out[key] = out.get(key, ()) + (item,)
+        return out
+
+    @cached_property
+    def ground_action_list(self) -> tuple:
+        """`ground_actions(self)`, enumerated once per Domain object."""
+        return tuple(ground_actions(self))
 
     def objects(self, sort: str) -> tuple[str, ...]:
         if sort not in self.sorts:
@@ -343,6 +358,7 @@ def _ground_guard(domain: Domain, guard: Guard, env: dict,
     With no state every literal counts as satisfiable: positive literals
     ground over their sorts and negative ones keep every extension.
     """
+    # Duplicate-free: each step filters bindings or extends them over distinct values.
     envs = [dict(env)]
     for atom in guard:
         nxt: list[dict] = []
@@ -370,7 +386,7 @@ def _ground_guard(domain: Domain, guard: Guard, env: dict,
                 eval_fluent(state, instantiate_pat(atom.fluent, e2)) is True
                 for e2 in _literal_candidates(domain, atom.fluent, e))]
         envs = nxt
-    return _dedupe(envs)
+    return envs
 
 
 def _fully_bound(pat: Pat, env: dict) -> bool:
@@ -383,17 +399,6 @@ def _resolve_arg(arg: PatArg, env: dict):
             raise SitAspectError(f"unbound variable {arg.name}")
         return env[arg.name]
     return arg
-
-
-def _dedupe(envs: list[dict]) -> list[dict]:
-    seen = set()
-    out = []
-    for e in envs:
-        key = tuple(sorted((k, term_sort_key(v)) for k, v in e.items()))
-        if key not in seen:
-            seen.add(key)
-            out.append(e)
-    return out
 
 
 def initial_state(domain: Domain, true_fluents: Iterable[GroundFluent],

@@ -264,7 +264,7 @@ def applicable_actions(domain: Domain, state: WorldState) -> list[GroundAction]:
     has a solution in `state`. Whether a left-out action is undefined here
     or merely inapplicable is told only by `progress`.
     """
-    return [a for a in ground_actions(domain)
+    return [a for a in domain.ground_action_list
             if _failed_precondition(domain, state, a) is None]
 
 
@@ -282,8 +282,9 @@ def reachable_states(domain: Domain, init: WorldState,
                     s2 = progress(domain, s, a)
                 except UndefinedActionError:
                     continue
-                if s2.key() not in seen:
-                    seen.add(s2.key())
+                key = s2.key()
+                if key not in seen:
+                    seen.add(key)
                     nxt.append(s2)
                     out.append(s2)
         frontier = nxt
@@ -478,8 +479,23 @@ def _aspect_combos(domain: Domain, kind: str, schema: str, args, label: str,
         any_rule = True
         # The rendering shows the guard under the argument binding only.
         guard_txt = tuple(_render_guard_atom(atom, env0) for atom in rule.guard)
-        for g in static_guard_groundings(domain, rule.guard, env0):
-            combos[instantiate_template(rule.template, g), guard_txt] = None
+        groundings = static_guard_groundings(domain, rule.guard, env0)
+        if len(groundings) == 1:
+            combos[instantiate_template(rule.template, groundings[0]), guard_txt] = None
+            continue
+        # Over many groundings, build each element once per value tuple of
+        # the variables it reads.
+        reads = [(t, tuple(m.name for m in _template_members(t) if isinstance(m, Var)), {})
+                 for t in rule.template]
+        for g in groundings:
+            elems = []
+            for t, names, memo in reads:
+                key = tuple(map(g.get, names))
+                elem = memo.get(key)
+                if elem is None:
+                    elem = memo[key] = instantiate_template((t,), g).elems[0]
+                elems.append(elem)
+            combos[AspectPath(tuple(elems)), guard_txt] = None
     if not any_rule:
         errors.append(f"no aspect rule matches {kind} {label}")
     elif not combos:

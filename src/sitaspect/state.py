@@ -3,7 +3,8 @@
 A state is a finite tree of components. Each component node carries a local
 valuation of the ground fluents that live there; every ground fluent is
 stored in exactly one node (its home component). States are immutable
-values: updates return new states that share untouched subtrees.
+values: updates return new states that share untouched subtrees. Lookups
+go through a fluent->home index that every state derived by updates shares.
 
 A fluent evaluates to True/False when its home component is part of the
 state, and to None ("undefined") when the state models only a portion of
@@ -13,6 +14,7 @@ the world that does not include it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Mapping, Optional
 
 from .errors import SchemaError, UndefinedPortionError
@@ -50,6 +52,15 @@ class WorldState:
         for prefix, node in self.root.walk():
             for f in sorted(node.local, key=lambda f: f.sort_key()):
                 yield f, node.local[f], prefix
+
+    @cached_property
+    def _homes(self) -> dict[GroundFluent, tuple[AspectAtom, ...]]:
+        """Fluent -> home path; not a field, so equality ignores it."""
+        homes: dict[GroundFluent, tuple[AspectAtom, ...]] = {}
+        for prefix, node in self.root.walk():
+            for f in node.local:
+                homes.setdefault(f, prefix)
+        return homes
 
 
 def build_state(
@@ -91,20 +102,20 @@ def resolve_component(state: WorldState, path: AspectPath) -> Optional[Component
 
 def home_of(state: WorldState, p: GroundFluent) -> Optional[tuple[AspectAtom, ...]]:
     """The component path where p is stored, or None when p is not modeled."""
-    for prefix, node in state.root.walk():
-        if p in node.local:
-            return prefix
-    return None
+    return state._homes.get(p)
 
 
 def eval_fluent(state: WorldState, p: GroundFluent):
     """Truth value of p in state: True, False, or None when p's home is absent."""
     if state.schemas is not None and p.schema not in state.schemas:
         raise SchemaError(f"unknown fluent schema '{p.schema}'")
-    for _, node in state.root.walk():
-        if p in node.local:
-            return node.local[p]
-    return None
+    home = state._homes.get(p)
+    if home is None:
+        return None
+    node = state.root
+    for atom in home:
+        node = node.children[atom]
+    return node.local[p]
 
 
 def with_fluent(state: WorldState, p: GroundFluent, v: bool) -> WorldState:
@@ -116,7 +127,9 @@ def with_fluent(state: WorldState, p: GroundFluent, v: bool) -> WorldState:
     home = home_of(state, p)
     if home is None:
         raise UndefinedPortionError(f"fluent {p} is outside the modeled portion")
-    return WorldState(root=_rebuild(state.root, home, p, bool(v)), schemas=state.schemas)
+    new = WorldState(root=_rebuild(state.root, home, p, bool(v)), schemas=state.schemas)
+    new.__dict__["_homes"] = state._homes  # the update leaves every home in place
+    return new
 
 
 def _rebuild(node: ComponentNode, path: tuple[AspectAtom, ...], p: GroundFluent, v: bool) -> ComponentNode:

@@ -35,3 +35,24 @@ def test_traced_binding_resolves(module, attr):
         assert hasattr(owner, part), f"sitaspect.{module} has no {attr}"
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_compare_modes_calls_every_traced_part(monkeypatch, blocks, blocks_init):
+    # The traced run splits a compare job through these bindings; if
+    # compare_modes stopped reaching one of them, its span would vanish.
+    from sitaspect.reiter import compare_modes, random_workload
+
+    workload = random_workload(blocks, blocks_init, 4, seed=3)
+    assert any(acts for _, acts, _ in workload)
+    calls = {}
+    for module, attr in _TRACING.COMPARE_PARTS:
+        owner = importlib.import_module(f"sitaspect.{module}")
+        calls[module, attr] = 0
+
+        def counted(*args, _fn=getattr(owner, attr), _key=(module, attr), **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+    compare_modes(blocks, workload=workload)
+    assert all(calls.values()), calls

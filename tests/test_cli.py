@@ -8,7 +8,7 @@ import json
 import pytest
 
 from sitaspect.cli import main
-from tests.conftest import BLOCKS_INIT, FIXTURES, ROOMS_INIT
+from tests.conftest import BLOCKS_INIT, DISPLAY_INIT, FIXTURES, ROOMS_INIT
 
 BLOCKS = str(FIXTURES / "blocks.dom")
 ECONOMY = str(FIXTURES / "economy.dom")
@@ -36,15 +36,22 @@ def test_frames_matches_golden_file(capsys):
 
 PINNED_REPORTS = json.loads(
     (FIXTURES / "report_digests.json").read_text(encoding="utf-8"))["reports"]
+PINNED_INITS = {"BLOCKS_INIT": BLOCKS_INIT, "DISPLAY_INIT": DISPLAY_INIT,
+                "ROOMS_INIT": ROOMS_INIT}
+
+
+def _pinned_id(pinned) -> str:
+    argv = pinned["argv"]
+    return " ".join(argv[:2]) + (" --universe" if "--universe" in argv else "")
 
 
 @pytest.mark.parametrize("pinned", PINNED_REPORTS,
-                         ids=[" ".join(p["argv"][:2]) for p in PINNED_REPORTS])
+                         ids=[_pinned_id(p) for p in PINNED_REPORTS])
 def test_json_report_matches_pinned_digest(capsys, pinned):
     # The fixture reports must stay byte-identical; frames_blocks.golden
     # alone never reaches the multi-combination rules of rooms.dom.
     argv = [str(FIXTURES / a) if a.endswith(".dom") else
-            ROOMS_INIT if a == "ROOMS_INIT" else a for a in pinned["argv"]]
+            PINNED_INITS.get(a, a) for a in pinned["argv"]]
     code, out, _ = run(capsys, *argv)
     assert code == pinned["exit"]
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == pinned["sha256"]

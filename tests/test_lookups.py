@@ -1,0 +1,235 @@
+"""Lookups the query path relies on, checked against naive references.
+
+Guard grounding must be duplicate-free, aspect combinations must match a
+whole-template instantiation at every static grounding, a state must find
+a fluent where a walk of its component tree finds it, and a domain's
+per-schema tables must equal the filtered rule tuples.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import pytest
+
+from sitaspect.disjoint import d_eval
+from sitaspect.domain import (
+    ground_actions,
+    ground_fluents,
+    initial_state,
+    instantiate_template,
+    match_args,
+    solve_guard,
+    static_guard_groundings,
+)
+from sitaspect.frames import (
+    _render_guard_atom,
+    applicable_actions,
+    derive_frame_axioms,
+    reachable_states,
+    static_aspect_samples,
+)
+from sitaspect.state import WorldState, eval_fluent, home_of, with_fluent
+from sitaspect.terms import fluent
+from tests.conftest import load_domain
+
+FIXTURE_DOMAINS = ("blocks.dom", "blocks_nosupport.dom", "rooms.dom",
+                   "display.dom", "economy.dom")
+
+
+def _depth2(request, name):
+    domain = request.getfixturevalue(name)
+    init = request.getfixturevalue(f"{name}_init")
+    return domain, reachable_states(domain, init, 2)
+
+
+# -- duplicate-free guard groundings ----------------------------------------
+
+def _guarded_matches(domain):
+    """(guard, argument binding) for every aspect rule, precondition and
+    effect that matches some ground fluent or action of the domain."""
+    out = []
+    for p in ground_fluents(domain):
+        for rule in domain.aspect_rules:
+            if rule.kind == "fluent" and rule.target.schema == p.schema:
+                out.append((rule.guard, match_args(rule.target.args, p.args)))
+    for a in ground_actions(domain):
+        for rule in domain.aspect_rules:
+            if rule.kind == "action" and rule.target.schema == a.schema:
+                out.append((rule.guard, match_args(rule.target.args, a.args)))
+        for item in domain.preconditions + domain.effects:
+            if item.action.schema == a.schema:
+                out.append((item.guard, match_args(item.action.args, a.args)))
+    return [(guard, env) for guard, env in out if env is not None]
+
+
+def _assert_distinct(envs, what):
+    keys = [frozenset(e.items()) for e in envs]
+    assert len(set(keys)) == len(keys), f"duplicate bindings for {what}"
+
+
+@pytest.mark.parametrize("name", ["blocks", "rooms", "display"])
+def test_guard_groundings_are_duplicate_free(request, name):
+    domain, states = _depth2(request, name)
+    matches = _guarded_matches(domain)
+    assert matches
+    for guard, env in matches:
+        _assert_distinct(static_guard_groundings(domain, guard, env), guard)
+    for state in states:
+        for guard, env in matches:
+            _assert_distinct(solve_guard(domain, state, guard, env), guard)
+
+
+# -- aspect combinations against a whole-template reference -----------------
+
+def _reference_combos(domain, kind, schema, args):
+    """Instantiate the whole template at every static grounding, dedupe in
+    first-seen order."""
+    combos = []
+    for rule in domain.aspect_rules:
+        if rule.kind != kind or rule.target.schema != schema:
+            continue
+        env0 = match_args(rule.target.args, args)
+        if env0 is None:
+            continue
+        guard_txt = tuple(_render_guard_atom(atom, env0) for atom in rule.guard)
+        for g in static_guard_groundings(domain, rule.guard, env0):
+            combo = (instantiate_template(rule.template, g), guard_txt)
+            if combo not in combos:
+                combos.append(combo)
+    return combos
+
+
+def _reference_ground(domain):
+    fluent_info = [(p, _reference_combos(domain, "fluent", p.schema, p.args))
+                   for p in ground_fluents(domain)]
+    action_info = [(a, _reference_combos(domain, "action", a.schema, a.args))
+                   for a in ground_actions(domain)]
+    out = []
+    for a, acombos in action_info:
+        for p, fcombos in fluent_info:
+            if not acombos or not fcombos:
+                continue
+            if all(d_eval(domain.disjointness, alpha, beta)
+                   for alpha, _ in fcombos for beta, _ in acombos):
+                guard = []
+                for _, g in fcombos + acombos:
+                    guard += [item for item in g if item not in guard]
+                out.append((a, p, tuple(guard)))
+    paths = {"fluent": [], "action": []}
+    for kind, info in (("fluent", fluent_info), ("action", action_info)):
+        for _, combos in info:
+            for asp, _ in combos:
+                if asp not in paths[kind]:
+                    paths[kind].append(asp)
+    samples = [(f, a) for f in paths["fluent"] for a in paths["action"]]
+    return out, samples
+
+
+@pytest.mark.parametrize("name", FIXTURE_DOMAINS)
+def test_aspect_combos_match_whole_template_reference(name):
+    domain = load_domain(name)
+    ground, samples = _reference_ground(domain)
+    derived = derive_frame_axioms(domain).ground
+    assert [(ax.action, ax.fluent, ax.guard) for ax in derived] == ground
+    assert static_aspect_samples(domain) == samples[:400]
+    if name == "rooms.dom":
+        assert len(samples) > 400  # the cap keeps a prefix, so order counts
+
+
+# -- the fluent home index --------------------------------------------------
+
+def _walk_home(state, p):
+    """Depth-first search of the component tree for p's node."""
+    stack = [((), state.root)]
+    while stack:
+        prefix, node = stack.pop()
+        if p in node.local:
+            return prefix, node.local[p]
+        stack += [(prefix + (atom,), child) for atom, child in node.children.items()]
+    return None, None
+
+
+def _assert_index_agrees(domain, state):
+    for p in ground_fluents(domain):
+        home, value = _walk_home(state, p)
+        assert home_of(state, p) == home, p
+        assert eval_fluent(state, p) is value, p
+
+
+@pytest.mark.parametrize("name", ["blocks", "rooms", "display"])
+def test_home_index_agrees_with_tree_walk_on_reachable_states(request, name):
+    domain, states = _depth2(request, name)
+    for state in states:
+        _assert_index_agrees(domain, state)
+
+
+def test_home_index_agrees_along_with_fluent_chain(display, display_init):
+    state = display_init
+    for p in ground_fluents(display):
+        state = with_fluent(state, p, not eval_fluent(state, p))
+        _assert_index_agrees(display, state)
+    for p in ground_fluents(display):
+        assert eval_fluent(state, p) is not eval_fluent(display_init, p)
+
+
+def test_home_index_on_restricted_state(display):
+    state = initial_state(display, [fluent("pixel_lit", "p1"), fluent("door_open")],
+                          only=[("computer", "display")])
+    _assert_index_agrees(display, state)
+    assert home_of(state, fluent("door_open")) is None
+    state2 = with_fluent(state, fluent("pixel_lit", "p2"), True)
+    _assert_index_agrees(display, state2)
+
+
+def test_home_index_on_hand_built_state(display, display_init):
+    computer = display_init.root.children[home_of(
+        display_init, fluent("pixel_lit", "p1"))[0]]
+    state = WorldState(root=computer)
+    _assert_index_agrees(display, state)
+    assert [a.name for a in home_of(state, fluent("cell_set", "m1"))] == ["memory"]
+    assert eval_fluent(state, fluent("window_open")) is None
+
+
+def test_with_fluent_derived_states_compare_by_value(blocks, blocks_init):
+    p = fluent("clear", "a")
+    there = with_fluent(blocks_init, p, False)
+    back = with_fluent(there, p, True)
+    assert there != blocks_init
+    assert back == blocks_init
+
+
+# -- per-schema domain tables -----------------------------------------------
+
+def _assert_tables_match(domain):
+    for kind in ("fluent", "action"):
+        for schema in list(domain.fluents) + list(domain.actions) + ["nosuch"]:
+            assert domain.rules_for(kind, schema) == tuple(
+                r for r in domain.aspect_rules
+                if r.kind == kind and r.target.schema == schema)
+    for schema in list(domain.actions) + ["nosuch"]:
+        assert domain.effects_for(schema) == tuple(
+            e for e in domain.effects if e.action.schema == schema)
+        assert domain.preconditions_for(schema) == tuple(
+            p for p in domain.preconditions if p.action.schema == schema)
+
+
+@pytest.mark.parametrize("name", FIXTURE_DOMAINS)
+def test_domain_tables_equal_filtered_rules(name):
+    domain = load_domain(name)
+    _assert_tables_match(domain)
+    reordered = replace(domain, sorts={k: tuple(reversed(v))
+                                       for k, v in domain.sorts.items()})
+    _assert_tables_match(reordered)
+
+
+def test_applicable_actions_follow_a_replaced_universe(blocks, blocks_init):
+    assert applicable_actions(blocks, blocks_init)[0] == ground_actions(blocks)[0]
+    smaller = replace(blocks, sorts={"block": ("b", "a"),
+                                     "place": ("floor", "b", "a")})
+    init = initial_state(smaller, [fluent("on", "a", "floor"), fluent("on", "b", "floor"),
+                                   fluent("clear", "a"), fluent("clear", "b"),
+                                   fluent("clear", "floor")])
+    assert [str(a) for a in applicable_actions(smaller, init)] == [
+        "move(b,floor)", "move(b,b)", "move(b,a)",
+        "move(a,floor)", "move(a,b)", "move(a,a)"]
