@@ -11,12 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .disjoint import CommutativeCanonical, SeqExistsDiff, check_monotonicity
 from .dsl import parse_actions, parse_domain, parse_ground_fluent, parse_model, parse_state
-from .errors import CrossModeSoundnessError, DslError, SitAspectError
+from .domain import Domain
+from .errors import CrossModeSoundnessError, DslError, SchemaError, SitAspectError
 from .frames import (
     check_aspect_soundness,
     completeness_lint,
@@ -55,7 +57,8 @@ def _build_parser() -> _Parser:
     p = add("frames", "derive frame axioms and the economy report")
     p.add_argument("domain")
     p.add_argument("--universe", default=None,
-                   help="override object universes: 'sort: a, b; sort2: c'")
+                   help="override object universes: 'sort: a, b; sort2: c' "
+                        "(declared sorts only, each object once)")
 
     p = add("simulate", "progress an action sequence and dump the final state")
     p.add_argument("domain")
@@ -136,15 +139,23 @@ def _emit(args, command: str, report: dict, text_lines: list[str],
         sys.stdout.write("\n".join(text_lines) + "\n")
 
 
-def _parse_universe(text: str) -> dict[str, tuple[str, ...]]:
-    out: dict[str, tuple[str, ...]] = {}
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        sort, _, names = chunk.partition(":")
-        out[sort.strip()] = tuple(n.strip() for n in names.split(",") if n.strip())
-    return out
+def _with_universe(domain: Domain, text: str) -> Domain:
+    """The domain with the sorts a `--universe` value ('sort: a, b; sort2: c')
+    lists replaced; as in an `objects` line, each sort must be declared and
+    given once, with at least one object and no object twice."""
+    given: dict[str, tuple[str, ...]] = {}
+    for chunk in filter(None, (c.strip() for c in text.split(";"))):
+        sort, _, names = (s.strip() for s in chunk.partition(":"))
+        objs = tuple(n.strip() for n in names.split(",") if n.strip())
+        problem = (f"unknown sort '{sort}' in domain '{domain.name}'" if sort not in domain.sorts
+                   else f"sort '{sort}' is given twice" if sort in given
+                   else f"sort '{sort}' lists no objects" if not objs
+                   else f"sort '{sort}' repeats an object" if len(set(objs)) < len(objs)
+                   else None)
+        if problem:
+            raise SchemaError(f"--universe: {problem}")
+        given[sort] = objs
+    return replace(domain, sorts={**domain.sorts, **given})
 
 
 def _cmd_check(args) -> int:
@@ -200,8 +211,9 @@ def _cmd_check(args) -> int:
 
 def _cmd_frames(args) -> int:
     domain = _load_domain(args.domain)
-    universe = _parse_universe(args.universe) if args.universe else None
-    result = derive_frame_axioms(domain, universe)
+    if args.universe:
+        domain = _with_universe(domain, args.universe)
+    result = derive_frame_axioms(domain)
     report = {
         "domain": domain.name,
         "schematic": [ax.render() for ax in result.schematic],

@@ -150,7 +150,6 @@ class MonotonicityReport:
 def check_monotonicity(
     spec: DisjointnessSpec,
     samples: Iterable[tuple[AspectPath, AspectPath]],
-    alphabet: Optional[Iterable[AspectAtom]] = None,
     max_extension: int = 2,
 ) -> MonotonicityReport:
     """Check that extending either path preserves established disjointness.
@@ -164,7 +163,7 @@ def check_monotonicity(
         raise DisjointnessSpecError(
             f"monotonicity check applies to sequential specs, not {type(spec).__name__}")
     samples = list(samples)
-    atoms = sorted(set(alphabet) if alphabet is not None else _sample_atoms(samples))
+    atoms = sorted(_sample_atoms(samples))
     suffixes = list(_suffixes(atoms, max_extension))
     violations = []
     checked = 0

@@ -22,8 +22,10 @@ from .terms import (
     AspectElem,
     AspectPath,
     AspectSet,
+    GroundAction,
     GroundFluent,
     GroundTerm,
+    term_str,
 )
 
 
@@ -154,6 +156,21 @@ class FrameDecl:
     fluent: Pat
 
 
+# A static aspect of a ground atom and the rendered guard of the rule giving it.
+AspectCombo = tuple[AspectPath, tuple[str, ...]]
+
+
+@dataclass(frozen=True)
+class StaticAspects:
+    """Every ground fluent and action, in `ground_fluents` and `ground_actions`
+    order, with its static aspect combinations; atoms without any are named
+    in `errors` instead."""
+
+    fluents: tuple[tuple[GroundFluent, tuple[AspectCombo, ...]], ...]
+    actions: tuple[tuple[GroundAction, tuple[AspectCombo, ...]], ...]
+    errors: tuple[str, ...]
+
+
 @dataclass(frozen=True)
 class Domain:
     name: str
@@ -166,9 +183,6 @@ class Domain:
     frame_decls: tuple[FrameDecl, ...] = ()
     disjointness: DisjointnessSpec = field(default_factory=SeqExistsDiff)
     homes: dict[str, tuple[str, ...]] = field(default_factory=dict)
-
-    def schema_names(self) -> frozenset[str]:
-        return frozenset(self.fluents)
 
     def rules_for(self, kind: str, schema: str) -> tuple[AspectRule, ...]:
         return self._by_schema.get(("aspect", kind, schema), ())
@@ -195,6 +209,19 @@ class Domain:
         """`ground_actions(self)`, enumerated once per Domain object."""
         return tuple(ground_actions(self))
 
+    @cached_property
+    def static_aspects(self) -> StaticAspects:
+        """Every ground atom's static aspects, built once per Domain object."""
+        errors: list[str] = []
+
+        def table(kind, atoms):
+            rows = ((x, _aspect_combos(self, kind, x, errors)) for x in atoms)
+            return tuple((x, combos) for x, combos in rows if combos)
+
+        fluents = table("fluent", ground_fluents(self))
+        actions = table("action", self.ground_action_list)
+        return StaticAspects(fluents=fluents, actions=actions, errors=tuple(errors))
+
     def objects(self, sort: str) -> tuple[str, ...]:
         if sort not in self.sorts:
             raise SchemaError(f"unknown sort '{sort}' in domain '{self.name}'")
@@ -214,24 +241,19 @@ def arg_candidates(domain: Domain, ref: SortRef) -> list[GroundTerm]:
 
 
 def ground_fluents(domain: Domain) -> list[GroundFluent]:
+    return _ground_atoms(domain, domain.fluents, GroundFluent)
+
+
+def ground_actions(domain: Domain) -> list[GroundAction]:
+    return _ground_atoms(domain, domain.actions, GroundAction)
+
+
+def _ground_atoms(domain: Domain, schemas: dict, make) -> list:
+    """Every ground atom of the schemas, by schema name, then argument order."""
     out = []
-    for schema in sorted(domain.fluents):
-        sc = domain.fluents[schema]
-        pools = [arg_candidates(domain, p) for p in sc.params]
-        for args in itertools.product(*pools):
-            out.append(GroundFluent(schema, tuple(args)))
-    return out
-
-
-def ground_actions(domain: Domain):
-    from .terms import GroundAction
-
-    out = []
-    for schema in sorted(domain.actions):
-        sc = domain.actions[schema]
-        pools = [arg_candidates(domain, p) for p in sc.params]
-        for args in itertools.product(*pools):
-            out.append(GroundAction(schema, tuple(args)))
+    for name in sorted(schemas):
+        pools = [arg_candidates(domain, p) for p in schemas[name].params]
+        out += (make(name, args) for args in itertools.product(*pools))
     return out
 
 
@@ -294,6 +316,61 @@ def instantiate_template(template: tuple[ElemTemplate, ...], env: dict) -> Aspec
                         atoms.add(AspectAtom(val))
             elems.append(AspectSet(frozenset(atoms)))
     return AspectPath(tuple(elems))
+
+
+def _template_members(t: ElemTemplate) -> list:
+    if isinstance(t, SetTemplate):
+        return sorted(t.members, key=str)
+    return [t]
+
+
+def _aspect_combos(domain: Domain, kind: str, atom,
+                   errors: list[str]) -> tuple[AspectCombo, ...]:
+    """Static (aspect, guard-rendering) combinations for a ground atom."""
+    # A dict keeps first-seen order and finds duplicates in constant time.
+    combos: dict[AspectCombo, None] = {}
+    any_rule = False
+    for rule in domain.rules_for(kind, atom.schema):
+        env0 = match_args(rule.target.args, atom.args)
+        if env0 is None:
+            continue
+        any_rule = True
+        # The rendering shows the guard under the argument binding only.
+        guard_txt = tuple(_render_guard_atom(g, env0) for g in rule.guard)
+        groundings = static_guard_groundings(domain, rule.guard, env0)
+        if len(groundings) == 1:
+            combos[instantiate_template(rule.template, groundings[0]), guard_txt] = None
+            continue
+        # Over many groundings, build each element once per value tuple of
+        # the variables it reads.
+        reads = [(t, tuple(m.name for m in _template_members(t) if isinstance(m, Var)), {})
+                 for t in rule.template]
+        for g in groundings:
+            elems = []
+            for t, names, memo in reads:
+                key = tuple(map(g.get, names))
+                elem = memo.get(key)
+                if elem is None:
+                    elem = memo[key] = instantiate_template((t,), g).elems[0]
+                elems.append(elem)
+            combos[AspectPath(tuple(elems)), guard_txt] = None
+    if not any_rule:
+        errors.append(f"no aspect rule matches {kind} {atom}")
+    elif not combos:
+        errors.append(f"aspect rules for {kind} {atom} have unsatisfiable guards")
+    return tuple(combos)
+
+
+def _render_guard_atom(atom: GuardAtom, env: dict) -> str:
+    def sub(a):
+        if isinstance(a, Var) and a.name in env:
+            return term_str(env[a.name])
+        return str(a)
+
+    if isinstance(atom, MemberGuard):
+        return f"{sub(atom.member)} in {sub(atom.collection)}"
+    args = ",".join(sub(a) for a in atom.fluent.args)
+    return ("" if atom.positive else "!") + f"{atom.fluent.schema}({args})"
 
 
 def _literal_candidates(domain: Domain, lit_pat: Pat, env: dict) -> Iterator[dict]:

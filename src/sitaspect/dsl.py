@@ -177,14 +177,10 @@ def parse_domain(text: str, file: str = "<domain>") -> Domain:
             _parse_domain_line(b, cur)
         except _LineAbort:
             continue
-    _finish_domain(b)
+    domain = _finish_domain(b)
     if b.diags:
         raise DslError(b.diags)
-    return Domain(
-        name=b.name or "", sorts=b.sorts, fluents=b.fluents, actions=b.actions,
-        aspect_rules=tuple(b.aspect_rules), effects=tuple(b.effects),
-        preconditions=tuple(b.preconditions), frame_decls=tuple(b.frame_decls),
-        disjointness=b.disjointness or SeqExistsDiff(), homes=b.homes)
+    return domain
 
 
 def _parse_domain_line(b: _DomainBuilder, cur: _Cursor) -> None:
@@ -514,16 +510,18 @@ def _parse_path_value(cur: _Cursor) -> AspectPath:
     return AspectPath(tuple(elems))
 
 
-def _finish_domain(b: _DomainBuilder) -> None:
+def _finish_domain(b: _DomainBuilder) -> Optional[Domain]:
+    """The built domain, or None when it is too incomplete to build; every
+    problem found is added to `b.diags`."""
     def diag(message: str, hint: str = ""):
         b.diags.append(ParseDiagnostic(
             "error", SourceSpan(b.file, 1, 1, 1), message, hint))
 
     if b.name is None:
-        return
+        return None
     if not b.fluents and not b.actions:
         diag("empty domain: no fluent or action schemas declared")
-        return
+        return None
     covered = {(r.kind, r.target.schema) for r in b.aspect_rules}
     for f in b.fluents:
         if ("fluent", f) not in covered:
@@ -539,6 +537,7 @@ def _finish_domain(b: _DomainBuilder) -> None:
     for problem in check_rule_exclusivity(domain):
         diag(problem, "guards of same-schema rules must exclude each other "
                       "through a complementary literal")
+    return domain
 
 
 # ---------------------------------------------------------------------------

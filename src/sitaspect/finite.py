@@ -247,16 +247,6 @@ ModalFormula = Union[FluentAtom, Const, Not, And, Or, Implies, Iff,
                      BoxAction, BoxAspect, DiamondAspect]
 
 
-def box_seq(path: AspectPath, sub: ModalFormula) -> ModalFormula:
-    """[a1 a2 ... an]X expanded to [a1][a2]...[an]X."""
-    out = sub
-    for elem in reversed(path.elems):
-        if not isinstance(elem, AspectAtom):
-            raise ModelError(f"modal operators take atom aspects, got {elem}")
-        out = BoxAspect(elem.name, out)
-    return out
-
-
 def diamond_seq(path: AspectPath, sub: ModalFormula) -> ModalFormula:
     out = sub
     for elem in reversed(path.elems):

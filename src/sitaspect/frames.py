@@ -9,14 +9,14 @@ answers queries by aspect-based regression with recorded proof traces.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .disjoint import SeqExistsDiff, SimpleInequality, d_eval
 from .domain import (
     AspectRule,
+    AspectCombo,
     Domain,
-    GuardAtom,
     GuardLiteral,
     MemberGuard,
     Pat,
@@ -24,10 +24,9 @@ from .domain import (
     SetTemplate,
     Var,
     _literal_candidates,
+    _template_members,
     check_ground_action,
     check_ground_fluent,
-    ground_actions,
-    ground_fluents,
     instantiate_pat,
     instantiate_template,
     match_args,
@@ -42,7 +41,7 @@ from .errors import (
     UndefinedActionError,
 )
 from .state import WorldState, build_state, eval_fluent, home_of, with_fluent
-from .terms import AspectAtom, AspectPath, GroundAction, GroundFluent, term_str
+from .terms import AspectAtom, AspectPath, GroundAction, GroundFluent
 
 # Proof trace step kinds.
 D_EVALUATION = "d-evaluation"
@@ -300,27 +299,18 @@ def reachable_states(domain: Domain, init: WorldState,
 _FLUENT_VAR_NAMES = ("w", "v", "u")
 
 
-def derive_frame_axioms(domain: Domain,
-                        universe: Optional[dict[str, tuple[str, ...]]] = None) -> FrameDerivation:
+def derive_frame_axioms(domain: Domain) -> FrameDerivation:
     """Schematic axioms per rule pair, ground axioms per pair, economy per aspect pair.
 
     A ground pair (a, p) yields an axiom only when every satisfiable
     combination of aspect-rule groundings leaves the two aspects disjoint;
     the recorded guard is the conjunction of the aspect-rule guards used.
     """
-    if universe is not None:
-        domain = _with_universe(domain, universe)
     schematic, notes = _schematic_axioms(domain)
     ground, economy, errors = _ground_axioms(domain)
     return FrameDerivation(schematic=tuple(schematic), ground=tuple(ground),
                            economy=tuple(economy), errors=tuple(errors),
                            notes=tuple(notes))
-
-
-def _with_universe(domain: Domain, universe: dict[str, tuple[str, ...]]) -> Domain:
-    sorts = dict(domain.sorts)
-    sorts.update({k: tuple(v) for k, v in universe.items()})
-    return replace(domain, sorts=sorts)
 
 
 def _schematic_axioms(domain: Domain) -> tuple[list[SchematicFrameAxiom], list[str]]:
@@ -460,80 +450,28 @@ def _member_condition(mf, ma, set_vars: set[str]) -> str:
     return f"{mf} != {ma}"
 
 
-def _template_members(t):
-    if isinstance(t, SetTemplate):
-        return sorted(t.members, key=str)
-    return [t]
+def _always_disjoint(spec, fcombos: tuple[AspectCombo, ...],
+                     acombos: tuple[AspectCombo, ...]) -> bool:
+    """Whether every static aspect of a fluent is disjoint from every one of an action."""
+    return all(d_eval(spec, alpha, beta) for alpha, _ in fcombos for beta, _ in acombos)
 
 
-def _aspect_combos(domain: Domain, kind: str, schema: str, args, label: str,
-                   errors: list[str]):
-    """Static (aspect, guard-rendering) combinations for a ground atom."""
-    # A dict keeps first-seen order and finds duplicates in constant time.
-    combos: dict[tuple[AspectPath, tuple[str, ...]], None] = {}
-    any_rule = False
-    for rule in domain.rules_for(kind, schema):
-        env0 = match_args(rule.target.args, args)
-        if env0 is None:
-            continue
-        any_rule = True
-        # The rendering shows the guard under the argument binding only.
-        guard_txt = tuple(_render_guard_atom(atom, env0) for atom in rule.guard)
-        groundings = static_guard_groundings(domain, rule.guard, env0)
-        if len(groundings) == 1:
-            combos[instantiate_template(rule.template, groundings[0]), guard_txt] = None
-            continue
-        # Over many groundings, build each element once per value tuple of
-        # the variables it reads.
-        reads = [(t, tuple(m.name for m in _template_members(t) if isinstance(m, Var)), {})
-                 for t in rule.template]
-        for g in groundings:
-            elems = []
-            for t, names, memo in reads:
-                key = tuple(map(g.get, names))
-                elem = memo.get(key)
-                if elem is None:
-                    elem = memo[key] = instantiate_template((t,), g).elems[0]
-                elems.append(elem)
-            combos[AspectPath(tuple(elems)), guard_txt] = None
-    if not any_rule:
-        errors.append(f"no aspect rule matches {kind} {label}")
-    elif not combos:
-        errors.append(f"aspect rules for {kind} {label} have unsatisfiable guards")
-    return list(combos)
-
-
-def _render_guard_atom(atom: GuardAtom, env: dict) -> str:
-    def sub(a):
-        if isinstance(a, Var) and a.name in env:
-            return term_str(env[a.name])
-        return str(a)
-
-    if isinstance(atom, MemberGuard):
-        return f"{sub(atom.member)} in {sub(atom.collection)}"
-    args = ",".join(sub(a) for a in atom.fluent.args)
-    return ("" if atom.positive else "!") + f"{atom.fluent.schema}({args})"
+def _unconditional_groups(table) -> dict[AspectPath, int]:
+    """Ground atoms per aspect, over the atoms one guard-free rule places."""
+    groups: dict[AspectPath, int] = {}
+    for _, combos in table:
+        if len(combos) == 1 and not combos[0][1]:
+            groups[combos[0][0]] = groups.get(combos[0][0], 0) + 1
+    return groups
 
 
 def _ground_axioms(domain: Domain):
-    errors: list[str] = []
+    table = domain.static_aspects
     spec = domain.disjointness
-    fluent_info = []
-    for p in ground_fluents(domain):
-        combos = _aspect_combos(domain, "fluent", p.schema, p.args, str(p), errors)
-        if combos:
-            fluent_info.append((p, combos))
-    action_info = []
-    for a in ground_actions(domain):
-        combos = _aspect_combos(domain, "action", a.schema, a.args, str(a), errors)
-        if combos:
-            action_info.append((a, combos))
-
     axioms: list[FrameAxiom] = []
-    for a, acombos in action_info:
-        for p, fcombos in fluent_info:
-            if all(d_eval(spec, alpha, beta)
-                   for alpha, _ in fcombos for beta, _ in acombos):
+    for a, acombos in table.actions:
+        for p, fcombos in table.fluents:
+            if _always_disjoint(spec, fcombos, acombos):
                 guard: list[str] = []
                 for _, g in fcombos + acombos:
                     for item in g:
@@ -543,14 +481,8 @@ def _ground_axioms(domain: Domain):
 
     # Economy is reported for unconditional aspect assignments only: a ground
     # atom enters a group when a single guard-free rule fixes its aspect.
-    fluent_groups: dict[AspectPath, int] = {}
-    for p, combos in fluent_info:
-        if len(combos) == 1 and not combos[0][1]:
-            fluent_groups[combos[0][0]] = fluent_groups.get(combos[0][0], 0) + 1
-    action_groups: dict[AspectPath, int] = {}
-    for a, combos in action_info:
-        if len(combos) == 1 and not combos[0][1]:
-            action_groups[combos[0][0]] = action_groups.get(combos[0][0], 0) + 1
+    fluent_groups = _unconditional_groups(table.fluents)
+    action_groups = _unconditional_groups(table.actions)
     economy = []
     for alpha in sorted(fluent_groups, key=str):
         for beta in sorted(action_groups, key=str):
@@ -559,12 +491,17 @@ def _ground_axioms(domain: Domain):
                 economy.append(EconomyReport(
                     fluent_aspect=alpha, action_aspect=beta, m=m, n=n,
                     derived_frame_axioms=m * n, source_axioms=m + n + 2))
-    return axioms, economy, errors
+    return axioms, economy, list(table.errors)
 
 
 # ---------------------------------------------------------------------------
 # Annotation soundness
 # ---------------------------------------------------------------------------
+
+# The soundness lint tries every truth valuation of an action's guard
+# fluents, 2**n of them; actions with more are skipped.
+_GUARD_FLUENT_LIMIT = 14
+
 
 @dataclass(frozen=True)
 class SoundnessViolation:
@@ -590,28 +527,25 @@ class SoundnessReport:
         return not self.violations
 
 
-def check_aspect_soundness(domain: Domain,
-                           universe: Optional[dict[str, tuple[str, ...]]] = None,
-                           max_guard_fluents: int = 14) -> SoundnessReport:
+def check_aspect_soundness(domain: Domain) -> SoundnessReport:
     """Verify that every fluent an action can change intersects the action.
 
     For each ground action the guard-relevant ground fluents are enumerated
     and every truth valuation of them is tried (actions whose preconditions
     fail are skipped, as are valuations where aspects do not resolve).
-    Effect targets absent from the guard set are given the change-revealing
-    prior value.
+    Actions with more than _GUARD_FLUENT_LIMIT such fluents are skipped and
+    named in `unresolved`. Effect targets absent from the guard set are
+    given the change-revealing prior value.
     """
-    if universe is not None:
-        domain = _with_universe(domain, universe)
     violations: list[SoundnessViolation] = []
     skipped: dict[str, int] = {}
     actions_checked = 0
     valuations_checked = 0
-    for a in ground_actions(domain):
+    for a in domain.ground_action_list:
         relevant = _relevant_fluents(domain, a)
-        if len(relevant) > max_guard_fluents:
+        if len(relevant) > _GUARD_FLUENT_LIMIT:
             skipped[f"{a}: guard fluent count {len(relevant)} exceeds the "
-                    f"enumeration bound {max_guard_fluents}"] = 1
+                    f"enumeration bound {_GUARD_FLUENT_LIMIT}"] = 1
             continue
         actions_checked += 1
         for bits in itertools.product((False, True), repeat=len(relevant)):
@@ -807,32 +741,19 @@ class CompletenessReport:
         return not self.uncovered
 
 
-def completeness_lint(domain: Domain,
-                      universe: Optional[dict[str, tuple[str, ...]]] = None) -> CompletenessReport:
+def completeness_lint(domain: Domain) -> CompletenessReport:
     """Pairs that may intersect yet have no effect rule or declared frame axiom.
 
     Regression returns `undefined` on such pairs; progression persists them.
+    A pair that is always disjoint is covered by non-interference.
     """
-    if universe is not None:
-        domain = _with_universe(domain, universe)
-    errors: list[str] = []
-    uncovered = []
-    fluent_info = [(p, _aspect_combos(domain, "fluent", p.schema, p.args, str(p), errors))
-                   for p in ground_fluents(domain)]
-    for a in ground_actions(domain):
-        acombos = _aspect_combos(domain, "action", a.schema, a.args, str(a), errors)
-        for p, fcombos in fluent_info:
-            if not fcombos or not acombos:
-                continue
-            if all(d_eval(domain.disjointness, alpha, beta)
-                   for alpha, _ in fcombos for beta, _ in acombos):
-                continue  # always disjoint: covered by non-interference
-            if _frame_declared(domain, a, p):
-                continue
-            if _effect_could_target(domain, a, p):
-                continue
-            uncovered.append((a, p))
-    return CompletenessReport(uncovered=tuple(uncovered))
+    table = domain.static_aspects
+    uncovered = tuple(
+        (a, p) for a, acombos in table.actions for p, fcombos in table.fluents
+        if not _always_disjoint(domain.disjointness, fcombos, acombos)
+        and not _frame_declared(domain, a, p)
+        and not _effect_could_target(domain, a, p))
+    return CompletenessReport(uncovered=uncovered)
 
 
 def _effect_could_target(domain: Domain, a: GroundAction, p: GroundFluent) -> bool:
@@ -845,24 +766,20 @@ def _effect_could_target(domain: Domain, a: GroundAction, p: GroundFluent) -> bo
     return False
 
 
-def static_aspect_samples(domain: Domain,
-                          cap: int = 400) -> list[tuple[AspectPath, AspectPath]]:
+_ASPECT_SAMPLE_LIMIT = 400
+
+
+def static_aspect_samples(domain: Domain) -> list[tuple[AspectPath, AspectPath]]:
     """Distinct (fluent aspect, action aspect) pairs the domain can produce.
 
     Aspects are instantiated over all static guard groundings, so conditional
     rules contribute every aspect they might assign. Used as the sample set
-    for monotonicity lints.
+    for monotonicity lints; only the first _ASPECT_SAMPLE_LIMIT pairs, in
+    first-seen order of both aspects, are returned.
     """
-    errors: list[str] = []
-    fluent_paths: list[AspectPath] = []
-    for p in ground_fluents(domain):
-        for asp, _ in _aspect_combos(domain, "fluent", p.schema, p.args, str(p), errors):
-            if asp not in fluent_paths:
-                fluent_paths.append(asp)
-    action_paths: list[AspectPath] = []
-    for a in ground_actions(domain):
-        for asp, _ in _aspect_combos(domain, "action", a.schema, a.args, str(a), errors):
-            if asp not in action_paths:
-                action_paths.append(asp)
-    pairs = [(f, a) for f in fluent_paths for a in action_paths]
-    return pairs[:cap]
+    table = domain.static_aspects
+    # Dicts dedupe in first-seen order.
+    fluent_paths = dict.fromkeys(asp for _, combos in table.fluents for asp, _ in combos)
+    action_paths = dict.fromkeys(asp for _, combos in table.actions for asp, _ in combos)
+    pairs = itertools.product(fluent_paths, action_paths)
+    return list(itertools.islice(pairs, _ASPECT_SAMPLE_LIMIT))

@@ -180,14 +180,13 @@ class ComparisonReport:
 
 
 def compare_modes(domain: Domain,
-                  universe: Optional[dict[str, tuple[str, ...]]] = None,
                   workload: Sequence[tuple[WorldState, Sequence[GroundAction], GroundFluent]] = ()) -> ComparisonReport:
     """Run each workload query in aspect, SSA, and oracle mode and compare.
 
     Raises CrossModeSoundnessError on the first disagreement among defined
     results, carrying the offending query as a witness.
     """
-    derivation = derive_frame_axioms(domain, universe)
+    derivation = derive_frame_axioms(domain)
     classical = sum(r.derived_frame_axioms for r in derivation.economy)
     source = sum(r.source_axioms for r in derivation.economy)
     ssas = compile_ssa(domain)
@@ -226,14 +225,17 @@ def _oracle(domain: Domain, init: WorldState, acts, p: GroundFluent):
     return eval_fluent(states[-1], p)
 
 
-def random_workload(domain: Domain, init: WorldState, count: int, seed: int,
-                    max_len: int = 4):
-    """Seeded random applicable walks paired with random query fluents."""
+_WALK_LIMIT = 4
+
+
+def random_workload(domain: Domain, init: WorldState, count: int, seed: int):
+    """Seeded random applicable walks of 0 to _WALK_LIMIT actions, paired
+    with random query fluents."""
     rng = random.Random(seed)
     fluents = ground_fluents(domain)
     out = []
     for _ in range(count):
-        length = rng.randint(0, max_len)
+        length = rng.randint(0, _WALK_LIMIT)
         state = init
         acts: list[GroundAction] = []
         for _ in range(length):

@@ -119,13 +119,12 @@ def _shape_check(model: FiniteModel, formalism: str) -> None:
                         f"'{name}' has {path}")
 
 
-def check_premises(model: FiniteModel, formalism: str,
-                   witness_search_limit: int = _WITNESS_SEARCH_LIMIT) -> PremiseReport:
+def check_premises(model: FiniteModel, formalism: str) -> PremiseReport:
     """Universally check the formalism's premise axioms over the model.
 
     Existential witness axioms use the stored witness when one is declared;
     otherwise every predicate over the situations is searched (models up to
-    `witness_search_limit` situations). A collective fluent's witness family
+    _WITNESS_SEARCH_LIMIT situations). A collective fluent's witness family
     is searched jointly, up to _JOINT_SEARCH_LIMIT families.
     """
     if formalism not in FORMALISMS:
@@ -143,7 +142,7 @@ def check_premises(model: FiniteModel, formalism: str,
             "element stability and is not used")
     else:
         checks += _stability(model, formalism)
-        checks += _factorization(model, formalism, witness_search_limit)
+        checks += _factorization(model, formalism)
     if is_sequential(formalism):
         notes.append("relations over aspect sequences are expanded by "
                      "composition, first element first")
@@ -265,8 +264,7 @@ def _defined(rows: list[int], q: int, universal: bool) -> int:
     return out
 
 
-def _factorization(model: FiniteModel, formalism: str,
-                   witness_search_limit: int) -> list[PremiseCheck]:
+def _factorization(model: FiniteModel, formalism: str) -> list[PremiseCheck]:
     checks = []
     n = len(model.situations)
     universal = is_universal(formalism)
@@ -283,11 +281,11 @@ def _factorization(model: FiniteModel, formalism: str,
             note = "" if holds else "stored witness does not reproduce the valuation"
             checks.append(PremiseCheck(FACTORIZATION, subject, holds, note))
         else:
-            if n > witness_search_limit:
+            if n > _WITNESS_SEARCH_LIMIT:
                 raise ModelError(
                     f"fluent '{p}' has no stored witness and the model is too "
                     f"large for exhaustive search: {n} situations, the limit "
-                    f"is {witness_search_limit}")
+                    f"is {_WITNESS_SEARCH_LIMIT}")
             found = next((q for q in range(1 << n)
                           if _defined(rows, q, universal) == val), None)
             if found is None:
@@ -374,13 +372,12 @@ def check_noninterference(model: FiniteModel) -> NonInterferenceReport:
                                  counterexamples=tuple(counterexamples))
 
 
-def verify_theorem(formalism: str, model: FiniteModel,
-                   witness_search_limit: int = _WITNESS_SEARCH_LIMIT) -> TheoremVerdict:
+def verify_theorem(formalism: str, model: FiniteModel) -> TheoremVerdict:
     """pass = premises and conclusion hold; vacuous = premises fail;
     counterexample = premises hold but the conclusion fails."""
     if is_collective(formalism) and not model.d_table:
         model = model.with_derived_dtable()
-    premises = check_premises(model, formalism, witness_search_limit)
+    premises = check_premises(model, formalism)
     conclusion = check_noninterference(model)
     if not premises.all_hold:
         return TheoremVerdict(formalism, "vacuous", premises, conclusion)

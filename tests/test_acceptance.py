@@ -226,9 +226,14 @@ def test_criterion_10_roundtrip_and_determinism(capsys):
     import subprocess
     import sys
 
+    import sitaspect
+
+    # The fresh interpreters import the same source tree as this test.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sitaspect.__file__)))
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     runs = []
     for hashseed in ("1", "77"):
-        env = dict(os.environ, PYTHONHASHSEED=hashseed)
+        env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=pythonpath)
         proc = subprocess.run(
             [sys.executable, "-m", "sitaspect.cli", "search", "seq-modal-box",
              "--report", "json", "--max-situations", "2", "--seed", "13",

@@ -190,3 +190,17 @@ def test_universe_override(capsys):
     assert code == 0
     report = json.loads(out)["report"]
     assert report["ground_count"] == 0
+
+
+@pytest.mark.parametrize("universe, problem", [
+    ("pixel: p1, p1, p2", "sort 'pixel' repeats an object"),
+    ("pixl: p1", "unknown sort 'pixl' in domain 'display'"),
+    ("pixel: p1; pixel: p2", "sort 'pixel' is given twice"),
+    ("pixel:", "sort 'pixel' lists no objects"),
+])
+def test_universe_override_rejects_what_objects_lines_reject(capsys, universe, problem):
+    code, out, err = run(capsys, "frames", str(FIXTURES / "display.dom"),
+                         "--report", "json", "--universe", universe)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --universe: {problem}\n"

@@ -3,7 +3,8 @@
 Guard grounding must be duplicate-free, aspect combinations must match a
 whole-template instantiation at every static grounding, a state must find
 a fluent where a walk of its component tree finds it, and a domain's
-per-schema tables must equal the filtered rule tuples.
+per-schema and static-aspect tables must equal the filtered rule tuples
+and be built once per Domain object.
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ from dataclasses import replace
 
 import pytest
 
+import sitaspect.domain
 from sitaspect.disjoint import d_eval
 from sitaspect.domain import (
+    _render_guard_atom,
     ground_actions,
     ground_fluents,
     initial_state,
@@ -23,8 +26,8 @@ from sitaspect.domain import (
     static_guard_groundings,
 )
 from sitaspect.frames import (
-    _render_guard_atom,
     applicable_actions,
+    completeness_lint,
     derive_frame_axioms,
     reachable_states,
     static_aspect_samples,
@@ -100,12 +103,23 @@ def _reference_combos(domain, kind, schema, args):
     return combos
 
 
+def _matches(action_pat, fluent_pat, a, p):
+    """Whether a rule about (action_pat, fluent_pat) can be about (a, p)."""
+    if action_pat.schema != a.schema or fluent_pat.schema != p.schema:
+        return False
+    env = match_args(action_pat.args, a.args)
+    return env is not None and match_args(fluent_pat.args, p.args, env) is not None
+
+
 def _reference_ground(domain):
+    """Ground frame axioms, uncovered pairs and aspect samples, from the
+    reference combos of every ground atom."""
     fluent_info = [(p, _reference_combos(domain, "fluent", p.schema, p.args))
                    for p in ground_fluents(domain)]
     action_info = [(a, _reference_combos(domain, "action", a.schema, a.args))
                    for a in ground_actions(domain)]
     out = []
+    uncovered = []
     for a, acombos in action_info:
         for p, fcombos in fluent_info:
             if not acombos or not fcombos:
@@ -116,6 +130,9 @@ def _reference_ground(domain):
                 for _, g in fcombos + acombos:
                     guard += [item for item in g if item not in guard]
                 out.append((a, p, tuple(guard)))
+            elif not any(_matches(r.action, r.fluent, a, p)
+                         for r in domain.frame_decls + domain.effects):
+                uncovered.append((a, p))
     paths = {"fluent": [], "action": []}
     for kind, info in (("fluent", fluent_info), ("action", action_info)):
         for _, combos in info:
@@ -123,18 +140,74 @@ def _reference_ground(domain):
                 if asp not in paths[kind]:
                     paths[kind].append(asp)
     samples = [(f, a) for f in paths["fluent"] for a in paths["action"]]
-    return out, samples
+    return out, tuple(uncovered), samples
 
 
 @pytest.mark.parametrize("name", FIXTURE_DOMAINS)
 def test_aspect_combos_match_whole_template_reference(name):
     domain = load_domain(name)
-    ground, samples = _reference_ground(domain)
+    ground, uncovered, samples = _reference_ground(domain)
     derived = derive_frame_axioms(domain).ground
     assert [(ax.action, ax.fluent, ax.guard) for ax in derived] == ground
+    assert completeness_lint(domain).uncovered == uncovered
     assert static_aspect_samples(domain) == samples[:400]
     if name == "rooms.dom":
         assert len(samples) > 400  # the cap keeps a prefix, so order counts
+    if name == "blocks.dom":
+        assert uncovered  # the blocks gaps: a nonempty reference
+
+
+def test_completeness_lint_counts_declared_frame_axioms():
+    display = load_domain("display.dom")
+    # Without its conditional deletes, the meteorite's pairs with the pixels
+    # and cells are covered by the declared frame axioms alone.
+    bare = replace(display, effects=tuple(
+        e for e in display.effects if e.action.schema != "meteorite" or not e.guard))
+    undeclared = replace(bare, frame_decls=())
+    for domain in (bare, undeclared):
+        assert completeness_lint(domain).uncovered == _reference_ground(domain)[1]
+    gained = set(completeness_lint(undeclared).uncovered) - set(completeness_lint(bare).uncovered)
+    assert {(str(a), str(p)) for a, p in gained} >= {
+        ("meteorite()", "pixel_lit(p1)"), ("meteorite()", "cell_set(m1)")}
+
+
+def test_static_aspects_are_built_once_per_domain(monkeypatch):
+    domain = load_domain("rooms.dom")
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return aspect_combos(*args)
+
+    aspect_combos = sitaspect.domain._aspect_combos
+    monkeypatch.setattr(sitaspect.domain, "_aspect_combos", counting)
+    derive_frame_axioms(domain)
+    completeness_lint(domain)
+    static_aspect_samples(domain)
+    table = domain.static_aspects
+    assert calls == ground_fluents(domain) + ground_actions(domain)
+    assert domain.static_aspects is table
+    assert isinstance(table.fluents, tuple) and isinstance(table.actions, tuple)
+
+
+@pytest.mark.parametrize("name", FIXTURE_DOMAINS)
+def test_static_aspects_follow_a_replaced_universe(name):
+    domain = load_domain(name)
+    table = domain.static_aspects
+    smaller = replace(domain, sorts={k: tuple(reversed(v[:2]))
+                                     for k, v in domain.sorts.items()})
+    assert smaller.static_aspects is not table
+    for kind, atoms, rows in (
+            ("fluent", ground_fluents(smaller), smaller.static_aspects.fluents),
+            ("action", ground_actions(smaller), smaller.static_aspects.actions)):
+        reference = [(x, _reference_combos(smaller, kind, x.schema, x.args))
+                     for x in atoms]
+        assert [(x, list(c)) for x, c in rows] == [(x, c) for x, c in reference if c]
+    ground, uncovered, _ = _reference_ground(smaller)
+    assert [(ax.action, ax.fluent, ax.guard)
+            for ax in derive_frame_axioms(smaller).ground] == ground
+    assert completeness_lint(smaller).uncovered == uncovered
+    assert domain.static_aspects is table
 
 
 # -- the fluent home index --------------------------------------------------
