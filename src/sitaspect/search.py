@@ -25,6 +25,8 @@ from .finite import FiniteModel, compose_rows
 from .terms import AspectPath, path
 from .validator import (
     FORMALISMS,
+    _defined,
+    _first_witness,
     check_commutativity,
     is_collective,
     is_functional,
@@ -59,6 +61,10 @@ def search_counterexample(formalism: str, max_situations: int = 3, seed: int = 0
     """
     if formalism not in FORMALISMS:
         raise ModelError(f"unknown formalism '{formalism}'")
+    _at_least("exhaustive situations", max_situations, 1)
+    _at_least("random samples", random_samples, 0)
+    if random_samples:
+        _at_least("random situations", random_max_situations, 2)
     scope = [
         f"exhaustive over 1..{max_situations} situations, one checked aspect, "
         f"one action, all valuations, witnesses searched over all predicates",
@@ -90,18 +96,9 @@ def search_counterexample(formalism: str, max_situations: int = 3, seed: int = 0
                         random_models, random_premise, seed, tuple(scope))
 
 
-def _witness_mask(n: int, rows: list[int], universal: bool, q: int) -> int:
-    """The valuation the witness predicate q defines over the aspect rows."""
-    mask = 0
-    for s in range(n):
-        if (rows[s] & ~q) == 0 if universal else rows[s] & q:
-            mask |= 1 << s
-    return mask
-
-
-def _definable_valuations(n: int, rows: list[int], universal: bool) -> set[int]:
-    """All valuations expressible as a witness predicate over the aspect."""
-    return {_witness_mask(n, rows, universal, q) for q in range(1 << n)}
+def _at_least(what: str, value: int, low: int) -> None:
+    if value < low:
+        raise ModelError(f"{what} must be at least {low}, got {value}")
 
 
 def _all_relation_rows(n: int):
@@ -132,7 +129,7 @@ def _exhaustive_level(formalism: str, n: int):
     else:
         structures = _all_relation_rows(n)
     for rows in structures:
-        definable = _definable_valuations(n, rows, universal)
+        definable = {_defined(rows, q, universal) for q in range(1 << n)}
         for act in _all_vecs(n):
             if any(rows[s] != rows[act[s]] for s in range(n)):
                 checked += 1 << n  # every valuation of this structure is vacuous
@@ -196,12 +193,12 @@ def _random_sweep(formalism: str, samples: int, seed: int, max_n: int):
             act = [rng.choice(classes[rows[s]]) for s in range(n)]
         q = rng.randrange(1 << n)
         if rng.random() < 0.5:
-            val = _witness_mask(n, rows, universal, q)
+            val = _defined(rows, q, universal)
         else:
             val = rng.randrange(1 << n)
         if any(rows[s] != rows[act[s]] for s in range(n)):
             continue
-        if val not in _definable_valuations(n, rows, universal):
+        if _first_witness(rows, val, universal) is None:
             continue
         premise_models += 1
         if any((val >> s & 1) != (val >> act[s] & 1) for s in range(n)):
@@ -272,6 +269,9 @@ def reproduce_commutative_pitfall(seed: int = 0, exhaustive_max: int = 3,
     model that satisfies every premise of the corrected regime while the
     action does change a (0,1)-aspect fluent.
     """
+    _at_least("exhaustive situations", exhaustive_max, 1)
+    _at_least("functional situations", functional_situations, 1)
+    _at_least("random samples", random_samples, 0)
     pairs_checked = 0
     commuting = 0
     violations = 0

@@ -32,8 +32,6 @@ STABILITY = "component-stability"
 FACTORIZATION = "fluent-factorization"
 PRESERVATION = "aspect-preservation"
 
-_WITNESS_SEARCH_LIMIT = 10
-_MODAL_SITUATION_LIMIT = 12
 _JOINT_SEARCH_LIMIT = 4096
 
 
@@ -122,10 +120,10 @@ def _shape_check(model: FiniteModel, formalism: str) -> None:
 def check_premises(model: FiniteModel, formalism: str) -> PremiseReport:
     """Universally check the formalism's premise axioms over the model.
 
-    Existential witness axioms use the stored witness when one is declared;
-    otherwise every predicate over the situations is searched (models up to
-    _WITNESS_SEARCH_LIMIT situations). A collective fluent's witness family
-    is searched jointly, up to _JOINT_SEARCH_LIMIT families.
+    Witness axioms use the stored witness when one is declared; otherwise
+    the least witness predicate is computed directly, on a model of any
+    size. Only a collective fluent's witness family is searched, jointly,
+    up to _JOINT_SEARCH_LIMIT families.
     """
     if formalism not in FORMALISMS:
         raise ModelError(f"unknown formalism '{formalism}'")
@@ -166,38 +164,9 @@ def _stability(model: FiniteModel, formalism: str) -> list[PremiseCheck]:
         for alpha, beta2 in sorted(model.d_table, key=str):
             if beta2 != beta:
                 continue
-            if is_modal(formalism):
-                bad = _modal_stability_fails(model, alpha, avec,
-                                             universal=is_universal(formalism))
-            else:
-                bad = _changed(_path_rows(model, alpha, formalism), avec)
+            bad = _changed(_path_rows(model, alpha, formalism), avec)
             checks.append(_stability_check(model, f"R{alpha} under {act}", bad))
     return checks
-
-
-def _modal_stability_fails(model: FiniteModel, alpha: AspectPath,
-                           avec: list[int], universal: bool) -> list[int]:
-    """Situations where some subset valuation distinguishes w from a(w)."""
-    n = len(model.situations)
-    if n > _MODAL_SITUATION_LIMIT:
-        raise ModelError(f"subset quantification over modal schemas is limited "
-                         f"to {_MODAL_SITUATION_LIMIT} situations; the model "
-                         f"has {n}")
-    rows = model.path_rows(alpha)
-    full = (1 << n) - 1
-    bad = []
-    for w in range(n):
-        for x in range(1 << n):
-            if universal:
-                here = (rows[w] & ~x & full) == 0
-                there = (rows[avec[w]] & ~x & full) == 0
-            else:
-                here = (rows[w] & x) != 0
-                there = (rows[avec[w]] & x) != 0
-            if here != there:
-                bad.append(w)
-                break
-    return bad
 
 
 def _collective_stability(model: FiniteModel, formalism: str) -> list[PremiseCheck]:
@@ -264,6 +233,32 @@ def _defined(rows: list[int], q: int, universal: bool) -> int:
     return out
 
 
+def _first_witness(rows: list[int], val: int, universal: bool) -> Optional[int]:
+    """The least predicate q, read as an integer, that defines val over the
+    aspect rows, or None when there is none.
+
+    Both readings are monotone in q. A universal witness contains the rows
+    of every situation in val, so their union is the least candidate. An
+    existential witness misses the rows of every situation outside val, so
+    it lies inside the complement of their union; from there, clearing bits
+    from the top while the witness still works reaches the least one.
+    """
+    inside = outside = 0
+    for s, row in enumerate(rows):
+        if val >> s & 1:
+            inside |= row
+        else:
+            outside |= row
+    q = inside if universal else ((1 << len(rows)) - 1) & ~outside
+    if _defined(rows, q, universal) != val:
+        return None
+    if not universal:
+        for t in reversed(range(len(rows))):
+            if q >> t & 1 and _defined(rows, q & ~(1 << t), False) == val:
+                q &= ~(1 << t)
+    return q
+
+
 def _factorization(model: FiniteModel, formalism: str) -> list[PremiseCheck]:
     checks = []
     n = len(model.situations)
@@ -281,13 +276,7 @@ def _factorization(model: FiniteModel, formalism: str) -> list[PremiseCheck]:
             note = "" if holds else "stored witness does not reproduce the valuation"
             checks.append(PremiseCheck(FACTORIZATION, subject, holds, note))
         else:
-            if n > _WITNESS_SEARCH_LIMIT:
-                raise ModelError(
-                    f"fluent '{p}' has no stored witness and the model is too "
-                    f"large for exhaustive search: {n} situations, the limit "
-                    f"is {_WITNESS_SEARCH_LIMIT}")
-            found = next((q for q in range(1 << n)
-                          if _defined(rows, q, universal) == val), None)
+            found = _first_witness(rows, val, universal)
             if found is None:
                 checks.append(PremiseCheck(FACTORIZATION, subject, False,
                                            "no witness predicate exists"))

@@ -127,6 +127,35 @@ def test_search_exit_zero(capsys):
     assert "no counterexample" in out
 
 
+@pytest.mark.parametrize("argv, problem", [
+    (["search", "rel-exists", "--random-samples", "5",
+      "--random-max-situations", "1"], "random situations must be at least 2, got 1"),
+    (["search", "rel-exists", "--random-samples", "-5"],
+     "random samples must be at least 0, got -5"),
+    (["search", "rel-exists", "--max-situations", "-1"],
+     "exhaustive situations must be at least 1, got -1"),
+    (["pitfall", "--max-situations", "0"],
+     "exhaustive situations must be at least 1, got 0"),
+    (["pitfall", "--functional-situations", "0"],
+     "functional situations must be at least 1, got 0"),
+    (["pitfall", "--random-samples", "-1"],
+     "random samples must be at least 0, got -1"),
+], ids=["search-random-size", "search-samples", "search-size", "pitfall-size",
+        "pitfall-functional-size", "pitfall-samples"])
+def test_search_and_pitfall_reject_out_of_range_sizes(capsys, argv, problem):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {problem}\n"
+
+
+def test_search_ignores_the_random_size_without_samples(capsys):
+    code, out, _ = run(capsys, "search", "rel-exists", "--max-situations", "1",
+                       "--random-max-situations", "1")
+    assert code == 0
+    assert "no counterexample" in out
+
+
 def test_compare_random_workload(capsys):
     code, out, _ = run(capsys, "compare", BLOCKS, "--random", "20",
                        "--seed", "5", "--init", BLOCKS_INIT)

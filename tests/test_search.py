@@ -48,7 +48,7 @@ def test_search_fast_path_agrees_with_reference_checker():
     # verify_theorem on the materialized model, structure by structure.
     import itertools
 
-    from sitaspect.search import _definable_valuations, _materialize
+    from sitaspect.search import _materialize
     from sitaspect.validator import is_functional, is_universal
 
     n = 2
@@ -63,7 +63,11 @@ def test_search_fast_path_agrees_with_reference_checker():
             structures = (list(rows)
                           for rows in itertools.product(range(1 << n), repeat=n))
         for rows in structures:
-            definable = _definable_valuations(n, rows, universal)
+            definable = set()
+            for q in range(1 << n):
+                holds = [(rows[s] & ~q) == 0 if universal else (rows[s] & q) != 0
+                         for s in range(n)]
+                definable.add(sum(1 << s for s in range(n) if holds[s]))
             for act in itertools.product(range(n), repeat=n):
                 stable = all(rows[s] == rows[act[s]] for s in range(n))
                 for val in range(1 << n):

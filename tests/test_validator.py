@@ -355,7 +355,7 @@ def test_seq_fun_rejects_a_set_element_in_the_path():
     assert str(alpha) == "(a,{x})"
 
 
-# -- enumeration limits name the size they met ---------------------------------
+# -- closed-form premises and the one remaining enumeration limit ---------------
 
 def _identity_model(n: int, **changes) -> FiniteModel:
     sits = tuple(f"s{i}" for i in range(n))
@@ -370,26 +370,121 @@ def _identity_model(n: int, **changes) -> FiniteModel:
     return FiniteModel(**fields)
 
 
-def test_witness_search_limit_is_named():
-    from sitaspect.validator import _WITNESS_SEARCH_LIMIT
+@pytest.mark.parametrize("formalism",
+                         ["rel-exists", "rel-forall", "modal-box", "modal-diamond"])
+@pytest.mark.parametrize("valuation, note", [
+    (frozenset(), "witness found by search: {}"),
+    (frozenset({"s3", "s12"}), "witness found by search: {s3,s12}"),
+], ids=["empty", "two"])
+def test_thirteen_situations_get_a_verdict(formalism, valuation, note):
+    model = _identity_model(13, valuations={"p": valuation})
+    verdict = verify_theorem(formalism, model)
+    assert verdict.verdict == "pass"
+    [factorization] = [c for c in verdict.premises.checks
+                       if c.axiom == "fluent-factorization"]
+    assert factorization.holds
+    assert factorization.note == note
 
-    n = _WITNESS_SEARCH_LIMIT + 1
-    with pytest.raises(ModelError) as err:
-        check_premises(_identity_model(n), "rel-exists")
-    assert str(err.value) == (
-        f"fluent 'p' has no stored witness and the model is too large for "
-        f"exhaustive search: {n} situations, the limit is {_WITNESS_SEARCH_LIMIT}")
+
+def _reference_defined(rows: list[int], q: int, universal: bool) -> int:
+    n = len(rows)
+    out = 0
+    for s in range(n):
+        succ = {t for t in range(n) if rows[s] >> t & 1}
+        chosen = {t for t in range(n) if q >> t & 1}
+        if (succ <= chosen) if universal else (succ & chosen):
+            out |= 1 << s
+    return out
 
 
-def test_modal_situation_limit_is_named():
-    from sitaspect.validator import _MODAL_SITUATION_LIMIT
+def _reference_first_witness(rows: list[int], val: int, universal: bool):
+    """The 2^n scan the closed form replaced: the least q defining val."""
+    return next((q for q in range(1 << len(rows))
+                 if _reference_defined(rows, q, universal) == val), None)
 
-    n = _MODAL_SITUATION_LIMIT + 1
-    with pytest.raises(ModelError) as err:
-        check_premises(_identity_model(n), "modal-box")
-    assert str(err.value) == (
-        f"subset quantification over modal schemas is limited to "
-        f"{_MODAL_SITUATION_LIMIT} situations; the model has {n}")
+
+def test_first_witness_matches_the_scan_on_every_small_case():
+    from sitaspect.validator import _first_witness
+
+    for n in range(1, 4):
+        for rows in itertools.product(range(1 << n), repeat=n):
+            rows = list(rows)
+            for val in range(1 << n):
+                for universal in (False, True):
+                    assert _first_witness(rows, val, universal) == \
+                        _reference_first_witness(rows, val, universal), (rows, val)
+
+
+def test_first_witness_matches_the_scan_on_random_cases():
+    from sitaspect.validator import _first_witness
+
+    rng = random.Random(6)
+    found = missing = 0
+    for _ in range(300):
+        n = rng.randint(4, 10)
+        # Sparse rows make witnesses likelier to exist.
+        rows = [rng.randrange(1 << n) & rng.randrange(1 << n) for _ in range(n)]
+        universal = rng.random() < 0.5
+        if rng.random() < 0.5:
+            val = _reference_defined(rows, rng.randrange(1 << n), universal)
+        else:
+            val = rng.randrange(1 << n)
+        expected = _reference_first_witness(rows, val, universal)
+        assert _first_witness(rows, val, universal) == expected, (rows, val, universal)
+        found += expected is not None
+        missing += expected is None
+    assert found > 50 and missing > 50
+
+
+def _reference_modal_unstable(rows: list[int], avec: list[int], universal: bool):
+    """The subset-valuation loop the row comparison replaced: the situations
+    where some valuation x of the schema variable tells w from a(w)."""
+    n = len(rows)
+    full = (1 << n) - 1
+    bad = []
+    for w in range(n):
+        for x in range(1 << n):
+            if universal:
+                here = (rows[w] & ~x & full) == 0
+                there = (rows[avec[w]] & ~x & full) == 0
+            else:
+                here = (rows[w] & x) != 0
+                there = (rows[avec[w]] & x) != 0
+            if here != there:
+                bad.append(w)
+                break
+    return bad
+
+
+@pytest.mark.parametrize("formalism", ["modal-box", "modal-diamond",
+                                       "seq-modal-box", "seq-modal-diamond"])
+def test_modal_stability_matches_the_subset_valuation_loop(formalism):
+    rng = random.Random(formalism)
+    alpha = path("a", "a") if formalism.startswith("seq-") else path("a")
+    outcomes = set()
+    for _ in range(150):
+        n = rng.randint(1, 8)
+        sits = tuple(f"s{i}" for i in range(n))
+        # Few edges, and actions that fix most situations, so that both
+        # outcomes come up.
+        rel = frozenset((s, t) for s in sits for t in sits if rng.random() < 0.2)
+        model = FiniteModel(
+            name="modal", situations=sits, aspect_rels={"a": rel, "b": frozenset()},
+            action_maps={"go": {s: rng.choice(sits[:2]) if rng.random() < 0.3 else s
+                                for s in sits}},
+            valuations={"p": frozenset()},
+            fluent_aspects={"p": path("a")}, action_aspects={"go": path("b")},
+            d_table=frozenset({(alpha, path("b"))}))
+        rows = model.path_rows(alpha)
+        bad = _reference_modal_unstable(rows, model.act_vec("go"),
+                                        formalism.endswith("box"))
+        [check] = [c for c in check_premises(model, formalism).checks
+                   if c.axiom == "component-stability"]
+        assert check.holds == (not bad)
+        if bad:
+            assert check.note == f"changes at situation {sits[bad[0]]}"
+        outcomes.add(check.holds)
+    assert outcomes == {True, False}
 
 
 def test_joint_search_limit_is_named():
