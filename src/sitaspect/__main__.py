@@ -1,0 +1,6 @@
+"""`python -m sitaspect` runs the command line."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

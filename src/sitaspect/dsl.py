@@ -3,6 +3,16 @@
 One declaration per line; '#' starts a comment. Parse failures raise
 DslError carrying spanned diagnostics. Parsing is deterministic: the same
 text always yields the same structures, and unparse/parse round-trips.
+
+Every list is written `(item, ...)`, possibly empty; the one exception is
+the `objects SORT: name, ...` list, which is nonempty and unparenthesized.
+Where a path or ground argument may be a set it is a nonempty
+`{name, ...}`. Keys that may be declared only once: in a domain, the
+`domain` header, each sort's `objects`, each schema name, each fluent's
+`home`, and `disjoint by`; in a model, the `model` header, each
+situation, each action's successor of a situation, each
+`aspect fluent|action NAME`, each `witness F FORM` and each
+`cwitness F FORM ELEM`.
 """
 
 from __future__ import annotations
@@ -32,7 +42,10 @@ from .domain import (
     SetTemplate,
     SortRef,
     Var,
+    check_ground_action,
+    check_ground_fluent,
     check_rule_exclusivity,
+    initial_state,
 )
 from .errors import DslError
 from .finite import FiniteModel
@@ -65,7 +78,8 @@ class ParseDiagnostic:
         return out
 
 
-_TOKEN_RE = re.compile(r"->|[A-Za-z0-9_]+(?:-[A-Za-z0-9_]+)*|[(){},:;!&]|\S")
+_NAME_RE = re.compile(r"[A-Za-z0-9_]+(?:-[A-Za-z0-9_]+)*")
+_TOKEN_RE = re.compile(r"->|" + _NAME_RE.pattern + r"|[(){},:;!&]|\S")
 
 
 @dataclass
@@ -107,7 +121,7 @@ class _Cursor:
 
     def name(self, what: str = "name") -> _Token:
         tok = self.next()
-        if not re.fullmatch(r"[A-Za-z0-9_]+(?:-[A-Za-z0-9_]+)*", tok.text):
+        if not _NAME_RE.fullmatch(tok.text):
             self.fail(f"expected {what}, found '{tok.text}'", at=tok)
         return tok
 
@@ -129,13 +143,70 @@ class _Cursor:
             self.fail(f"trailing input '{tok.text}'", at=tok)
 
 
-def _tokenize_lines(text: str, file: str):
+def _tokenize_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
         tokens = [_Token(m.group(0), m.start() + 1)
                   for m in _TOKEN_RE.finditer(body)]
         if tokens:
             yield lineno, tokens
+
+
+def _parse_lines(text: str, file: str, kind: str, b, parse_line) -> None:
+    """Run `parse_line(b, cursor)` on each nonblank line of a domain or model
+    file; a failed line adds its diagnostic to `b.diags` and parsing goes on."""
+    lines = list(_tokenize_lines(text))
+    if not lines:
+        raise DslError([ParseDiagnostic(
+            "error", SourceSpan(file, 1, 1, 1), f"empty {kind} file",
+            f"a {kind} file starts with '{kind} NAME'")])
+    for lineno, tokens in lines:
+        try:
+            parse_line(b, _Cursor(tokens, file, lineno, b.diags))
+        except _LineAbort:
+            pass
+
+
+def _file_error(b, message: str, hint: str = "") -> None:
+    b.diags.append(ParseDiagnostic("error", SourceSpan(b.file, 1, 1, 1), message, hint))
+
+
+def _word(cur: _Cursor, what: str) -> str:
+    return cur.name(what).text
+
+
+def _commas(cur: _Cursor, item, *args) -> list:
+    """`item (',' item)*`, each read by `item(cur, *args)`."""
+    items = [item(cur, *args)]
+    while cur.peek() == ",":
+        cur.next()
+        items.append(item(cur, *args))
+    return items
+
+
+def _parens(cur: _Cursor, item, *args) -> list:
+    """`'(' [item (',' item)*] ')'`."""
+    cur.expect("(")
+    if cur.peek() == ")":
+        cur.next()
+        return []
+    items = _commas(cur, item, *args)
+    cur.expect(")")
+    return items
+
+
+def _pair(cur: _Cursor, item, *args) -> tuple:
+    return item(cur, *args), item(cur, *args)
+
+
+def _element(cur: _Cursor, what: str, member: str):
+    """A name, or a nonempty `{name, ...}` set as a frozenset."""
+    if cur.peek() != "{":
+        return _word(cur, what)
+    cur.next()
+    members = frozenset(_commas(cur, _word, member))
+    cur.expect("}")
+    return members
 
 
 # ---------------------------------------------------------------------------
@@ -166,17 +237,7 @@ class _DomainBuilder:
 
 def parse_domain(text: str, file: str = "<domain>") -> Domain:
     b = _DomainBuilder(file)
-    lines = list(_tokenize_lines(text, file))
-    if not lines:
-        raise DslError([ParseDiagnostic(
-            "error", SourceSpan(file, 1, 1, 1), "empty domain file",
-            "a domain file starts with 'domain NAME'")])
-    for lineno, tokens in lines:
-        cur = _Cursor(tokens, file, lineno, b.diags)
-        try:
-            _parse_domain_line(b, cur)
-        except _LineAbort:
-            continue
+    _parse_lines(text, file, "domain", b, _parse_domain_line)
     domain = _finish_domain(b)
     if b.diags:
         raise DslError(b.diags)
@@ -195,10 +256,7 @@ def _parse_domain_line(b: _DomainBuilder, cur: _Cursor) -> None:
     elif head.text == "objects":
         sort = cur.name("sort name").text
         cur.expect(":")
-        names = [cur.name("object name").text]
-        while cur.peek() == ",":
-            cur.next()
-            names.append(cur.name("object name").text)
+        names = _commas(cur, _word, "object name")
         cur.finish()
         if sort in b.sorts:
             cur.fail(f"sort '{sort}' is declared twice", at=head)
@@ -207,7 +265,7 @@ def _parse_domain_line(b: _DomainBuilder, cur: _Cursor) -> None:
         b.sorts[sort] = tuple(names)
     elif head.text in ("fluent", "action"):
         name_tok = cur.name("schema name")
-        params = _parse_params(b, cur)
+        params = tuple(_parens(cur, _parse_param, b))
         cur.finish()
         table = b.fluents if head.text == "fluent" else b.actions
         other = b.actions if head.text == "fluent" else b.fluents
@@ -221,8 +279,10 @@ def _parse_domain_line(b: _DomainBuilder, cur: _Cursor) -> None:
         f_tok = cur.name("fluent name")
         if f_tok.text not in b.fluents:
             cur.fail(f"unknown fluent '{f_tok.text}'", at=f_tok)
-        atoms = _parse_atom_path(cur)
+        atoms = tuple(_parens(cur, _word, "atom"))
         cur.finish()
+        if f_tok.text in b.homes:
+            cur.fail(f"'home {f_tok.text}' is declared twice", at=f_tok)
         b.homes[f_tok.text] = atoms
     elif head.text == "aspect":
         rule = _parse_aspect_rule(b, cur)
@@ -250,30 +310,17 @@ def _parse_domain_line(b: _DomainBuilder, cur: _Cursor) -> None:
                  "aspect, effect, pre, frame, disjoint", at=head)
 
 
-def _parse_params(b: _DomainBuilder, cur: _Cursor) -> tuple[SortRef, ...]:
-    cur.expect("(")
-    params: list[SortRef] = []
-    if cur.peek() == ")":
-        cur.next()
-        return ()
-    while True:
+def _parse_param(cur: _Cursor, b: _DomainBuilder) -> SortRef:
+    tok = cur.name("sort name")
+    if tok.text == "set":
+        cur.expect("of")
         tok = cur.name("sort name")
-        if tok.text == "set":
-            cur.expect("of")
-            base = cur.name("sort name")
-            ref = SortRef(base.text, is_set=True)
-            where = base
-        else:
-            ref = SortRef(tok.text)
-            where = tok
-        if ref.name not in b.sorts:
-            cur.fail(f"unknown sort '{ref.name}'", at=where)
-        params.append(ref)
-        if cur.peek() == ",":
-            cur.next()
-            continue
-        cur.expect(")")
-        return tuple(params)
+        ref = SortRef(tok.text, is_set=True)
+    else:
+        ref = SortRef(tok.text)
+    if ref.name not in b.sorts:
+        cur.fail(f"unknown sort '{ref.name}'", at=tok)
+    return ref
 
 
 def _parse_head(b: _DomainBuilder, cur: _Cursor, kind: str,
@@ -284,30 +331,20 @@ def _parse_head(b: _DomainBuilder, cur: _Cursor, kind: str,
     schema = table.get(name_tok.text)
     if schema is None:
         cur.fail(f"unknown {kind} '{name_tok.text}'", at=name_tok)
-    cur.expect("(")
+    args = _parens(cur, _word, "argument")
     scope = dict(scope) if scope else {}
-    args: list = []
-    if cur.peek() != ")":
-        while True:
-            tok = cur.name("argument")
-            args.append(tok)
-            if cur.peek() == ",":
-                cur.next()
-                continue
-            break
-    cur.expect(")")
     if len(args) != len(schema.params):
         cur.fail(f"'{name_tok.text}' expects {len(schema.params)} arguments, "
                  f"got {len(args)}", at=name_tok)
     resolved: list = []
-    for tok, ref in zip(args, schema.params):
-        if tok.text in scope:
-            resolved.append(Var(tok.text))
-        elif not ref.is_set and b.is_object(tok.text, ref.name):
-            resolved.append(tok.text)
+    for arg, ref in zip(args, schema.params):
+        if arg in scope:
+            resolved.append(Var(arg))
+        elif not ref.is_set and b.is_object(arg, ref.name):
+            resolved.append(arg)
         else:
-            scope[tok.text] = ref
-            resolved.append(Var(tok.text))
+            scope[arg] = ref
+            resolved.append(Var(arg))
     return Pat(name_tok.text, tuple(resolved)), scope
 
 
@@ -334,12 +371,8 @@ def _parse_guard(b: _DomainBuilder, cur: _Cursor,
 
 def _parse_guard_literal(b: _DomainBuilder, cur: _Cursor,
                          scope: dict[str, SortRef], positive: bool) -> GuardLiteral:
-    pat, _ = _parse_head(b, cur, "fluent", scope)
-    # _parse_head copies the scope; re-resolve to extend the caller's scope.
-    schema = b.fluents[pat.schema]
-    for arg, ref in zip(pat.args, schema.params):
-        if isinstance(arg, Var) and arg.name not in scope:
-            scope[arg.name] = ref
+    pat, extended = _parse_head(b, cur, "fluent", scope)
+    scope.update(extended)
     return GuardLiteral(fluent=pat, positive=positive)
 
 
@@ -381,55 +414,20 @@ def _parse_aspect_rule(b: _DomainBuilder, cur: _Cursor) -> AspectRule:
 
 
 def _parse_raw_path(cur: _Cursor) -> list:
-    """A parenthesized path kept as raw tokens: elements are names or name sets."""
-    cur.expect("(")
-    elems: list = []
-    if cur.peek() == ")":
-        cur.next()
-        return elems
-    while True:
-        if cur.peek() == "{":
-            cur.next()
-            members = [cur.name("atom").text]
-            while cur.peek() == ",":
-                cur.next()
-                members.append(cur.name("atom").text)
-            cur.expect("}")
-            elems.append(set(members))
-        else:
-            elems.append(cur.name("atom or variable").text)
-        if cur.peek() == ",":
-            cur.next()
-            continue
-        cur.expect(")")
-        return elems
+    """A parenthesized path kept as raw names: elements are names or name sets."""
+    return _parens(cur, _element, "atom or variable", "atom")
 
 
 def _resolve_template(raw_path: list, scope: dict[str, SortRef]) -> tuple:
     template: list = []
     for elem in raw_path:
-        if isinstance(elem, set):
+        if isinstance(elem, frozenset):
             members = frozenset(Var(m) if m in scope else AspectAtom(m)
                                 for m in elem)
             template.append(SetTemplate(members))
         else:
             template.append(Var(elem) if elem in scope else AspectAtom(elem))
     return tuple(template)
-
-
-def _parse_atom_path(cur: _Cursor) -> tuple[str, ...]:
-    cur.expect("(")
-    atoms: list[str] = []
-    if cur.peek() == ")":
-        cur.next()
-        return ()
-    while True:
-        atoms.append(cur.name("atom").text)
-        if cur.peek() == ",":
-            cur.next()
-            continue
-        cur.expect(")")
-        return tuple(atoms)
 
 
 def _parse_effect(b: _DomainBuilder, cur: _Cursor) -> EffectRule:
@@ -466,33 +464,17 @@ def _parse_disjoint_spec(cur: _Cursor) -> DisjointnessSpec:
         return SimpleInequality()
     if kind.text == "commutative":
         cur.expect("(")
-        tok = cur.name("'all' or atom")
-        if tok.text == "all":
+        if _word(cur, "'all' or atom") == "all":
             cur.expect(")")
             cur.finish()
             return CommutativeCanonical()
-        pairs = []
-        first = tok.text
-        second = cur.name("atom").text
-        pairs.append((first, second))
-        while cur.peek() == ",":
-            cur.next()
-            a = cur.name("atom").text
-            bname = cur.name("atom").text
-            pairs.append((a, bname))
+        cur.i -= 1
+        pairs = _commas(cur, _pair, _word, "atom")
         cur.expect(")")
         cur.finish()
         return CommutativeCanonical.of(*pairs)
     if kind.text == "table":
-        pairs = []
-        while True:
-            alpha = _parse_path_value(cur)
-            beta = _parse_path_value(cur)
-            pairs.append((alpha, beta))
-            if cur.peek() == ",":
-                cur.next()
-                continue
-            break
+        pairs = _commas(cur, _pair, _parse_path_value)
         cur.finish()
         return ExplicitTable(frozenset(pairs))
     cur.fail(f"unknown disjointness kind '{kind.text}'",
@@ -500,43 +482,34 @@ def _parse_disjoint_spec(cur: _Cursor) -> DisjointnessSpec:
 
 
 def _parse_path_value(cur: _Cursor) -> AspectPath:
-    raw = _parse_raw_path(cur)
-    elems = []
-    for e in raw:
-        if isinstance(e, set):
-            elems.append(AspectSet(frozenset(AspectAtom(m) for m in e)))
-        else:
-            elems.append(AspectAtom(e))
-    return AspectPath(tuple(elems))
+    return AspectPath(tuple(
+        AspectSet(frozenset(AspectAtom(m) for m in e)) if isinstance(e, frozenset)
+        else AspectAtom(e) for e in _parse_raw_path(cur)))
 
 
 def _finish_domain(b: _DomainBuilder) -> Optional[Domain]:
     """The built domain, or None when it is too incomplete to build; every
     problem found is added to `b.diags`."""
-    def diag(message: str, hint: str = ""):
-        b.diags.append(ParseDiagnostic(
-            "error", SourceSpan(b.file, 1, 1, 1), message, hint))
-
     if b.name is None:
         return None
     if not b.fluents and not b.actions:
-        diag("empty domain: no fluent or action schemas declared")
+        _file_error(b, "empty domain: no fluent or action schemas declared")
         return None
     covered = {(r.kind, r.target.schema) for r in b.aspect_rules}
     for f in b.fluents:
         if ("fluent", f) not in covered:
-            diag(f"fluent '{f}' has no aspect rule")
+            _file_error(b, f"fluent '{f}' has no aspect rule")
     for a in b.actions:
         if ("action", a) not in covered:
-            diag(f"action '{a}' has no aspect rule")
+            _file_error(b, f"action '{a}' has no aspect rule")
     domain = Domain(
         name=b.name, sorts=b.sorts, fluents=b.fluents, actions=b.actions,
         aspect_rules=tuple(b.aspect_rules), effects=tuple(b.effects),
         preconditions=tuple(b.preconditions), frame_decls=tuple(b.frame_decls),
         disjointness=b.disjointness or SeqExistsDiff(), homes=b.homes)
     for problem in check_rule_exclusivity(domain):
-        diag(problem, "guards of same-schema rules must exclude each other "
-                      "through a complementary literal")
+        _file_error(b, problem, "guards of same-schema rules must exclude each "
+                                "other through a complementary literal")
     return domain
 
 
@@ -586,41 +559,13 @@ def _render_spec(spec: DisjointnessSpec) -> str:
 # Ground atoms and states
 # ---------------------------------------------------------------------------
 
-def _parse_ground_terms(cur: _Cursor) -> tuple:
-    cur.expect("(")
-    args: list = []
-    if cur.peek() == ")":
-        cur.next()
-        return ()
-    while True:
-        if cur.peek() == "{":
-            cur.next()
-            members = [cur.name("object").text]
-            while cur.peek() == ",":
-                cur.next()
-                members.append(cur.name("object").text)
-            cur.expect("}")
-            args.append(frozenset(members))
-        else:
-            args.append(cur.name("object").text)
-        if cur.peek() == ",":
-            cur.next()
-            continue
-        cur.expect(")")
-        return tuple(args)
-
-
 def parse_ground_fluent(text: str, domain: Domain, file: str = "<fluent>") -> GroundFluent:
-    from .domain import check_ground_fluent
-
     f = _parse_ground_atom(text, file, GroundFluent)
     check_ground_fluent(domain, f)
     return f
 
 
 def parse_ground_action(text: str, domain: Domain, file: str = "<action>") -> GroundAction:
-    from .domain import check_ground_action
-
     a = _parse_ground_atom(text, file, GroundAction)
     check_ground_action(domain, a)
     return a
@@ -628,7 +573,7 @@ def parse_ground_action(text: str, domain: Domain, file: str = "<action>") -> Gr
 
 def _parse_ground_atom(text: str, file: str, cls):
     diags: list[ParseDiagnostic] = []
-    lines = list(_tokenize_lines(text, file))
+    lines = list(_tokenize_lines(text))
     if len(lines) != 1:
         raise DslError([ParseDiagnostic(
             "error", SourceSpan(file, 1, 1, 1),
@@ -637,7 +582,7 @@ def _parse_ground_atom(text: str, file: str, cls):
     cur = _Cursor(tokens, file, lineno, diags)
     try:
         name = cur.name("schema name").text
-        args = _parse_ground_terms(cur)
+        args = tuple(_parens(cur, _element, "object", "object"))
         cur.finish()
     except _LineAbort:
         raise DslError(diags) from None
@@ -657,12 +602,11 @@ def parse_actions(text: str, domain: Domain, file: str = "<acts>") -> tuple[Grou
 def parse_state(text: str, domain: Domain, file: str = "<state>"):
     """A total initial state from ';'-separated items.
 
-    `p(args)` marks the fluent true; `!p(args)` explicitly false. All other
-    ground instances default to false, placed at their home components.
+    `p(args)` marks the fluent true; `!p(args)` explicitly false; giving a
+    fluent both ways is an error. All other ground instances default to
+    false, placed at their home components.
     """
-    from .domain import initial_state
-
-    truths = []
+    given: dict[GroundFluent, bool] = {}
     for chunk in text.replace("\n", ";").split(";"):
         chunk = chunk.strip()
         if not chunk:
@@ -670,9 +614,11 @@ def parse_state(text: str, domain: Domain, file: str = "<state>"):
         negate = chunk.startswith("!")
         body = chunk[1:].strip() if negate else chunk
         f = parse_ground_fluent(body, domain, file)
-        if not negate:
-            truths.append(f)
-    return initial_state(domain, truths)
+        if given.setdefault(f, not negate) == negate:
+            raise DslError([ParseDiagnostic(
+                "error", SourceSpan(file, 1, 1, 1),
+                f"fluent '{f}' is given both true and false")])
+    return initial_state(domain, [f for f, true in given.items() if true])
 
 
 # ---------------------------------------------------------------------------
@@ -699,17 +645,7 @@ class _ModelBuilder:
 
 def parse_model(text: str, file: str = "<model>") -> FiniteModel:
     b = _ModelBuilder(file)
-    lines = list(_tokenize_lines(text, file))
-    if not lines:
-        raise DslError([ParseDiagnostic(
-            "error", SourceSpan(file, 1, 1, 1), "empty model file",
-            "a model file starts with 'model NAME'")])
-    for lineno, tokens in lines:
-        cur = _Cursor(tokens, file, lineno, b.diags)
-        try:
-            _parse_model_line(b, cur)
-        except _LineAbort:
-            continue
+    _parse_lines(text, file, "model", b, _parse_model_line)
     _finish_model(b)
     if b.diags:
         raise DslError(b.diags)
@@ -748,18 +684,14 @@ def _parse_model_line(b: _ModelBuilder, cur: _Cursor) -> None:
             if tok.text in b.situations:
                 cur.fail(f"situation '{tok.text}' is declared twice", at=tok)
             b.situations.append(tok.text)
-    elif head.text == "rel":
-        atom = cur.name("aspect atom").text
+    elif head.text in ("rel", "crel"):
+        collective = head.text == "crel"
+        name = cur.name("element" if collective else "aspect atom").text
         s = known_situation(cur.name("situation"))
         t = known_situation(cur.name("situation"))
         cur.finish()
-        b.aspect_rels.setdefault(atom, set()).add((s, t))
-    elif head.text == "crel":
-        elem = cur.name("element").text
-        s = known_situation(cur.name("situation"))
-        t = known_situation(cur.name("situation"))
-        cur.finish()
-        b.collective_rels.setdefault(elem, set()).add((s, t))
+        rels = b.collective_rels if collective else b.aspect_rels
+        rels.setdefault(name, set()).add((s, t))
     elif head.text == "functional":
         atom = cur.name("aspect atom").text
         cur.finish()
@@ -788,40 +720,37 @@ def _parse_model_line(b: _ModelBuilder, cur: _Cursor) -> None:
         if kind.text not in ("fluent", "action"):
             cur.fail("expected 'aspect fluent NAME PATH' or "
                      "'aspect action NAME PATH'", at=kind)
-        name = cur.name("name").text
+        name_tok = cur.name("name")
         apath = _parse_path_value(cur)
         cur.finish()
+        table = b.fluent_aspects if kind.text == "fluent" else b.action_aspects
+        if name_tok.text in table:
+            cur.fail(f"'aspect {kind.text} {name_tok.text}' is declared twice",
+                     at=name_tok)
+        table[name_tok.text] = apath
         if kind.text == "fluent":
-            b.fluent_aspects[name] = apath
-            b.valuations.setdefault(name, set())
-        else:
-            b.action_aspects[name] = apath
-    elif head.text == "witness":
-        f = cur.name("fluent name").text
+            b.valuations.setdefault(name_tok.text, set())
+    elif head.text in ("witness", "cwitness"):
+        f_tok = cur.name("fluent name")
         formalism = cur.name("formalism").text
         if formalism not in FORMALISMS:
             cur.fail(f"unknown formalism '{formalism}'",
                      "one of: " + ", ".join(FORMALISMS))
+        key: tuple = (f_tok.text, formalism)
+        table = b.witnesses
+        if head.text == "cwitness":
+            key += (cur.name("element").text,)
+            table = b.collective_witnesses
         sits = set()
         while not cur.at_end():
             sits.add(known_situation(cur.name("situation")))
-        b.witnesses[(f, formalism)] = frozenset(sits)
-    elif head.text == "cwitness":
-        f = cur.name("fluent name").text
-        formalism = cur.name("formalism").text
-        if formalism not in FORMALISMS:
-            cur.fail(f"unknown formalism '{formalism}'",
-                     "one of: " + ", ".join(FORMALISMS))
-        elem = cur.name("element").text
-        sits = set()
-        while not cur.at_end():
-            sits.add(known_situation(cur.name("situation")))
-        b.collective_witnesses[(f, formalism, elem)] = frozenset(sits)
+        if key in table:
+            cur.fail(f"'{head.text} {' '.join(key)}' is declared twice", at=f_tok)
+        table[key] = frozenset(sits)
     elif head.text == "dpair":
-        alpha = _parse_path_value(cur)
-        beta = _parse_path_value(cur)
+        pair = _pair(cur, _parse_path_value)
         cur.finish()
-        b.d_table.add((alpha, beta))
+        b.d_table.add(pair)
     else:
         cur.fail(f"unknown declaration '{head.text}'",
                  "expected one of: model, situations, rel, crel, functional, "
@@ -829,33 +758,29 @@ def _parse_model_line(b: _ModelBuilder, cur: _Cursor) -> None:
 
 
 def _finish_model(b: _ModelBuilder) -> None:
-    def diag(message: str, hint: str = ""):
-        b.diags.append(ParseDiagnostic(
-            "error", SourceSpan(b.file, 1, 1, 1), message, hint))
-
     if b.name is None:
         return
     if not b.situations:
-        diag("a model needs at least one situation")
+        _file_error(b, "a model needs at least one situation")
         return
     for act, mapping in b.action_maps.items():
         missing = [s for s in b.situations if s not in mapping]
         if missing:
-            diag(f"action '{act}' is not total: no successor for "
-                 f"{', '.join(missing)}", "add 'act NAME s -> t' lines")
+            _file_error(b, f"action '{act}' is not total: no successor for "
+                           f"{', '.join(missing)}", "add 'act NAME s -> t' lines")
     for atom in sorted(b.functional):
         rel = b.aspect_rels.get(atom, set())
         for s in b.situations:
             succ = [t for (u, t) in rel if u == s]
             if len(succ) != 1:
-                diag(f"relation '{atom}' is flagged functional but situation "
-                     f"'{s}' has {len(succ)} successors")
+                _file_error(b, f"relation '{atom}' is flagged functional but "
+                               f"situation '{s}' has {len(succ)} successors")
                 break
     for name in b.fluent_aspects:
         if name not in b.valuations:
-            diag(f"fluent '{name}' has an aspect but no valuation",
-                 "add a 'val NAME ...' line")
+            _file_error(b, f"fluent '{name}' has an aspect but no valuation",
+                        "add a 'val NAME ...' line")
     for name in b.action_aspects:
         if name not in b.action_maps:
-            diag(f"action '{name}' has an aspect but no action map",
-                 "add 'act NAME s -> t' lines")
+            _file_error(b, f"action '{name}' has an aspect but no action map",
+                        "add 'act NAME s -> t' lines")

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sitaspect
 from sitaspect.cli import main
 from tests.conftest import BLOCKS_INIT, DISPLAY_INIT, FIXTURES, ROOMS_INIT
 
@@ -19,6 +23,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sitaspect.__file__)))
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "sitaspect", "--version"],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=pythonpath))
+    assert proc.stdout == f"sitaspect {sitaspect.__version__}\n"
 
 
 def test_check_blocks_exits_zero(capsys):

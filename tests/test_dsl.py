@@ -204,3 +204,136 @@ def test_model_unknown_situation_is_spanned():
 
 def test_university_model_derives_dtable(university_model):
     assert (path({"f1", "f2"}), path({"st1"})) in university_model.d_table
+
+
+# -- pinned diagnostics of every list form ------------------------------------
+# Each case appends one or two lines to a valid file and pins the exact
+# rendered diagnostics; [] means the text parses.
+
+_DOMAIN_BASE = ("domain d\n"
+                "objects block: a, b\n"
+                "fluent p(block)\n"
+                "fluent q()\n"
+                "action act(set of block)\n"
+                "action go()\n"
+                "aspect go() (g)\n"
+                "aspect p(x) (x)\n"
+                "aspect q() (c)\n"
+                "aspect act(s) ({s})\n")
+_MODEL_BASE = ("model m\n"
+               "situations s0 s1\n"
+               "val f s1\n")
+_FORMALISM_LIST = ("rel-exists, rel-forall, seq-rel-exists, seq-rel-forall, fun, "
+                   "seq-fun, coll-rel-exists, coll-rel-forall, coll-fun, modal-box, "
+                   "modal-diamond, seq-modal-box, seq-modal-diamond")
+
+
+def _rendered(parse, *args, **kwargs) -> list[str]:
+    try:
+        parse(*args, **kwargs)
+    except DslError as exc:
+        return [d.render() for d in exc.diagnostics]
+    return []
+
+
+@pytest.mark.parametrize("lines, expected", [
+    ("fluent r()\naspect r() ()", []),
+    ("home q ()", []),
+    ("objects place: a, b,", ["t.dom:11:21: error: unexpected end of line"]),
+    ("objects place:", ["t.dom:11:15: error: unexpected end of line"]),
+    ("fluent r(block,)", ["t.dom:11:16: error: expected sort name, found ')'"]),
+    ("fluent r(block", ["t.dom:11:15: error: unexpected end of line"]),
+    ("fluent r(block block)", ["t.dom:11:16: error: expected ')', found 'block'"]),
+    ("fluent r(set block)", ["t.dom:11:14: error: expected 'of', found 'block'"]),
+    ("fluent r(mystery)", ["t.dom:11:10: error: unknown sort 'mystery'"]),
+    ("fluent r(set of mystery)", ["t.dom:11:17: error: unknown sort 'mystery'"]),
+    ("pre act(s,) p(x)", ["t.dom:11:11: error: expected argument, found ')'"]),
+    ("pre act(s p(x)", ["t.dom:11:11: error: expected ')', found 'p'"]),
+    ("aspect p(x) ({})", ["t.dom:11:15: error: expected atom, found '}'"]),
+    ("aspect p(x) ({x, (})", ["t.dom:11:18: error: expected atom, found '('"]),
+    ("aspect p(x) ({x y})", ["t.dom:11:17: error: expected '}', found 'y'"]),
+    ("aspect p(x) (x,)", ["t.dom:11:16: error: expected atom or variable, found ')'"]),
+    ("home q (a,)", ["t.dom:11:11: error: expected atom, found ')'"]),
+    ("home q (a", ["t.dom:11:10: error: unexpected end of line"]),
+    ("disjoint by commutative()",
+     ["t.dom:11:25: error: expected 'all' or atom, found ')'"]),
+    ("disjoint by commutative(a)", ["t.dom:11:26: error: expected atom, found ')'"]),
+    ("disjoint by commutative(all x)",
+     ["t.dom:11:29: error: expected ')', found 'x'"]),
+    ("disjoint by commutative(a b,)", ["t.dom:11:29: error: expected atom, found ')'"]),
+    ("disjoint by table (a)", ["t.dom:11:22: error: unexpected end of line"]),
+    ("disjoint by table (a)(b),", ["t.dom:11:26: error: unexpected end of line"]),
+    ("fluent r(block)\nfluent s(block,)",
+     ["t.dom:12:16: error: expected sort name, found ')'",
+      "t.dom:1:1: error: fluent 'r' has no aspect rule"]),
+])
+def test_domain_diagnostics_are_pinned(lines, expected):
+    assert _rendered(parse_domain, _DOMAIN_BASE + lines + "\n", file="t.dom") == expected
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("p({})", ["<acts>:1:4: error: expected object, found '}'"]),
+    ("act({a,})", ["<acts>:1:8: error: expected object, found '}'"]),
+    ("act({a b})", ["<acts>:1:8: error: expected '}', found 'b'"]),
+    ("act({a},)", ["<acts>:1:9: error: expected object, found ')'"]),
+    ("go(a,)", ["<acts>:1:6: error: expected object, found ')'"]),
+    ("go(", ["<acts>:1:4: error: unexpected end of line"]),
+    ("act({a,b}); go()", []),
+])
+def test_ground_atom_diagnostics_are_pinned(text, expected):
+    domain = parse_domain(_DOMAIN_BASE)
+    assert _rendered(parse_actions, text, domain) == expected
+
+
+@pytest.mark.parametrize("lines, expected", [
+    ("witness f nope s0",
+     [f"t.model:4:16: error: unknown formalism 'nope' (one of: {_FORMALISM_LIST})"]),
+    ("cwitness f coll-rel-exists", ["t.model:4:27: error: unexpected end of line"]),
+    ("aspect fluent f ({})", ["t.model:4:19: error: expected atom, found '}'"]),
+    ("dpair (a)", ["t.model:4:10: error: unexpected end of line"]),
+    ("witness f rel-exists", []),
+    ("act go s0 -> s1\nrel a s0 s9",
+     ["t.model:5:10: error: unknown situation 's9'",
+      "t.model:1:1: error: action 'go' is not total: no successor for s1 "
+      "(add 'act NAME s -> t' lines)"]),
+])
+def test_model_diagnostics_are_pinned(lines, expected):
+    assert _rendered(parse_model, _MODEL_BASE + lines + "\n", file="t.model") == expected
+
+
+@pytest.mark.parametrize("parse, expected", [
+    (parse_domain, "t:1:1: error: empty domain file "
+                   "(a domain file starts with 'domain NAME')"),
+    (parse_model, "t:1:1: error: empty model file "
+                  "(a model file starts with 'model NAME')"),
+])
+def test_empty_file_diagnostics_are_pinned(parse, expected):
+    assert _rendered(parse, "# only a comment\n", file="t") == [expected]
+
+
+# -- keys declared once --------------------------------------------------------
+
+def test_repeated_home_is_rejected():
+    text = _DOMAIN_BASE + "home q (a)\nhome q (b)\n"
+    assert _rendered(parse_domain, text, file="t.dom") == [
+        "t.dom:12:6: error: 'home q' is declared twice"]
+
+
+@pytest.mark.parametrize("lines, expected", [
+    ("aspect fluent f (a)\naspect fluent f (b)",
+     "t.model:5:15: error: 'aspect fluent f' is declared twice"),
+    ("act go s0 -> s0\nact go s1 -> s1\naspect action go (a)\naspect action go (b)",
+     "t.model:7:15: error: 'aspect action go' is declared twice"),
+    ("witness f rel-exists s1\nwitness f rel-exists s0",
+     "t.model:5:9: error: 'witness f rel-exists' is declared twice"),
+    ("cwitness f coll-fun e s1\ncwitness f coll-fun e s0",
+     "t.model:5:10: error: 'cwitness f coll-fun e' is declared twice"),
+])
+def test_repeated_model_key_is_rejected(lines, expected):
+    assert _rendered(parse_model, _MODEL_BASE + lines + "\n", file="t.model") == [expected]
+
+
+@pytest.mark.parametrize("text", ["on(a,b); !on(a,b)", "!on(a, b); clear(a)\non(a,b)"])
+def test_state_giving_a_fluent_both_ways_is_rejected(blocks, text):
+    assert _rendered(parse_state, text, blocks) == [
+        "<state>:1:1: error: fluent 'on(a,b)' is given both true and false"]
