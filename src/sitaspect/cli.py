@@ -20,16 +20,16 @@ from .dsl import parse_actions, parse_domain, parse_ground_fluent, parse_model, 
 from .domain import Domain
 from .errors import CrossModeSoundnessError, DslError, SchemaError, SitAspectError
 from .frames import (
+    _progression_states,
     check_aspect_soundness,
     completeness_lint,
     derive_frame_axioms,
-    progress,
     regress_query,
     static_aspect_samples,
 )
-from .reiter import compile_ssa, compare_modes, random_workload, ssa_query, INSUFFICIENT_AXIOMS
+from .reiter import (INSUFFICIENT_AXIOMS, _oracle, compare_modes, compile_ssa,
+                     random_workload, ssa_query)
 from .search import reproduce_commutative_pitfall, search_counterexample
-from .state import eval_fluent
 from .validator import FORMALISMS, verify_theorem
 
 
@@ -255,8 +255,7 @@ def _cmd_simulate(args) -> int:
     domain = _load_domain(args.domain)
     state = parse_state(_read(args.init), domain)
     acts = parse_actions(_read(args.acts), domain)
-    for a in acts:
-        state = progress(domain, state, a)
+    state = _progression_states(domain, state, acts)[-1]
     items = []
     for f, value, prefix in state.fluents():
         where = "/".join(a.name for a in prefix) or "."
@@ -283,10 +282,7 @@ def _cmd_query(args) -> int:
         value, trace = ssa_query(compile_ssa(domain), init, acts, p)
         trace_lines = [str(s) for s in trace.steps]
     else:
-        state = init
-        for a in acts:
-            state = progress(domain, state, a)
-        value = eval_fluent(state, p)
+        value = _oracle(domain, init, acts, p)
         trace_lines = []
     rendered = ("undefined" if value is None
                 else "insufficient-axioms" if value is INSUFFICIENT_AXIOMS

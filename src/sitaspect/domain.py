@@ -5,6 +5,9 @@ assigns aspects to ground fluents and actions through (possibly guarded)
 rules, and lists conditional add/delete effects per action. Guards are
 conjunctions of fluent literals evaluated against the current state; a
 variable that first appears in a guard is existentially bound by it.
+`Domain.bound` is the one place where rules meet ground atoms: it finds the
+aspect rules, preconditions, effects and frame axioms whose head matches an
+atom, with the head's binding.
 """
 
 from __future__ import annotations
@@ -184,25 +187,40 @@ class Domain:
     disjointness: DisjointnessSpec = field(default_factory=SeqExistsDiff)
     homes: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
-    def rules_for(self, kind: str, schema: str) -> tuple[AspectRule, ...]:
-        return self._by_schema.get(("aspect", kind, schema), ())
+    def bound(self, table: str, atom) -> tuple[tuple[object, dict], ...]:
+        """The rules of `table` whose head matches the ground `atom`, in
+        declaration order, each with its head binding.
 
-    def effects_for(self, action_schema: str) -> tuple[EffectRule, ...]:
-        return self._by_schema.get(("effect", action_schema), ())
-
-    def preconditions_for(self, action_schema: str) -> tuple[Precondition, ...]:
-        return self._by_schema.get(("pre", action_schema), ())
+        `table` is "fluent" or "action" (aspect rules, by their target), or
+        "pre", "effect" or "frame" (by their action). Results are memoised
+        per Domain object, so the bindings are shared between calls and are
+        read-only: copy one before extending it.
+        """
+        key = (table, atom)
+        hit = self._bound.get(key)
+        if hit is None:
+            hit = self._bound[key] = tuple(
+                (rule, env0) for rule, head in self._heads.get((table, atom.schema), ())
+                if (env0 := match_args(head, atom.args)) is not None)
+        return hit
 
     # Built once per Domain object; dataclasses.replace makes a fresh one.
     @cached_property
-    def _by_schema(self) -> dict[tuple, tuple]:
-        keyed = [(("aspect", r.kind, r.target.schema), r) for r in self.aspect_rules]
-        keyed += [(("effect", e.action.schema), e) for e in self.effects]
-        keyed += [(("pre", p.action.schema), p) for p in self.preconditions]
-        out: dict[tuple, tuple] = {}
-        for key, item in keyed:
-            out[key] = out.get(key, ()) + (item,)
+    def _heads(self) -> dict[tuple[str, str], tuple]:
+        """(table, schema) -> every (rule, head args) of `bound`'s tables."""
+        heads = [(r.kind, r, r.target) for r in self.aspect_rules]
+        heads += [(table, r, r.action) for table, rules in (
+            ("pre", self.preconditions), ("effect", self.effects),
+            ("frame", self.frame_decls)) for r in rules]
+        out: dict[tuple[str, str], tuple] = {}
+        for table, rule, head in heads:
+            key = (table, head.schema)
+            out[key] = out.get(key, ()) + ((rule, head.args),)
         return out
+
+    @cached_property
+    def _bound(self) -> dict:
+        return {}
 
     @cached_property
     def ground_action_list(self) -> tuple:
@@ -329,12 +347,8 @@ def _aspect_combos(domain: Domain, kind: str, atom,
     """Static (aspect, guard-rendering) combinations for a ground atom."""
     # A dict keeps first-seen order and finds duplicates in constant time.
     combos: dict[AspectCombo, None] = {}
-    any_rule = False
-    for rule in domain.rules_for(kind, atom.schema):
-        env0 = match_args(rule.target.args, atom.args)
-        if env0 is None:
-            continue
-        any_rule = True
+    bound = domain.bound(kind, atom)
+    for rule, env0 in bound:
         # The rendering shows the guard under the argument binding only.
         guard_txt = tuple(_render_guard_atom(g, env0) for g in rule.guard)
         groundings = static_guard_groundings(domain, rule.guard, env0)
@@ -354,7 +368,7 @@ def _aspect_combos(domain: Domain, kind: str, atom,
                     elem = memo[key] = instantiate_template((t,), g).elems[0]
                 elems.append(elem)
             combos[AspectPath(tuple(elems)), guard_txt] = None
-    if not any_rule:
+    if not bound:
         errors.append(f"no aspect rule matches {kind} {atom}")
     elif not combos:
         errors.append(f"aspect rules for {kind} {atom} have unsatisfiable guards")
@@ -541,16 +555,13 @@ def check_rule_exclusivity(domain: Domain) -> list[str]:
     renaming of guard-bound variables). Anything weaker is reported.
     """
     problems = []
-    by_target: dict[tuple[str, str], list[AspectRule]] = {}
-    for r in domain.aspect_rules:
-        by_target.setdefault((r.kind, r.target.schema), []).append(r)
-    for (kind, schema), rules in sorted(by_target.items()):
-        for i in range(len(rules)):
-            for j in range(i + 1, len(rules)):
-                if not _statically_exclusive(rules[i], rules[j]):
-                    problems.append(
-                        f"aspect rules for {kind} '{schema}' may overlap: "
-                        f"[{rules[i]}] vs [{rules[j]}]")
+    for (kind, schema), heads in sorted(domain._heads.items()):
+        if kind not in ("fluent", "action"):
+            continue
+        for (r1, _), (r2, _) in itertools.combinations(heads, 2):
+            if not _statically_exclusive(r1, r2):
+                problems.append(f"aspect rules for {kind} '{schema}' may overlap: "
+                                f"[{r1}] vs [{r2}]")
     return problems
 
 

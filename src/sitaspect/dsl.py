@@ -560,43 +560,56 @@ def _render_spec(spec: DisjointnessSpec) -> str:
 # ---------------------------------------------------------------------------
 
 def parse_ground_fluent(text: str, domain: Domain, file: str = "<fluent>") -> GroundFluent:
-    f = _parse_ground_atom(text, file, GroundFluent)
-    check_ground_fluent(domain, f)
-    return f
+    return _parse_ground_atom(text, domain, file, GroundFluent)
 
 
 def parse_ground_action(text: str, domain: Domain, file: str = "<action>") -> GroundAction:
-    a = _parse_ground_atom(text, file, GroundAction)
-    check_ground_action(domain, a)
-    return a
+    return _parse_ground_atom(text, domain, file, GroundAction)
 
 
-def _parse_ground_atom(text: str, file: str, cls):
+def _parse_ground_atom(text: str, domain: Domain, file: str, cls,
+                       line: int = 1, column: int = 1):
+    """The one ground atom of `text`, which starts at `line` and `column`,
+    checked against the domain's schemas and sorts."""
     diags: list[ParseDiagnostic] = []
     lines = list(_tokenize_lines(text))
     if len(lines) != 1:
         raise DslError([ParseDiagnostic(
-            "error", SourceSpan(file, 1, 1, 1),
+            "error", SourceSpan(file, line, column, 1),
             f"expected a single ground atom, got {text!r}")])
     lineno, tokens = lines[0]
-    cur = _Cursor(tokens, file, lineno, diags)
+    if lineno == 1:
+        for tok in tokens:
+            tok.column += column - 1
+    cur = _Cursor(tokens, file, line + lineno - 1, diags)
     try:
         name = cur.name("schema name").text
         args = tuple(_parens(cur, _element, "object", "object"))
         cur.finish()
     except _LineAbort:
         raise DslError(diags) from None
-    return cls(name, args)
+    atom = cls(name, args)
+    (check_ground_fluent if cls is GroundFluent else check_ground_action)(domain, atom)
+    return atom
+
+
+def _placed(text: str, chunks: list[str]):
+    """(item, line, column) for each nonblank chunk, stripped, with the line
+    and column of `text` where it starts; `chunks` split `text` at
+    one-character separators."""
+    offset = 0
+    for chunk in chunks:
+        if chunk.strip():
+            start = offset + len(chunk) - len(chunk.lstrip())
+            yield (chunk.strip(), text.count("\n", 0, start) + 1,
+                   start - text.rfind("\n", 0, start))
+        offset += len(chunk) + 1
 
 
 def parse_actions(text: str, domain: Domain, file: str = "<acts>") -> tuple[GroundAction, ...]:
     """Semicolon-separated ground actions; whitespace-only text means none."""
-    out = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if chunk:
-            out.append(parse_ground_action(chunk, domain, file))
-    return tuple(out)
+    return tuple(_parse_ground_atom(item, domain, file, GroundAction, line, column)
+                 for item, line, column in _placed(text, text.split(";")))
 
 
 def parse_state(text: str, domain: Domain, file: str = "<state>"):
@@ -607,16 +620,14 @@ def parse_state(text: str, domain: Domain, file: str = "<state>"):
     false, placed at their home components.
     """
     given: dict[GroundFluent, bool] = {}
-    for chunk in text.replace("\n", ";").split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        negate = chunk.startswith("!")
-        body = chunk[1:].strip() if negate else chunk
-        f = parse_ground_fluent(body, domain, file)
+    for item, line, column in _placed(text, text.replace("\n", ";").split(";")):
+        negate = item.startswith("!")
+        body = item[1:].lstrip() if negate else item
+        f = _parse_ground_atom(body, domain, file, GroundFluent, line,
+                               column + len(item) - len(body))
         if given.setdefault(f, not negate) == negate:
             raise DslError([ParseDiagnostic(
-                "error", SourceSpan(file, 1, 1, 1),
+                "error", SourceSpan(file, line, column, len(item)),
                 f"fluent '{f}' is given both true and false")])
     return initial_state(domain, [f for f, true in given.items() if true])
 
@@ -702,13 +713,14 @@ def _parse_model_line(b: _ModelBuilder, cur: _Cursor) -> None:
             b.aspect_rels.setdefault(cur.name("aspect atom").text, set())
     elif head.text == "act":
         name = cur.name("action name").text
-        s = known_situation(cur.name("situation"))
+        s_tok = cur.name("situation")
+        s = known_situation(s_tok)
         cur.expect("->")
         t = known_situation(cur.name("situation"))
         cur.finish()
         mapping = b.action_maps.setdefault(name, {})
         if s in mapping:
-            cur.fail(f"action '{name}' maps '{s}' twice")
+            cur.fail(f"action '{name}' maps '{s}' twice", at=s_tok)
         mapping[s] = t
     elif head.text == "val":
         f = cur.name("fluent name").text
@@ -732,10 +744,11 @@ def _parse_model_line(b: _ModelBuilder, cur: _Cursor) -> None:
             b.valuations.setdefault(name_tok.text, set())
     elif head.text in ("witness", "cwitness"):
         f_tok = cur.name("fluent name")
-        formalism = cur.name("formalism").text
+        form_tok = cur.name("formalism")
+        formalism = form_tok.text
         if formalism not in FORMALISMS:
             cur.fail(f"unknown formalism '{formalism}'",
-                     "one of: " + ", ".join(FORMALISMS))
+                     "one of: " + ", ".join(FORMALISMS), at=form_tok)
         key: tuple = (f_tok.text, formalism)
         table = b.witnesses
         if head.text == "cwitness":

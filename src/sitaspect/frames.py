@@ -124,24 +124,17 @@ class FrameDerivation:
 
 def aspect_of_fluent(domain: Domain, state: WorldState, p: GroundFluent) -> AspectPath:
     check_ground_fluent(domain, p)
-    return _aspect_of(domain, state, "fluent", p.schema, p.args, str(p))
+    return _aspect_of(domain, state, "fluent", p)
 
 
 def aspect_of_action(domain: Domain, state: WorldState, a: GroundAction) -> AspectPath:
     check_ground_action(domain, a)
-    return _aspect_of(domain, state, "action", a.schema, a.args, str(a))
+    return _aspect_of(domain, state, "action", a)
 
 
-def _aspect_of(domain: Domain, state: WorldState, kind: str, schema: str,
-               args, label: str) -> AspectPath:
-    rules = domain.rules_for(kind, schema)
-    if not rules:
-        raise MissingAspectError(f"no aspect rule declared for {kind} '{schema}'")
+def _aspect_of(domain: Domain, state: WorldState, kind: str, atom) -> AspectPath:
     matched: list[tuple[AspectRule, list[AspectPath]]] = []
-    for rule in rules:
-        env0 = match_args(rule.target.args, args)
-        if env0 is None:
-            continue
+    for rule, env0 in domain.bound(kind, atom):
         sols = solve_guard(domain, state, rule.guard, env0)
         if not sols:
             continue
@@ -152,15 +145,18 @@ def _aspect_of(domain: Domain, state: WorldState, kind: str, schema: str,
                 aspects.append(asp)
         matched.append((rule, aspects))
     if not matched:
-        raise MissingAspectError(f"no aspect rule applies to {label} in this state")
+        if not any(r.kind == kind and r.target.schema == atom.schema
+                   for r in domain.aspect_rules):
+            raise MissingAspectError(f"no aspect rule declared for {kind} '{atom.schema}'")
+        raise MissingAspectError(f"no aspect rule applies to {atom} in this state")
     if len(matched) > 1:
         raise AmbiguousAspectError(
-            f"multiple aspect rules apply to {label}: "
+            f"multiple aspect rules apply to {atom}: "
             + "; ".join(str(r) for r, _ in matched))
     aspects = matched[0][1]
     if len(aspects) > 1:
         raise AmbiguousAspectError(
-            f"aspect rule for {label} yields several aspects: "
+            f"aspect rule for {atom} yields several aspects: "
             + ", ".join(str(a) for a in aspects))
     return aspects[0]
 
@@ -213,9 +209,8 @@ def _failed_precondition(domain: Domain, state: WorldState,
                          a: GroundAction) -> Optional[tuple[Precondition, dict]]:
     """The first precondition of a whose guard has no solution in `state`,
     with its argument binding, or None when every precondition holds."""
-    for pre in domain.preconditions_for(a.schema):
-        env0 = match_args(pre.action.args, a.args)
-        if env0 is not None and not solve_guard(domain, state, pre.guard, env0):
+    for pre, env0 in domain.bound("pre", a):
+        if not solve_guard(domain, state, pre.guard, env0):
             return pre, env0
     return None
 
@@ -241,10 +236,7 @@ def _net_effects(domain: Domain, state: WorldState,
     """Firing effects of a in `state`, delete-then-add (adds win)."""
     adds: list[GroundFluent] = []
     dels: list[GroundFluent] = []
-    for rule in domain.effects_for(a.schema):
-        env0 = match_args(rule.action.args, a.args)
-        if env0 is None:
-            continue
+    for rule, env0 in domain.bound("effect", a):
         for sol in solve_guard(domain, state, rule.guard, env0):
             target = instantiate_pat(rule.fluent, sol)
             (adds if rule.add else dels).append(target)
@@ -596,24 +588,13 @@ def _bump(counter: dict[str, int], key: str) -> None:
 def _relevant_fluents(domain: Domain, a: GroundAction) -> list[GroundFluent]:
     """Ground guard/precondition fluents that bear on a's firing and aspects."""
     out: set[GroundFluent] = set()
-    for rule in domain.rules_for("action", a.schema):
-        env0 = match_args(rule.target.args, a.args)
-        if env0 is not None:
+    for table in ("action", "pre", "effect"):
+        for rule, env0 in domain.bound(table, a):
             out.update(_guard_fluents(domain, rule.guard, env0))
-    for pre in domain.preconditions_for(a.schema):
-        env0 = match_args(pre.action.args, a.args)
-        if env0 is not None:
-            out.update(_guard_fluents(domain, pre.guard, env0))
-    for eff in domain.effects_for(a.schema):
-        env0 = match_args(eff.action.args, a.args)
-        if env0 is not None:
-            out.update(_guard_fluents(domain, eff.guard, env0))
-            for g in static_guard_groundings(domain, eff.guard, env0):
-                target = instantiate_pat(eff.fluent, g)
-                for frule in domain.rules_for("fluent", target.schema):
-                    fenv = match_args(frule.target.args, target.args)
-                    if fenv is not None:
-                        out.update(_guard_fluents(domain, frule.guard, fenv))
+    for eff, env0 in domain.bound("effect", a):
+        for g in static_guard_groundings(domain, eff.guard, env0):
+            for frule, fenv in domain.bound("fluent", instantiate_pat(eff.fluent, g)):
+                out.update(_guard_fluents(domain, frule.guard, fenv))
     return sorted(out, key=lambda f: f.sort_key())
 
 
@@ -644,12 +625,12 @@ def regress_query(domain: Domain, init: WorldState,
         if disjoint:
             i -= 1
             continue
-        resolved = _effects_on(domain, pre, a, p)
+        resolved = dict(_net_effects(domain, pre, a)).get(p)
         if resolved is not None:
             steps.append(TraceStep(
                 EFFECT_APPLICATION, f"{a} sets {p} to {resolved}"))
             return resolved, ProofTrace(tuple(steps))
-        if _frame_declared(domain, a, p):
+        if _names_fluent(domain, "frame", a, p):
             steps.append(TraceStep(
                 AXIOM_INSTANTIATION, f"declared frame axiom for ({a}, {p})"))
             i -= 1
@@ -673,24 +654,11 @@ def _progression_states(domain: Domain, init: WorldState,
     return states
 
 
-def _effects_on(domain: Domain, state: WorldState, a: GroundAction,
-                p: GroundFluent) -> Optional[bool]:
-    for f, v in _net_effects(domain, state, a):
-        if f == p:
-            return v
-    return None
-
-
-def _frame_declared(domain: Domain, a: GroundAction, p: GroundFluent) -> bool:
-    for decl in domain.frame_decls:
-        env = match_args(decl.action.args, a.args)
-        if decl.action.schema != a.schema or env is None:
-            continue
-        if decl.fluent.schema != p.schema:
-            continue
-        if match_args(decl.fluent.args, p.args, env) is not None:
-            return True
-    return False
+def _names_fluent(domain: Domain, table: str, a: GroundAction, p: GroundFluent) -> bool:
+    """Whether some `table` entry of a ("effect" or "frame") names fluent p."""
+    return any(rule.fluent.schema == p.schema
+               and match_args(rule.fluent.args, p.args, env0) is not None
+               for rule, env0 in domain.bound(table, a))
 
 
 def persistence_proof(domain: Domain, state: WorldState, a: GroundAction,
@@ -751,19 +719,9 @@ def completeness_lint(domain: Domain) -> CompletenessReport:
     uncovered = tuple(
         (a, p) for a, acombos in table.actions for p, fcombos in table.fluents
         if not _always_disjoint(domain.disjointness, fcombos, acombos)
-        and not _frame_declared(domain, a, p)
-        and not _effect_could_target(domain, a, p))
+        and not _names_fluent(domain, "frame", a, p)
+        and not _names_fluent(domain, "effect", a, p))
     return CompletenessReport(uncovered=uncovered)
-
-
-def _effect_could_target(domain: Domain, a: GroundAction, p: GroundFluent) -> bool:
-    for eff in domain.effects_for(a.schema):
-        env0 = match_args(eff.action.args, a.args)
-        if env0 is None or eff.fluent.schema != p.schema:
-            continue
-        if match_args(eff.fluent.args, p.args, env0) is not None:
-            return True
-    return False
 
 
 _ASPECT_SAMPLE_LIMIT = 400

@@ -98,6 +98,19 @@ def test_query_all_modes_agree(capsys):
     assert answers == [True, True, True]
 
 
+@pytest.mark.parametrize("command", [
+    ["query", "--fluent", "clear(a)", "--mode", "aspect"],
+    ["query", "--fluent", "clear(a)", "--mode", "ssa"],
+    ["query", "--fluent", "clear(a)", "--mode", "oracle"],
+    ["simulate"],
+], ids=" ".join)
+def test_inapplicable_step_is_named_in_every_mode(capsys, command):
+    code, out, err = run(capsys, command[0], BLOCKS, "--init", BLOCKS_INIT,
+                         "--acts", "move(a,b); move(b,c)", *command[1:])
+    assert (code, out) == (1, "")
+    assert err == "error: step 2 (move(b,c)): move(b,c): precondition does not hold\n"
+
+
 def test_validate_pass_and_exit_codes(capsys):
     code, out, _ = run(capsys, "validate", HEATER, "--formalism", "rel-exists")
     assert code == 0

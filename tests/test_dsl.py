@@ -287,7 +287,7 @@ def test_ground_atom_diagnostics_are_pinned(text, expected):
 
 @pytest.mark.parametrize("lines, expected", [
     ("witness f nope s0",
-     [f"t.model:4:16: error: unknown formalism 'nope' (one of: {_FORMALISM_LIST})"]),
+     [f"t.model:4:11: error: unknown formalism 'nope' (one of: {_FORMALISM_LIST})"]),
     ("cwitness f coll-rel-exists", ["t.model:4:27: error: unexpected end of line"]),
     ("aspect fluent f ({})", ["t.model:4:19: error: expected atom, found '}'"]),
     ("dpair (a)", ["t.model:4:10: error: unexpected end of line"]),
@@ -296,6 +296,10 @@ def test_ground_atom_diagnostics_are_pinned(text, expected):
      ["t.model:5:10: error: unknown situation 's9'",
       "t.model:1:1: error: action 'go' is not total: no successor for s1 "
       "(add 'act NAME s -> t' lines)"]),
+    ("witness f nope",
+     [f"t.model:4:11: error: unknown formalism 'nope' (one of: {_FORMALISM_LIST})"]),
+    ("act go s0 -> s1\nact go s1 -> s0\nact go s0 -> s0",
+     ["t.model:6:8: error: action 'go' maps 's0' twice"]),
 ])
 def test_model_diagnostics_are_pinned(lines, expected):
     assert _rendered(parse_model, _MODEL_BASE + lines + "\n", file="t.model") == expected
@@ -333,7 +337,27 @@ def test_repeated_model_key_is_rejected(lines, expected):
     assert _rendered(parse_model, _MODEL_BASE + lines + "\n", file="t.model") == [expected]
 
 
-@pytest.mark.parametrize("text", ["on(a,b); !on(a,b)", "!on(a, b); clear(a)\non(a,b)"])
-def test_state_giving_a_fluent_both_ways_is_rejected(blocks, text):
+@pytest.mark.parametrize("text, at", [
+    pytest.param("on(a,b); !on(a,b)", "1:10", id="on(a,b); !on(a,b)"),
+    pytest.param("!on(a, b); clear(a)\non(a,b)", "2:1", id="!on(a, b); clear(a)\non(a,b)"),
+])
+def test_state_giving_a_fluent_both_ways_is_rejected(blocks, text, at):
     assert _rendered(parse_state, text, blocks) == [
-        "<state>:1:1: error: fluent 'on(a,b)' is given both true and false"]
+        f"<state>:{at}: error: fluent 'on(a,b)' is given both true and false"]
+
+
+@pytest.mark.parametrize("parse, text, expected", [
+    (parse_state, "on(a,floor); clear(a); clear(b,",
+     "<state>:1:32: error: unexpected end of line"),
+    (parse_state, "on(a,floor);\n  clear(a); ! clear(b c)",
+     "<state>:2:23: error: expected ')', found 'c'"),
+    (parse_state, "clear(a) # true; clear(b)\n  # only a comment",
+     "<state>:2:3: error: expected a single ground atom, got '# only a comment'"),
+    (parse_actions, "move(a,b);\n  move(b,", "<acts>:2:10: error: unexpected end of line"),
+    (parse_actions, "move(a,b); !move(b,c)",
+     "<acts>:1:12: error: expected schema name, found '!'"),
+    (parse_actions, "move(a,b)\nmove(b,c)",
+     "<acts>:1:1: error: expected a single ground atom, got 'move(a,b)\\nmove(b,c)'"),
+])
+def test_state_and_action_spans_are_placed_in_the_text(blocks, parse, text, expected):
+    assert _rendered(parse, text, blocks) == [expected]

@@ -4,11 +4,23 @@ from __future__ import annotations
 
 import pytest
 
-from sitaspect.domain import ground_actions, initial_state
+from sitaspect.domain import (
+    ActionSchema,
+    AspectRule,
+    Domain,
+    FluentSchema,
+    GuardLiteral,
+    Pat,
+    SortRef,
+    Var,
+    ground_actions,
+    initial_state,
+)
 from sitaspect.dsl import parse_domain, parse_state
 from sitaspect.errors import (
     AmbiguousAspectError,
     InapplicableActionError,
+    MissingAspectError,
     NoProofError,
     UndefinedActionError,
 )
@@ -27,7 +39,7 @@ from sitaspect.frames import (
     regress_query,
 )
 from sitaspect.state import eval_fluent
-from sitaspect.terms import action, fluent, path
+from sitaspect.terms import AspectAtom, action, fluent, path
 from tests.conftest import fixture_text
 
 
@@ -64,6 +76,30 @@ def test_ambiguous_aspect_is_an_error(blocks):
     state = parse_state("on(a,b); on(a,c); clear(a)", blocks)
     with pytest.raises(AmbiguousAspectError):
         aspect_of_action(blocks, state, action("move", "a", "floor"))
+
+
+def test_missing_aspect_errors_name_their_cause():
+    obj = (SortRef("obj"),)
+    x = Var("x")
+    domain = Domain(
+        name="hand", sorts={"obj": ("a", "b")},
+        fluents={"f": FluentSchema("f", obj), "g": FluentSchema("g", obj)},
+        actions={"go": ActionSchema("go", obj)},
+        aspect_rules=(AspectRule("fluent", Pat("f", ("a",)), (AspectAtom("a"),),
+                                 (GuardLiteral(Pat("g", (x,))),)),
+                      AspectRule("action", Pat("go", (x,)), (x,))),
+        effects=())
+    state = initial_state(domain, [])
+    with pytest.raises(MissingAspectError) as exc:
+        aspect_of_fluent(domain, state, fluent("g", "a"))
+    assert str(exc.value) == "no aspect rule declared for fluent 'g'"
+    for f in (fluent("f", "a"), fluent("f", "b")):  # guard fails; no rule matches
+        with pytest.raises(MissingAspectError) as exc:
+            aspect_of_fluent(domain, state, f)
+        assert str(exc.value) == f"no aspect rule applies to {f} in this state"
+    assert aspect_of_fluent(domain, initial_state(domain, [fluent("g", "b")]),
+                            fluent("f", "a")) == path("a")
+    assert aspect_of_action(domain, state, action("go", "b")) == path("b")
 
 
 def test_nosupport_rule_covers_unsupported_blocks(blocks_nosupport):
@@ -388,7 +424,9 @@ def test_rule_exclusivity_exhaustive_over_small_states(blocks_nosupport):
         state = build_state({(): dict(zip(on_a, bits))},
                             schemas=frozenset(domain.fluents))
         firing = 0
-        for rule in domain.rules_for("action", "move"):
+        for rule in domain.aspect_rules:
+            if rule.kind != "action" or rule.target.schema != "move":
+                continue
             env0 = match_args(rule.target.args, a.args)
             if env0 is not None and solve_guard(domain, state, rule.guard, env0):
                 firing += 1
@@ -422,14 +460,15 @@ def test_every_guard_solution_is_a_static_grounding(request, name):
     matched = []
     for p in ground_fluents(domain):
         matched += [(r.guard, match_args(r.target.args, p.args))
-                    for r in domain.rules_for("fluent", p.schema)]
+                    for r in domain.aspect_rules
+                    if r.kind == "fluent" and r.target.schema == p.schema]
     for a in ground_actions(domain):
         matched += [(r.guard, match_args(r.target.args, a.args))
-                    for r in domain.rules_for("action", a.schema)]
+                    for r in domain.aspect_rules
+                    if r.kind == "action" and r.target.schema == a.schema]
         matched += [(r.guard, match_args(r.action.args, a.args))
-                    for r in domain.preconditions_for(a.schema)]
-        matched += [(r.guard, match_args(r.action.args, a.args))
-                    for r in domain.effects_for(a.schema)]
+                    for r in domain.preconditions + domain.effects
+                    if r.action.schema == a.schema]
     statics = [(guard, env0, {frozenset(g.items())
                               for g in static_guard_groundings(domain, guard, env0)})
                for guard, env0 in matched if env0 is not None]

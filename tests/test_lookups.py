@@ -2,9 +2,9 @@
 
 Guard grounding must be duplicate-free, aspect combinations must match a
 whole-template instantiation at every static grounding, a state must find
-a fluent where a walk of its component tree finds it, and a domain's
-per-schema and static-aspect tables must equal the filtered rule tuples
-and be built once per Domain object.
+a fluent where a walk of its component tree finds it, and a domain's rule
+lookups and static-aspect tables must equal the filtered rule tuples and
+be built once per Domain object.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import pytest
 
+import sitaspect.cli
 import sitaspect.domain
 from sitaspect.disjoint import d_eval
 from sitaspect.domain import (
@@ -25,6 +26,7 @@ from sitaspect.domain import (
     solve_guard,
     static_guard_groundings,
 )
+from sitaspect.dsl import parse_domain
 from sitaspect.frames import (
     applicable_actions,
     completeness_lint,
@@ -34,7 +36,13 @@ from sitaspect.frames import (
 )
 from sitaspect.state import WorldState, eval_fluent, home_of, with_fluent
 from sitaspect.terms import fluent
-from tests.conftest import load_domain
+from tests.conftest import (
+    BLOCKS_INIT,
+    DISPLAY_INIT,
+    FIXTURES,
+    ROOMS_INIT,
+    load_domain,
+)
 
 FIXTURE_DOMAINS = ("blocks.dom", "blocks_nosupport.dom", "rooms.dom",
                    "display.dom", "economy.dom")
@@ -272,28 +280,81 @@ def test_with_fluent_derived_states_compare_by_value(blocks, blocks_init):
     assert back == blocks_init
 
 
-# -- per-schema domain tables -----------------------------------------------
+# -- rule lookups per ground atom ---------------------------------------------
 
-def _assert_tables_match(domain):
-    for kind in ("fluent", "action"):
-        for schema in list(domain.fluents) + list(domain.actions) + ["nosuch"]:
-            assert domain.rules_for(kind, schema) == tuple(
-                r for r in domain.aspect_rules
-                if r.kind == kind and r.target.schema == schema)
-    for schema in list(domain.actions) + ["nosuch"]:
-        assert domain.effects_for(schema) == tuple(
-            e for e in domain.effects if e.action.schema == schema)
-        assert domain.preconditions_for(schema) == tuple(
-            p for p in domain.preconditions if p.action.schema == schema)
+_BOUND_TABLES = ("fluent", "action", "pre", "effect", "frame")
+
+
+def _reference_bound(domain, table, atom):
+    """(rule, head binding) for every rule of `table` whose head matches the
+    atom, filtered from the domain's rule tuples in declaration order."""
+    if table in ("fluent", "action"):
+        heads = [(r, r.target) for r in domain.aspect_rules if r.kind == table]
+    else:
+        rules = {"pre": domain.preconditions, "effect": domain.effects,
+                 "frame": domain.frame_decls}[table]
+        heads = [(r, r.action) for r in rules]
+    return tuple((r, env) for r, head in heads if head.schema == atom.schema
+                 and (env := match_args(head.args, atom.args)) is not None)
+
+
+def _assert_bound_matches(domain):
+    atoms = {"fluent": ground_fluents(domain)}
+    for table in _BOUND_TABLES[1:]:
+        atoms[table] = ground_actions(domain)
+    hits = 0
+    for table in _BOUND_TABLES:
+        for atom in atoms[table]:
+            got = domain.bound(table, atom)
+            assert got == _reference_bound(domain, table, atom), (table, atom)
+            hits += len(got)
+    assert hits
 
 
 @pytest.mark.parametrize("name", FIXTURE_DOMAINS)
 def test_domain_tables_equal_filtered_rules(name):
     domain = load_domain(name)
-    _assert_tables_match(domain)
+    _assert_bound_matches(domain)
     reordered = replace(domain, sorts={k: tuple(reversed(v))
                                        for k, v in domain.sorts.items()})
-    _assert_tables_match(reordered)
+    _assert_bound_matches(reordered)
+
+
+def test_bound_returns_one_tuple_per_atom(blocks):
+    a = ground_actions(blocks)[0]
+    first = blocks.bound("effect", a)
+    assert first
+    assert blocks.bound("effect", a) is first
+    assert blocks.bound("effect", type(a)(a.schema, a.args)) is first
+    assert replace(blocks).bound("effect", a) is not first
+
+
+_FIXTURE_INITS = {"blocks.dom": BLOCKS_INIT, "rooms.dom": ROOMS_INIT,
+                  "display.dom": DISPLAY_INIT}
+
+
+@pytest.mark.parametrize("argv", [
+    *(["check", name] for name in FIXTURE_DOMAINS),
+    *(["frames", name] for name in FIXTURE_DOMAINS),
+    *(["compare", name, "--random", "20", "--init", init]
+      for name, init in _FIXTURE_INITS.items()),
+], ids=lambda argv: " ".join(argv[:2]))
+def test_commands_leave_memoised_bindings_unchanged(monkeypatch, capsys, argv):
+    # The bindings `bound` returns are shared between calls; a consumer that
+    # extended one in place would change every later lookup of that atom.
+    loaded = []
+
+    def recording(text, file):
+        loaded.append(parse_domain(text, file=file))
+        return loaded[-1]
+
+    monkeypatch.setattr(sitaspect.cli, "parse_domain", recording)
+    argv = [str(FIXTURES / a) if a.endswith(".dom") else a for a in argv]
+    assert sitaspect.cli.main(argv) == 0, capsys.readouterr().err
+    [domain] = loaded
+    assert domain._bound
+    for (table, atom), hits in domain._bound.items():
+        assert hits == _reference_bound(domain, table, atom), (table, atom)
 
 
 def test_applicable_actions_follow_a_replaced_universe(blocks, blocks_init):
