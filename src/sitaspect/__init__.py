@@ -33,7 +33,7 @@ from .frames import (
 )
 from .reiter import compare_modes, compile_ssa, ssa_query
 from .search import reproduce_commutative_pitfall, search_counterexample
-from .state import WorldState, eval_fluent, resolve_component, with_fluent
+from .state import WorldState, eval_fluent, with_fluent
 from .terms import AspectAtom, AspectPath, AspectSet, GroundAction, GroundFluent, action, fluent, path
 from .validator import (
     FORMALISMS,
@@ -50,7 +50,7 @@ __all__ = [
     "FORMALISMS",
     "action", "fluent", "path",
     "elem_disjoint", "d_eval", "canonicalize", "check_monotonicity",
-    "resolve_component", "eval_fluent", "with_fluent", "initial_state",
+    "eval_fluent", "with_fluent", "initial_state",
     "aspect_of_fluent", "aspect_of_action", "intersects",
     "derive_frame_axioms", "check_aspect_soundness", "progress",
     "regress_query", "persistence_proof",

@@ -315,6 +315,10 @@ def _cmd_compare(args) -> int:
             fluent = parse_ground_fluent(parts[2].strip(), domain)
             workload.append((init, acts, fluent))
     elif args.random:
+        if args.random < 1:
+            print(f"error: --random must be at least 1, got {args.random}",
+                  file=sys.stderr)
+            return 3
         if not args.init:
             print("error: --random needs --init", file=sys.stderr)
             return 3

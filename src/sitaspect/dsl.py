@@ -563,10 +563,6 @@ def parse_ground_fluent(text: str, domain: Domain, file: str = "<fluent>") -> Gr
     return _parse_ground_atom(text, domain, file, GroundFluent)
 
 
-def parse_ground_action(text: str, domain: Domain, file: str = "<action>") -> GroundAction:
-    return _parse_ground_atom(text, domain, file, GroundAction)
-
-
 def _parse_ground_atom(text: str, domain: Domain, file: str, cls,
                        line: int = 1, column: int = 1):
     """The one ground atom of `text`, which starts at `line` and `column`,
@@ -593,12 +589,14 @@ def _parse_ground_atom(text: str, domain: Domain, file: str, cls,
     return atom
 
 
-def _placed(text: str, chunks: list[str]):
-    """(item, line, column) for each nonblank chunk, stripped, with the line
-    and column of `text` where it starts; `chunks` split `text` at
-    one-character separators."""
+def _placed(text: str, separators: str):
+    """(item, line, column) for each nonblank item of `text` split at any of
+    the one-character `separators`, stripped, with the line and column of
+    `text` where it starts. A `#` comment runs to the end of its line and is
+    blanked before splitting, so no separator inside it counts."""
+    text = re.sub(r"#.*", lambda m: " " * len(m.group()), text)
     offset = 0
-    for chunk in chunks:
+    for chunk in re.split(f"[{separators}]", text):
         if chunk.strip():
             start = offset + len(chunk) - len(chunk.lstrip())
             yield (chunk.strip(), text.count("\n", 0, start) + 1,
@@ -609,7 +607,7 @@ def _placed(text: str, chunks: list[str]):
 def parse_actions(text: str, domain: Domain, file: str = "<acts>") -> tuple[GroundAction, ...]:
     """Semicolon-separated ground actions; whitespace-only text means none."""
     return tuple(_parse_ground_atom(item, domain, file, GroundAction, line, column)
-                 for item, line, column in _placed(text, text.split(";")))
+                 for item, line, column in _placed(text, ";"))
 
 
 def parse_state(text: str, domain: Domain, file: str = "<state>"):
@@ -620,7 +618,7 @@ def parse_state(text: str, domain: Domain, file: str = "<state>"):
     false, placed at their home components.
     """
     given: dict[GroundFluent, bool] = {}
-    for item, line, column in _placed(text, text.replace("\n", ";").split(";")):
+    for item, line, column in _placed(text, ";\n"):
         negate = item.startswith("!")
         body = item[1:].lstrip() if negate else item
         f = _parse_ground_atom(body, domain, file, GroundFluent, line,

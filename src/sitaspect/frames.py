@@ -262,7 +262,7 @@ def applicable_actions(domain: Domain, state: WorldState) -> list[GroundAction]:
 def reachable_states(domain: Domain, init: WorldState,
                      max_depth: int) -> list[WorldState]:
     """All states reachable from init by applicable sequences of length <= max_depth."""
-    seen = {init.key()}
+    seen = {init}
     frontier = [init]
     out = [init]
     for _ in range(max_depth):
@@ -273,9 +273,8 @@ def reachable_states(domain: Domain, init: WorldState,
                     s2 = progress(domain, s, a)
                 except UndefinedActionError:
                     continue
-                key = s2.key()
-                if key not in seen:
-                    seen.add(key)
+                if s2 not in seen:
+                    seen.add(s2)
                     nxt.append(s2)
                     out.append(s2)
         frontier = nxt

@@ -55,7 +55,8 @@ PINNED_INITS = {"BLOCKS_INIT": BLOCKS_INIT, "DISPLAY_INIT": DISPLAY_INIT,
 
 def _pinned_id(pinned) -> str:
     argv = pinned["argv"]
-    return " ".join(argv[:2]) + (" --universe" if "--universe" in argv else "")
+    return (" ".join(argv[:2]) + (" --universe" if "--universe" in argv else "")
+            + ("" if "--report" in argv else " text"))
 
 
 @pytest.mark.parametrize("pinned", PINNED_REPORTS,
@@ -187,6 +188,13 @@ def test_compare_random_workload(capsys):
                        "--seed", "5", "--init", BLOCKS_INIT)
     assert code == 0
     assert "all agree: True" in out
+
+
+def test_compare_rejects_a_random_count_below_one(capsys):
+    code, out, err = run(capsys, "compare", BLOCKS, "--random", "-3",
+                         "--init", BLOCKS_INIT)
+    assert (code, out) == (3, "")
+    assert err == "error: --random must be at least 1, got -3\n"
 
 
 def test_compare_detects_unsound_domain(tmp_path, capsys):

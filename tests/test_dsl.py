@@ -351,8 +351,8 @@ def test_state_giving_a_fluent_both_ways_is_rejected(blocks, text, at):
      "<state>:1:32: error: unexpected end of line"),
     (parse_state, "on(a,floor);\n  clear(a); ! clear(b c)",
      "<state>:2:23: error: expected ')', found 'c'"),
-    (parse_state, "clear(a) # true; clear(b)\n  # only a comment",
-     "<state>:2:3: error: expected a single ground atom, got '# only a comment'"),
+    (parse_state, "clear(a) # ; x\n  clear(b c)",
+     "<state>:2:11: error: expected ')', found 'c'"),
     (parse_actions, "move(a,b);\n  move(b,", "<acts>:2:10: error: unexpected end of line"),
     (parse_actions, "move(a,b); !move(b,c)",
      "<acts>:1:12: error: expected schema name, found '!'"),
@@ -361,3 +361,20 @@ def test_state_giving_a_fluent_both_ways_is_rejected(blocks, text, at):
 ])
 def test_state_and_action_spans_are_placed_in_the_text(blocks, parse, text, expected):
     assert _rendered(parse, text, blocks) == [expected]
+
+
+@pytest.mark.parametrize("text, true, false", [
+    ("clear(a) # true; clear(b)\n  # only a comment", "clear(a)", "clear(b)"),
+    ("clear(a)\n# the rest are false", "clear(a)", "clear(b)"),
+    ("on(a,floor); clear(c) # ; clear(floor)", "clear(c)", "clear(floor)"),
+])
+def test_state_comments_run_to_the_end_of_the_line(blocks, text, true, false):
+    state = parse_state(text, blocks)
+    assert eval_fluent(state, parse_ground_fluent(true, blocks)) is True
+    assert eval_fluent(state, parse_ground_fluent(false, blocks)) is False
+
+
+def test_action_comments_run_to_the_end_of_the_line(blocks):
+    assert [str(a) for a in parse_actions("move(a,b); # note", blocks)] == ["move(a,b)"]
+    assert [str(a) for a in parse_actions("move(a,b) # ; move(b,c)\n;move(c,a)",
+                                          blocks)] == ["move(a,b)", "move(c,a)"]

@@ -1,8 +1,8 @@
 """Lookups the query path relies on, checked against naive references.
 
 Guard grounding must be duplicate-free, aspect combinations must match a
-whole-template instantiation at every static grounding, a state must find
-a fluent where a walk of its component tree finds it, and a domain's rule
+whole-template instantiation at every static grounding, a state must place
+each fluent at the home its domain declares, and a domain's rule
 lookups and static-aspect tables must equal the filtered rule tuples and
 be built once per Domain object.
 """
@@ -34,8 +34,8 @@ from sitaspect.frames import (
     reachable_states,
     static_aspect_samples,
 )
-from sitaspect.state import WorldState, eval_fluent, home_of, with_fluent
-from sitaspect.terms import fluent
+from sitaspect.state import eval_fluent, home_of, with_fluent
+from sitaspect.terms import AspectAtom, fluent
 from tests.conftest import (
     BLOCKS_INIT,
     DISPLAY_INIT,
@@ -220,22 +220,21 @@ def test_static_aspects_follow_a_replaced_universe(name):
 
 # -- the fluent home index --------------------------------------------------
 
-def _walk_home(state, p):
-    """Depth-first search of the component tree for p's node."""
-    stack = [((), state.root)]
-    while stack:
-        prefix, node = stack.pop()
-        if p in node.local:
-            return prefix, node.local[p]
-        stack += [(prefix + (atom,), child) for atom, child in node.children.items()]
-    return None, None
+def _reference_home(domain, p, only=None):
+    """p's home path by `domain.homes`, or None when `only` leaves it out."""
+    names = domain.homes.get(p.schema, ())
+    if only is not None and not any(names[:len(c)] == c for c in only):
+        return None
+    return tuple(AspectAtom(n) for n in names)
 
 
-def _assert_index_agrees(domain, state):
-    for p in ground_fluents(domain):
-        home, value = _walk_home(state, p)
+def _assert_index_agrees(domain, state, only=None):
+    homes = {p: _reference_home(domain, p, only) for p in ground_fluents(domain)}
+    for p, home in homes.items():
         assert home_of(state, p) == home, p
-        assert eval_fluent(state, p) is value, p
+        assert (eval_fluent(state, p) is None) is (home is None), p
+    assert {f: home for f, _, home in state.fluents()} == {
+        p: home for p, home in homes.items() if home is not None}
 
 
 @pytest.mark.parametrize("name", ["blocks", "rooms", "display"])
@@ -255,21 +254,13 @@ def test_home_index_agrees_along_with_fluent_chain(display, display_init):
 
 
 def test_home_index_on_restricted_state(display):
+    only = [("computer", "display")]
     state = initial_state(display, [fluent("pixel_lit", "p1"), fluent("door_open")],
-                          only=[("computer", "display")])
-    _assert_index_agrees(display, state)
+                          only=only)
+    _assert_index_agrees(display, state, only)
     assert home_of(state, fluent("door_open")) is None
     state2 = with_fluent(state, fluent("pixel_lit", "p2"), True)
-    _assert_index_agrees(display, state2)
-
-
-def test_home_index_on_hand_built_state(display, display_init):
-    computer = display_init.root.children[home_of(
-        display_init, fluent("pixel_lit", "p1"))[0]]
-    state = WorldState(root=computer)
-    _assert_index_agrees(display, state)
-    assert [a.name for a in home_of(state, fluent("cell_set", "m1"))] == ["memory"]
-    assert eval_fluent(state, fluent("window_open")) is None
+    _assert_index_agrees(display, state2, only)
 
 
 def test_with_fluent_derived_states_compare_by_value(blocks, blocks_init):
@@ -277,7 +268,7 @@ def test_with_fluent_derived_states_compare_by_value(blocks, blocks_init):
     there = with_fluent(blocks_init, p, False)
     back = with_fluent(there, p, True)
     assert there != blocks_init
-    assert back == blocks_init
+    assert back == blocks_init and hash(back) == hash(blocks_init)
 
 
 # -- rule lookups per ground atom ---------------------------------------------

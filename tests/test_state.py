@@ -1,54 +1,18 @@
-"""Hierarchical state addressing and persistent fluent updates."""
+"""Fluent lookups, persistent updates and state values."""
 
 from __future__ import annotations
 
-import itertools
+import hashlib
 
 import pytest
 
 from sitaspect.domain import ground_fluents, initial_state
+from sitaspect.dsl import parse_state
 from sitaspect.errors import SchemaError, UndefinedPortionError
-from sitaspect.state import (
-    build_state,
-    eval_fluent,
-    resolve_component,
-    with_fluent,
-)
-from sitaspect.terms import fluent, path
-
-
-def binary_tree_state(depth: int):
-    placements = {}
-    for level in range(depth + 1):
-        for bits in itertools.product("01", repeat=level):
-            placements[bits] = {}
-    return build_state(placements)
-
-
-def test_resolve_empty_path_is_root():
-    s = binary_tree_state(2)
-    assert resolve_component(s, path()) is s.root
-
-
-def test_resolve_binary_tree_right_right():
-    # (1,1) addresses the right subtree of the right subtree.
-    s = binary_tree_state(2)
-    node = resolve_component(s, path("1", "1"))
-    assert node is s.root.children[_atom("1")].children[_atom("1")]
-
-
-def test_resolve_missing_child_is_undefined():
-    s = build_state({("r1",): {}, ("r2",): {}, ("r3",): {}, ("r4",): {}})
-    assert resolve_component(s, path("r9")) is None
-
-
-def test_resolve_composes_stepwise():
-    s = binary_tree_state(3)
-    from sitaspect.state import WorldState
-
-    mid = resolve_component(s, path("1"))
-    rest = resolve_component(WorldState(root=mid), path("0", "1"))
-    assert rest is resolve_component(s, path("1", "0", "1"))
+from sitaspect.frames import reachable_states
+from sitaspect.state import build_state, eval_fluent, with_fluent
+from sitaspect.terms import fluent
+from tests.conftest import BLOCKS_INIT
 
 
 def test_eval_fluent_direct_lookup(blocks, blocks_init):
@@ -111,7 +75,32 @@ def test_with_fluent_locality_exhaustive(blocks, blocks_init):
             assert eval_fluent(flipped, other) is expected
 
 
-def _atom(name):
-    from sitaspect.terms import AspectAtom
 
-    return AspectAtom(name)
+@pytest.mark.parametrize("name, count, digest", [
+    ("blocks", 36, "da2817c673975389"),
+    ("rooms", 147, "b1ea21f49529de60"),
+    ("display", 70, "03cbaa228a5bcf65"),
+])
+def test_reachable_states_are_pinned(request, name, count, digest):
+    # Count, order and true fluents of every state within three steps.
+    domain = request.getfixturevalue(name)
+    states = reachable_states(domain, request.getfixturevalue(f"{name}_init"), 3)
+    text = "\n".join(" ".join(str(p) for p in ground_fluents(domain)
+                              if eval_fluent(s, p)) for s in states)
+    assert len(states) == count
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def test_equal_states_hash_equal(blocks, blocks_init):
+    again = parse_state(BLOCKS_INIT, blocks)
+    assert again == blocks_init and hash(again) == hash(blocks_init)
+
+
+def test_states_are_set_members(blocks, blocks_init):
+    flipped = [with_fluent(blocks_init, p, not eval_fluent(blocks_init, p))
+               for p in ground_fluents(blocks)]
+    again = [with_fluent(s, p, eval_fluent(s, p))
+             for s, p in zip(flipped, ground_fluents(blocks))]
+    members = {blocks_init, *flipped}
+    assert len(members) == len(flipped) + 1
+    assert all(s in members for s in again)
