@@ -29,6 +29,7 @@ from .frames import (
     intersects,
     persistence_proof,
     progress,
+    progression,
     regress_query,
 )
 from .reiter import compare_modes, compile_ssa, ssa_query
@@ -53,7 +54,7 @@ __all__ = [
     "eval_fluent", "with_fluent", "initial_state",
     "aspect_of_fluent", "aspect_of_action", "intersects",
     "derive_frame_axioms", "check_aspect_soundness", "progress",
-    "regress_query", "persistence_proof",
+    "progression", "regress_query", "persistence_proof",
     "compile_ssa", "ssa_query", "compare_modes",
     "modal_eval", "check_premises", "check_noninterference", "verify_theorem",
     "check_commutativity", "search_counterexample", "reproduce_commutative_pitfall",

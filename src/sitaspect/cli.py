@@ -20,16 +20,17 @@ from .dsl import parse_actions, parse_domain, parse_ground_fluent, parse_model, 
 from .domain import Domain
 from .errors import CrossModeSoundnessError, DslError, SchemaError, SitAspectError
 from .frames import (
-    _progression_states,
     check_aspect_soundness,
     completeness_lint,
     derive_frame_axioms,
+    progression,
     regress_query,
     static_aspect_samples,
 )
-from .reiter import (INSUFFICIENT_AXIOMS, _oracle, compare_modes, compile_ssa,
+from .reiter import (INSUFFICIENT_AXIOMS, compare_modes, compile_ssa,
                      random_workload, ssa_query)
 from .search import reproduce_commutative_pitfall, search_counterexample
+from .state import eval_fluent
 from .validator import FORMALISMS, verify_theorem
 
 
@@ -63,7 +64,8 @@ def _build_parser() -> _Parser:
     p = add("simulate", "progress an action sequence and dump the final state")
     p.add_argument("domain")
     p.add_argument("--init", required=True, help="state items, or @file")
-    p.add_argument("--acts", default="", help="semicolon-separated actions")
+    p.add_argument("--acts", default="",
+                   help="actions separated by ';' or newlines, or @file")
 
     p = add("query", "answer a fluent query about an action sequence")
     p.add_argument("domain")
@@ -255,7 +257,7 @@ def _cmd_simulate(args) -> int:
     domain = _load_domain(args.domain)
     state = parse_state(_read(args.init), domain)
     acts = parse_actions(_read(args.acts), domain)
-    state = _progression_states(domain, state, acts)[-1]
+    state = progression(domain, state, acts)[-1]
     items = []
     for f, value, prefix in state.fluents():
         where = "/".join(a.name for a in prefix) or "."
@@ -275,14 +277,15 @@ def _cmd_query(args) -> int:
     init = parse_state(_read(args.init), domain)
     acts = parse_actions(_read(args.acts), domain)
     p = parse_ground_fluent(args.fluent, domain)
+    states = progression(domain, init, acts)
     if args.mode == "aspect":
-        value, trace = regress_query(domain, init, acts, p)
+        value, trace = regress_query(domain, states, acts, p)
         trace_lines = [str(s) for s in trace.steps]
     elif args.mode == "ssa":
-        value, trace = ssa_query(compile_ssa(domain), init, acts, p)
+        value, trace = ssa_query(compile_ssa(domain), states, acts, p)
         trace_lines = [str(s) for s in trace.steps]
     else:
-        value = _oracle(domain, init, acts, p)
+        value = eval_fluent(states[-1], p)
         trace_lines = []
     rendered = ("undefined" if value is None
                 else "insufficient-axioms" if value is INSUFFICIENT_AXIOMS

@@ -223,6 +223,10 @@ class Domain:
         return {}
 
     @cached_property
+    def _pool_ranks(self) -> dict:
+        return {}
+
+    @cached_property
     def ground_action_list(self) -> tuple:
         """`ground_actions(self)`, enumerated once per Domain object."""
         return tuple(ground_actions(self))
@@ -387,13 +391,18 @@ def _render_guard_atom(atom: GuardAtom, env: dict) -> str:
     return ("" if atom.positive else "!") + f"{atom.fluent.schema}({args})"
 
 
-def _literal_candidates(domain: Domain, lit_pat: Pat, env: dict) -> Iterator[dict]:
-    """Groundings of a literal's unbound variables over its schema's sorts."""
+def _guard_schema(domain: Domain, lit_pat: Pat) -> FluentSchema:
     schema = domain.fluents.get(lit_pat.schema)
     if schema is None:
         raise SchemaError(f"guard refers to unknown fluent '{lit_pat.schema}'")
     if len(schema.params) != len(lit_pat.args):
         raise SchemaError(f"arity mismatch in guard literal {lit_pat}")
+    return schema
+
+
+def _literal_candidates(domain: Domain, lit_pat: Pat, env: dict) -> Iterator[dict]:
+    """Groundings of a literal's unbound variables over its schema's sorts."""
+    schema = _guard_schema(domain, lit_pat)
     pools = []
     free: list[str] = []
     for pa, ref in zip(lit_pat.args, schema.params):
@@ -411,13 +420,59 @@ def _literal_candidates(domain: Domain, lit_pat: Pat, env: dict) -> Iterator[dic
         yield out
 
 
+def _true_groundings(domain: Domain, lit_pat: Pat, env: dict,
+                     state: WorldState) -> list[dict]:
+    """The groundings of `_literal_candidates`, in its order, whose fluent is
+    true in `state`, bound from the state's true facts of the schema."""
+    schema = _guard_schema(domain, lit_pat)
+    # Each argument under env; a variable env leaves free stays a Var.
+    values = tuple([env.get(a.name, a) if isinstance(a, Var) else a
+                    for a in lit_pat.args])
+    free = [i for i, v in enumerate(values) if isinstance(v, Var)]
+    if not free:
+        true = eval_fluent(state, GroundFluent(lit_pat.schema, values)) is True
+        return [env] if true else []
+    if state.schemas is not None and lit_pat.schema not in state.schemas:
+        raise SchemaError(f"unknown fluent schema '{lit_pat.schema}'")
+    first: dict[str, int] = {}  # free variable -> its first position
+    for i in free:
+        first.setdefault(values[i].name, i)
+    fixed = [(i, v) for i, v in enumerate(values) if not isinstance(v, Var)]
+    same = [(i, first[values[i].name]) for i in free if first[values[i].name] != i]
+    pools = [(i, _pool_ranks(domain, schema.params[i])) for i in first.values()]
+    rows = []
+    for args in state.facts_index.get(lit_pat.schema, ()):
+        if any(args[i] != v for i, v in fixed) or any(args[i] != args[j] for i, j in same):
+            continue
+        # A fact with an argument outside its variable's pool is no candidate.
+        ranks = tuple(pool.get(args[i]) for i, pool in pools)
+        if None not in ranks:
+            rows.append((ranks, args))
+    # Pool positions order the solutions as the sort product does.
+    rows.sort(key=lambda row: row[0])
+    return [{**env, **{name: args[i] for name, i in first.items()}} for _, args in rows]
+
+
+def _pool_ranks(domain: Domain, ref: SortRef) -> dict:
+    """Each term of `arg_candidates(domain, ref)` -> its index there."""
+    ranks = domain._pool_ranks.get(ref)
+    if ranks is None:
+        ranks = domain._pool_ranks[ref] = {
+            t: i for i, t in enumerate(arg_candidates(domain, ref))}
+    return ranks
+
+
 def solve_guard(domain: Domain, state: WorldState, guard: Guard,
                 env: dict) -> list[dict]:
     """All extensions of `env` satisfying the guard conjunction in `state`.
 
-    Positive literals must evaluate to True; negative literals with unbound
-    variables read as negated existentials (no grounding may be True).
-    Results are deterministic and duplicate-free.
+    A positive literal binds its free variables from the state's true facts
+    of its schema that match it (see `WorldState.facts_index`); a fact with
+    an argument outside its variable's sort is no solution. A negated
+    literal with unbound variables reads as a negated existential: no
+    matching true fact. Solutions come out in sort-product order, as if
+    each free variable ran over `arg_candidates` of its sort, the first one
+    slowest, and are duplicate-free.
     """
     return _ground_guard(domain, guard, env, state)
 
@@ -466,16 +521,14 @@ def _ground_guard(domain: Domain, guard: Guard, env: dict,
                         nxt.append(e2)
                 elif _resolve_arg(atom.member, e) in coll:
                     nxt.append(e)
+        elif state is None:
+            nxt = [e2 for e in envs for e2 in _literal_candidates(
+                domain, atom.fluent, e)] if atom.positive else envs
         elif atom.positive:
             for e in envs:
-                for e2 in _literal_candidates(domain, atom.fluent, e):
-                    if state is None or \
-                            eval_fluent(state, instantiate_pat(atom.fluent, e2)) is True:
-                        nxt.append(e2)
+                nxt += _true_groundings(domain, atom.fluent, e, state)
         else:
-            nxt = [e for e in envs if state is None or not any(
-                eval_fluent(state, instantiate_pat(atom.fluent, e2)) is True
-                for e2 in _literal_candidates(domain, atom.fluent, e))]
+            nxt = [e for e in envs if not _true_groundings(domain, atom.fluent, e, state)]
         envs = nxt
     return envs
 

@@ -605,9 +605,10 @@ def _placed(text: str, separators: str):
 
 
 def parse_actions(text: str, domain: Domain, file: str = "<acts>") -> tuple[GroundAction, ...]:
-    """Semicolon-separated ground actions; whitespace-only text means none."""
+    """Ground actions separated by ';' or newlines; whitespace-only text
+    means none."""
     return tuple(_parse_ground_atom(item, domain, file, GroundAction, line, column)
-                 for item, line, column in _placed(text, ";"))
+                 for item, line, column in _placed(text, ";\n"))
 
 
 def parse_state(text: str, domain: Domain, file: str = "<state>"):

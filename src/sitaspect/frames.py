@@ -601,16 +601,17 @@ def _relevant_fluents(domain: Domain, a: GroundAction) -> list[GroundFluent]:
 # Regression and persistence proofs
 # ---------------------------------------------------------------------------
 
-def regress_query(domain: Domain, init: WorldState,
+def regress_query(domain: Domain, states: Sequence[WorldState],
                   acts: Sequence[GroundAction], p: GroundFluent):
     """Evaluate p after `acts` by regressing through the non-interference axiom.
 
-    Returns (True|False|None, ProofTrace). A step either persists by one
-    d-evaluation, resolves through an effect rule, persists by an explicitly
-    declared frame axiom, or leaves the query undefined.
+    `states` is the progression of `acts`, `progression(domain, init, acts)`;
+    each step reads the state before its action. Returns (True|False|None,
+    ProofTrace). A step either persists by one d-evaluation, resolves through
+    an effect rule, persists by an explicitly declared frame axiom, or leaves
+    the query undefined.
     """
     check_ground_fluent(domain, p)
-    states = _progression_states(domain, init, acts)
     steps: list[TraceStep] = []
     i = len(acts)
     while i > 0:
@@ -637,13 +638,15 @@ def regress_query(domain: Domain, init: WorldState,
         steps.append(TraceStep(
             NO_AXIOM, f"{p} intersects {a} and no axiom resolves it"))
         return None, ProofTrace(tuple(steps))
-    value = eval_fluent(init, p)
+    value = eval_fluent(states[0], p)
     steps.append(TraceStep(INIT_LOOKUP, f"{p} = {value} in the initial state"))
     return value, ProofTrace(tuple(steps))
 
 
-def _progression_states(domain: Domain, init: WorldState,
-                        acts: Sequence[GroundAction]) -> list[WorldState]:
+def progression(domain: Domain, init: WorldState,
+                acts: Sequence[GroundAction]) -> list[WorldState]:
+    """init and the state after each of `acts`, progressed one by one; a
+    failed step raises with its 1-based index and action."""
     states = [init]
     for idx, a in enumerate(acts):
         try:

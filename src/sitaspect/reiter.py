@@ -21,10 +21,10 @@ from .frames import (
     INIT_LOOKUP,
     ProofTrace,
     TraceStep,
-    _progression_states,
     applicable_actions,
     derive_frame_axioms,
     progress,
+    progression,
     regress_query,
 )
 from .state import WorldState, eval_fluent
@@ -112,19 +112,20 @@ def _entry_fires(domain: Domain, state: WorldState, entry: SSAEntry,
     return bool(solve_guard(domain, state, entry.condition, env))
 
 
-def ssa_query(ssas: SSASet, init: WorldState, acts: Sequence[GroundAction],
-              p: GroundFluent):
+def ssa_query(ssas: SSASet, states: Sequence[WorldState],
+              acts: Sequence[GroundAction], p: GroundFluent):
     """Evaluate p after `acts` through the successor state axioms.
 
-    Returns (value, ProofTrace). Wherever persistence is used, the trace
-    carries one equality check per negative entry of p's axiom.
+    `states` is the progression of `acts`, `progression(domain, init, acts)`;
+    each step reads the state before its action. Returns (value,
+    ProofTrace). Wherever persistence is used, the trace carries one
+    equality check per negative entry of p's axiom.
     """
     domain = ssas.domain
     if any(a.schema not in ssas.covered for a in acts):
         return INSUFFICIENT_AXIOMS, ProofTrace(())
     if p.schema not in ssas.axioms:
         return INSUFFICIENT_AXIOMS, ProofTrace(())
-    states = _progression_states(domain, init, acts)  # also checks Poss
     ssa = ssas.axioms[p.schema]
     steps: list[TraceStep] = []
     i = len(acts)
@@ -147,7 +148,7 @@ def ssa_query(ssas: SSASet, init: WorldState, acts: Sequence[GroundAction],
                                    f"a negative entry makes {p} false after {a}"))
             return False, ProofTrace(tuple(steps))
         i -= 1  # persistence: no entry fired
-    value = eval_fluent(init, p)
+    value = eval_fluent(states[0], p)
     steps.append(TraceStep(INIT_LOOKUP, f"{p} = {value} in the initial state"))
     return value, ProofTrace(tuple(steps))
 
@@ -183,6 +184,9 @@ def compare_modes(domain: Domain,
                   workload: Sequence[tuple[WorldState, Sequence[GroundAction], GroundFluent]] = ()) -> ComparisonReport:
     """Run each workload query in aspect, SSA, and oracle mode and compare.
 
+    Each query is progressed once, by the oracle; the other two modes read
+    its states.
+
     Raises CrossModeSoundnessError on the first disagreement among defined
     results, carrying the offending query as a witness.
     """
@@ -194,9 +198,9 @@ def compare_modes(domain: Domain,
     comparable = 0
     for init, acts, p in workload:
         acts = tuple(acts)
-        aspect_value, aspect_trace = regress_query(domain, init, acts, p)
-        ssa_value, ssa_trace = ssa_query(ssas, init, acts, p)
-        oracle_value = _oracle(domain, init, acts, p)
+        oracle_value, states = _oracle(domain, init, acts, p)
+        aspect_value, aspect_trace = regress_query(domain, states, acts, p)
+        ssa_value, ssa_trace = ssa_query(ssas, states, acts, p)
         defined = [v for v in (aspect_value, ssa_value, oracle_value)
                    if isinstance(v, bool)]
         agree = len(set(defined)) <= 1
@@ -221,8 +225,9 @@ def compare_modes(domain: Domain,
 
 
 def _oracle(domain: Domain, init: WorldState, acts, p: GroundFluent):
-    states = _progression_states(domain, init, acts)
-    return eval_fluent(states[-1], p)
+    """p in the last state of the progression of `acts`, with the progression."""
+    states = progression(domain, init, acts)
+    return eval_fluent(states[-1], p), states
 
 
 _WALK_LIMIT = 4
@@ -233,17 +238,24 @@ def random_workload(domain: Domain, init: WorldState, count: int, seed: int):
     with random query fluents."""
     rng = random.Random(seed)
     fluents = ground_fluents(domain)
+    # Walks share their states, so each state's options and each step's
+    # successor are computed once per workload.
+    options_of: dict[WorldState, list[GroundAction]] = {}
+    successor: dict[tuple[WorldState, GroundAction], WorldState] = {}
     out = []
     for _ in range(count):
         length = rng.randint(0, _WALK_LIMIT)
         state = init
         acts: list[GroundAction] = []
         for _ in range(length):
-            options = applicable_actions(domain, state)
-            if not options:
+            if state not in options_of:
+                options_of[state] = applicable_actions(domain, state)
+            if not options_of[state]:
                 break
-            a = rng.choice(options)
+            a = rng.choice(options_of[state])
             acts.append(a)
-            state = progress(domain, state, a)
+            if (state, a) not in successor:
+                successor[state, a] = progress(domain, state, a)
+            state = successor[state, a]
         out.append((init, tuple(acts), rng.choice(fluents)))
     return out

@@ -9,11 +9,20 @@ origin's home map.
 A fluent evaluates to True/False when its home component is part of the
 state, and to None ("undefined") when the state models only a portion of
 the world that does not include it.
+
+Guard solving reads a state through its facts index: for each fluent
+schema, the argument tuples of its true facts. It is built from `facts` on
+first use and is not part of the value, so equality and hashing read
+`facts` only. A positive guard literal binds its free variables from the
+matching true facts, a negated one with unbound variables holds when no
+true fact matches, and the solutions come out in sort-product order,
+whatever order the index lists the facts in (see `domain.solve_guard`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Mapping, Optional
 
 from .errors import SchemaError, UndefinedPortionError
@@ -36,6 +45,14 @@ class WorldState:
         for f in sorted(self.homes, key=lambda f: (
                 tuple(a.name for a in self.homes[f]), f.sort_key())):
             yield f, f in self.facts, self.homes[f]
+
+    @cached_property
+    def facts_index(self) -> dict[str, list[tuple]]:
+        """Fluent schema -> the argument tuples of its true facts."""
+        index: dict[str, list[tuple]] = {}
+        for f in self.facts:
+            index.setdefault(f.schema, []).append(f.args)
+        return index
 
 
 def build_state(

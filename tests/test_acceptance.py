@@ -20,6 +20,7 @@ from sitaspect.frames import (
     derive_frame_axioms,
     persistence_proof,
     progress,
+    progression,
     reachable_states,
 )
 from sitaspect.reiter import compare_modes, compile_ssa, random_workload, ssa_query
@@ -195,7 +196,7 @@ def test_criterion_09_trace_economy(capsys):
         trace = persistence_proof(domain, init, act, p, mode="aspect")
         assert len(trace) == 4, (name, act, p)
         ssas = compile_ssa(domain)
-        value, ssa_trace = ssa_query(ssas, init, [act], p)
+        value, ssa_trace = ssa_query(ssas, progression(domain, init, [act]), [act], p)
         gamma_minus = len(ssas.axioms[p.schema].gamma_minus)
         assert len(ssa_trace) == 1 + gamma_minus, (name, act, p)
         assert value is eval_fluent(init, p)

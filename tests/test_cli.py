@@ -79,6 +79,17 @@ def test_simulate_final_state(capsys):
     assert "clear(b) = false" in out
 
 
+def test_simulate_reads_one_action_per_line_from_a_file(tmp_path, capsys):
+    acts = tmp_path / "acts.txt"
+    acts.write_text("move(a,b)\nmove(c,a)\n", encoding="utf-8")
+    code, out, err = run(capsys, "simulate", BLOCKS, "--init", BLOCKS_INIT,
+                         "--acts", f"@{acts}")
+    assert (code, err) == (0, "")
+    assert out.startswith("final state after 2 actions:")
+    assert "on(a,b) = true" in out
+    assert "on(c,a) = true" in out
+
+
 def test_query_aspect_mode(capsys):
     code, out, _ = run(capsys, "query", BLOCKS, "--init", BLOCKS_INIT,
                        "--acts", "move(a,b)", "--fluent", "clear(c)",

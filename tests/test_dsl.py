@@ -356,8 +356,7 @@ def test_state_giving_a_fluent_both_ways_is_rejected(blocks, text, at):
     (parse_actions, "move(a,b);\n  move(b,", "<acts>:2:10: error: unexpected end of line"),
     (parse_actions, "move(a,b); !move(b,c)",
      "<acts>:1:12: error: expected schema name, found '!'"),
-    (parse_actions, "move(a,b)\nmove(b,c)",
-     "<acts>:1:1: error: expected a single ground atom, got 'move(a,b)\\nmove(b,c)'"),
+    (parse_actions, "move(a,b)\nmove(b,c) x", "<acts>:2:11: error: trailing input 'x'"),
 ])
 def test_state_and_action_spans_are_placed_in_the_text(blocks, parse, text, expected):
     assert _rendered(parse, text, blocks) == [expected]

@@ -35,6 +35,7 @@ from sitaspect.frames import (
     intersects,
     persistence_proof,
     progress,
+    progression,
     reachable_states,
     regress_query,
 )
@@ -299,15 +300,19 @@ def test_transfer_moves_room_membership(rooms, rooms_init):
 
 # -- regression -----------------------------------------------------------------
 
+def _regress(domain, init, acts, p):
+    return regress_query(domain, progression(domain, init, acts), acts, p)
+
+
 def test_regress_empty_sequence(blocks, blocks_init):
-    value, trace = regress_query(blocks, blocks_init, [], fluent("clear", "c"))
+    value, trace = _regress(blocks, blocks_init, [], fluent("clear", "c"))
     assert value is True
     assert len(trace) == 1
 
 
 def test_regress_persistence_one_d_evaluation(blocks, blocks_init):
-    value, trace = regress_query(blocks, blocks_init,
-                                 [action("move", "a", "b")], fluent("clear", "c"))
+    value, trace = _regress(blocks, blocks_init,
+                            [action("move", "a", "b")], fluent("clear", "c"))
     assert value is True
     assert trace.count(D_EVALUATION) == 1
     assert len(trace) == 2
@@ -320,15 +325,15 @@ def test_regress_matches_progression_oracle(blocks, blocks_init):
         final = progress(blocks, final, a)
     for p in (fluent("on", "a", "b"), fluent("on", "c", "a"),
               fluent("clear", "b"), fluent("clear", "floor")):
-        value, _ = regress_query(blocks, blocks_init, acts, p)
+        value, _ = _regress(blocks, blocks_init, acts, p)
         if value is not None:
             assert value is eval_fluent(final, p)
 
 
 def test_regress_display_repeated_actions(display, display_init):
     acts = [action("light_pixels", {"p1"})] * 3
-    value, trace = regress_query(display, display_init, acts,
-                                 fluent("pixel_lit", "p2"))
+    value, trace = _regress(display, display_init, acts,
+                            fluent("pixel_lit", "p2"))
     assert value is False  # initial value: p2 is dark
     assert trace.count(D_EVALUATION) == 3
 
@@ -336,30 +341,30 @@ def test_regress_display_repeated_actions(display, display_init):
 def test_regress_undefined_on_uncovered_intersection(blocks, blocks_init):
     # on(c,floor) intersects move(a,b) via the shared floor aspect, and no
     # effect rule of the move resolves it: the axioms say nothing.
-    value, trace = regress_query(blocks, blocks_init,
-                                 [action("move", "a", "b")],
-                                 fluent("on", "c", "floor"))
+    value, trace = _regress(blocks, blocks_init,
+                            [action("move", "a", "b")],
+                            fluent("on", "c", "floor"))
     assert value is None
     assert trace.steps[-1].kind == "no-axiom"
 
 
 def test_regress_uses_declared_frame_axiom(display, display_init):
-    value, trace = regress_query(display, display_init, [action("meteorite")],
-                                 fluent("pixel_lit", "p2"))
+    value, trace = _regress(display, display_init, [action("meteorite")],
+                            fluent("pixel_lit", "p2"))
     assert value is False
     assert any(s.kind == "axiom-instantiation" for s in trace.steps)
     # A lit pixel is resolved by the effect instead.
-    value, trace = regress_query(display, display_init, [action("meteorite")],
-                                 fluent("pixel_lit", "p1"))
+    value, trace = _regress(display, display_init, [action("meteorite")],
+                            fluent("pixel_lit", "p1"))
     assert value is False
     assert any(s.kind == "effect-application" for s in trace.steps)
 
 
 def test_regress_inapplicable_action_identifies_step(blocks, blocks_init):
     with pytest.raises(InapplicableActionError, match="step 2"):
-        regress_query(blocks, blocks_init,
-                      [action("move", "a", "b"), action("move", "c", "b")],
-                      fluent("clear", "c"))
+        _regress(blocks, blocks_init,
+                 [action("move", "a", "b"), action("move", "c", "b")],
+                 fluent("clear", "c"))
 
 
 # -- persistence proofs -----------------------------------------------------------

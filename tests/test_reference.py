@@ -16,7 +16,7 @@ import pytest
 
 from sitaspect.domain import MemberGuard, Var, arg_candidates, ground_fluents, initial_state
 from sitaspect.dsl import parse_ground_fluent
-from sitaspect.frames import _progression_states
+from sitaspect.frames import progression
 from sitaspect.reiter import compare_modes, random_workload
 from sitaspect.terms import GroundFluent
 from tests.conftest import BLOCKS_INIT, DISPLAY_INIT, ROOMS_INIT
@@ -116,7 +116,7 @@ def _check_walks(domain, init, init_facts, count, seed):
         for a in acts:
             facts = reference_step(domain, facts, a)
             assert facts is not None, (acts, a)
-        final = _progression_states(domain, init, acts)[-1]
+        final = progression(domain, init, acts)[-1]
         assert {f for f, value, _ in final.fluents() if value} == facts, acts
         defined = [v for v in (record.aspect_value, record.ssa_value,
                                record.oracle_value) if isinstance(v, bool)]

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+import sitaspect.frames
 from sitaspect.dsl import parse_domain
 from sitaspect.errors import CrossModeSoundnessError
-from sitaspect.frames import EQUALITY_CHECK, progress
+from sitaspect.frames import EQUALITY_CHECK, progress, progression
 from sitaspect.reiter import (
     INSUFFICIENT_AXIOMS,
     compare_modes,
@@ -41,16 +42,20 @@ def test_fluent_without_effects_has_empty_gammas(economy):
         assert ssa.gamma_plus == () and ssa.gamma_minus == ()
 
 
+def _ssa(ssas, init, acts, p):
+    return ssa_query(ssas, progression(ssas.domain, init, acts), acts, p)
+
+
 def test_ssa_query_empty_sequence(blocks, blocks_init):
-    value, trace = ssa_query(compile_ssa(blocks), blocks_init, [],
-                             fluent("clear", "b"))
+    value, trace = _ssa(compile_ssa(blocks), blocks_init, [],
+                        fluent("clear", "b"))
     assert value is True
     assert len(trace) == 1
 
 
 def test_ssa_persistence_counts_gamma_minus_checks(blocks, blocks_init):
-    value, trace = ssa_query(compile_ssa(blocks), blocks_init,
-                             [action("move", "a", "b")], fluent("clear", "c"))
+    value, trace = _ssa(compile_ssa(blocks), blocks_init,
+                        [action("move", "a", "b")], fluent("clear", "c"))
     assert value is True
     assert trace.count(EQUALITY_CHECK) == 1  # |gamma_minus| of clear
     assert len(trace) == 2  # 1 init lookup + 1 equality check
@@ -61,8 +66,8 @@ def test_ssa_gamma_plus_overrides_initial_value(blocks, blocks_init):
     from sitaspect.state import with_fluent
 
     init = with_fluent(blocks_init, fluent("clear", "floor"), False)
-    value, _ = ssa_query(compile_ssa(blocks), init, [action("move", "a", "b")],
-                         fluent("clear", "floor"))
+    value, _ = _ssa(compile_ssa(blocks), init, [action("move", "a", "b")],
+                    fluent("clear", "floor"))
     assert value is True
     final = progress(blocks, init, action("move", "a", "b"))
     assert eval_fluent(final, fluent("clear", "floor")) is True
@@ -77,14 +82,14 @@ def test_ssa_agrees_with_progression(blocks, blocks_init):
     from sitaspect.domain import ground_fluents
 
     for p in ground_fluents(blocks):
-        value, _ = ssa_query(ssas, blocks_init, acts, p)
+        value, _ = _ssa(ssas, blocks_init, acts, p)
         assert value is eval_fluent(final, p)
 
 
 def test_ssa_insufficient_axioms_outcome(blocks, blocks_init):
     ssas = compile_ssa(blocks, actions=[])
-    value, _ = ssa_query(ssas, blocks_init, [action("move", "a", "b")],
-                         fluent("clear", "c"))
+    value, _ = _ssa(ssas, blocks_init, [action("move", "a", "b")],
+                    fluent("clear", "c"))
     assert value is INSUFFICIENT_AXIOMS
 
 
@@ -93,6 +98,20 @@ def test_compare_modes_counts(economy):
     assert report.classical_axiom_count == 35
     assert report.aspect_source_count == 14
     assert report.ssa_count == 5
+
+
+def test_compare_progresses_each_query_once(blocks, blocks_init, monkeypatch):
+    workload = random_workload(blocks, blocks_init, 40, seed=7)
+    steps = []
+    real = sitaspect.frames.progress
+
+    def counting(domain, state, a):
+        steps.append(a)
+        return real(domain, state, a)
+
+    monkeypatch.setattr(sitaspect.frames, "progress", counting)
+    compare_modes(blocks, workload=workload)
+    assert len(steps) == sum(len(acts) for _, acts, _ in workload) > 0
 
 
 def test_compare_modes_blocks_workload(blocks, blocks_init):
