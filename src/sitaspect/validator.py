@@ -11,7 +11,6 @@ relational ones over the rows of total functions, one successor per row.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,8 +30,6 @@ FORMALISMS = (
 STABILITY = "component-stability"
 FACTORIZATION = "fluent-factorization"
 PRESERVATION = "aspect-preservation"
-
-_JOINT_SEARCH_LIMIT = 4096
 
 
 def is_collective(formalism: str) -> bool:
@@ -122,8 +119,10 @@ def check_premises(model: FiniteModel, formalism: str) -> PremiseReport:
 
     Witness axioms use the stored witness when one is declared; otherwise
     the least witness predicate is computed directly, on a model of any
-    size. Only a collective fluent's witness family is searched, jointly,
-    up to _JOINT_SEARCH_LIMIT families.
+    size. A collective fluent's witness family is decided element by
+    element: each element without a stored witness contributes its least
+    definable supersets of the valuation, and some choice of them must meet
+    in it. No limit ends the search.
     """
     if formalism not in FORMALISMS:
         raise ModelError(f"unknown formalism '{formalism}'")
@@ -288,10 +287,26 @@ def _factorization(model: FiniteModel, formalism: str) -> list[PremiseCheck]:
     return checks
 
 
+def _least_supersets(rows: list[int], val: int, universal: bool) -> list[int]:
+    """The inclusion-minimal valuations that some predicate defines over the
+    aspect rows and that contain val; _defined grows with q under both
+    readings, so under the universal one exactly one is left. A witness
+    family works when its valuations meet in val, and keeps working when one
+    shrinks to a smaller superset of val. The product of these lists is
+    still exponential in the number of elements at worst; it has no bound.
+    """
+    least: list[int] = []
+    # Fewest bits first, so every kept subset of d is seen before d.
+    for d in sorted({_defined(rows, q, universal) for q in range(1 << len(rows))},
+                    key=int.bit_count):
+        if d & val == val and not any(m & d == m for m in least):
+            least.append(d)
+    return least
+
+
 def _collective_factorization(model: FiniteModel, formalism: str) -> list[PremiseCheck]:
     checks = []
-    n = len(model.situations)
-    full = (1 << n) - 1
+    full = (1 << len(model.situations)) - 1
     universal = is_universal(formalism)
     for p in sorted(model.valuations):
         alpha = model.fluent_aspects.get(p)
@@ -300,31 +315,21 @@ def _collective_factorization(model: FiniteModel, formalism: str) -> list[Premis
         elems = sorted(a.name for a in alpha[0].atoms)
         val = model.val_mask(p)
         rows = [_element_rows(model, x, formalism) for x in elems]
-
-        def family(qs) -> int:
-            out = full
-            for r, q in zip(rows, qs):
-                out &= _defined(r, q, universal)
-            return out
-
-        subject = f"{p} over {alpha}"
         stored = [model.collective_witnesses.get((p, formalism, x)) for x in elems]
-        if all(v is not None for v in stored):
-            holds = family([_to_mask(model, v) for v in stored]) == val
+        options = [_least_supersets(r, val, universal) if q is None
+                   else [_defined(r, _to_mask(model, q), universal)]
+                   for r, q in zip(rows, stored)]
+        meets = {full}  # what each choice from the options so far meets in
+        for option in options:
+            meets = {m & d for m in meets for d in option}
+        holds = val in meets
+        searched = stored.count(None)
+        if searched == 0 or searched < len(stored) and not holds:
             note = "" if holds else "stored witnesses do not reproduce the valuation"
-            checks.append(PremiseCheck(FACTORIZATION, subject, holds, note))
         else:
-            size = (1 << n) ** len(elems)
-            if size > _JOINT_SEARCH_LIMIT:
-                raise ModelError(
-                    f"fluent '{p}' lacks stored witnesses and the joint search "
-                    f"space is too large: {size} witness families, the limit "
-                    f"is {_JOINT_SEARCH_LIMIT}")
-            holds = any(family(qs) == val for qs in
-                        itertools.product(range(1 << n), repeat=len(elems)))
             note = "witness family found by exhaustive search" if holds else \
                 "no witness family exists"
-            checks.append(PremiseCheck(FACTORIZATION, subject, holds, note))
+        checks.append(PremiseCheck(FACTORIZATION, f"{p} over {alpha}", holds, note))
     return checks
 
 

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import itertools
+import random
 from collections import deque
 
 import pytest
 
+from sitaspect import disjoint
 from sitaspect.disjoint import (
     CommutativeCanonical,
     ExplicitTable,
+    MonotonicityViolation,
     SeqExistsDiff,
     SimpleInequality,
     canonicalize,
@@ -202,3 +205,59 @@ def test_monotonicity_commutative_reports_fluent_extension_loss():
                                 [(path("1"), path("0"))], max_extension=1)
     assert not report.clean
     assert all(v.property == "extend-fluent-path" for v in report.violations)
+
+
+def _reference_monotonicity(spec, samples, max_extension):
+    """The loop the prefix argument replaced under SeqExistsDiff: every
+    extension of the fluent path, and under SeqExistsDiff of the action
+    path, is evaluated."""
+    atoms = sorted({a for pair in samples for p in pair for e in p
+                    for a in ((e,) if isinstance(e, AspectAtom) else e.atoms)})
+    suffixes = [suffix for n in range(1, max_extension + 1)
+                for suffix in itertools.product(atoms, repeat=n)]
+    checked = 0
+    violations = []
+    for alpha, beta in samples:
+        if not d_eval(spec, alpha, beta):
+            continue
+        for suffix in suffixes:
+            checked += 1
+            if not d_eval(spec, alpha.append(*suffix), beta):
+                violations.append(MonotonicityViolation(
+                    "extend-fluent-path", alpha, beta, suffix))
+            if isinstance(spec, SeqExistsDiff):
+                checked += 1
+                if not d_eval(spec, alpha, beta.append(*suffix)):
+                    violations.append(MonotonicityViolation(
+                        "extend-action-path", alpha, beta, suffix))
+    return checked, tuple(violations)
+
+
+@pytest.mark.parametrize("max_extension", [1, 2])
+@pytest.mark.parametrize("spec", [SeqExistsDiff(), CommutativeCanonical.of(("a", "b"))],
+                         ids=["seq-diff", "commutative"])
+def test_monotonicity_matches_the_extension_loop(spec, max_extension, monkeypatch):
+    rng = random.Random(max_extension)
+    elems = ["a", "b", "c", {"a", "b"}, {"b", "c"}, {"a", "c"}]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return d_eval(*args)
+
+    monkeypatch.setattr(disjoint, "d_eval", counted)
+    held = violated = 0
+    for _ in range(150):
+        samples = [tuple(path(*rng.choices(elems, k=rng.randint(1, 3))) for _ in "ab")
+                   for _ in range(rng.randint(0, 6))]
+        calls.clear()
+        report = check_monotonicity(spec, samples, max_extension=max_extension)
+        assert (report.checked, report.violations) == \
+            _reference_monotonicity(spec, samples, max_extension)
+        if isinstance(spec, SeqExistsDiff):
+            # One d per sample: the extensions are covered by the proof.
+            assert len(calls) == len(samples)
+        held += report.checked > 0
+        violated += not report.clean
+    assert held > 50
+    assert violated > 0 if isinstance(spec, CommutativeCanonical) else violated == 0

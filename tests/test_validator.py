@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
 import pytest
 
+from sitaspect.dsl import parse_model
 from sitaspect.errors import ModelError
 from sitaspect.finite import (
     BoxAction,
@@ -355,7 +357,7 @@ def test_seq_fun_rejects_a_set_element_in_the_path():
     assert str(alpha) == "(a,{x})"
 
 
-# -- closed-form premises and the one remaining enumeration limit ---------------
+# -- closed-form premises ------------------------------------------------------
 
 def _identity_model(n: int, **changes) -> FiniteModel:
     sits = tuple(f"s{i}" for i in range(n))
@@ -487,22 +489,161 @@ def test_modal_stability_matches_the_subset_valuation_loop(formalism):
     assert outcomes == {True, False}
 
 
-def test_joint_search_limit_is_named():
-    from sitaspect.validator import _JOINT_SEARCH_LIMIT
-
-    sits = tuple(f"s{i}" for i in range(7))
+def _wide_collective_model(n: int, valuation: frozenset) -> FiniteModel:
+    sits = tuple(f"s{i}" for i in range(n))
     ident = frozenset((s, s) for s in sits)
-    model = FiniteModel(
+    return FiniteModel(
         name="wide-coll", situations=sits,
         collective_rels={"x": ident, "y": ident, "z": ident},
         action_maps={"go": {s: s for s in sits}},
-        valuations={"p": frozenset()},
+        valuations={"p": valuation},
         fluent_aspects={"p": AspectPath.of({"x", "y"})},
         action_aspects={"go": AspectPath.of({"z"})})
-    assert (1 << 7) ** 2 > _JOINT_SEARCH_LIMIT
-    with pytest.raises(ModelError) as err:
-        verify_theorem("coll-rel-exists", model)
-    assert str(err.value) == (
-        f"fluent 'p' lacks stored witnesses and the joint search space is too "
-        f"large: {(1 << 7) ** 2} witness families, the limit is "
-        f"{_JOINT_SEARCH_LIMIT}")
+
+
+def test_wide_collective_models_get_a_verdict():
+    for n in (7, 12):
+        for valuation in (frozenset(), frozenset({"s3"})):
+            model = _wide_collective_model(n, valuation)
+            for formalism in ("coll-rel-exists", "coll-rel-forall", "coll-fun"):
+                verdict = verify_theorem(formalism, model)
+                assert verdict.verdict == "pass", (n, valuation, formalism)
+                [factorization] = [c for c in verdict.premises.checks
+                                   if c.axiom == "fluent-factorization"]
+                assert factorization.note == "witness family found by exhaustive search"
+
+
+def _partial_family_model(x_witness: str) -> FiniteModel:
+    return parse_model(f"""model partial
+situations s0 s1
+crel x s0 s0
+crel x s1 s1
+crel y s0 s0
+crel y s1 s1
+crel z s0 s0
+crel z s1 s1
+val p s0
+aspect fluent p ({{x,y}})
+cwitness p coll-rel-exists x {x_witness}
+""")
+
+
+def test_a_partial_witness_family_is_checked_as_given():
+    # x = {s1} defines {s1}, and no choice for y meets it in {s0}.
+    [check] = [c for c in check_premises(_partial_family_model("s1"),
+                                         "coll-rel-exists").checks
+               if c.axiom == "fluent-factorization"]
+    assert (check.holds, check.note) == (
+        False, "stored witnesses do not reproduce the valuation")
+    # x = {s0} leaves y = {s0}, or a superset, to be found.
+    [check] = [c for c in check_premises(_partial_family_model("s0"),
+                                         "coll-rel-exists").checks
+               if c.axiom == "fluent-factorization"]
+    assert (check.holds, check.note) == (
+        True, "witness family found by exhaustive search")
+
+
+def _reference_family_exists(rows_list, val, universal, stored=None) -> bool:
+    """The joint search the element-by-element rule replaced: every family
+    of one predicate per element, (2^n)^k of them, with a stored element's
+    predicate fixed."""
+    n = len(rows_list[0])
+    stored = stored or {}
+    tables = [_reference_defined_table(tuple(rows), universal) for rows in rows_list]
+    choices = [[stored[i]] if i in stored else range(1 << n) for i in range(len(rows_list))]
+    for qs in itertools.product(*choices):
+        out = (1 << n) - 1
+        for table, q in zip(tables, qs):
+            out &= table[q]
+        if out == val:
+            return True
+    return False
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_defined_table(rows: tuple, universal: bool) -> tuple:
+    return tuple(_reference_defined(list(rows), q, universal) for q in range(1 << len(rows)))
+
+
+def _family_check(rows_list, val, formalism, stored=None):
+    """check_premises on a model whose fluent p ranges over one collective
+    element per entry of rows_list, with the given stored witnesses."""
+    n = len(rows_list[0])
+    sits = tuple(f"s{i}" for i in range(n))
+    elems = [f"e{i}" for i in range(len(rows_list))]
+
+    def subset(mask: int) -> frozenset:
+        return frozenset(s for i, s in enumerate(sits) if mask >> i & 1)
+
+    model = FiniteModel(
+        name="family", situations=sits,
+        collective_rels={e: frozenset((sits[s], t) for s, row in enumerate(rows)
+                                      for t in subset(row))
+                         for e, rows in zip(elems, rows_list)},
+        valuations={"p": subset(val)},
+        fluent_aspects={"p": AspectPath.of(set(elems))},
+        collective_witnesses={("p", formalism, elems[i]): subset(q)
+                              for i, q in (stored or {}).items()})
+    [check] = [c for c in check_premises(model, formalism).checks
+               if c.axiom == "fluent-factorization"]
+    return check
+
+
+def _assert_family_matches(rows_list, val, formalism, stored=None) -> bool:
+    expected = _reference_family_exists(rows_list, val, formalism == "coll-rel-forall",
+                                        stored)
+    check = _family_check(rows_list, val, formalism, stored)
+    assert check.holds == expected, (rows_list, val, formalism, stored)
+    if stored and not expected:
+        note = "stored witnesses do not reproduce the valuation"
+    elif stored and len(stored) == len(rows_list):
+        note = ""
+    else:
+        note = ("witness family found by exhaustive search" if expected
+                else "no witness family exists")
+    assert check.note == note
+    return expected
+
+
+def test_collective_factorization_matches_the_joint_search_on_small_cases():
+    outcomes = set()
+    for formalism in ("coll-rel-exists", "coll-rel-forall"):
+        universal = formalism == "coll-rel-forall"
+        for n, k in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1)):
+            for rows_list in itertools.product(
+                    itertools.product(range(1 << n), repeat=n), repeat=k):
+                for val in range(1 << n):
+                    outcomes.add(_assert_family_matches(
+                        [list(r) for r in rows_list], val, formalism))
+        # n = 3, k = 2: a family depends on an element's rows only through
+        # the valuations its predicates define, so one row list per such set
+        # (55 of the 512) covers every case.
+        classes = {}
+        for rows in itertools.product(range(8), repeat=3):
+            defined = frozenset(_reference_defined(rows, q, universal) for q in range(8))
+            classes.setdefault(defined, list(rows))
+        for pair in itertools.combinations_with_replacement(classes.values(), 2):
+            for val in range(8):
+                outcomes.add(_assert_family_matches(list(pair), val, formalism))
+    assert outcomes == {True, False}
+
+
+def test_collective_factorization_matches_the_joint_search_on_random_cases():
+    rng = random.Random(11)
+    found = missing = 0
+    for case in range(900):
+        n, k = (3, 2) if case % 3 else (rng.randint(2, 4), 3)
+        # Empty and singleton rows are the edge cases of both readings.
+        rows_list = [[rng.choice((0, 1 << rng.randrange(n), rng.randrange(1 << n)))
+                      for _ in range(n)] for _ in range(k)]
+        val = rng.randrange(1 << n)
+        stored = {i: rng.randrange(1 << n) for i in range(k) if rng.random() < 0.2}
+        formalisms = ["coll-rel-exists", "coll-rel-forall"]
+        if all(row and not row & (row - 1) for rows in rows_list for row in rows):
+            formalisms.append("coll-fun")
+        for formalism in formalisms:
+            if _assert_family_matches(rows_list, val, formalism, stored):
+                found += 1
+            else:
+                missing += 1
+    assert found > 100 and missing > 100
