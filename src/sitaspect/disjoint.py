@@ -13,7 +13,6 @@ of aspect alpha. Four specification styles are supported:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -73,11 +72,8 @@ def d_eval(spec: DisjointnessSpec, alpha: AspectPath, beta: AspectPath) -> bool:
     if isinstance(spec, SeqExistsDiff):
         return _exists_diff(alpha, beta)
     if isinstance(spec, CommutativeCanonical):
-        ca = canonicalize(alpha, spec.constraints)
-        cb = canonicalize(beta, spec.constraints)
-        if ca == cb:
-            return False
-        return _exists_diff(ca, cb)
+        return _canonical_diff(canonicalize(alpha, spec.constraints),
+                               canonicalize(beta, spec.constraints))
     if isinstance(spec, ExplicitTable):
         return (alpha, beta) in spec.pairs
     raise DisjointnessSpecError(f"unknown disjointness spec {spec!r}")
@@ -87,42 +83,46 @@ def _exists_diff(alpha: AspectPath, beta: AspectPath) -> bool:
     return any(elem_disjoint(a, b) for a, b in zip(alpha, beta))
 
 
+def _canonical_diff(ca: AspectPath, cb: AspectPath) -> bool:
+    """d under CommutativeCanonical, given both paths' canonical forms."""
+    return ca != cb and _exists_diff(ca, cb)
+
+
 def canonicalize(alpha: AspectPath, constraints: Optional[frozenset[tuple[str, str]]]) -> AspectPath:
     """Least reordering of alpha reachable by swapping adjacent commuting pairs.
 
+    Two atoms commute when their (sorted) name pair is in `constraints`;
     constraints=None means all atom pairs commute, which reduces to sorting.
-    Set elements never participate in a commuting pair, so under partial
-    constraints they act as barriers.
+    Set elements commute with nothing, so under partial constraints they act
+    as barriers (under None they are an error).
+
+    This is the lexicographic normal form of the Mazurkiewicz trace of alpha
+    (Anisimov & Knuth, "Inhomogeneous sorting", 1979; Diekert & Rozenberg,
+    The Book of Traces, 1995), built greedily: each step takes the least
+    element, by `elem_sort_key`, among those that commute with every element
+    still before it. That is O(len**3) commutation tests at worst, where a
+    search over the reorderings visits up to len! of them.
     """
-    if constraints is None:
-        if not alpha.is_atomic():
-            raise DisjointnessSpecError(
-                f"path {alpha} has set elements; full commutativity applies to atoms only")
-        return AspectPath(tuple(sorted(alpha.elems, key=elem_sort_key)))
-
-    start = alpha.elems
-    best = start
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        if _seq_key(cur) < _seq_key(best):
-            best = cur
-        for i in range(len(cur) - 1):
-            a, b = cur[i], cur[i + 1]
-            if not (isinstance(a, AspectAtom) and isinstance(b, AspectAtom)):
-                continue
-            if tuple(sorted((a.name, b.name))) not in constraints:
-                continue
-            nxt = cur[:i] + (b, a) + cur[i + 2:]
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return AspectPath(best)
+    if constraints is None and not alpha.is_atomic():
+        raise DisjointnessSpecError(
+            f"path {alpha} has set elements; full commutativity applies to atoms only")
+    rest = [(elem_sort_key(e), e) for e in alpha.elems]
+    out = []
+    while rest:
+        best = 0
+        for i in range(1, len(rest)):
+            if rest[i][0] < rest[best][0] and all(
+                    _commute(e, rest[i][1], constraints) for _, e in rest[:i]):
+                best = i
+        out.append(rest.pop(best)[1])
+    return AspectPath(tuple(out))
 
 
-def _seq_key(elems: tuple[AspectElem, ...]):
-    return tuple(elem_sort_key(e) for e in elems)
+def _commute(a: AspectElem, b: AspectElem,
+             constraints: Optional[frozenset[tuple[str, str]]]) -> bool:
+    if not (isinstance(a, AspectAtom) and isinstance(b, AspectAtom)):
+        return False
+    return constraints is None or tuple(sorted((a.name, b.name))) in constraints
 
 
 @dataclass(frozen=True)
@@ -159,22 +159,40 @@ def check_monotonicity(
     is evaluated, and checked counts the two extensions per suffix that this
     prefix argument covers. Under CommutativeCanonical only the fluent path
     is extended, and each extension is evaluated, because canonical
-    reordering can break d. Violations are reported with the offending
-    suffix.
+    reordering can break d. Canonical forms depend on the path alone, so
+    each distinct path, sampled or extended, is canonicalized once.
+    Violations are reported with the offending suffix.
     """
     if not isinstance(spec, (SeqExistsDiff, CommutativeCanonical)):
         raise DisjointnessSpecError(
             f"monotonicity check applies to sequential specs, not {type(spec).__name__}")
     samples = list(samples)
     suffixes = list(_suffixes(sorted(_sample_atoms(samples)), max_extension))
-    held = [(alpha, beta) for alpha, beta in samples if d_eval(spec, alpha, beta)]
     if isinstance(spec, SeqExistsDiff):
-        return MonotonicityReport(checked=2 * len(suffixes) * len(held), violations=())
-    violations = [MonotonicityViolation("extend-fluent-path", alpha, beta, suffix)
-                  for alpha, beta in held for suffix in suffixes
-                  if not d_eval(spec, alpha.append(*suffix), beta)]
-    return MonotonicityReport(checked=len(suffixes) * len(held),
-                              violations=tuple(violations))
+        held = sum(1 for alpha, beta in samples if d_eval(spec, alpha, beta))
+        return MonotonicityReport(checked=2 * len(suffixes) * held, violations=())
+    canonical: dict[AspectPath, AspectPath] = {}
+
+    def canon(p: AspectPath) -> AspectPath:
+        c = canonical.get(p)
+        if c is None:
+            c = canonical[p] = canonicalize(p, spec.constraints)
+        return c
+
+    extended: dict[AspectPath, list[AspectPath]] = {}
+    checked = 0
+    violations = []
+    for alpha, beta in samples:
+        cb = canon(beta)
+        if not _canonical_diff(canon(alpha), cb):
+            continue
+        if alpha not in extended:
+            extended[alpha] = [canon(alpha.append(*suffix)) for suffix in suffixes]
+        checked += len(suffixes)
+        violations += [MonotonicityViolation("extend-fluent-path", alpha, beta, suffix)
+                       for suffix, ce in zip(suffixes, extended[alpha])
+                       if not _canonical_diff(ce, cb)]
+    return MonotonicityReport(checked=checked, violations=tuple(violations))
 
 
 def _sample_atoms(samples) -> set[AspectAtom]:

@@ -489,8 +489,9 @@ def _ground_axioms(domain: Domain):
 # Annotation soundness
 # ---------------------------------------------------------------------------
 
-# The soundness lint tries every truth valuation of an action's guard
-# fluents, 2**n of them; actions with more are skipped.
+# The soundness lint covers every truth valuation of an action's guard
+# fluents, 2**n of them; actions with more are skipped. Only valuations whose
+# precondition prefix passes are expanded (see `check_aspect_soundness`).
 _GUARD_FLUENT_LIMIT = 14
 
 
@@ -521,17 +522,22 @@ class SoundnessReport:
 def check_aspect_soundness(domain: Domain) -> SoundnessReport:
     """Verify that every fluent an action can change intersects the action.
 
-    For each ground action the guard-relevant ground fluents are enumerated
-    and every truth valuation of them is tried (actions whose preconditions
-    fail are skipped, as are valuations where aspects do not resolve).
-    Actions with more than _GUARD_FLUENT_LIMIT such fluents are skipped and
-    named in `unresolved`. Effect targets absent from the guard set are
-    given the change-revealing prior value.
+    For each ground action all 2**n truth valuations of its n guard-relevant
+    ground fluents are covered and counted, in `itertools.product` order
+    (valuations where a precondition fails are skipped, as are valuations
+    where aspects do not resolve). The preconditions read only the fluents
+    up to the last one their guards list, so they are evaluated once per
+    valuation of that prefix, and only the prefixes where they pass are
+    expanded into whole valuations. Actions with more than
+    _GUARD_FLUENT_LIMIT guard fluents are skipped and named in `unresolved`.
+    Effect targets absent from the guard set are given the change-revealing
+    prior value.
     """
     violations: list[SoundnessViolation] = []
     skipped: dict[str, int] = {}
     actions_checked = 0
     valuations_checked = 0
+    schemas = frozenset(domain.fluents)
     for a in domain.ground_action_list:
         relevant = _relevant_fluents(domain, a)
         if len(relevant) > _GUARD_FLUENT_LIMIT:
@@ -539,45 +545,55 @@ def check_aspect_soundness(domain: Domain) -> SoundnessReport:
                     f"enumeration bound {_GUARD_FLUENT_LIMIT}"] = 1
             continue
         actions_checked += 1
-        for bits in itertools.product((False, True), repeat=len(relevant)):
-            valuations_checked += 1
-            base = dict(zip(relevant, bits))
-            state = build_state({(): base}, schemas=frozenset(domain.fluents))
-            if _failed_precondition(domain, state, a) is not None:
-                continue
-            try:
-                beta = aspect_of_action(domain, state, a)
-            except MissingAspectError:
-                _bump(skipped, f"{a}: valuations where no aspect rule applies")
-                continue
-            except AmbiguousAspectError:
-                _bump(skipped, f"{a}: valuations with ambiguous aspects")
-                continue
-            changes = _net_effects(domain, state, a)
-            full = dict(base)
-            for f, v in changes:
-                if f not in full:
-                    full[f] = not v  # make the change observable
-            full_state = build_state({(): full}, schemas=frozenset(domain.fluents))
-            for f, v in changes:
-                if full[f] == v:
-                    continue
-                try:
-                    alpha = aspect_of_fluent(domain, full_state, f)
-                except (MissingAspectError, AmbiguousAspectError):
-                    _bump(skipped, f"{f}: valuations where the fluent aspect "
-                                   f"does not resolve")
-                    continue
-                if d_eval(domain.disjointness, alpha, beta):
-                    v = SoundnessViolation(action=a, fluent=f,
-                                           fluent_aspect=alpha, action_aspect=beta)
-                    if v not in violations:
-                        violations.append(v)
+        valuations_checked += 2 ** len(relevant)
+        read = {f for pre, env0 in domain.bound("pre", a)
+                for f in _guard_fluents(domain, pre.guard, env0)}
+        depth = max((i + 1 for i, f in enumerate(relevant) if f in read), default=0)
+        for prefix in itertools.product((False, True), repeat=depth):
+            for rest in itertools.product((False, True), repeat=len(relevant) - depth):
+                base = dict(zip(relevant, prefix + rest))
+                state = build_state({(): base}, schemas=schemas)
+                # The first leaf of a prefix decides the preconditions for all.
+                if not any(rest) and _failed_precondition(domain, state, a) is not None:
+                    break
+                _check_valuation(domain, a, base, state, violations, skipped)
     unresolved = tuple(f"{key} ({count} skipped)" for key, count
                        in sorted(skipped.items()))
     return SoundnessReport(violations=tuple(violations), unresolved=unresolved,
                            actions_checked=actions_checked,
                            valuations_checked=valuations_checked)
+
+
+def _check_valuation(domain: Domain, a: GroundAction, base: dict, state: WorldState,
+                     violations: list[SoundnessViolation],
+                     skipped: dict[str, int]) -> None:
+    """Record the violations a shows in `state`, the state of valuation
+    `base` where a's preconditions hold, and the reasons it is skipped."""
+    try:
+        beta = aspect_of_action(domain, state, a)
+    except MissingAspectError:
+        _bump(skipped, f"{a}: valuations where no aspect rule applies")
+        return
+    except AmbiguousAspectError:
+        _bump(skipped, f"{a}: valuations with ambiguous aspects")
+        return
+    for f, v in _net_effects(domain, state, a):
+        # A target outside the valuation is given the change-revealing prior
+        # value. Its aspect guards read only fluents of the valuation (see
+        # `_relevant_fluents`), so `state` decides its aspect either way.
+        if base.get(f, not v) == v:
+            continue
+        try:
+            alpha = aspect_of_fluent(domain, state, f)
+        except (MissingAspectError, AmbiguousAspectError):
+            _bump(skipped, f"{f}: valuations where the fluent aspect "
+                           f"does not resolve")
+            continue
+        if d_eval(domain.disjointness, alpha, beta):
+            violation = SoundnessViolation(action=a, fluent=f,
+                                           fluent_aspect=alpha, action_aspect=beta)
+            if violation not in violations:
+                violations.append(violation)
 
 
 def _bump(counter: dict[str, int], key: str) -> None:

@@ -21,7 +21,7 @@ from sitaspect.disjoint import (
     elem_disjoint,
 )
 from sitaspect.errors import DisjointnessSpecError
-from sitaspect.terms import AspectAtom, as_elem, path
+from sitaspect.terms import AspectAtom, AspectPath, as_elem, elem_sort_key, path
 
 
 def test_elem_disjoint_atom_vs_set():
@@ -109,9 +109,10 @@ def test_seq_exists_diff_symmetric():
 
 def _bfs_least_reordering(elems, constraints):
     """Independent oracle: breadth-first search over adjacent swaps of
-    commuting atom pairs, returning the lexicographically least sequence."""
+    commuting atom pairs, returning the lexicographically least sequence.
+    Set elements swap with nothing."""
     def key(seq):
-        return tuple(e.name for e in seq)
+        return tuple(elem_sort_key(e) for e in seq)
 
     seen = {elems}
     queue = deque([elems])
@@ -121,10 +122,13 @@ def _bfs_least_reordering(elems, constraints):
         if key(cur) < key(best):
             best = cur
         for i in range(len(cur) - 1):
-            pair = tuple(sorted((cur[i].name, cur[i + 1].name)))
+            a, b = cur[i], cur[i + 1]
+            if not (isinstance(a, AspectAtom) and isinstance(b, AspectAtom)):
+                continue
+            pair = tuple(sorted((a.name, b.name)))
             if constraints is not None and pair not in constraints:
                 continue
-            nxt = cur[:i] + (cur[i + 1], cur[i]) + cur[i + 2:]
+            nxt = cur[:i] + (b, a) + cur[i + 2:]
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
@@ -153,6 +157,34 @@ def test_canonicalize_matches_bfs_oracle_exhaustively():
         oracle = _bfs_least_reordering(tuple(AspectAtom(x) for x in perm),
                                        constraints)
         assert got.elems == oracle
+    # Every path up to length 5 over three atoms and a set element, so with
+    # repeated atoms and set barriers, under every set of commuting pairs
+    # of those atoms (self pairs such as ("a", "a") included) and under
+    # full commutativity.
+    elems = [as_elem(e) for e in ("a", "b", "c", {"a", "b"})]
+    pairs = list(itertools.combinations_with_replacement("abc", 2))
+    constraint_sets = [frozenset(c) for n in range(len(pairs) + 1)
+                       for c in itertools.combinations(pairs, n)] + [None]
+    seqs = [seq for n in range(6) for seq in itertools.product(elems, repeat=n)]
+    for constraints in constraint_sets:
+        for seq in seqs:
+            p = AspectPath(seq)
+            if constraints is None and not p.is_atomic():
+                with pytest.raises(DisjointnessSpecError):
+                    canonicalize(p, constraints)
+                continue
+            assert canonicalize(p, constraints).elems == \
+                _bfs_least_reordering(seq, constraints), (p, constraints)
+    # Seeded random constraint sets over four atoms, on longer random paths.
+    rng = random.Random(1979)
+    elems = [as_elem(e) for e in ("a", "b", "c", "d", {"a", "b"}, {"c", "d"})]
+    pairs = list(itertools.combinations_with_replacement("abcd", 2))
+    for _ in range(40):
+        constraints = frozenset(rng.sample(pairs, rng.randint(0, len(pairs))))
+        for _ in range(50):
+            seq = tuple(rng.choices(elems, k=rng.randint(0, 7)))
+            assert canonicalize(AspectPath(seq), constraints).elems == \
+                _bfs_least_reordering(seq, constraints), (seq, constraints)
 
 
 def test_canonicalize_idempotent_and_preserves_multiset():
@@ -261,3 +293,29 @@ def test_monotonicity_matches_the_extension_loop(spec, max_extension, monkeypatc
         violated += not report.clean
     assert held > 50
     assert violated > 0 if isinstance(spec, CommutativeCanonical) else violated == 0
+
+
+def test_commutative_monotonicity_canonicalizes_each_path_once(monkeypatch):
+    spec = CommutativeCanonical.of(("a", "b"), ("b", "c"))
+    alphas = [path("a"), path("b", "c"), path({"a", "c"}), path("c", "a")]
+    betas = [path("c"), path("a", "b"), path("b"), path("c", "a")]
+    samples = [(alpha, beta) for alpha in alphas for beta in betas] * 2
+    expected = _reference_monotonicity(spec, samples, 2)
+    held = {alpha for alpha, beta in samples if d_eval(spec, alpha, beta)}
+    calls = []
+
+    def counted(p, constraints):
+        calls.append(p)
+        return canonicalize(p, constraints)
+
+    monkeypatch.setattr(disjoint, "canonicalize", counted)
+    report = check_monotonicity(spec, samples, max_extension=2)
+    assert (report.checked, report.violations) == expected
+    assert report.checked > 0 and not report.clean
+    assert len(calls) == len(set(calls))
+    # Every sampled path, and every extension of a fluent path for which
+    # d holds with some action path.
+    suffixes = [s for n in (1, 2) for s in itertools.product(
+        [AspectAtom(x) for x in "abc"], repeat=n)]
+    assert set(calls) == set(alphas) | set(betas) | {
+        alpha.append(*s) for alpha in held for s in suffixes}

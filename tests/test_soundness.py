@@ -1,0 +1,197 @@
+"""The soundness lint's prefix-pruned enumeration against the flat one.
+
+`check_aspect_soundness` evaluates an action's preconditions once per
+valuation of the guard fluents they read (a prefix of the sorted relevant
+fluents) and expands only the prefixes that pass. `_reference_soundness` is
+the flat enumeration it replaced: every valuation is built and its
+preconditions evaluated. The two must give equal reports, down to the order
+of the violations and the counts of every `unresolved` reason.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import itertools
+import random
+
+import pytest
+
+from sitaspect import frames
+from sitaspect.disjoint import d_eval
+from sitaspect.domain import GuardLiteral, Pat, Precondition
+from sitaspect.dsl import parse_domain
+from sitaspect.errors import AmbiguousAspectError, MissingAspectError
+from sitaspect.frames import (
+    SoundnessReport,
+    SoundnessViolation,
+    check_aspect_soundness,
+)
+from sitaspect.state import build_state
+from tests.conftest import fixture_text, load_domain
+from tests.test_random_domains import _random_domain
+
+FIXTURES = ("blocks.dom", "blocks_nosupport.dom", "rooms.dom", "display.dom",
+            "economy.dom")
+
+
+def _reference_soundness(domain) -> SoundnessReport:
+    """Every valuation of each action's guard fluents, in product order, is
+    built as a state and its preconditions evaluated."""
+    violations: list[SoundnessViolation] = []
+    skipped: dict[str, int] = {}
+    actions_checked = 0
+    valuations_checked = 0
+    for a in domain.ground_action_list:
+        relevant = frames._relevant_fluents(domain, a)
+        if len(relevant) > frames._GUARD_FLUENT_LIMIT:
+            skipped[f"{a}: guard fluent count {len(relevant)} exceeds the "
+                    f"enumeration bound {frames._GUARD_FLUENT_LIMIT}"] = 1
+            continue
+        actions_checked += 1
+        for bits in itertools.product((False, True), repeat=len(relevant)):
+            valuations_checked += 1
+            base = dict(zip(relevant, bits))
+            state = build_state({(): base}, schemas=frozenset(domain.fluents))
+            if frames._failed_precondition(domain, state, a) is not None:
+                continue
+            try:
+                beta = frames.aspect_of_action(domain, state, a)
+            except MissingAspectError:
+                frames._bump(skipped, f"{a}: valuations where no aspect rule applies")
+                continue
+            except AmbiguousAspectError:
+                frames._bump(skipped, f"{a}: valuations with ambiguous aspects")
+                continue
+            changes = frames._net_effects(domain, state, a)
+            full = dict(base)
+            for f, v in changes:
+                if f not in full:
+                    full[f] = not v
+            full_state = build_state({(): full}, schemas=frozenset(domain.fluents))
+            for f, v in changes:
+                if full[f] == v:
+                    continue
+                try:
+                    alpha = frames.aspect_of_fluent(domain, full_state, f)
+                except (MissingAspectError, AmbiguousAspectError):
+                    frames._bump(skipped, f"{f}: valuations where the fluent aspect "
+                                          f"does not resolve")
+                    continue
+                if d_eval(domain.disjointness, alpha, beta):
+                    violation = SoundnessViolation(action=a, fluent=f,
+                                                   fluent_aspect=alpha,
+                                                   action_aspect=beta)
+                    if violation not in violations:
+                        violations.append(violation)
+    unresolved = tuple(f"{key} ({count} skipped)" for key, count
+                       in sorted(skipped.items()))
+    return SoundnessReport(violations=tuple(violations), unresolved=unresolved,
+                           actions_checked=actions_checked,
+                           valuations_checked=valuations_checked)
+
+
+def _assert_same_report(domain) -> SoundnessReport:
+    report = check_aspect_soundness(domain)
+    assert report == _reference_soundness(domain)
+    return report
+
+
+def _blocks_text(blocks: list[str]) -> str:
+    """blocks.dom over the given blocks (all of them places too)."""
+    return (fixture_text("blocks.dom")
+            .replace("objects block: a, b, c", f"objects block: {', '.join(blocks)}")
+            .replace("objects place: a, b, c, floor",
+                     f"objects place: {', '.join(blocks)}, floor"))
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixtures_match_the_flat_enumeration(name):
+    _assert_same_report(load_domain(name))
+
+
+def test_altered_move_matches_the_flat_enumeration():
+    text = fixture_text("blocks.dom").replace(
+        "aspect move(x,y) ({y,z}) if on(x,z)", "aspect move(x,y) ({y})")
+    report = _assert_same_report(parse_domain(text))
+    assert len(report.violations) > 1
+
+
+@pytest.mark.parametrize("blocks", [["a", "b", "c"], ["a", "b", "c", "d"]],
+                         ids=["blocks-3", "blocks-4"])
+def test_generated_blocks_match_the_flat_enumeration(blocks):
+    report = _assert_same_report(parse_domain(_blocks_text(blocks)))
+    assert report.actions_checked == len(blocks) * (len(blocks) + 1)
+
+
+def test_random_domains_match_the_flat_enumeration():
+    # _random_domain has no preconditions; each domain is also checked with
+    # random ones added, so that the precondition prefix ends anywhere.
+    rng = random.Random(4409)
+    for _ in range(50):
+        domain = _random_domain(rng)
+        _assert_same_report(domain)
+        names = sorted(domain.fluents)
+        pres = tuple(
+            Precondition(action=Pat(a), guard=tuple(
+                GuardLiteral(fluent=Pat(f), positive=rng.random() < 0.6)
+                for f in rng.sample(names, rng.randint(1, 2))))
+            for a in sorted(domain.actions) if rng.random() < 0.7)
+        _assert_same_report(dataclasses.replace(domain, preconditions=pres))
+
+
+def test_precondition_on_the_last_fluent_reads_the_whole_valuation():
+    text = "\n".join([
+        "domain last",
+        "fluent a_free()",
+        "fluent z_gate()",
+        "action go()",
+        "aspect a_free() (left)",
+        "aspect z_gate() (right)",
+        "aspect go() (left) if a_free()",
+        "aspect go() (right) if !a_free()",
+        "pre go() z_gate()",
+        "effect go() add a_free()",
+        "disjoint by seq-diff",
+    ]) + "\n"
+    domain = parse_domain(text)
+    relevant = frames._relevant_fluents(domain, domain.ground_action_list[0])
+    assert [f.schema for f in relevant] == ["a_free", "z_gate"]
+    report = _assert_same_report(domain)
+    assert report.valuations_checked == 4
+    assert not report.clean
+
+
+def test_no_precondition_matches_the_flat_enumeration():
+    text = fixture_text("blocks.dom").replace(
+        "pre move(x,y) clear(x) & clear(y)\n", "")
+    domain = parse_domain(text)
+    assert domain.preconditions == ()
+    _assert_same_report(domain)
+
+
+# States the flat enumeration builds: the lint may not build more.
+STATES_BUILT_AT_MOST = {"blocks.dom": 720, "display.dom": 102, "economy.dom": 14,
+                        "blocks_nosupport.dom": 732, "rooms.dom": 0}
+
+
+@pytest.mark.parametrize("name", sorted(STATES_BUILT_AT_MOST))
+def test_soundness_work_counts(name, monkeypatch):
+    calls = {"build_state": 0, "_failed_precondition": 0}
+
+    def counting(attr):
+        real = getattr(frames, attr)
+
+        def counted(*args, **kwargs):
+            calls[attr] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    domain = load_domain(name)
+    for attr in calls:
+        monkeypatch.setattr(frames, attr, counting(attr))
+    report = check_aspect_soundness(domain)
+    assert calls["build_state"] <= STATES_BUILT_AT_MOST[name]
+    if name == "blocks.dom":
+        # 672 valuations, one precondition evaluation per prefix.
+        assert report.valuations_checked == 672
+        assert calls["_failed_precondition"] == 42
