@@ -41,73 +41,31 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv: list[str]) -> _Parser:
+    """The parser for `argv`: with only the invoked subcommand declared when
+    `argv[0]` names one, else with all of them. The command list in the
+    usage line is the same either way."""
     parser = _Parser(prog="sitaspect", description=__doc__)
     parser.add_argument("--version", action="version",
                         version=f"sitaspect {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text):
+    one = bool(argv) and argv[0] in _COMMANDS
+    # The metavar keeps every command in the usage line of a one-command parser.
+    sub = parser.add_subparsers(dest="command", required=True, **(
+        {"metavar": "{" + ",".join(_COMMANDS) + "}"} if one else {}))
+    for name in [argv[0]] if one else _COMMANDS:
+        help_text, _, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--report", choices=("text", "json"), default="text")
-        return p
-
-    p = add("check", "load a domain and run the annotation lints")
-    p.add_argument("domain")
-
-    p = add("frames", "derive frame axioms and the economy report")
-    p.add_argument("domain")
-    p.add_argument("--universe", default=None,
-                   help="override object universes: 'sort: a, b; sort2: c' "
-                        "(declared sorts only, each object once)")
-
-    p = add("simulate", "progress an action sequence and dump the final state")
-    p.add_argument("domain")
-    p.add_argument("--init", required=True, help="state items, or @file")
-    p.add_argument("--acts", default="",
-                   help="actions separated by ';' or newlines, or @file")
-
-    p = add("query", "answer a fluent query about an action sequence")
-    p.add_argument("domain")
-    p.add_argument("--init", required=True)
-    p.add_argument("--acts", default="")
-    p.add_argument("--fluent", required=True)
-    p.add_argument("--mode", choices=("aspect", "ssa", "oracle"), default="aspect")
-
-    p = add("compare", "compare aspect regression, SSA evaluation, and the oracle")
-    p.add_argument("domain")
-    p.add_argument("--workload", default=None,
-                   help="file with lines: INIT | ACTS | FLUENT")
-    p.add_argument("--random", type=int, default=0,
-                   help="generate this many random queries instead")
-    p.add_argument("--init", default=None, help="base state for --random")
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("validate", "verify a formalism's premises and conclusion on a model")
-    p.add_argument("model")
-    p.add_argument("--formalism", required=True, choices=FORMALISMS)
-
-    p = add("search", "bounded counterexample search for a formalism")
-    p.add_argument("formalism", choices=FORMALISMS)
-    p.add_argument("--max-situations", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--random-samples", type=int, default=0)
-    p.add_argument("--random-max-situations", type=int, default=6)
-
-    p = add("pitfall", "reproduce the commutativity specification trap")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-situations", type=int, default=3)
-    p.add_argument("--functional-situations", type=int, default=4)
-    p.add_argument("--random-samples", type=int, default=20000)
-
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
-        handler = _HANDLERS[args.command]
-        return handler(args)
+        return _COMMANDS[args.command][1](args)
     except DslError as exc:
         for diag in exc.diagnostics:
             print(diag.render(), file=sys.stderr)
@@ -462,15 +420,48 @@ def _cmd_pitfall(args) -> int:
     return 0 if result.reproduced else 2
 
 
-_HANDLERS = {
-    "check": _cmd_check,
-    "frames": _cmd_frames,
-    "simulate": _cmd_simulate,
-    "query": _cmd_query,
-    "compare": _cmd_compare,
-    "validate": _cmd_validate,
-    "search": _cmd_search,
-    "pitfall": _cmd_pitfall,
+# name -> (help, handler, [(argument, add_argument keywords)]); every
+# command also takes --report.
+_COMMANDS = {
+    "check": ("load a domain and run the annotation lints", _cmd_check, [
+        ("domain", {})]),
+    "frames": ("derive frame axioms and the economy report", _cmd_frames, [
+        ("domain", {}),
+        ("--universe", dict(default=None,
+                            help="override object universes: 'sort: a, b; sort2: c' "
+                                 "(declared sorts only, each object once)"))]),
+    "simulate": ("progress an action sequence and dump the final state", _cmd_simulate, [
+        ("domain", {}),
+        ("--init", dict(required=True, help="state items, or @file")),
+        ("--acts", dict(default="",
+                        help="actions separated by ';' or newlines, or @file"))]),
+    "query": ("answer a fluent query about an action sequence", _cmd_query, [
+        ("domain", {}),
+        ("--init", dict(required=True)),
+        ("--acts", dict(default="")),
+        ("--fluent", dict(required=True)),
+        ("--mode", dict(choices=("aspect", "ssa", "oracle"), default="aspect"))]),
+    "compare": ("compare aspect regression, SSA evaluation, and the oracle", _cmd_compare, [
+        ("domain", {}),
+        ("--workload", dict(default=None, help="file with lines: INIT | ACTS | FLUENT")),
+        ("--random", dict(type=int, default=0,
+                          help="generate this many random queries instead")),
+        ("--init", dict(default=None, help="base state for --random")),
+        ("--seed", dict(type=int, default=0))]),
+    "validate": ("verify a formalism's premises and conclusion on a model", _cmd_validate, [
+        ("model", {}),
+        ("--formalism", dict(required=True, choices=FORMALISMS))]),
+    "search": ("bounded counterexample search for a formalism", _cmd_search, [
+        ("formalism", dict(choices=FORMALISMS)),
+        ("--max-situations", dict(type=int, default=3)),
+        ("--seed", dict(type=int, default=0)),
+        ("--random-samples", dict(type=int, default=0)),
+        ("--random-max-situations", dict(type=int, default=6))]),
+    "pitfall": ("reproduce the commutativity specification trap", _cmd_pitfall, [
+        ("--seed", dict(type=int, default=0)),
+        ("--max-situations", dict(type=int, default=3)),
+        ("--functional-situations", dict(type=int, default=4)),
+        ("--random-samples", dict(type=int, default=20000))]),
 }
 
 

@@ -13,6 +13,7 @@ atom, with the head's binding.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -348,28 +349,28 @@ def _template_members(t: ElemTemplate) -> list:
 
 def _aspect_combos(domain: Domain, kind: str, atom,
                    errors: list[str]) -> tuple[AspectCombo, ...]:
-    """Static (aspect, guard-rendering) combinations for a ground atom."""
+    """Static (aspect, guard-rendering) combinations for a ground atom, in
+    rule and static-grounding order. A template position's element depends
+    only on its key (`_key_column`) in the grounding's row: each distinct key
+    tuple is kept at its first row, and each element and path is built once.
+    """
     # A dict keeps first-seen order and finds duplicates in constant time.
     combos: dict[AspectCombo, None] = {}
     bound = domain.bound(kind, atom)
     for rule, env0 in bound:
         # The rendering shows the guard under the argument binding only.
         guard_txt = tuple(_render_guard_atom(g, env0) for g in rule.guard)
-        groundings = static_guard_groundings(domain, rule.guard, env0)
-        if len(groundings) == 1:
-            combos[instantiate_template(rule.template, groundings[0]), guard_txt] = None
-            continue
-        # Over many groundings, build each element once per value tuple of
-        # the variables it reads.
-        reads = [(t, tuple(m.name for m in _template_members(t) if isinstance(m, Var)), {})
-                 for t in rule.template]
-        for g in groundings:
+        names, rows = _static_rows(domain, rule.guard, env0)
+        columns = [_key_column(t, names, rows) for t in rule.template]
+        memos: list[dict] = [{} for _ in columns]
+        # Each distinct key tuple, first-seen order, with a row that has it.
+        for keys, row in dict(zip(zip(*columns) if columns else [()], rows)).items():
             elems = []
-            for t, names, memo in reads:
-                key = tuple(map(g.get, names))
+            for t, memo, key in zip(rule.template, memos, keys):
                 elem = memo.get(key)
                 if elem is None:
-                    elem = memo[key] = instantiate_template((t,), g).elems[0]
+                    env = {**env0, **dict(zip(names, row))}
+                    elem = memo[key] = instantiate_template((t,), env).elems[0]
                 elems.append(elem)
             combos[AspectPath(tuple(elems)), guard_txt] = None
     if not bound:
@@ -377,6 +378,18 @@ def _aspect_combos(domain: Domain, kind: str, atom,
     elif not combos:
         errors.append(f"aspect rules for {kind} {atom} have unsatisfiable guards")
     return tuple(combos)
+
+
+def _key_column(t: ElemTemplate, names: list[str], rows: list[tuple]) -> list:
+    """Per row, the key of template position `t`: its variable's value, or
+    the set of the values of its free variables (a set template's constants
+    and head-bound members are fixed per rule)."""
+    read = [names.index(m.name) for m in _template_members(t)
+            if isinstance(m, Var) and m.name in names]
+    if not read:
+        return [()] * len(rows)
+    column = list(map(operator.itemgetter(*read), rows))
+    return column if len(read) == 1 else list(map(frozenset, column))
 
 
 def _render_guard_atom(atom: GuardAtom, env: dict) -> str:
@@ -474,56 +487,17 @@ def solve_guard(domain: Domain, state: WorldState, guard: Guard,
     each free variable ran over `arg_candidates` of its sort, the first one
     slowest, and are duplicate-free.
     """
-    return _ground_guard(domain, guard, env, state)
-
-
-def static_guard_groundings(domain: Domain, guard: Guard, env: dict) -> list[dict]:
-    """State-independent groundings of a guard's free variables.
-
-    Used for whole-universe analyses: every grounding that is not internally
-    contradictory counts as satisfiable in some state.
-    """
-    envs = _ground_guard(domain, guard, env, None)
-    # Drop groundings where some literal occurs both positively and negatively.
-    # Only fully bound negative literals can clash, so most groundings are
-    # kept without instantiating their positive literals.
-    positives = [g.fluent for g in guard if isinstance(g, GuardLiteral) and g.positive]
-    negatives = [g.fluent for g in guard if isinstance(g, GuardLiteral) and not g.positive]
-    ok = []
-    for e in envs:
-        neg = {instantiate_pat(f, e) for f in negatives if _fully_bound(f, e)}
-        if not neg or neg.isdisjoint(instantiate_pat(f, e) for f in positives):
-            ok.append(e)
-    return ok
-
-
-def _ground_guard(domain: Domain, guard: Guard, env: dict,
-                  state: Optional[WorldState]) -> list[dict]:
-    """Extensions of `env` satisfying the guard in `state`, duplicate-free.
-
-    With no state every literal counts as satisfiable: positive literals
-    ground over their sorts and negative ones keep every extension.
-    """
     # Duplicate-free: each step filters bindings or extends them over distinct values.
     envs = [dict(env)]
     for atom in guard:
         nxt: list[dict] = []
         if isinstance(atom, MemberGuard):
             for e in envs:
-                coll = _resolve_arg(atom.collection, e)
-                if not isinstance(coll, frozenset):
-                    raise SitAspectError(
-                        f"membership guard needs a set-valued collection, got {coll!r}")
+                coll = _members(_resolve_arg(atom.collection, e))
                 if isinstance(atom.member, Var) and atom.member.name not in e:
-                    for member in sorted(coll):
-                        e2 = dict(e)
-                        e2[atom.member.name] = member
-                        nxt.append(e2)
+                    nxt += ({**e, atom.member.name: m} for m in sorted(coll))
                 elif _resolve_arg(atom.member, e) in coll:
                     nxt.append(e)
-        elif state is None:
-            nxt = [e2 for e in envs for e2 in _literal_candidates(
-                domain, atom.fluent, e)] if atom.positive else envs
         elif atom.positive:
             for e in envs:
                 nxt += _true_groundings(domain, atom.fluent, e, state)
@@ -533,7 +507,78 @@ def _ground_guard(domain: Domain, guard: Guard, env: dict,
     return envs
 
 
-def _fully_bound(pat: Pat, env: dict) -> bool:
+def static_guard_groundings(domain: Domain, guard: Guard, env: dict) -> list[dict]:
+    """State-independent groundings of a guard's free variables: the rows
+    of `_static_rows` as extensions of `env`, in their order.
+
+    Used for whole-universe analyses: every grounding that is not internally
+    contradictory counts as satisfiable in some state.
+    """
+    names, rows = _static_rows(domain, guard, env)
+    return [{**env, **dict(zip(names, row))} for row in rows]
+
+
+def _static_rows(domain: Domain, guard: Guard,
+                 env: dict) -> tuple[list[str], list[tuple]]:
+    """The static groundings of `guard` under `env`, as value rows.
+
+    `names` are the guard's free variables in binding order, and each row
+    holds their values. Every literal counts as satisfiable: a positive one
+    extends each row over the sort pools of its new variables, the first
+    slowest, a member guard binds over the sorted collection or filters,
+    and a negated one keeps every row. Rows where a fully bound negated
+    literal is also a positive one are then dropped. Duplicate-free.
+    """
+    names: list[str] = []
+    rows: list[tuple] = [()]
+
+    def binding(row):
+        return {**env, **dict(zip(names, row))}
+
+    for atom in guard:
+        if not rows:
+            return names, rows
+        if isinstance(atom, MemberGuard):
+            colls = [_members(_resolve_arg(atom.collection, binding(row))) for row in rows]
+            member = atom.member
+            if isinstance(member, Var) and member.name not in env and member.name not in names:
+                names.append(member.name)
+                rows = [row + (m,) for row, coll in zip(rows, colls) for m in sorted(coll)]
+            else:
+                rows = [row for row, coll in zip(rows, colls)
+                        if _resolve_arg(member, binding(row)) in coll]
+        elif atom.positive:
+            schema = _guard_schema(domain, atom.fluent)
+            pools = []
+            for pa, ref in zip(atom.fluent.args, schema.params):
+                if isinstance(pa, Var) and pa.name not in env and pa.name not in names:
+                    names.append(pa.name)
+                    pools.append(arg_candidates(domain, ref))
+            if pools:
+                combos = list(itertools.product(*pools))
+                rows = [row + combo for row in rows for combo in combos]
+    literals = [g for g in guard if isinstance(g, GuardLiteral)]
+    bound = set(env).union(names)
+    if any(not g.positive and _fully_bound(g.fluent, bound) for g in literals):
+        rows = [row for row in rows if not _clashes(literals, binding(row))]
+    return names, rows
+
+
+def _clashes(literals: list[GuardLiteral], env: dict) -> bool:
+    """Whether some fully bound negated literal is also a positive one."""
+    negated = {instantiate_pat(g.fluent, env) for g in literals
+               if not g.positive and _fully_bound(g.fluent, env)}
+    return any(instantiate_pat(g.fluent, env) in negated for g in literals if g.positive)
+
+
+def _members(coll) -> frozenset:
+    if not isinstance(coll, frozenset):
+        raise SitAspectError(
+            f"membership guard needs a set-valued collection, got {coll!r}")
+    return coll
+
+
+def _fully_bound(pat: Pat, env) -> bool:
     return all(not isinstance(a, Var) or a.name in env for a in pat.args)
 
 

@@ -150,14 +150,12 @@ def _aspect_of(domain: Domain, state: WorldState, kind: str, atom) -> AspectPath
             raise MissingAspectError(f"no aspect rule declared for {kind} '{atom.schema}'")
         raise MissingAspectError(f"no aspect rule applies to {atom} in this state")
     if len(matched) > 1:
-        raise AmbiguousAspectError(
-            f"multiple aspect rules apply to {atom}: "
-            + "; ".join(str(r) for r, _ in matched))
+        raise AmbiguousAspectError("multiple aspect rules apply to {}", atom,
+                                   [r for r, _ in matched], "; ")
     aspects = matched[0][1]
     if len(aspects) > 1:
-        raise AmbiguousAspectError(
-            f"aspect rule for {atom} yields several aspects: "
-            + ", ".join(str(a) for a in aspects))
+        raise AmbiguousAspectError("aspect rule for {} yields several aspects",
+                                   atom, aspects, ", ")
     return aspects[0]
 
 
@@ -257,30 +255,6 @@ def applicable_actions(domain: Domain, state: WorldState) -> list[GroundAction]:
     """
     return [a for a in domain.ground_action_list
             if _failed_precondition(domain, state, a) is None]
-
-
-def reachable_states(domain: Domain, init: WorldState,
-                     max_depth: int) -> list[WorldState]:
-    """All states reachable from init by applicable sequences of length <= max_depth."""
-    seen = {init}
-    frontier = [init]
-    out = [init]
-    for _ in range(max_depth):
-        nxt = []
-        for s in frontier:
-            for a in applicable_actions(domain, s):
-                try:
-                    s2 = progress(domain, s, a)
-                except UndefinedActionError:
-                    continue
-                if s2 not in seen:
-                    seen.add(s2)
-                    nxt.append(s2)
-                    out.append(s2)
-        frontier = nxt
-        if not frontier:
-            break
-    return out
 
 
 # ---------------------------------------------------------------------------

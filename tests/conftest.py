@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from sitaspect.dsl import parse_domain, parse_model, parse_state
+from sitaspect.errors import UndefinedActionError
+from sitaspect.frames import applicable_actions, progress
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -22,6 +24,30 @@ def pytest_runtest_logreport(report):
 
 def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
+
+
+def reachable_states(domain, init, max_depth: int) -> list:
+    """All states reachable from init by applicable sequences of length <=
+    max_depth, breadth first, each once."""
+    seen = {init}
+    frontier = [init]
+    out = [init]
+    for _ in range(max_depth):
+        nxt = []
+        for s in frontier:
+            for a in applicable_actions(domain, s):
+                try:
+                    s2 = progress(domain, s, a)
+                except UndefinedActionError:
+                    continue
+                if s2 not in seen:
+                    seen.add(s2)
+                    nxt.append(s2)
+                    out.append(s2)
+        frontier = nxt
+        if not frontier:
+            break
+    return out
 
 
 def load_domain(name: str):

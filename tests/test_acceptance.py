@@ -21,7 +21,6 @@ from sitaspect.frames import (
     persistence_proof,
     progress,
     progression,
-    reachable_states,
 )
 from sitaspect.reiter import compare_modes, compile_ssa, random_workload, ssa_query
 from sitaspect.search import reproduce_commutative_pitfall, search_counterexample
@@ -36,6 +35,7 @@ from tests.conftest import (
     fixture_text,
     load_domain,
     load_model,
+    reachable_states,
 )
 from tests.planted import FACTORIZATION, STABILITY, make_model
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ import sys
 import pytest
 
 import sitaspect
-from sitaspect.cli import main
+from sitaspect.cli import _build_parser, main
 from tests.conftest import BLOCKS_INIT, DISPLAY_INIT, FIXTURES, ROOMS_INIT
 
 BLOCKS = str(FIXTURES / "blocks.dom")
@@ -156,6 +157,67 @@ def test_usage_error_exit_three(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["validate"])  # missing required arguments
     assert exc.value.code == 3
+
+
+COMMANDS = ("check", "frames", "simulate", "query", "compare", "validate",
+            "search", "pitfall")
+
+USAGE = ("usage: sitaspect [-h] [--version]\n"
+         "                 {check,frames,simulate,query,compare,validate,search,pitfall}\n"
+         "                 ...\n")
+
+
+def _parse(capsys, parser, argv):
+    """(exit code or parsed arguments, stdout, stderr) of one parse."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_one_command_parser_prints_as_the_full_one(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    cases = {"help": [command, "--help"], "missing argument": [command],
+             "unknown option": [command, "--nope"],
+             "extra positional": [command, "x", "y", "z"]}
+    seen = {}
+    for what, argv in cases.items():
+        seen[what] = _parse(capsys, _build_parser([]), argv)
+        assert _parse(capsys, _build_parser(argv), argv) == seen[what], what
+    assert seen["help"][0] == 0
+    assert seen["help"][1].startswith(f"usage: sitaspect {command} ")
+    assert seen["unknown option"][0] == seen["extra positional"][0] == 3
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus' (choose from 'check', "
+                "'frames', 'simulate', 'query', 'compare', 'validate', 'search', "
+                "'pitfall')"),
+])
+def test_no_or_unknown_command_lists_every_command(capsys, monkeypatch, argv, message):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _parse(capsys, _build_parser(argv), argv) == (
+        3, "", USAGE + f"sitaspect: error: {message}\n")
+
+
+def test_a_command_builds_its_parser_only(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    code, out, _ = run(capsys, "query", BLOCKS, "--init", BLOCKS_INIT,
+                       "--acts", "move(a,b)", "--fluent", "on(a,b)")
+    assert code == 0 and out.startswith("on(a,b) after [move(a,b)] = true (aspect mode)\n")
+    assert built == ["sitaspect", "sitaspect query"]
+    assert tuple(sitaspect.cli._COMMANDS) == COMMANDS
 
 
 def test_search_exit_zero(capsys):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
+from dataclasses import replace
+
 import pytest
 
 from sitaspect.domain import (
@@ -36,12 +39,11 @@ from sitaspect.frames import (
     persistence_proof,
     progress,
     progression,
-    reachable_states,
     regress_query,
 )
 from sitaspect.state import eval_fluent
 from sitaspect.terms import AspectAtom, action, fluent, path
-from tests.conftest import fixture_text
+from tests.conftest import fixture_text, reachable_states
 
 
 # -- aspects of ground atoms -------------------------------------------------
@@ -75,8 +77,23 @@ def test_display_action_aspects(display, display_init):
 
 def test_ambiguous_aspect_is_an_error(blocks):
     state = parse_state("on(a,b); on(a,c); clear(a)", blocks)
-    with pytest.raises(AmbiguousAspectError):
+    with pytest.raises(AmbiguousAspectError) as exc:
         aspect_of_action(blocks, state, action("move", "a", "floor"))
+    text = ("aspect rule for move(a,floor) yields several aspects: "
+            "({b,floor}), ({c,floor})")
+    assert str(exc.value) == str(pickle.loads(pickle.dumps(exc.value))) == text
+
+
+def test_rival_aspect_rules_are_named_in_the_error(blocks):
+    rival = AspectRule("fluent", Pat("clear", (Var("x"),)), (Var("x"), Var("x")),
+                       (GuardLiteral(Pat("on", (Var("x"), Var("y")))),))
+    domain = replace(blocks, aspect_rules=blocks.aspect_rules + (rival,))
+    state = parse_state("on(a,b); clear(a)", domain)
+    with pytest.raises(AmbiguousAspectError) as exc:
+        aspect_of_fluent(domain, state, fluent("clear", "a"))
+    rules = "; ".join(str(r) for r in domain.aspect_rules if r.target.schema == "clear")
+    assert str(exc.value) == f"multiple aspect rules apply to clear(a): {rules}"
+    assert rules.endswith("; aspect clear(x) (x,x) if on(x,y)")
 
 
 def test_missing_aspect_errors_name_their_cause():
@@ -451,7 +468,7 @@ def test_completeness_lint_display_clean(display):
 
 @pytest.mark.parametrize("name", ["blocks", "rooms", "display"])
 def test_every_guard_solution_is_a_static_grounding(request, name):
-    # solve_guard and static_guard_groundings share one grounder: whatever
+    # The static grounder over-approximates the state solver: whatever
     # solves a guard in a reachable state is one of its static groundings.
     from sitaspect.domain import (
         ground_fluents,

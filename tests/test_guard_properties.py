@@ -4,7 +4,8 @@ Hypothesis draws small domains (object sorts, a set sort, fluent schemas of
 up to three parameters), states that hold stray facts outside every sort
 and leave some fluents unmodeled, and guards mixing positive and negated
 literals, repeated variables, constant arguments and `x in S` membership.
-`solve_guard` must return the reference's list, or raise its error.
+`solve_guard` must return the reference's list, or raise its error, and so
+must `static_guard_groundings` against the dict-chain static grounder.
 """
 
 from __future__ import annotations
@@ -28,11 +29,13 @@ from sitaspect.domain import (  # noqa: E402
     SortRef,
     Var,
     solve_guard,
+    static_guard_groundings,
 )
 from sitaspect.errors import SitAspectError  # noqa: E402
 from sitaspect.state import build_state  # noqa: E402
 from sitaspect.terms import GroundFluent  # noqa: E402
 from tests.test_guard_solving import reference_solve  # noqa: E402
+from tests.test_lookups import _reference_static_groundings  # noqa: E402
 
 OBJECTS = ("a", "b", "c")
 STRAY = "d"  # an object of no sort
@@ -142,4 +145,62 @@ def test_solve_guard_matches_the_sort_product_on_generated_domains():
     check()
     for feature in ("repeated variable", "constant argument", "negated existential",
                     "x in S", "x in T", "solved", "no solution"):
+        assert seen[feature] >= 10, seen
+
+
+@st.composite
+def static_cases(draw):
+    """`cases` without the state; half of the guards with a positive literal
+    also get a negated copy of one, some variables fixed to a value, which
+    clashes in the groundings that agree with those values."""
+    domain, _, guard, env = draw(cases())
+    positives = [g.fluent for g in guard if isinstance(g, GuardLiteral) and g.positive]
+    if positives and draw(st.booleans()):
+        lit = draw(st.sampled_from(positives))
+        args = tuple(draw(st.sampled_from(_values(ref)))
+                     if isinstance(a, Var) and draw(st.booleans()) else a
+                     for a, ref in zip(lit.args, domain.fluents[lit.schema].params))
+        guard += (GuardLiteral(Pat(lit.schema, args), False),)
+    return domain, guard, env
+
+
+def _static_features(domain, guard, env, got):
+    out = _features(guard, env) - {"negated existential"}
+    for atom in guard:
+        if isinstance(atom, MemberGuard):
+            out.add("member guard")
+        elif any(isinstance(a, Var) and ref.is_set for a, ref in
+                 zip(atom.fluent.args, domain.fluents[atom.fluent.schema].params)):
+            out.add("set-valued parameter")
+    if isinstance(got, tuple):
+        out.add("error")
+        return out
+    out.add("grounded" if got else "unsatisfiable")
+    positive = tuple(g for g in guard if isinstance(g, MemberGuard) or g.positive)
+    if len(static_guard_groundings(domain, positive, env)) > len(got):
+        out.add("clash")
+    return out
+
+
+def test_static_groundings_match_the_dict_chain_on_generated_domains():
+    seen = Counter()
+
+    def listed(outcome):
+        return outcome if isinstance(outcome, tuple) else [list(e.items()) for e in outcome]
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(static_cases())
+    def check(case):
+        domain, guard, env = case
+        before = dict(env)
+        got = _outcome(static_guard_groundings, domain, guard, env)
+        assert listed(got) == listed(
+            _outcome(_reference_static_groundings, domain, guard, env))
+        assert env == before
+        seen.update(_static_features(domain, guard, env, got))
+
+    check()
+    for feature in ("member guard", "set-valued parameter", "repeated variable",
+                    "constant argument", "clash", "unsatisfiable", "grounded", "error"):
         assert seen[feature] >= 10, seen

@@ -16,9 +16,9 @@ import pytest
 
 from sitaspect.domain import MemberGuard, Var, arg_candidates, initial_state, solve_guard
 from sitaspect.errors import SitAspectError
-from sitaspect.frames import reachable_states
 from sitaspect.state import eval_fluent
 from sitaspect.terms import GroundFluent
+from tests.conftest import reachable_states
 from tests.test_lookups import _depth2, _guarded_matches
 
 

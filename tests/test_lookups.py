@@ -1,7 +1,8 @@
 """Lookups the query path relies on, checked against naive references.
 
 Guard grounding must be duplicate-free, aspect combinations must match a
-whole-template instantiation at every static grounding, a state must place
+whole-template instantiation at every grounding of the dict-chain static
+grounder below, a state must place
 each fluent at the home its domain declares, and a domain's rule
 lookups and static-aspect tables must equal the filtered rule tuples and
 be built once per Domain object.
@@ -9,43 +10,115 @@ be built once per Domain object.
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
 
 import sitaspect.cli
 import sitaspect.domain
+from sitaspect.domain import (
+    Domain,
+    FluentSchema,
+    Pat,
+    SortRef,
+    StaticAspects,
+)
 from sitaspect.disjoint import d_eval
 from sitaspect.domain import (
+    GuardLiteral,
+    MemberGuard,
+    SetTemplate,
+    Var,
+    _literal_candidates,
     _render_guard_atom,
     ground_actions,
     ground_fluents,
     initial_state,
+    instantiate_pat,
     instantiate_template,
     match_args,
     solve_guard,
     static_guard_groundings,
 )
 from sitaspect.dsl import parse_domain
+from sitaspect.errors import SitAspectError
 from sitaspect.frames import (
     applicable_actions,
     completeness_lint,
     derive_frame_axioms,
-    reachable_states,
     static_aspect_samples,
 )
 from sitaspect.state import eval_fluent, home_of, with_fluent
-from sitaspect.terms import AspectAtom, fluent
+from sitaspect.terms import AspectAtom, action, fluent
 from tests.conftest import (
     BLOCKS_INIT,
     DISPLAY_INIT,
     FIXTURES,
     ROOMS_INIT,
+    fixture_text,
     load_domain,
+    reachable_states,
 )
+from tests.test_random_domains import _random_domain
 
 FIXTURE_DOMAINS = ("blocks.dom", "blocks_nosupport.dom", "rooms.dom",
                    "display.dom", "economy.dom")
+
+
+def _scaled(fixture, **objects):
+    """A fixture's text with the `objects` lines of the given sorts replaced."""
+    lines = fixture_text(fixture).splitlines()
+    for i, line in enumerate(lines):
+        sort = line.removeprefix("objects ").partition(":")[0]
+        if line.startswith("objects ") and sort in objects:
+            lines[i] = f"objects {sort}: {', '.join(objects[sort])}"
+    return parse_domain("\n".join(lines) + "\n", file=fixture)
+
+
+def _names(prefix, n):
+    return [f"{prefix}{i}" for i in range(1, n + 1)]
+
+
+# blocks-N, rooms-N (N blocks in two rooms) and display-k, built here.
+GENERATED = {
+    **{f"blocks-{n}": ("blocks.dom", {"block": _names("b", n),
+                                      "place": _names("b", n) + ["floor"]})
+       for n in (2, 4, 5)},
+    **{f"rooms-{n}": ("rooms.dom", {"block": _names("b", n),
+                                    "place": _names("b", n) + ["f1", "f2"]})
+       for n in (2, 4)},
+    **{f"display-{k}": ("display.dom", {"pixel": _names("p", k)}) for k in (1, 4)},
+}
+
+# Empty templates, constant set members, and set-valued variables inside
+# set templates, bound by the head and by the guard; lone(b) has no rule,
+# and never's guard always clashes.
+SHAPES = """domain shapes
+objects obj: a, b, c
+fluent on(obj, obj)
+fluent mark(set of obj)
+fluent lone(obj)
+action act(set of obj, obj)
+action noop()
+action blank(obj)
+action never(obj)
+aspect on(x,y) ({x,y,k})
+aspect mark(S) ({S,z,k}) if z in S
+aspect lone(a) (a)
+aspect act(S,x) ({T,x,z}, T, {S}, z) if mark(T) & x in T & z in T
+aspect noop() ()
+aspect blank(x) () if on(x,y)
+aspect never(x) (x) if on(x,y) & !on(x,y)
+"""
+
+
+def _domain(name):
+    if name in GENERATED:
+        return _scaled(*GENERATED[name][:1], **GENERATED[name][1])
+    if name == "shapes":
+        return parse_domain(SHAPES, file=name)
+    return load_domain(name)
 
 
 def _depth2(request, name):
@@ -55,6 +128,46 @@ def _depth2(request, name):
 
 
 # -- duplicate-free guard groundings ----------------------------------------
+
+def _reference_static_groundings(domain, guard, env):
+    """The static grounder as a chain of dicts: each positive literal extends
+    every binding over `_literal_candidates`, a member guard binds over the
+    sorted collection or filters, a negated literal keeps every binding;
+    then a binding is dropped when a fully bound negated literal is also
+    one of its positive literals."""
+    def value(arg, e):
+        if isinstance(arg, Var):
+            if arg.name not in e:
+                raise SitAspectError(f"unbound variable {arg.name}")
+            return e[arg.name]
+        return arg
+
+    envs = [dict(env)]
+    for atom in guard:
+        if isinstance(atom, MemberGuard):
+            nxt = []
+            for e in envs:
+                coll = value(atom.collection, e)
+                if not isinstance(coll, frozenset):
+                    raise SitAspectError(
+                        f"membership guard needs a set-valued collection, got {coll!r}")
+                if isinstance(atom.member, Var) and atom.member.name not in e:
+                    nxt += [{**e, atom.member.name: m} for m in sorted(coll)]
+                elif value(atom.member, e) in coll:
+                    nxt.append(e)
+            envs = nxt
+        elif atom.positive:
+            envs = [e2 for e in envs for e2 in _literal_candidates(domain, atom.fluent, e)]
+    literals = [g for g in guard if isinstance(g, GuardLiteral)]
+
+    def clashes(e):
+        negated = {instantiate_pat(g.fluent, e) for g in literals if not g.positive
+                   and all(not isinstance(a, Var) or a.name in e for a in g.fluent.args)}
+        return bool(negated) and any(instantiate_pat(g.fluent, e) in negated
+                                     for g in literals if g.positive)
+
+    return [e for e in envs if not clashes(e)]
+
 
 def _guarded_matches(domain):
     """(guard, argument binding) for every aspect rule, precondition and
@@ -91,6 +204,54 @@ def test_guard_groundings_are_duplicate_free(request, name):
             _assert_distinct(solve_guard(domain, state, guard, env), guard)
 
 
+@pytest.mark.parametrize("name", [*FIXTURE_DOMAINS, *GENERATED, "shapes"])
+def test_static_groundings_match_the_dict_chain(name):
+    domain = _domain(name)
+    matches = _guarded_matches(domain)
+    assert matches
+    for guard, env in matches:
+        got = static_guard_groundings(domain, guard, env)
+        # Equal bindings, in the same order, each with the same key order.
+        assert [list(e.items()) for e in got] == [
+            list(e.items()) for e in _reference_static_groundings(domain, guard, env)]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SitAspectError as exc:
+        return type(exc), str(exc)
+
+
+def test_static_groundings_raise_as_the_dict_chain():
+    x, y, T = Var("x"), Var("y"), Var("T")
+    domain = Domain(
+        name="hand", sorts={"s": ("a", "b")}, actions={}, aspect_rules=(), effects=(),
+        fluents={"f": FluentSchema("f", (SortRef("s"),)),
+                 "g": FluentSchema("g", (SortRef("s"), SortRef("s"))),
+                 "h": FluentSchema("h", (SortRef("nowhere"),))})
+    nothing = MemberGuard(x, Var("E"))  # E is the empty set: no grounding
+    cases = {
+        "unknown schema": (GuardLiteral(Pat("nope", (x,))),),
+        "arity": (GuardLiteral(Pat("f", (x, y))),),
+        "unknown sort": (GuardLiteral(Pat("h", (x,))),),
+        "constant collection": (MemberGuard(x, "a"),),
+        "object collection": (GuardLiteral(Pat("f", (T,))), MemberGuard(x, T)),
+        "unbound collection": (MemberGuard(x, Var("U")),),
+        "negated unknown schema": (GuardLiteral(Pat("nope", (x,)), False),),
+        "negated arity": (GuardLiteral(Pat("f", ("a", "b")), False),),
+    }
+    for what, guard in cases.items():
+        for guard in (guard, (nothing,) + guard):
+            env = {"E": frozenset()}
+            got = _outcome(static_guard_groundings, domain, guard, env)
+            assert got == _outcome(_reference_static_groundings, domain, guard, env), what
+            if guard[0] is nothing:
+                assert got == [], what
+            elif not what.startswith("negated"):
+                assert isinstance(got, tuple), what
+
+
 # -- aspect combinations against a whole-template reference -----------------
 
 def _reference_combos(domain, kind, schema, args):
@@ -104,11 +265,91 @@ def _reference_combos(domain, kind, schema, args):
         if env0 is None:
             continue
         guard_txt = tuple(_render_guard_atom(atom, env0) for atom in rule.guard)
-        for g in static_guard_groundings(domain, rule.guard, env0):
+        for g in _reference_static_groundings(domain, rule.guard, env0):
             combo = (instantiate_template(rule.template, g), guard_txt)
             if combo not in combos:
                 combos.append(combo)
     return combos
+
+
+def _reference_table(domain):
+    """`Domain.static_aspects` from the reference combos."""
+    errors = []
+
+    def table(kind, atoms):
+        rows = []
+        for x in atoms:
+            combos = _reference_combos(domain, kind, x.schema, x.args)
+            if combos:
+                rows.append((x, tuple(combos)))
+            elif not any(r.kind == kind and match_args(r.target.args, x.args) is not None
+                         for r in domain.aspect_rules if r.target.schema == x.schema):
+                errors.append(f"no aspect rule matches {kind} {x}")
+            else:
+                errors.append(f"aspect rules for {kind} {x} have unsatisfiable guards")
+        return tuple(rows)
+
+    fluents = table("fluent", ground_fluents(domain))
+    actions = table("action", ground_actions(domain))
+    return StaticAspects(fluents=fluents, actions=actions, errors=tuple(errors))
+
+
+@pytest.mark.parametrize("name", [*FIXTURE_DOMAINS, *GENERATED, "shapes"])
+def test_static_aspects_match_the_reference_table(name):
+    domain = _domain(name)
+    assert domain.static_aspects == _reference_table(domain)
+
+
+def test_static_aspects_match_the_reference_table_on_random_domains():
+    rng = random.Random(2062)
+    for trial in range(40):
+        domain = _random_domain(rng)
+        assert domain.static_aspects == _reference_table(domain), trial
+
+
+def test_shapes_cover_the_template_edge_cases():
+    table = _domain("shapes").static_aspects
+    combos = dict(table.fluents + table.actions)
+    assert [str(p) for p, _ in combos[action("noop")]] == ["()"]
+    assert [str(p) for p, _ in combos[action("blank", "a")]] == ["()"]
+    assert {str(p) for p, _ in combos[fluent("mark", {"a", "b"})]} == {"({a,b,k})"}
+    assert "({a,b},{a,b},{a},a)" in {str(p) for p, _ in combos[action("act", {"a"}, "a")]}
+    assert "aspect rules for action never(a) have unsatisfiable guards" in table.errors
+    assert "no aspect rule matches fluent lone(b)" in table.errors
+
+
+def test_static_aspects_build_each_element_once_per_key(monkeypatch):
+    domain = load_domain("rooms.dom")
+    # The distinct (atom, rule, position, key) of the reference groundings:
+    # a position's key is its variable's value, or the set of the values of
+    # the variables of its set template that the head leaves free.
+    keys = set()
+    for kind, atoms in (("fluent", ground_fluents(domain)),
+                        ("action", ground_actions(domain))):
+        for x in atoms:
+            for rule, env0 in domain.bound(kind, x):
+                for g in _reference_static_groundings(domain, rule.guard, env0):
+                    for i, t in enumerate(rule.template):
+                        members = t.members if isinstance(t, SetTemplate) else [t]
+                        free = frozenset(g[m.name] for m in members
+                                         if isinstance(m, Var) and m.name not in env0)
+                        key = free if isinstance(t, SetTemplate) else tuple(free)
+                        keys.add((x, rule, i, key))
+    reference = _reference_table(load_domain("rooms.dom"))
+    calls = {"instantiate_template": 0, "AspectSet": 0}
+
+    def counting(name):
+        fn = getattr(sitaspect.domain, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(sitaspect.domain, name, counted)
+
+    counting("instantiate_template")
+    counting("AspectSet")
+    assert domain.static_aspects == reference
+    assert 0 < calls["AspectSet"] <= calls["instantiate_template"] <= len(keys)
 
 
 def _matches(action_pat, fluent_pat, a, p):

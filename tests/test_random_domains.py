@@ -31,11 +31,11 @@ from sitaspect.frames import (
     aspect_of_fluent,
     check_aspect_soundness,
     progress,
-    reachable_states,
 )
 from sitaspect.reiter import compare_modes, random_workload
 from sitaspect.state import eval_fluent
 from sitaspect.terms import AspectAtom
+from tests.conftest import reachable_states
 
 
 def _random_domain(rng: random.Random) -> Domain:

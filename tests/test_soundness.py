@@ -18,7 +18,7 @@ import pytest
 
 from sitaspect import frames
 from sitaspect.disjoint import d_eval
-from sitaspect.domain import GuardLiteral, Pat, Precondition
+from sitaspect.domain import AspectRule, GuardLiteral, Pat, Precondition
 from sitaspect.dsl import parse_domain
 from sitaspect.errors import AmbiguousAspectError, MissingAspectError
 from sitaspect.frames import (
@@ -27,6 +27,7 @@ from sitaspect.frames import (
     check_aspect_soundness,
 )
 from sitaspect.state import build_state
+from sitaspect.terms import AspectPath
 from tests.conftest import fixture_text, load_domain
 from tests.test_random_domains import _random_domain
 
@@ -195,3 +196,14 @@ def test_soundness_work_counts(name, monkeypatch):
         # 672 valuations, one precondition evaluation per prefix.
         assert report.valuations_checked == 672
         assert calls["_failed_precondition"] == 42
+
+
+def test_soundness_renders_no_aspect_path_or_rule(monkeypatch):
+    # Most blocks-4 valuations leave the action aspect ambiguous; the lint
+    # only counts them, so the error's text is never built.
+    rendered = []
+    for cls in (AspectPath, AspectRule):
+        monkeypatch.setattr(cls, "__str__", lambda self: rendered.append(self) or "")
+    report = check_aspect_soundness(parse_domain(_blocks_text(["a", "b", "c", "d"])))
+    assert any("valuations with ambiguous aspects" in u for u in report.unresolved)
+    assert rendered == []

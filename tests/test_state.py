@@ -9,10 +9,9 @@ import pytest
 from sitaspect.domain import ground_fluents, initial_state
 from sitaspect.dsl import parse_state
 from sitaspect.errors import SchemaError, UndefinedPortionError
-from sitaspect.frames import reachable_states
 from sitaspect.state import build_state, eval_fluent, with_fluent
 from sitaspect.terms import fluent
-from tests.conftest import BLOCKS_INIT
+from tests.conftest import BLOCKS_INIT, reachable_states
 
 
 def test_eval_fluent_direct_lookup(blocks, blocks_init):
