@@ -13,6 +13,7 @@ of aspect alpha. Four specification styles are supported:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -205,7 +206,6 @@ def _sample_atoms(samples) -> set[AspectAtom]:
 
 
 def _suffixes(atoms: list[AspectAtom], max_len: int):
-    frontier: list[tuple[AspectAtom, ...]] = [()]
-    for _ in range(max_len):
-        frontier = [s + (a,) for s in frontier for a in atoms]
-        yield from frontier
+    """Every tuple of 1..max_len atoms, shorter first, first position slowest."""
+    for k in range(1, max_len + 1):
+        yield from itertools.product(atoms, repeat=k)

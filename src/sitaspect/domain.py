@@ -16,7 +16,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .disjoint import DisjointnessSpec, SeqExistsDiff
 from .errors import SchemaError, SitAspectError
@@ -224,7 +224,7 @@ class Domain:
         return {}
 
     @cached_property
-    def _pool_ranks(self) -> dict:
+    def _pools(self) -> dict:
         return {}
 
     @cached_property
@@ -251,16 +251,22 @@ class Domain:
         return self.sorts[sort]
 
 
-def arg_candidates(domain: Domain, ref: SortRef) -> list[GroundTerm]:
-    """All ground terms a parameter can take: objects, or nonempty object subsets."""
-    objs = domain.objects(ref.name)
-    if not ref.is_set:
-        return list(objs)
-    subsets: list[GroundTerm] = []
-    for size in range(1, len(objs) + 1):
-        for combo in itertools.combinations(objs, size):
-            subsets.append(frozenset(combo))
-    return subsets
+def arg_candidates(domain: Domain, ref: SortRef) -> dict[GroundTerm, int]:
+    """All ground terms a parameter can take, each mapped to its rank: the
+    sort's objects, or its nonempty object subsets by size, then by object
+    order. The keys come in rank order.
+
+    Memoised per Domain object, like `bound`, so the dict is shared between
+    calls and is read-only.
+    """
+    pool = domain._pools.get(ref)
+    if pool is None:
+        terms = objs = domain.objects(ref.name)
+        if ref.is_set:
+            terms = [frozenset(combo) for size in range(1, len(objs) + 1)
+                     for combo in itertools.combinations(objs, size)]
+        pool = domain._pools[ref] = {t: i for i, t in enumerate(terms)}
+    return pool
 
 
 def ground_fluents(domain: Domain) -> list[GroundFluent]:
@@ -413,30 +419,14 @@ def _guard_schema(domain: Domain, lit_pat: Pat) -> FluentSchema:
     return schema
 
 
-def _literal_candidates(domain: Domain, lit_pat: Pat, env: dict) -> Iterator[dict]:
-    """Groundings of a literal's unbound variables over its schema's sorts."""
-    schema = _guard_schema(domain, lit_pat)
-    pools = []
-    free: list[str] = []
-    for pa, ref in zip(lit_pat.args, schema.params):
-        if isinstance(pa, Var) and pa.name not in env:
-            if pa.name in free:
-                continue
-            free.append(pa.name)
-            pools.append(arg_candidates(domain, ref))
-    if not free:
-        yield dict(env)
-        return
-    for combo in itertools.product(*pools):
-        out = dict(env)
-        out.update(zip(free, combo))
-        yield out
-
-
 def _true_groundings(domain: Domain, lit_pat: Pat, env: dict,
                      state: WorldState) -> list[dict]:
-    """The groundings of `_literal_candidates`, in its order, whose fluent is
-    true in `state`, bound from the state's true facts of the schema."""
+    """The extensions of `env` over the literal's free variables whose fluent
+    is true in `state`, bound from the state's true facts of the schema.
+
+    They come in sort-product order: each free variable runs over
+    `arg_candidates` of its first position's sort, the first one slowest.
+    """
     schema = _guard_schema(domain, lit_pat)
     # Each argument under env; a variable env leaves free stays a Var.
     values = tuple([env.get(a.name, a) if isinstance(a, Var) else a
@@ -452,7 +442,7 @@ def _true_groundings(domain: Domain, lit_pat: Pat, env: dict,
         first.setdefault(values[i].name, i)
     fixed = [(i, v) for i, v in enumerate(values) if not isinstance(v, Var)]
     same = [(i, first[values[i].name]) for i in free if first[values[i].name] != i]
-    pools = [(i, _pool_ranks(domain, schema.params[i])) for i in first.values()]
+    pools = [(i, arg_candidates(domain, schema.params[i])) for i in first.values()]
     rows = []
     for args in state.facts_index.get(lit_pat.schema, ()):
         if any(args[i] != v for i, v in fixed) or any(args[i] != args[j] for i, j in same):
@@ -464,15 +454,6 @@ def _true_groundings(domain: Domain, lit_pat: Pat, env: dict,
     # Pool positions order the solutions as the sort product does.
     rows.sort(key=lambda row: row[0])
     return [{**env, **{name: args[i] for name, i in first.items()}} for _, args in rows]
-
-
-def _pool_ranks(domain: Domain, ref: SortRef) -> dict:
-    """Each term of `arg_candidates(domain, ref)` -> its index there."""
-    ranks = domain._pool_ranks.get(ref)
-    if ranks is None:
-        ranks = domain._pool_ranks[ref] = {
-            t: i for i, t in enumerate(arg_candidates(domain, ref))}
-    return ranks
 
 
 def solve_guard(domain: Domain, state: WorldState, guard: Guard,

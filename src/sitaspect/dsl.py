@@ -13,6 +13,9 @@ Where a path or ground argument may be a set it is a nonempty
 situation, each action's successor of a situation, each
 `aspect fluent|action NAME`, each `witness F FORM` and each
 `cwitness F FORM ELEM`.
+
+In a model, a fluent with an `aspect fluent` line and no `val` line has the
+empty valuation: it is false in every situation.
 """
 
 from __future__ import annotations
@@ -788,10 +791,6 @@ def _finish_model(b: _ModelBuilder) -> None:
                 _file_error(b, f"relation '{atom}' is flagged functional but "
                                f"situation '{s}' has {len(succ)} successors")
                 break
-    for name in b.fluent_aspects:
-        if name not in b.valuations:
-            _file_error(b, f"fluent '{name}' has an aspect but no valuation",
-                        "add a 'val NAME ...' line")
     for name in b.action_aspects:
         if name not in b.action_maps:
             _file_error(b, f"action '{name}' has an aspect but no action map",

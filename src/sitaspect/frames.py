@@ -23,7 +23,7 @@ from .domain import (
     Precondition,
     SetTemplate,
     Var,
-    _literal_candidates,
+    _static_rows,
     _template_members,
     check_ground_action,
     check_ground_fluent,
@@ -220,13 +220,18 @@ def _touches_unmodeled(domain: Domain, state: WorldState, guard, env0) -> bool:
 
 def _guard_fluents(domain: Domain, guard, env0) -> Iterator[GroundFluent]:
     """Every ground fluent the guard's literals read, over its static groundings."""
-    for g in static_guard_groundings(domain, guard, env0):
-        for atom in guard:
-            if isinstance(atom, GuardLiteral):
-                # Negated literals leave their variables unbound (negation
-                # as failure); every grounding of them is read.
-                for g2 in _literal_candidates(domain, atom.fluent, g):
-                    yield instantiate_pat(atom.fluent, g2)
+    groundings = static_guard_groundings(domain, guard, env0)
+    if not groundings:
+        return
+    # Negated literals leave their variables unbound (negation as failure);
+    # every grounding of them is read. Every static grounding binds the same
+    # variables, so a literal's rows over the rest are the same for each.
+    reads = [(atom.fluent, *_static_rows(domain, (GuardLiteral(atom.fluent),), groundings[0]))
+             for atom in guard if isinstance(atom, GuardLiteral)]
+    for g in groundings:
+        for pat, names, rows in reads:
+            for row in rows:
+                yield instantiate_pat(pat, {**g, **dict(zip(names, row))})
 
 
 def _net_effects(domain: Domain, state: WorldState,

@@ -15,6 +15,7 @@ of them satisfies the premises instead of being vacuous.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -72,6 +73,7 @@ def search_counterexample(formalism: str, max_situations: int = 3, seed: int = 0
     if is_collective(formalism):
         scope.append("collective layout: two elements, fluent aspect {x1}, "
                      "action aspect {x2}; wider aspects are sampled randomly")
+    found = None
     exhaustive_models = 0
     exhaustive_premise = 0
     for n in range(1, max_situations + 1):
@@ -79,20 +81,15 @@ def search_counterexample(formalism: str, max_situations: int = 3, seed: int = 0
         exhaustive_models += checked
         exhaustive_premise += premise
         if found is not None:
-            return SearchResult(formalism, found, exhaustive_models,
-                                exhaustive_premise, 0, 0, seed, tuple(scope))
+            break
     random_models = 0
     random_premise = 0
-    if random_samples:
+    if found is None and random_samples:
         scope.append(f"random sampling: {random_samples} models with up to "
                      f"{random_max_situations} situations, premise-biased")
         found, random_models, random_premise = _random_sweep(
             formalism, random_samples, seed, random_max_situations)
-        if found is not None:
-            return SearchResult(formalism, found, exhaustive_models,
-                                exhaustive_premise, random_models,
-                                random_premise, seed, tuple(scope))
-    return SearchResult(formalism, None, exhaustive_models, exhaustive_premise,
+    return SearchResult(formalism, found, exhaustive_models, exhaustive_premise,
                         random_models, random_premise, seed, tuple(scope))
 
 
@@ -101,36 +98,22 @@ def _at_least(what: str, value: int, low: int) -> None:
         raise ModelError(f"{what} must be at least {low}, got {value}")
 
 
-def _all_relation_rows(n: int):
-    if n == 0:
-        return
-    masks = range(1 << n)
-    stack = [[]]
-    for _ in range(n):
-        stack = [rows + [m] for rows in stack for m in masks]
-    for rows in stack:
-        yield rows
-
-
-def _all_vecs(n: int):
-    stack = [[]]
-    for _ in range(n):
-        stack = [v + [t] for v in stack for t in range(n)]
-    for v in stack:
-        yield v
-
-
 def _exhaustive_level(formalism: str, n: int):
+    """One exhaustive level: every relation (or function) on n situations,
+    then every action map, then every valuation, each a product with the
+    first position slowest. Returns the first counterexample or None, the
+    models checked and those whose premises hold."""
     universal = is_universal(formalism)
     checked = 0
     premise_models = 0
+    acts = list(itertools.product(range(n), repeat=n))
     if is_functional(formalism):
-        structures = ([1 << t for t in vec] for vec in _all_vecs(n))
+        structures = ([1 << t for t in vec] for vec in acts)
     else:
-        structures = _all_relation_rows(n)
+        structures = itertools.product(range(1 << n), repeat=n)
     for rows in structures:
         definable = {_defined(rows, q, universal) for q in range(1 << n)}
-        for act in _all_vecs(n):
+        for act in acts:
             if any(rows[s] != rows[act[s]] for s in range(n)):
                 checked += 1 << n  # every valuation of this structure is vacuous
                 continue
@@ -279,33 +262,12 @@ def reproduce_commutative_pitfall(seed: int = 0, exhaustive_max: int = 3,
              f"all function pairs on {functional_situations} situations",
              f"{random_samples} seeded random commuting pairs on "
              f"{functional_situations} situations"]
-
-    for n in range(1, exhaustive_max + 1):
-        all_rows = list(_all_relation_rows(n))
-        for r0 in all_rows:
-            for r1 in all_rows:
-                pairs_checked += 1
-                violations += _naive_trap_violations(n, r0, r1)
-                if _commutes(r0, r1):
-                    commuting += 1
-
-    nf = functional_situations
-    for f0 in _all_vecs(nf):
-        r0 = [1 << t for t in f0]
-        for f1 in _all_vecs(nf):
-            pairs_checked += 1
-            r1 = [1 << t for t in f1]
-            violations += _naive_trap_violations(nf, r0, r1)
-            if _commutes(r0, r1):
-                commuting += 1
-
-    rng = random.Random(seed)
-    for _ in range(random_samples):
+    for n, r0, r1 in _trap_pairs(seed, exhaustive_max, functional_situations,
+                                 random_samples):
         pairs_checked += 1
-        r0 = [rng.randrange(1 << nf) for _ in range(nf)]
-        r1 = _random_commuting_partner(rng, r0, nf)
-        violations += _naive_trap_violations(nf, r0, r1)
-        commuting += 1  # partners are commuting by construction
+        if _commutes(r0, r1):
+            commuting += 1
+            violations += _naive_trap_violations(n, r0, r1)
 
     first = PitfallFirstHalf(pairs_checked=pairs_checked, commuting_pairs=commuting,
                              violations=violations, scope=tuple(scope))
@@ -331,13 +293,32 @@ def reproduce_commutative_pitfall(seed: int = 0, exhaustive_max: int = 3,
                          corrected_d_rejects_swap=rejects, seed=seed)
 
 
+def _trap_pairs(seed: int, exhaustive_max: int, nf: int, random_samples: int):
+    """The (n, r0, r1) relation pairs of the first half, in order: every
+    relation pair on 1..exhaustive_max situations, every function pair on
+    nf situations, then seeded random partners on nf situations, which are
+    unions of powers of r0 and so commute with it."""
+    for n in range(1, exhaustive_max + 1):
+        rows = itertools.product(range(1 << n), repeat=n)
+        for r0, r1 in itertools.product(rows, repeat=2):
+            yield n, r0, r1
+    funcs = ([1 << t for t in vec] for vec in itertools.product(range(nf), repeat=nf))
+    for r0, r1 in itertools.product(funcs, repeat=2):
+        yield nf, r0, r1
+    rng = random.Random(seed)
+    for _ in range(random_samples):
+        r0 = [rng.randrange(1 << nf) for _ in range(nf)]
+        yield nf, r0, _random_commuting_partner(rng, r0, nf)
+
+
 def _commutes(r0: list[int], r1: list[int]) -> bool:
     return compose_rows(r0, r1) == compose_rows(r1, r0)
 
 
 def _naive_trap_violations(n: int, r0: list[int], r1: list[int]) -> int:
-    """For a commuting pair: count ways an action could satisfy the naive
-    premises yet change a definable fluent of some two-step aspect.
+    """Count ways an action could satisfy the naive premises yet change a
+    definable fluent of some two-step aspect; the caller passes commuting
+    pairs only.
 
     The naive d relates aspects (0,0), (1,0), (1,1) to the action aspect
     (0,1), so premise-satisfying actions preserve those three composed rows;
@@ -346,8 +327,6 @@ def _naive_trap_violations(n: int, r0: list[int], r1: list[int]) -> int:
     to that class check, because a premise-satisfying action may map a
     situation anywhere inside its class.
     """
-    if not _commutes(r0, r1):
-        return 0
     r00 = compose_rows(r0, r0)
     r10 = compose_rows(r1, r0)
     r11 = compose_rows(r1, r1)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import re
 from pathlib import Path
 
@@ -24,6 +25,17 @@ def pytest_runtest_logreport(report):
 
 def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
+
+
+def sort_pool(domain, ref) -> list:
+    """The ground terms a parameter of sort `ref` can take, built without the
+    program's pools: the sort's objects, or its nonempty subsets by size,
+    then by object order."""
+    objs = domain.objects(ref.name)
+    if not ref.is_set:
+        return list(objs)
+    return [frozenset(combo) for size in range(1, len(objs) + 1)
+            for combo in itertools.combinations(objs, size)]
 
 
 def reachable_states(domain, init, max_depth: int) -> list:

@@ -56,7 +56,10 @@ PINNED_INITS = {"BLOCKS_INIT": BLOCKS_INIT, "DISPLAY_INIT": DISPLAY_INIT,
 
 def _pinned_id(pinned) -> str:
     argv = pinned["argv"]
-    return (" ".join(argv[:2]) + (" --universe" if "--universe" in argv else "")
+    formalism = argv[argv.index("--formalism") + 1] if "--formalism" in argv else ""
+    return (" ".join(a for a in argv[:2] if not a.startswith("--"))
+            + (f" {formalism}" if formalism else "")
+            + (" --universe" if "--universe" in argv else "")
             + ("" if "--report" in argv else " text"))
 
 
@@ -65,7 +68,7 @@ def _pinned_id(pinned) -> str:
 def test_json_report_matches_pinned_digest(capsys, pinned):
     # The fixture reports must stay byte-identical; frames_blocks.golden
     # alone never reaches the multi-combination rules of rooms.dom.
-    argv = [str(FIXTURES / a) if a.endswith(".dom") else
+    argv = [str(FIXTURES / a) if a.endswith((".dom", ".model")) else
             PINNED_INITS.get(a, a) for a in pinned["argv"]]
     code, out, _ = run(capsys, *argv)
     assert code == pinned["exit"]

@@ -319,3 +319,19 @@ def test_commutative_monotonicity_canonicalizes_each_path_once(monkeypatch):
         [AspectAtom(x) for x in "abc"], repeat=n)]
     assert set(calls) == set(alphas) | set(betas) | {
         alpha.append(*s) for alpha in held for s in suffixes}
+
+
+def _frontier_suffixes(atoms, max_len):
+    """Suffixes of 1..max_len atoms by extending a frontier, shorter first."""
+    frontier = [()]
+    for _ in range(max_len):
+        frontier = [s + (a,) for s in frontier for a in atoms]
+        yield from frontier
+
+
+@pytest.mark.parametrize("max_len", [1, 2, 3])
+def test_suffixes_match_the_frontier_loop(max_len):
+    for k in range(4):
+        atoms = [AspectAtom(f"a{i}") for i in range(k)]
+        assert list(disjoint._suffixes(atoms, max_len)) == \
+            list(_frontier_suffixes(atoms, max_len))

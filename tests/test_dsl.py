@@ -180,6 +180,14 @@ def test_model_totality_error():
     assert any("not total" in d.message for d in exc.value.diagnostics)
 
 
+def test_aspect_fluent_without_val_has_the_empty_valuation():
+    model = parse_model("model m\n"
+                        "situations s0 s1\n"
+                        "atoms a\n"
+                        "aspect fluent p (a)\n")
+    assert model.valuations == {"p": frozenset()}
+
+
 def test_model_functionality_error():
     text = ("model bad\n"
             "situations s0 s1\n"

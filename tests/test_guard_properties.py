@@ -5,7 +5,8 @@ up to three parameters), states that hold stray facts outside every sort
 and leave some fluents unmodeled, and guards mixing positive and negated
 literals, repeated variables, constant arguments and `x in S` membership.
 `solve_guard` must return the reference's list, or raise its error, and so
-must `static_guard_groundings` against the dict-chain static grounder.
+must `static_guard_groundings` against the dict-chain static grounder, and
+the fluents a guard reads against the dict chain's literal grounder.
 """
 
 from __future__ import annotations
@@ -32,10 +33,14 @@ from sitaspect.domain import (  # noqa: E402
     static_guard_groundings,
 )
 from sitaspect.errors import SitAspectError  # noqa: E402
+from sitaspect.frames import _guard_fluents  # noqa: E402
 from sitaspect.state import build_state  # noqa: E402
 from sitaspect.terms import GroundFluent  # noqa: E402
 from tests.test_guard_solving import reference_solve  # noqa: E402
-from tests.test_lookups import _reference_static_groundings  # noqa: E402
+from tests.test_lookups import (  # noqa: E402
+    _reference_guard_fluents,
+    _reference_static_groundings,
+)
 
 OBJECTS = ("a", "b", "c")
 STRAY = "d"  # an object of no sort
@@ -203,4 +208,25 @@ def test_static_groundings_match_the_dict_chain_on_generated_domains():
     check()
     for feature in ("member guard", "set-valued parameter", "repeated variable",
                     "constant argument", "clash", "unsatisfiable", "grounded", "error"):
+        assert seen[feature] >= 10, seen
+
+
+def test_guard_fluents_match_the_literal_grounder_on_generated_domains():
+    seen = Counter()
+
+    def read(domain, guard, env):
+        return list(_guard_fluents(domain, guard, env))
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(static_cases())
+    def check(case):
+        domain, guard, env = case
+        got = _outcome(read, domain, guard, env)
+        assert got == _outcome(_reference_guard_fluents, domain, guard, env)
+        seen.update(_features(guard, env))
+        seen["error" if isinstance(got, tuple) else "read" if got else "nothing"] += 1
+
+    check()
+    for feature in ("negated existential", "repeated variable", "read", "nothing", "error"):
         assert seen[feature] >= 10, seen

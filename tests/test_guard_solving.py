@@ -14,11 +14,11 @@ import itertools
 
 import pytest
 
-from sitaspect.domain import MemberGuard, Var, arg_candidates, initial_state, solve_guard
+from sitaspect.domain import MemberGuard, Var, initial_state, solve_guard
 from sitaspect.errors import SitAspectError
 from sitaspect.state import eval_fluent
 from sitaspect.terms import GroundFluent
-from tests.conftest import reachable_states
+from tests.conftest import reachable_states, sort_pool
 from tests.test_lookups import _depth2, _guarded_matches
 
 
@@ -35,14 +35,14 @@ def _ground(pat, env):
 
 
 def _sort_product(domain, pat, env):
-    """Every extension of env over the pools of pat's unbound variables, the
-    first variable varying slowest."""
+    """Every extension of env over the `sort_pool`s of pat's unbound
+    variables, the first variable varying slowest."""
     free: list[str] = []
     pools = []
     for pa, ref in zip(pat.args, domain.fluents[pat.schema].params):
         if isinstance(pa, Var) and pa.name not in env and pa.name not in free:
             free.append(pa.name)
-            pools.append(arg_candidates(domain, ref))
+            pools.append(sort_pool(domain, ref))
     for combo in itertools.product(*pools):
         yield {**env, **dict(zip(free, combo))}
 

@@ -4,12 +4,15 @@ Guard grounding must be duplicate-free, aspect combinations must match a
 whole-template instantiation at every grounding of the dict-chain static
 grounder below, a state must place
 each fluent at the home its domain declares, and a domain's rule
-lookups and static-aspect tables must equal the filtered rule tuples and
-be built once per Domain object.
+lookups, sort pools and static-aspect tables must equal the filtered rule
+tuples and the test-side pools and be built once per Domain object.
 """
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+import json
 import random
 from dataclasses import replace
 
@@ -30,8 +33,8 @@ from sitaspect.domain import (
     MemberGuard,
     SetTemplate,
     Var,
-    _literal_candidates,
     _render_guard_atom,
+    arg_candidates,
     ground_actions,
     ground_fluents,
     initial_state,
@@ -42,8 +45,9 @@ from sitaspect.domain import (
     static_guard_groundings,
 )
 from sitaspect.dsl import parse_domain
-from sitaspect.errors import SitAspectError
+from sitaspect.errors import SchemaError, SitAspectError
 from sitaspect.frames import (
+    _guard_fluents,
     applicable_actions,
     completeness_lint,
     derive_frame_axioms,
@@ -59,6 +63,7 @@ from tests.conftest import (
     fixture_text,
     load_domain,
     reachable_states,
+    sort_pool,
 )
 from tests.test_random_domains import _random_domain
 
@@ -128,6 +133,24 @@ def _depth2(request, name):
 
 
 # -- duplicate-free guard groundings ----------------------------------------
+
+def _literal_candidates(domain, lit_pat, env):
+    """Groundings of a literal's unbound variables over the `sort_pool`s of
+    its schema's sorts, the first variable slowest, each variable once."""
+    schema = domain.fluents.get(lit_pat.schema)
+    if schema is None:
+        raise SchemaError(f"guard refers to unknown fluent '{lit_pat.schema}'")
+    if len(schema.params) != len(lit_pat.args):
+        raise SchemaError(f"arity mismatch in guard literal {lit_pat}")
+    free: list[str] = []
+    pools = []
+    for pa, ref in zip(lit_pat.args, schema.params):
+        if isinstance(pa, Var) and pa.name not in env and pa.name not in free:
+            free.append(pa.name)
+            pools.append(sort_pool(domain, ref))
+    for combo in itertools.product(*pools):
+        yield {**env, **dict(zip(free, combo))}
+
 
 def _reference_static_groundings(domain, guard, env):
     """The static grounder as a chain of dicts: each positive literal extends
@@ -221,6 +244,24 @@ def _outcome(fn, *args):
         return fn(*args)
     except SitAspectError as exc:
         return type(exc), str(exc)
+
+
+def _reference_guard_fluents(domain, guard, env):
+    """The fluents a guard's literals read, through the dict chain: each
+    literal at every static grounding, its variables that the grounding
+    leaves free (a negated literal's) over `_literal_candidates`."""
+    return [instantiate_pat(atom.fluent, g2)
+            for g in _reference_static_groundings(domain, guard, env)
+            for atom in guard if isinstance(atom, GuardLiteral)
+            for g2 in _literal_candidates(domain, atom.fluent, g)]
+
+
+@pytest.mark.parametrize("name", [*FIXTURE_DOMAINS, *GENERATED, "shapes"])
+def test_guard_fluents_match_the_literal_grounder(name):
+    domain = _domain(name)
+    for guard, env in _guarded_matches(domain):
+        assert list(_guard_fluents(domain, guard, env)) == \
+            _reference_guard_fluents(domain, guard, env), guard
 
 
 def test_static_groundings_raise_as_the_dict_chain():
@@ -561,6 +602,30 @@ def test_bound_returns_one_tuple_per_atom(blocks):
     assert replace(blocks).bound("effect", a) is not first
 
 
+def _recorded_pools(monkeypatch) -> list:
+    """Every (domain, ref, pool) that `arg_candidates` returns from now on."""
+    seen = []
+    build = sitaspect.domain.arg_candidates
+
+    def recording(domain, ref):
+        pool = build(domain, ref)
+        seen.append((domain, ref, pool))
+        return pool
+
+    monkeypatch.setattr(sitaspect.domain, "arg_candidates", recording)
+    return seen
+
+
+def _assert_one_pool_each(seen) -> None:
+    """One pool object per (Domain object, ref), ranking the ref's
+    `sort_pool` in its order."""
+    first = {}
+    for domain, ref, pool in seen:
+        assert first.setdefault((id(domain), ref), pool) is pool, ref
+    for domain, ref, pool in seen:
+        assert list(pool.items()) == [(t, i) for i, t in enumerate(sort_pool(domain, ref))]
+
+
 _FIXTURE_INITS = {"blocks.dom": BLOCKS_INIT, "rooms.dom": ROOMS_INIT,
                   "display.dom": DISPLAY_INIT}
 
@@ -572,8 +637,9 @@ _FIXTURE_INITS = {"blocks.dom": BLOCKS_INIT, "rooms.dom": ROOMS_INIT,
       for name, init in _FIXTURE_INITS.items()),
 ], ids=lambda argv: " ".join(argv[:2]))
 def test_commands_leave_memoised_bindings_unchanged(monkeypatch, capsys, argv):
-    # The bindings `bound` returns are shared between calls; a consumer that
-    # extended one in place would change every later lookup of that atom.
+    # The bindings `bound` returns and the pools `arg_candidates` returns are
+    # shared between calls; a consumer that changed one in place would change
+    # every later lookup of that atom or sort.
     loaded = []
 
     def recording(text, file):
@@ -581,12 +647,44 @@ def test_commands_leave_memoised_bindings_unchanged(monkeypatch, capsys, argv):
         return loaded[-1]
 
     monkeypatch.setattr(sitaspect.cli, "parse_domain", recording)
+    pools = _recorded_pools(monkeypatch)
     argv = [str(FIXTURES / a) if a.endswith(".dom") else a for a in argv]
     assert sitaspect.cli.main(argv) == 0, capsys.readouterr().err
     [domain] = loaded
     assert domain._bound
     for (table, atom), hits in domain._bound.items():
         assert hits == _reference_bound(domain, table, atom), (table, atom)
+    schemas = [*domain.fluents.values(), *domain.actions.values()]
+    assert bool(pools) == any(schema.params for schema in schemas)
+    assert all(d is domain for d, _, _ in pools)
+    _assert_one_pool_each(pools)
+
+
+def test_universe_domains_get_pools_in_their_own_order(monkeypatch, capsys):
+    [pinned] = [p for p in json.loads(fixture_text("report_digests.json"))["reports"]
+                if p["argv"][:3] == ["frames", "display.dom", "--universe"]]
+    assert pinned["argv"][3].startswith("pixel: p3, p1, p2;")
+    seen = _recorded_pools(monkeypatch)
+    argv = [str(FIXTURES / a) if a.endswith(".dom") else a for a in pinned["argv"]]
+    assert sitaspect.cli.main(argv) == pinned["exit"]
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == pinned["sha256"]
+    _assert_one_pool_each(seen)
+    assert {domain.sorts["pixel"] for domain, _, _ in seen} == {("p3", "p1", "p2")}
+    [pixels] = {id(pool): pool for _, ref, pool in seen
+                if ref == SortRef("pixel", is_set=True)}.values()
+    assert list(pixels)[:4] == [frozenset({"p3"}), frozenset({"p1"}),
+                                frozenset({"p2"}), frozenset({"p3", "p1"})]
+
+
+def test_replaced_domains_build_their_own_pools(display):
+    ref = SortRef("pixel", is_set=True)
+    pool = arg_candidates(display, ref)
+    swapped = replace(display, sorts={**display.sorts, "pixel": ("p2", "p1")})
+    assert list(arg_candidates(swapped, ref)) == [
+        frozenset({"p2"}), frozenset({"p1"}), frozenset({"p1", "p2"})]
+    assert arg_candidates(display, ref) is pool
+    assert list(pool) == sort_pool(display, ref)
 
 
 def test_applicable_actions_follow_a_replaced_universe(blocks, blocks_init):

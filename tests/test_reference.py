@@ -14,12 +14,12 @@ import random
 
 import pytest
 
-from sitaspect.domain import MemberGuard, Var, arg_candidates, ground_fluents, initial_state
+from sitaspect.domain import MemberGuard, Var, ground_fluents, initial_state
 from sitaspect.dsl import parse_ground_fluent
 from sitaspect.frames import progression
 from sitaspect.reiter import compare_modes, random_workload
 from sitaspect.terms import GroundFluent
-from tests.conftest import BLOCKS_INIT, DISPLAY_INIT, ROOMS_INIT
+from tests.conftest import BLOCKS_INIT, DISPLAY_INIT, ROOMS_INIT, sort_pool
 from tests.test_random_domains import _random_domain
 
 
@@ -63,7 +63,7 @@ def _holds(domain, facts, guard, env):
             params = domain.fluents[atom.fluent.schema].params
             for pa, ref in zip(atom.fluent.args, params):
                 if isinstance(pa, Var) and pa.name not in bound:
-                    pools[pa.name] = arg_candidates(domain, ref)
+                    pools[pa.name] = sort_pool(domain, ref)
                     bound.add(pa.name)
     out = []
     for values in itertools.product(*pools.values()):
@@ -81,7 +81,7 @@ def _atom_holds(domain, facts, atom, env, before):
     if atom.positive:
         return _ground(atom.fluent, env) in facts
     params = domain.fluents[atom.fluent.schema].params
-    free = {pa.name: arg_candidates(domain, ref)
+    free = {pa.name: sort_pool(domain, ref)
             for pa, ref in zip(atom.fluent.args, params)
             if isinstance(pa, Var) and pa.name not in before}
     return not any(_ground(atom.fluent, {**env, **dict(zip(free, values))}) in facts

@@ -2,16 +2,29 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+import sitaspect.search
 from sitaspect.disjoint import CommutativeCanonical, d_eval
+from sitaspect.finite import compose_rows
 from sitaspect.search import (
+    _exhaustive_level,
+    _random_commuting_partner,
     build_pitfall_witness,
     reproduce_commutative_pitfall,
     search_counterexample,
 )
 from sitaspect.terms import path
-from sitaspect.validator import FORMALISMS, check_commutativity, check_premises, verify_theorem
+from sitaspect.validator import (
+    FORMALISMS,
+    check_commutativity,
+    check_premises,
+    is_functional,
+    is_universal,
+    verify_theorem,
+)
 
 
 @pytest.mark.parametrize("formalism", FORMALISMS)
@@ -82,6 +95,143 @@ def test_search_fast_path_agrees_with_reference_checker():
                         assert verdict.verdict == "pass"
                     else:
                         assert verdict.verdict == "counterexample"
+
+
+# -- the enumerators against the loops they replaced --------------------------
+
+def _all_relation_rows(n):
+    """Every relation on n situations as rows, the first row slowest."""
+    if n == 0:
+        return
+    masks = range(1 << n)
+    stack = [[]]
+    for _ in range(n):
+        stack = [rows + [m] for rows in stack for m in masks]
+    for rows in stack:
+        yield rows
+
+
+def _all_vecs(n):
+    """Every map of n situations into themselves, the first slowest."""
+    stack = [[]]
+    for _ in range(n):
+        stack = [v + [t] for v in stack for t in range(n)]
+    for v in stack:
+        yield v
+
+
+def _reference_exhaustive_level(formalism, n):
+    """One exhaustive level over the hand-rolled products; `_defined` and
+    `_materialize` are read from the search module, as it reads them."""
+    universal = is_universal(formalism)
+    checked = 0
+    premise_models = 0
+    if is_functional(formalism):
+        structures = ([1 << t for t in vec] for vec in _all_vecs(n))
+    else:
+        structures = _all_relation_rows(n)
+    for rows in structures:
+        definable = {sitaspect.search._defined(rows, q, universal) for q in range(1 << n)}
+        for act in _all_vecs(n):
+            if any(rows[s] != rows[act[s]] for s in range(n)):
+                checked += 1 << n
+                continue
+            for val in range(1 << n):
+                checked += 1
+                if val not in definable:
+                    continue
+                premise_models += 1
+                if any((val >> s & 1) != (val >> act[s] & 1) for s in range(n)):
+                    model = sitaspect.search._materialize(formalism, n, rows, act, val)
+                    return model, checked, premise_models
+    return None, checked, premise_models
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["sound", "planted"])
+@pytest.mark.parametrize("formalism", FORMALISMS)
+def test_exhaustive_level_matches_the_hand_rolled_products(monkeypatch, formalism, planted):
+    if planted:
+        # Every valuation definable: the first structure whose action moves a
+        # valuation is a counterexample, so the enumeration order shows.
+        monkeypatch.setattr(sitaspect.search, "_defined", lambda rows, q, universal: q)
+    for n in (1, 2, 3):
+        got = _exhaustive_level(formalism, n)
+        assert got == _reference_exhaustive_level(formalism, n), n
+        assert (got[0] is not None) == (planted and n > 1)
+
+
+def _reference_trap_violations(n, r0, r1):
+    """The naive-trap count, zero for a pair that does not commute."""
+    if compose_rows(r0, r1) != compose_rows(r1, r0):
+        return 0
+    r00 = compose_rows(r0, r0)
+    r10 = compose_rows(r1, r0)
+    r11 = compose_rows(r1, r1)
+    r01 = compose_rows(r0, r1)
+    classes = {}
+    for s in range(n):
+        classes.setdefault((r00[s], r10[s], r11[s]), set()).add(r01[s])
+    return sum(1 for rows01 in classes.values() if len(rows01) > 1)
+
+
+def _reference_first_half(seed, exhaustive_max, nf, random_samples):
+    """(pairs_checked, commuting_pairs, violations, commuting pairs in
+    order) by three loops: relation pairs, function pairs, random partners."""
+    pairs = commuting = violations = 0
+    seen = []
+
+    def tally(n, r0, r1, commutes):
+        nonlocal pairs, commuting, violations
+        pairs += 1
+        violations += _reference_trap_violations(n, r0, r1)
+        if commutes:
+            commuting += 1
+            seen.append((n, tuple(r0), tuple(r1)))
+
+    for n in range(1, exhaustive_max + 1):
+        all_rows = list(_all_relation_rows(n))
+        for r0 in all_rows:
+            for r1 in all_rows:
+                tally(n, r0, r1, compose_rows(r0, r1) == compose_rows(r1, r0))
+    for f0 in _all_vecs(nf):
+        r0 = [1 << t for t in f0]
+        for f1 in _all_vecs(nf):
+            r1 = [1 << t for t in f1]
+            tally(nf, r0, r1, compose_rows(r0, r1) == compose_rows(r1, r0))
+    rng = random.Random(seed)
+    for _ in range(random_samples):
+        r0 = [rng.randrange(1 << nf) for _ in range(nf)]
+        tally(nf, r0, _random_commuting_partner(rng, r0, nf), True)
+    return pairs, commuting, violations, seen
+
+
+@pytest.mark.parametrize("seed, exhaustive_max, nf, random_samples", [
+    (0, 1, 1, 0), (1, 2, 3, 500), (7, 3, 2, 40), (3, 1, 4, 25), (11, 2, 2, 300)])
+def test_pitfall_tally_matches_the_three_loops(monkeypatch, seed, exhaustive_max,
+                                               nf, random_samples):
+    commutes = sitaspect.search._commutes
+    trap = sitaspect.search._naive_trap_violations
+    calls = []
+    passed = []
+
+    def counting(r0, r1):
+        calls.append(None)
+        return commutes(r0, r1)
+
+    def recording(n, r0, r1):
+        passed.append((n, tuple(r0), tuple(r1)))
+        return trap(n, r0, r1)
+
+    monkeypatch.setattr(sitaspect.search, "_commutes", counting)
+    monkeypatch.setattr(sitaspect.search, "_naive_trap_violations", recording)
+    first = reproduce_commutative_pitfall(seed, exhaustive_max, nf, random_samples).first
+    pairs, commuting, violations, seen = _reference_first_half(
+        seed, exhaustive_max, nf, random_samples)
+    assert (first.pairs_checked, first.commuting_pairs, first.violations) == (
+        pairs, commuting, violations)
+    # `_commutes` once per pair; the violation count on commuting pairs only.
+    assert len(calls) == first.pairs_checked
+    assert passed == seen
 
 
 # -- the commutativity trap ----------------------------------------------------
