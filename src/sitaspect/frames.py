@@ -9,6 +9,7 @@ answers queries by aspect-based regression with recorded proof traces.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -219,19 +220,58 @@ def _touches_unmodeled(domain: Domain, state: WorldState, guard, env0) -> bool:
 
 
 def _guard_fluents(domain: Domain, guard, env0) -> Iterator[GroundFluent]:
-    """Every ground fluent the guard's literals read, over its static groundings."""
-    groundings = static_guard_groundings(domain, guard, env0)
-    if not groundings:
-        return
-    # Negated literals leave their variables unbound (negation as failure);
-    # every grounding of them is read. Every static grounding binds the same
-    # variables, so a literal's rows over the rest are the same for each.
-    reads = [(atom.fluent, *_static_rows(domain, (GuardLiteral(atom.fluent),), groundings[0]))
-             for atom in guard if isinstance(atom, GuardLiteral)]
-    for g in groundings:
-        for pat, names, rows in reads:
-            for row in rows:
-                yield instantiate_pat(pat, {**g, **dict(zip(names, row))})
+    """Every ground fluent the guard's literals read over its static
+    groundings (see `_literal_reads`), each once, in first-seen order: by
+    row, then by literal."""
+    names, rows = _static_rows(domain, guard, env0)
+    firsts = []
+    for j, (_, keys, reads) in enumerate(_literal_reads(domain, guard, env0, names, rows)):
+        first_row = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+        firsts += ((first_row[key], j, fluents) for key, fluents in reads.items())
+    firsts.sort(key=lambda first: first[:2])
+    yield from dict.fromkeys(f for _, _, fluents in firsts for f in fluents)
+
+
+def _literal_reads(domain: Domain, guard, env: dict, names: list[str],
+                   rows: list[tuple]) -> list[tuple[bool, list, dict]]:
+    """The ground fluents each literal of `guard` reads at each static row.
+
+    `names` and `rows` are groundings of the guard's variables under `env`
+    (see `_static_rows`). A positive literal reads its instance. A negated
+    one reads as `solve_guard` does: its variables that the atoms before it
+    leave free run over their sort pools, the first slowest. Per literal, in
+    guard order: (positive, keys, reads), where `keys[r]` is row r's binding
+    of the literal's bound variables, and `reads` maps each distinct key, in
+    first-seen order, to the tuple of fluents read under it.
+    """
+    if not rows:
+        return []
+    bound = set(env)
+    out = []
+    for atom in guard:
+        if isinstance(atom, MemberGuard):
+            if isinstance(atom.member, Var):
+                bound.add(atom.member.name)
+            continue
+        pat = atom.fluent
+        variables = dict.fromkeys(v.name for v in pat.variables())
+        if atom.positive:
+            bound.update(variables)
+        own = [n for n in variables if n in bound and n not in env]
+        # Only the keys of the binding matter to the literal's own grounding.
+        free, combos = _static_rows(domain, (GuardLiteral(pat),),
+                                    dict.fromkeys([*env, *own]))
+        at = [names.index(n) for n in own]
+        # One value per key when the literal binds one variable, else a tuple.
+        keys = list(map(operator.itemgetter(*at), rows)) if at else [()] * len(rows)
+        reads = dict.fromkeys(keys)
+        for key in reads:
+            values = key if len(at) != 1 else (key,)
+            binding = {**env, **dict(zip(own, values))}
+            reads[key] = tuple(instantiate_pat(pat, {**binding, **dict(zip(free, c))})
+                               for c in combos)
+        out.append((atom.positive, keys, reads))
+    return out
 
 
 def _net_effects(domain: Domain, state: WorldState,
@@ -420,10 +460,50 @@ def _member_condition(mf, ma, set_vars: set[str]) -> str:
     return f"{mf} != {ma}"
 
 
-def _always_disjoint(spec, fcombos: tuple[AspectCombo, ...],
-                     acombos: tuple[AspectCombo, ...]) -> bool:
-    """Whether every static aspect of a fluent is disjoint from every one of an action."""
-    return all(d_eval(spec, alpha, beta) for alpha, _ in fcombos for beta, _ in acombos)
+class _StaticDisjointness:
+    """d over the static aspects of one `StaticAspects` table, evaluated once
+    per distinct (fluent path, action path), on first use.
+
+    The table's paths are interned to ints, and atoms with equal aspect
+    lists share one code. `always(i, j)` asks the pairs in the order of the
+    plain loop over the i-th fluent's aspects, then the j-th action's, and
+    stops at the first that is not disjoint, so each pair is first evaluated
+    where that loop would evaluate it, and a DisjointnessSpecError surfaces
+    on the same input.
+    """
+
+    def __init__(self, spec, table):
+        self.spec = spec
+        self.ids: dict[AspectPath, int] = {}
+        self.codes: dict[tuple[int, ...], int] = {}
+        self.fluents = [self._code(combos) for _, combos in table.fluents]
+        self.actions = [self._code(combos) for _, combos in table.actions]
+        self.paths = list(self.ids)
+        self.code_paths = list(self.codes)
+        self._d: dict[tuple[int, int], bool] = {}
+        self._always: dict[tuple[int, int], bool] = {}
+
+    def _code(self, combos: tuple[AspectCombo, ...]) -> int:
+        paths = tuple(self.ids.setdefault(path, len(self.ids)) for path, _ in combos)
+        return self.codes.setdefault(paths, len(self.codes))
+
+    def d(self, x: int, y: int) -> bool:
+        """d of the interned fluent path x and action path y."""
+        hit = self._d.get((x, y))
+        if hit is None:
+            hit = self._d[x, y] = d_eval(self.spec, self.paths[x], self.paths[y])
+        return hit
+
+    def always(self, i: int, j: int) -> bool:
+        """Whether every static aspect of the i-th fluent is disjoint from
+        every one of the j-th action."""
+        key = (self.fluents[i], self.actions[j])
+        hit = self._always.get(key)
+        if hit is None:
+            hit = self._always[key] = all(
+                self.d(x, y) for x in self.code_paths[key[0]]
+                for y in self.code_paths[key[1]])
+        return hit
 
 
 def _unconditional_groups(table) -> dict[AspectPath, int]:
@@ -437,11 +517,11 @@ def _unconditional_groups(table) -> dict[AspectPath, int]:
 
 def _ground_axioms(domain: Domain):
     table = domain.static_aspects
-    spec = domain.disjointness
+    disjoint = _StaticDisjointness(domain.disjointness, table)
     axioms: list[FrameAxiom] = []
-    for a, acombos in table.actions:
-        for p, fcombos in table.fluents:
-            if _always_disjoint(spec, fcombos, acombos):
+    for j, (a, acombos) in enumerate(table.actions):
+        for i, (p, fcombos) in enumerate(table.fluents):
+            if disjoint.always(i, j):
                 guard: list[str] = []
                 for _, g in fcombos + acombos:
                     for item in g:
@@ -456,7 +536,7 @@ def _ground_axioms(domain: Domain):
     economy = []
     for alpha in sorted(fluent_groups, key=str):
         for beta in sorted(action_groups, key=str):
-            if d_eval(spec, alpha, beta):
+            if disjoint.d(disjoint.ids[alpha], disjoint.ids[beta]):
                 m, n = fluent_groups[alpha], action_groups[beta]
                 economy.append(EconomyReport(
                     fluent_aspect=alpha, action_aspect=beta, m=m, n=n,
@@ -469,8 +549,9 @@ def _ground_axioms(domain: Domain):
 # ---------------------------------------------------------------------------
 
 # The soundness lint covers every truth valuation of an action's guard
-# fluents, 2**n of them; actions with more are skipped. Only valuations whose
-# precondition prefix passes are expanded (see `check_aspect_soundness`).
+# fluents, 2**n of them, by a depth-first search that cuts each subtree whose
+# outcome the assigned fluents already fix (see `check_aspect_soundness`).
+# Actions with more than this many fluents are skipped.
 _GUARD_FLUENT_LIMIT = 14
 
 
@@ -502,12 +583,19 @@ def check_aspect_soundness(domain: Domain) -> SoundnessReport:
     """Verify that every fluent an action can change intersects the action.
 
     For each ground action all 2**n truth valuations of its n guard-relevant
-    ground fluents are covered and counted, in `itertools.product` order
-    (valuations where a precondition fails are skipped, as are valuations
-    where aspects do not resolve). The preconditions read only the fluents
-    up to the last one their guards list, so they are evaluated once per
-    valuation of that prefix, and only the prefixes where they pass are
-    expanded into whole valuations. Actions with more than
+    ground fluents are covered and counted. They are searched depth first,
+    branching on the fluents the preconditions read, then on those the
+    action's aspect guards read, then on the rest. At each node the guards
+    are evaluated three-valued on the partial valuation (`_guard_clauses`),
+    and a subtree is cut once its outcome is fixed:
+    - where a precondition is false, its valuations are skipped silently;
+    - where the preconditions hold and the action aspect is fixed missing
+      or ambiguous, its 2**(unassigned) valuations count under that reason
+      in `unresolved`;
+    - at a leaf, the state is built, and where the preconditions hold in
+      it, linted (`_check_valuation`).
+    Violations come in `itertools.product` order: by the least valuation
+    that shows them, then by their position in it. Actions with more than
     _GUARD_FLUENT_LIMIT guard fluents are skipped and named in `unresolved`.
     Effect targets absent from the guard set are given the change-revealing
     prior value.
@@ -516,7 +604,6 @@ def check_aspect_soundness(domain: Domain) -> SoundnessReport:
     skipped: dict[str, int] = {}
     actions_checked = 0
     valuations_checked = 0
-    schemas = frozenset(domain.fluents)
     for a in domain.ground_action_list:
         relevant = _relevant_fluents(domain, a)
         if len(relevant) > _GUARD_FLUENT_LIMIT:
@@ -525,22 +612,166 @@ def check_aspect_soundness(domain: Domain) -> SoundnessReport:
             continue
         actions_checked += 1
         valuations_checked += 2 ** len(relevant)
-        read = {f for pre, env0 in domain.bound("pre", a)
-                for f in _guard_fluents(domain, pre.guard, env0)}
-        depth = max((i + 1 for i, f in enumerate(relevant) if f in read), default=0)
-        for prefix in itertools.product((False, True), repeat=depth):
-            for rest in itertools.product((False, True), repeat=len(relevant) - depth):
-                base = dict(zip(relevant, prefix + rest))
-                state = build_state({(): base}, schemas=schemas)
-                # The first leaf of a prefix decides the preconditions for all.
-                if not any(rest) and _failed_precondition(domain, state, a) is not None:
-                    break
-                _check_valuation(domain, a, base, state, violations, skipped)
+        violations += _search_valuations(domain, a, relevant, skipped)
     unresolved = tuple(f"{key} ({count} skipped)" for key, count
                        in sorted(skipped.items()))
     return SoundnessReport(violations=tuple(violations), unresolved=unresolved,
                            actions_checked=actions_checked,
                            valuations_checked=valuations_checked)
+
+
+def _search_valuations(domain: Domain, a: GroundAction, relevant: list[GroundFluent],
+                       skipped: dict[str, int]) -> list[SoundnessViolation]:
+    """The violations a shows over the valuations of `relevant`, searched
+    depth first (see `check_aspect_soundness`); skip reasons go to `skipped`.
+
+    Fluent i is bit 2**(k-1-i) of a valuation, so a whole valuation, read as
+    a number, is its index in `itertools.product` order.
+    """
+    k = len(relevant)
+    bits = {f: 1 << (k - 1 - i) for i, f in enumerate(relevant)}
+    pres = [_guard_clauses(domain, pre.guard, env0, bits)[1]
+            for pre, env0 in domain.bound("pre", a)]
+    rules = []
+    for rule, env0 in domain.bound("action", a):
+        names, clauses = _guard_clauses(domain, rule.guard, env0, bits)
+        rules.append((rule.template, env0, names, clauses, {}))
+    # Instantiating a template that reads a variable no grounding binds
+    # raises; the leaves then raise as `aspect_of_action` does.
+    cut_aspects = all(not clauses or all(
+        m.name in env0 or m.name in names
+        for t in template for m in _template_members(t) if isinstance(m, Var))
+        for template, env0, names, clauses, _ in rules)
+    pre_mask = _mask_of(pres)
+    guard_mask = _mask_of(clauses for _, _, _, clauses, _ in rules)
+    order = list(bits.values())
+    order = ([b for b in order if b & pre_mask]
+             + [b for b in order if b & guard_mask and not b & pre_mask]
+             + [b for b in order if not b & (pre_mask | guard_mask)])
+    missing = f"{a}: valuations where no aspect rule applies"
+    ambiguous = f"{a}: valuations with ambiguous aspects"
+    schemas = frozenset(domain.fluents)
+    first: dict[SoundnessViolation, tuple[int, int]] = {}
+
+    def aspect_failure(known: int, truth: int) -> Optional[str]:
+        """The skip reason every completion of the valuation gives the action
+        aspect, if it is fixed missing or ambiguous."""
+        applying = 0
+        undecided = False
+        for template, env0, names, clauses, aspects in rules:
+            holds: Optional[bool] = False
+            aspect = None  # the aspect of the first clause that holds
+            for i, (mask, want, row) in enumerate(clauses):
+                if known & mask & (truth ^ want):
+                    continue
+                if known & mask != mask:
+                    if holds is False:
+                        holds = None
+                    continue
+                holds = True
+                if i not in aspects:
+                    aspects[i] = instantiate_template(
+                        template, {**env0, **dict(zip(names, row))})
+                if aspect is None:
+                    aspect = aspects[i]
+                elif aspects[i] != aspect:
+                    return ambiguous
+            if holds:
+                applying += 1
+                if applying > 1:
+                    return ambiguous
+            elif holds is None:
+                undecided = True
+        return None if applying or undecided else missing
+
+    def visit(depth: int, known: int, truth: int) -> None:
+        pre = True
+        for clauses in pres:
+            holds = _holds(clauses, known, truth)
+            if holds is False:
+                return
+            pre = pre and holds
+        if pre and cut_aspects:
+            reason = aspect_failure(known, truth)
+            if reason is not None:
+                _bump(skipped, reason, 2 ** (k - depth))
+                return
+        if depth == k:
+            base = {f: bool(truth & b) for f, b in bits.items()}
+            state = build_state({(): base}, schemas=schemas)
+            # A leaf is decided on its state, as the flat enumeration
+            # decides it; the clauses only choose the cuts.
+            if _failed_precondition(domain, state, a) is not None:
+                return
+            found: list[SoundnessViolation] = []
+            _check_valuation(domain, a, base, state, found, skipped)
+            for position, violation in enumerate(found):
+                first[violation] = min(first.get(violation, (truth, position)),
+                                       (truth, position))
+            return
+        b = order[depth]
+        visit(depth + 1, known | b, truth)
+        visit(depth + 1, known | b, truth | b)
+
+    visit(0, 0, 0)
+    return sorted(first, key=first.__getitem__)
+
+
+def _guard_clauses(domain: Domain, guard, env0: dict,
+                   bits: dict[GroundFluent, int]) -> tuple[list[str], list[tuple]]:
+    """The guard as a disjunction over its static groundings, each the
+    conjunction of the literals it reads (`_literal_reads`), over the fluents
+    numbered by `bits`; fluents outside `bits` are unmodeled, never true.
+
+    Returns the grounded variables and the clauses (mask, want, row): a clause
+    holds where the fluents of `mask` take the values of `want`. The rows are
+    the static groundings before the clash filter, so that the disjunction
+    holds in a state exactly where `solve_guard` has a solution, and a
+    clause's row gives that solution. Self-contradictory clauses are left out.
+    """
+    binders = tuple(g for g in guard if isinstance(g, MemberGuard) or g.positive)
+    names, rows = _static_rows(domain, binders, env0)
+    literals = []
+    for positive, keys, reads in _literal_reads(domain, guard, env0, names, rows):
+        parts = {}
+        for key, fluents in reads.items():
+            mask = sum(bits.get(f, 0) for f in fluents)
+            parts[key] = ((mask, mask) if mask else None) if positive else (mask, 0)
+        literals.append(list(map(parts.__getitem__, keys)))
+    clauses = []
+    for row, row_parts in zip(rows, zip(*literals) if literals else [()] * len(rows)):
+        mask = want = 0
+        for part in row_parts:
+            if part is None or mask & part[0] & (want ^ part[1]):
+                break
+            mask |= part[0]
+            want |= part[1]
+        else:
+            clauses.append((mask, want, row))
+    return names, clauses
+
+
+def _holds(clauses: list[tuple], known: int, truth: int) -> Optional[bool]:
+    """Kleene value of a clause disjunction (see `_guard_clauses`) on the
+    partial valuation that assigns `known` and makes `truth` true: None
+    when some completion makes it true and another false."""
+    value: Optional[bool] = False
+    for mask, want, _ in clauses:
+        if known & mask & (truth ^ want):
+            continue
+        if known & mask == mask:
+            return True
+        value = None
+    return value
+
+
+def _mask_of(guards: Iterable[list[tuple]]) -> int:
+    """The fluents some clause of the guards reads."""
+    out = 0
+    for clauses in guards:
+        for mask, _, _ in clauses:
+            out |= mask
+    return out
 
 
 def _check_valuation(domain: Domain, a: GroundAction, base: dict, state: WorldState,
@@ -575,8 +806,8 @@ def _check_valuation(domain: Domain, a: GroundAction, base: dict, state: WorldSt
                 violations.append(violation)
 
 
-def _bump(counter: dict[str, int], key: str) -> None:
-    counter[key] = counter.get(key, 0) + 1
+def _bump(counter: dict[str, int], key: str, count: int = 1) -> None:
+    counter[key] = counter.get(key, 0) + count
 
 
 def _relevant_fluents(domain: Domain, a: GroundAction) -> list[GroundFluent]:
@@ -713,9 +944,11 @@ def completeness_lint(domain: Domain) -> CompletenessReport:
     A pair that is always disjoint is covered by non-interference.
     """
     table = domain.static_aspects
+    disjoint = _StaticDisjointness(domain.disjointness, table)
     uncovered = tuple(
-        (a, p) for a, acombos in table.actions for p, fcombos in table.fluents
-        if not _always_disjoint(domain.disjointness, fcombos, acombos)
+        (a, p) for j, (a, _) in enumerate(table.actions)
+        for i, (p, _) in enumerate(table.fluents)
+        if not disjoint.always(i, j)
         and not _names_fluent(domain, "frame", a, p)
         and not _names_fluent(domain, "effect", a, p))
     return CompletenessReport(uncovered=uncovered)

@@ -1,11 +1,13 @@
-"""The soundness lint's prefix-pruned enumeration against the flat one.
+"""The soundness lint's depth-first search against the flat enumeration.
 
-`check_aspect_soundness` evaluates an action's preconditions once per
-valuation of the guard fluents they read (a prefix of the sorted relevant
-fluents) and expands only the prefixes that pass. `_reference_soundness` is
-the flat enumeration it replaced: every valuation is built and its
-preconditions evaluated. The two must give equal reports, down to the order
-of the violations and the counts of every `unresolved` reason.
+`check_aspect_soundness` searches an action's valuations depth first and
+cuts a subtree once three-valued guard evaluation fixes its outcome: a
+false precondition, or a missing or ambiguous action aspect.
+`_reference_soundness` is the flat enumeration: every valuation is built,
+in product order, and its preconditions evaluated. The two must give equal
+reports, down to the order of the violations and the counts of every
+`unresolved` reason. `tests/test_soundness_properties.py` compares them on
+generated domains.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from sitaspect.frames import (
     check_aspect_soundness,
 )
 from sitaspect.state import build_state
-from sitaspect.terms import AspectPath
+from sitaspect.terms import AspectPath, action
 from tests.conftest import fixture_text, load_domain
 from tests.test_random_domains import _random_domain
 
@@ -170,9 +172,9 @@ def test_no_precondition_matches_the_flat_enumeration():
     _assert_same_report(domain)
 
 
-# States the flat enumeration builds: the lint may not build more.
-STATES_BUILT_AT_MOST = {"blocks.dom": 720, "display.dom": 102, "economy.dom": 14,
-                        "blocks_nosupport.dom": 732, "rooms.dom": 0}
+# States the search may build: the flat enumeration built 720, 102, 14 and 732.
+STATES_BUILT_AT_MOST = {"blocks.dom": 96, "display.dom": 51, "economy.dom": 7,
+                        "blocks_nosupport.dom": 96, "rooms.dom": 0}
 
 
 @pytest.mark.parametrize("name", sorted(STATES_BUILT_AT_MOST))
@@ -192,10 +194,61 @@ def test_soundness_work_counts(name, monkeypatch):
         monkeypatch.setattr(frames, attr, counting(attr))
     report = check_aspect_soundness(domain)
     assert calls["build_state"] <= STATES_BUILT_AT_MOST[name]
+    assert calls["_failed_precondition"] <= calls["build_state"]
     if name == "blocks.dom":
-        # 672 valuations, one precondition evaluation per prefix.
         assert report.valuations_checked == 672
-        assert calls["_failed_precondition"] == 42
+
+
+def test_d_is_evaluated_once_per_distinct_aspect_pair(monkeypatch):
+    # blocks-5: 1080 ground pairs per table walk, few distinct aspect paths.
+    domain = parse_domain(_blocks_text(["a", "b", "c", "d", "e"]))
+    table = domain.static_aspects
+    fluent_paths = {alpha for _, combos in table.fluents for alpha, _ in combos}
+    action_paths = {beta for _, combos in table.actions for beta, _ in combos}
+    calls = []
+
+    def counted(spec, alpha, beta):
+        calls.append((alpha, beta))
+        return d_eval(spec, alpha, beta)
+
+    monkeypatch.setattr(frames, "d_eval", counted)
+    for lint in (frames.derive_frame_axioms, frames.completeness_lint):
+        calls.clear()
+        lint(domain)
+        assert calls
+        assert len(calls) <= len(fluent_paths) * len(action_paths), lint.__name__
+        assert len(set(calls)) == len(calls), lint.__name__
+
+
+# A negated literal before the literal that binds its variable: solve_guard
+# reads !on(z,y) over every block z, then binds z from on(x,z) over places.
+NEGATION_FIRST = "\n".join([
+    "domain negation_first",
+    "objects block: a, b",
+    "objects place: a, b, floor",
+    "fluent on(block, place)",
+    "action move(block, place)",
+    "aspect on(x,y) (y)",
+    "aspect move(x,y) ({y}) if !on(z,y) & on(x,z)",
+    "effect move(x,y) add on(x,y)",
+    "disjoint by seq-diff",
+]) + "\n"
+
+
+def test_negation_before_its_binder_reads_as_the_guard_solver_does():
+    domain = parse_domain(NEGATION_FIRST)
+    a = action("move", "a", "a")
+    relevant = frames._relevant_fluents(domain, a)
+    assert [str(f) for f in relevant] == ["on(a,a)", "on(a,b)", "on(a,floor)", "on(b,a)"]
+    # on(a,a) decides the guard: with it true, no z satisfies !on(z,a).
+    guard, env = domain.aspect_rules[1].guard, {"x": "a", "y": "a"}
+    on_ab = {f: str(f) == "on(a,b)" for f in relevant}
+    for on_aa, solutions in ((False, [{**env, "z": "b"}]), (True, [])):
+        state = build_state({(): {**on_ab, relevant[0]: on_aa}},
+                            schemas=frozenset(domain.fluents))
+        assert frames.solve_guard(domain, state, guard, env) == solutions
+    report = _assert_same_report(domain)
+    assert report.actions_checked == len(domain.ground_action_list)
 
 
 def test_soundness_renders_no_aspect_path_or_rule(monkeypatch):
