@@ -45,6 +45,7 @@ from .domain import (
     SetTemplate,
     SortRef,
     Var,
+    _template_members,
     check_ground_action,
     check_ground_fluent,
     check_rule_exclusivity,
@@ -406,6 +407,7 @@ def _parse_aspect_rule(b: _DomainBuilder, cur: _Cursor) -> AspectRule:
         cur.fail(f"unknown fluent or action '{name_tok.text}'", at=name_tok)
     cur.i -= 1
     pat, scope = _parse_head(b, cur, kind)
+    start = cur.i
     raw_path = _parse_raw_path(cur)
     guard: tuple = ()
     if cur.peek() == "if":
@@ -413,6 +415,7 @@ def _parse_aspect_rule(b: _DomainBuilder, cur: _Cursor) -> AspectRule:
         guard = _parse_guard(b, cur, scope)
     cur.finish()
     template = _resolve_template(raw_path, scope)
+    _require_bound(cur, cur.tokens[start:], template, _binders(pat, guard), "aspect template")
     return AspectRule(kind=kind, target=pat, template=template, guard=guard)
 
 
@@ -438,23 +441,37 @@ def _parse_effect(b: _DomainBuilder, cur: _Cursor) -> EffectRule:
     op = cur.name("'add' or 'del'")
     if op.text not in ("add", "del"):
         cur.fail(f"expected 'add' or 'del', found '{op.text}'", at=op)
-    guard: tuple = ()
     fstart = cur.i
-    fpat, scope2 = _parse_head(b, cur, "fluent", scope)
+    _parse_head(b, cur, "fluent", scope)
+    guard: tuple = ()
     if cur.peek() == "if":
         cur.next()
         guard = _parse_guard(b, cur, scope)
-        # Re-resolve the target now that guard variables are in scope.
-        cur_save = cur.i
-        cur.i = fstart
-        fpat, _ = _parse_head(b, cur, "fluent", scope)
-        cur.i = cur_save
     cur.finish()
-    for v in fpat.variables():
-        if v.name not in scope:
-            cur.fail(f"effect target variable '{v.name}' is bound by neither "
-                     f"the action pattern nor the guard", at=op)
+    # The target is resolved once the guard's variables are in scope.
+    cur.i = fstart
+    fpat, _ = _parse_head(b, cur, "fluent", scope)
+    _require_bound(cur, cur.tokens[fstart:], fpat.args, _binders(apat, guard), "effect target")
     return EffectRule(action=apat, add=(op.text == "add"), fluent=fpat, guard=guard)
+
+
+def _binders(pattern: Pat, guard: tuple) -> set[str]:
+    """The variables of the head pattern, of positive literals and of member
+    guards. A negated literal is a negated existential: it binds nothing."""
+    args = list(pattern.args)
+    for g in guard:
+        args += [g.member] if isinstance(g, MemberGuard) else g.fluent.args if g.positive else []
+    return {a.name for a in args if isinstance(a, Var)}
+
+
+def _require_bound(cur: _Cursor, tokens: list, elems, bound: set, what: str) -> None:
+    """Fail at the first variable of `elems` (pattern arguments or template
+    elements) outside `bound`, spanning its first token in `tokens`."""
+    for m in (m for elem in elems for m in _template_members(elem)):
+        if isinstance(m, Var) and m.name not in bound:
+            cur.fail(f"{what} variable '{m.name}' is bound by neither the pattern "
+                     f"nor the guard", "a negated literal binds nothing",
+                     at=next(t for t in tokens if t.text == m.name))
 
 
 def _parse_disjoint_spec(cur: _Cursor) -> DisjointnessSpec:

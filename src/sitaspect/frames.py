@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .disjoint import SeqExistsDiff, SimpleInequality, d_eval
 from .domain import (
@@ -219,17 +219,12 @@ def _touches_unmodeled(domain: Domain, state: WorldState, guard, env0) -> bool:
                for f in _guard_fluents(domain, guard, env0))
 
 
-def _guard_fluents(domain: Domain, guard, env0) -> Iterator[GroundFluent]:
+def _guard_fluents(domain: Domain, guard, env0) -> set[GroundFluent]:
     """Every ground fluent the guard's literals read over its static
-    groundings (see `_literal_reads`), each once, in first-seen order: by
-    row, then by literal."""
+    groundings (see `_literal_reads`)."""
     names, rows = _static_rows(domain, guard, env0)
-    firsts = []
-    for j, (_, keys, reads) in enumerate(_literal_reads(domain, guard, env0, names, rows)):
-        first_row = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-        firsts += ((first_row[key], j, fluents) for key, fluents in reads.items())
-    firsts.sort(key=lambda first: first[:2])
-    yield from dict.fromkeys(f for _, _, fluents in firsts for f in fluents)
+    return {f for _, _, reads in _literal_reads(domain, guard, env0, names, rows)
+            for fluents in reads.values() for f in fluents}
 
 
 def _literal_reads(domain: Domain, guard, env: dict, names: list[str],
@@ -636,12 +631,6 @@ def _search_valuations(domain: Domain, a: GroundAction, relevant: list[GroundFlu
     for rule, env0 in domain.bound("action", a):
         names, clauses = _guard_clauses(domain, rule.guard, env0, bits)
         rules.append((rule.template, env0, names, clauses, {}))
-    # Instantiating a template that reads a variable no grounding binds
-    # raises; the leaves then raise as `aspect_of_action` does.
-    cut_aspects = all(not clauses or all(
-        m.name in env0 or m.name in names
-        for t in template for m in _template_members(t) if isinstance(m, Var))
-        for template, env0, names, clauses, _ in rules)
     pre_mask = _mask_of(pres)
     guard_mask = _mask_of(clauses for _, _, _, clauses, _ in rules)
     order = list(bits.values())
@@ -691,7 +680,7 @@ def _search_valuations(domain: Domain, a: GroundAction, relevant: list[GroundFlu
             if holds is False:
                 return
             pre = pre and holds
-        if pre and cut_aspects:
+        if pre:
             reason = aspect_failure(known, truth)
             if reason is not None:
                 _bump(skipped, reason, 2 ** (k - depth))
@@ -724,13 +713,12 @@ def _guard_clauses(domain: Domain, guard, env0: dict,
     numbered by `bits`; fluents outside `bits` are unmodeled, never true.
 
     Returns the grounded variables and the clauses (mask, want, row): a clause
-    holds where the fluents of `mask` take the values of `want`. The rows are
-    the static groundings before the clash filter, so that the disjunction
-    holds in a state exactly where `solve_guard` has a solution, and a
-    clause's row gives that solution. Self-contradictory clauses are left out.
+    holds where the fluents of `mask` take the values of `want`. The
+    disjunction holds in a state exactly where `solve_guard` has a solution,
+    and a clause's row gives that solution. Self-contradictory clauses are
+    left out: a row the clash filter drops would give only such clauses.
     """
-    binders = tuple(g for g in guard if isinstance(g, MemberGuard) or g.positive)
-    names, rows = _static_rows(domain, binders, env0)
+    names, rows = _static_rows(domain, guard, env0)
     literals = []
     for positive, keys, reads in _literal_reads(domain, guard, env0, names, rows):
         parts = {}

@@ -135,23 +135,17 @@ def _materialize(formalism: str, n: int, rows, act, val) -> FiniteModel:
     action_map = {sits[s]: sits[act[s]] for s in range(n)}
     valuation = frozenset(sits[s] for s in range(n) if val >> s & 1)
     if is_collective(formalism):
-        alpha = AspectPath.of({"x1"})
-        beta = AspectPath.of({"x2"})
-        return FiniteModel(
-            name=f"{formalism}-counterexample", situations=sits,
-            collective_rels={"x1": rel, "x2": rel},
-            action_maps={"act": action_map}, valuations={"p": valuation},
-            fluent_aspects={"p": alpha}, action_aspects={"act": beta},
-            d_table=frozenset({(alpha, beta)}))
-    alpha = path("a1")
-    beta = path("a2")
+        alpha, beta = AspectPath.of({"x1"}), AspectPath.of({"x2"})
+        rels = {"collective_rels": {"x1": rel, "x2": rel}}
+    else:
+        alpha, beta = path("a1"), path("a2")
+        rels = {"aspect_rels": {"a1": rel, "a2": frozenset()},
+                "functional": frozenset(("a1",) if is_functional(formalism) else ())}
     return FiniteModel(
         name=f"{formalism}-counterexample", situations=sits,
-        aspect_rels={"a1": rel, "a2": frozenset()},
-        functional=frozenset(("a1",)) if is_functional(formalism) else frozenset(),
         action_maps={"act": action_map}, valuations={"p": valuation},
         fluent_aspects={"p": alpha}, action_aspects={"act": beta},
-        d_table=frozenset({(alpha, beta)}))
+        d_table=frozenset({(alpha, beta)}), **rels)
 
 
 def _random_sweep(formalism: str, samples: int, seed: int, max_n: int):

@@ -14,6 +14,7 @@ import pytest
 import sitaspect
 from sitaspect.cli import _build_parser, main
 from tests.conftest import BLOCKS_INIT, DISPLAY_INIT, FIXTURES, ROOMS_INIT
+from tests.test_dsl import NEGATION_ONLY, negation_only_text
 
 BLOCKS = str(FIXTURES / "blocks.dom")
 ECONOMY = str(FIXTURES / "economy.dom")
@@ -154,6 +155,20 @@ def test_domain_error_exit_one(tmp_path, capsys):
     code, _, err = run(capsys, "check", str(bad))
     assert code == 1
     assert "has no aspect rule" in err
+
+
+@pytest.mark.parametrize("rule", sorted(NEGATION_ONLY))
+@pytest.mark.parametrize("command", [
+    ["check"], ["frames"],
+    ["query", "--init", BLOCKS_INIT, "--acts", "move(a,b)", "--fluent", "clear(c)"],
+], ids=lambda command: command[0])
+def test_a_variable_only_a_negated_literal_names_is_a_parse_error(
+        tmp_path, capsys, command, rule):
+    bad = tmp_path / "blocks.dom"
+    bad.write_text(negation_only_text(rule), encoding="utf-8")
+    code, out, err = run(capsys, command[0], str(bad), *command[1:])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"{bad}:{NEGATION_ONLY[rule][2].split(':', 1)[1]}")
 
 
 def test_usage_error_exit_three(capsys):

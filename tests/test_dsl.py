@@ -13,9 +13,10 @@ from sitaspect.dsl import (
     parse_state,
     unparse_domain,
 )
-from sitaspect.errors import DslError
+from sitaspect.errors import DslError, MissingAspectError
+from sitaspect.frames import aspect_of_action
 from sitaspect.state import eval_fluent
-from sitaspect.terms import fluent, path
+from sitaspect.terms import action, fluent, path
 from tests.conftest import fixture_text
 
 FIXTURE_DOMAINS = ["blocks.dom", "blocks_nosupport.dom", "rooms.dom",
@@ -100,6 +101,40 @@ def test_unbound_effect_variable_is_rejected():
     with pytest.raises(DslError) as exc:
         parse_domain(text)
     assert any("bound by neither" in d.message for d in exc.value.diagnostics)
+
+
+# A negated literal is a negated existential: it binds nothing, so neither an
+# aspect template nor an effect target may read a variable only it names.
+NEGATION_ONLY = {
+    "aspect": ("aspect move(x,y) ({y,z}) if on(x,z)", "aspect move(x,y) (z) if !on(z,y)",
+               "blocks.dom:9:19: error: aspect template variable 'z' is bound by "
+               "neither the pattern nor the guard (a negated literal binds nothing)"),
+    "effect": ("effect move(x,y) add on(x,y)", "effect move(x,y) add on(x,z) if !on(z,y)",
+               "blocks.dom:11:27: error: effect target variable 'z' is bound by "
+               "neither the pattern nor the guard (a negated literal binds nothing)"),
+}
+
+
+def negation_only_text(rule: str) -> str:
+    """blocks.dom with one rule whose variable z only a negated literal names."""
+    old, new, _ = NEGATION_ONLY[rule]
+    return fixture_text("blocks.dom").replace(old, new)
+
+
+@pytest.mark.parametrize("rule", sorted(NEGATION_ONLY))
+def test_a_negated_literal_binds_nothing(rule):
+    rendered = _rendered(parse_domain, negation_only_text(rule), file="blocks.dom")
+    assert rendered[0] == NEGATION_ONLY[rule][2]
+
+
+def test_a_negation_before_its_binder_parses_and_answers():
+    domain = parse_domain(fixture_text("blocks.dom").replace(
+        "aspect move(x,y) ({y,z}) if on(x,z)", "aspect move(x,y) (z) if !on(z,y) & on(x,z)"))
+    state = parse_state("on(a,b); on(b,floor); on(c,floor)", domain)
+    assert aspect_of_action(domain, state, action("move", "a", "c")) == path("b")
+    # on(b,floor) puts some z on the floor, so no z satisfies !on(z,floor).
+    with pytest.raises(MissingAspectError):
+        aspect_of_action(domain, state, action("move", "a", "floor"))
 
 
 def test_disjoint_spec_variants_parse():

@@ -20,9 +20,9 @@ import pytest
 
 from sitaspect import frames
 from sitaspect.disjoint import d_eval
-from sitaspect.domain import AspectRule, GuardLiteral, Pat, Precondition
+from sitaspect.domain import AspectRule, GuardLiteral, Pat, Precondition, Var
 from sitaspect.dsl import parse_domain
-from sitaspect.errors import AmbiguousAspectError, MissingAspectError
+from sitaspect.errors import AmbiguousAspectError, MissingAspectError, SitAspectError
 from sitaspect.frames import (
     SoundnessReport,
     SoundnessViolation,
@@ -249,6 +249,23 @@ def test_negation_before_its_binder_reads_as_the_guard_solver_does():
         assert frames.solve_guard(domain, state, guard, env) == solutions
     report = _assert_same_report(domain)
     assert report.actions_checked == len(domain.ground_action_list)
+
+
+def test_a_template_variable_no_grounding_binds_raises_as_the_flat_enumeration():
+    # The DSL rejects `aspect move(x,y) (z) if !on(z,y)`; a domain built in
+    # Python may still hold it, and the search raises where the leaves would.
+    domain = load_domain("blocks.dom")
+    x, y, z = (Var(n) for n in "xyz")
+    rule = AspectRule(kind="action", target=Pat("move", (x, y)), template=(z,),
+                      guard=(GuardLiteral(Pat("on", (z, y)), positive=False),))
+    domain = dataclasses.replace(domain, aspect_rules=tuple(
+        rule if r.target.schema == "move" else r for r in domain.aspect_rules))
+    errors = []
+    for lint in (check_aspect_soundness, _reference_soundness):
+        with pytest.raises(SitAspectError) as exc:
+            lint(domain)
+        errors.append((type(exc.value), str(exc.value)))
+    assert errors == [(SitAspectError, "unbound variable z in aspect template")] * 2
 
 
 def test_soundness_renders_no_aspect_path_or_rule(monkeypatch):
