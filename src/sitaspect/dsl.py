@@ -226,6 +226,9 @@ class _DomainBuilder:
         self.fluents: dict[str, FluentSchema] = {}
         self.actions: dict[str, ActionSchema] = {}
         self.aspect_rules: list[AspectRule] = []
+        # (kind, schema) of every aspect line whose head parsed, so a line
+        # that fails later in its template or guard still covers its schema.
+        self.aspect_heads: set[tuple[str, str]] = set()
         self.effects: list[EffectRule] = []
         self.preconditions: list[Precondition] = []
         self.frame_decls: list[FrameDecl] = []
@@ -407,6 +410,7 @@ def _parse_aspect_rule(b: _DomainBuilder, cur: _Cursor) -> AspectRule:
         cur.fail(f"unknown fluent or action '{name_tok.text}'", at=name_tok)
     cur.i -= 1
     pat, scope = _parse_head(b, cur, kind)
+    b.aspect_heads.add((kind, pat.schema))
     start = cur.i
     raw_path = _parse_raw_path(cur)
     guard: tuple = ()
@@ -515,12 +519,11 @@ def _finish_domain(b: _DomainBuilder) -> Optional[Domain]:
     if not b.fluents and not b.actions:
         _file_error(b, "empty domain: no fluent or action schemas declared")
         return None
-    covered = {(r.kind, r.target.schema) for r in b.aspect_rules}
     for f in b.fluents:
-        if ("fluent", f) not in covered:
+        if ("fluent", f) not in b.aspect_heads:
             _file_error(b, f"fluent '{f}' has no aspect rule")
     for a in b.actions:
-        if ("action", a) not in covered:
+        if ("action", a) not in b.aspect_heads:
             _file_error(b, f"action '{a}' has no aspect rule")
     domain = Domain(
         name=b.name, sorts=b.sorts, fluents=b.fluents, actions=b.actions,

@@ -844,7 +844,7 @@ def regress_query(domain: Domain, states: Sequence[WorldState],
             steps.append(TraceStep(
                 EFFECT_APPLICATION, f"{a} sets {p} to {resolved}"))
             return resolved, ProofTrace(tuple(steps))
-        if _names_fluent(domain, "frame", a, p):
+        if _names_fluent(domain.bound("frame", a), p):
             steps.append(TraceStep(
                 AXIOM_INSTANTIATION, f"declared frame axiom for ({a}, {p})"))
             i -= 1
@@ -870,11 +870,12 @@ def progression(domain: Domain, init: WorldState,
     return states
 
 
-def _names_fluent(domain: Domain, table: str, a: GroundAction, p: GroundFluent) -> bool:
-    """Whether some `table` entry of a ("effect" or "frame") names fluent p."""
+def _names_fluent(bound: Sequence[tuple[object, dict]], p: GroundFluent) -> bool:
+    """Whether some effect or frame entry of `bound`, an action's entries as
+    `Domain.bound` gives them, names fluent p."""
     return any(rule.fluent.schema == p.schema
                and match_args(rule.fluent.args, p.args, env0) is not None
-               for rule, env0 in domain.bound(table, a))
+               for rule, env0 in bound)
 
 
 def persistence_proof(domain: Domain, state: WorldState, a: GroundAction,
@@ -933,13 +934,12 @@ def completeness_lint(domain: Domain) -> CompletenessReport:
     """
     table = domain.static_aspects
     disjoint = _StaticDisjointness(domain.disjointness, table)
-    uncovered = tuple(
-        (a, p) for j, (a, _) in enumerate(table.actions)
-        for i, (p, _) in enumerate(table.fluents)
-        if not disjoint.always(i, j)
-        and not _names_fluent(domain, "frame", a, p)
-        and not _names_fluent(domain, "effect", a, p))
-    return CompletenessReport(uncovered=uncovered)
+    uncovered = []
+    for j, (a, _) in enumerate(table.actions):
+        named = domain.bound("frame", a) + domain.bound("effect", a)
+        uncovered.extend((a, p) for i, (p, _) in enumerate(table.fluents)
+                         if not disjoint.always(i, j) and not _names_fluent(named, p))
+    return CompletenessReport(uncovered=tuple(uncovered))
 
 
 _ASPECT_SAMPLE_LIMIT = 400

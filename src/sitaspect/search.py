@@ -9,6 +9,13 @@ relation space (the identity is an admissible factor), so this enumeration
 covers all factored models of the same size. A function is searched as a
 relation whose rows are singletons, so every premise test reads rows only.
 
+A level is counted by row classes, the situations that share a row. An
+action map passes stability iff it keeps each situation in its class, and
+a valuation separates s from act[s] iff it cuts s's class. A structure no
+definable valuation cuts holds no counterexample, so its maps and
+valuations are counted in closed form; a structure some definable
+valuation cuts is searched map by map, in the order of the full product.
+
 The random layer samples larger structures, biased so that a useful share
 of them satisfies the premises instead of being vacuous.
 """
@@ -102,7 +109,14 @@ def _exhaustive_level(formalism: str, n: int):
     """One exhaustive level: every relation (or function) on n situations,
     then every action map, then every valuation, each a product with the
     first position slowest. Returns the first counterexample or None, the
-    models checked and those whose premises hold."""
+    models checked and those whose premises hold.
+
+    A structure no definable valuation cuts a row class of is counted in
+    closed form: every map times every valuation checked, and the product
+    of the class sizes (the maps that pass stability) times the definable
+    valuations with their premises holding. Any other structure is searched
+    map by map, so the first counterexample and every count are those of
+    the full product order."""
     universal = is_universal(formalism)
     checked = 0
     premise_models = 0
@@ -113,6 +127,17 @@ def _exhaustive_level(formalism: str, n: int):
         structures = itertools.product(range(1 << n), repeat=n)
     for rows in structures:
         definable = {_defined(rows, q, universal) for q in range(1 << n)}
+        classes: dict[int, int] = {}
+        for s in range(n):
+            classes[rows[s]] = classes.get(rows[s], 0) | 1 << s
+        if not any(0 < val & members != members
+                   for val in definable for members in classes.values()):
+            passing = 1
+            for s in range(n):
+                passing *= classes[rows[s]].bit_count()
+            checked += len(acts) << n
+            premise_models += passing * len(definable)
+            continue
         for act in acts:
             if any(rows[s] != rows[act[s]] for s in range(n)):
                 checked += 1 << n  # every valuation of this structure is vacuous

@@ -132,7 +132,7 @@ def test_criterion_05_mode_equivalence(capsys):
 def test_criterion_06_theorem_corroboration(capsys):
     start = time.time()
     for formalism in FORMALISMS:
-        result = search_counterexample(formalism, max_situations=3, seed=7,
+        result = search_counterexample(formalism, max_situations=4, seed=7,
                                        random_samples=10000)
         assert result.counterexample is None, formalism
         assert result.exhaustive_premise_models > 0

@@ -124,7 +124,7 @@ def negation_only_text(rule: str) -> str:
 @pytest.mark.parametrize("rule", sorted(NEGATION_ONLY))
 def test_a_negated_literal_binds_nothing(rule):
     rendered = _rendered(parse_domain, negation_only_text(rule), file="blocks.dom")
-    assert rendered[0] == NEGATION_ONLY[rule][2]
+    assert rendered == [NEGATION_ONLY[rule][2]]
 
 
 def test_a_negation_before_its_binder_parses_and_answers():
@@ -309,6 +309,10 @@ def _rendered(parse, *args, **kwargs) -> list[str]:
     ("fluent r(block)\nfluent s(block,)",
      ["t.dom:12:16: error: expected sort name, found ')'",
       "t.dom:1:1: error: fluent 'r' has no aspect rule"]),
+    # An aspect line that fails after its head still covers its schema.
+    ("action mv(block)\naspect mv(x) (z) if !p(z)",
+     ["t.dom:12:15: error: aspect template variable 'z' is bound by neither the "
+      "pattern nor the guard (a negated literal binds nothing)"]),
 ])
 def test_domain_diagnostics_are_pinned(lines, expected):
     assert _rendered(parse_domain, _DOMAIN_BASE + lines + "\n", file="t.dom") == expected

@@ -154,10 +154,28 @@ def test_exhaustive_level_matches_the_hand_rolled_products(monkeypatch, formalis
         # Every valuation definable: the first structure whose action moves a
         # valuation is a counterexample, so the enumeration order shows.
         monkeypatch.setattr(sitaspect.search, "_defined", lambda rows, q, universal: q)
-    for n in (1, 2, 3):
+    # At four situations the relational reference takes tens of seconds, so
+    # it runs where it is cheap: on functions, and when planted, where it
+    # stops at the first counterexample.
+    sizes = (1, 2, 3, 4) if planted or is_functional(formalism) else (1, 2, 3)
+    for n in sizes:
         got = _exhaustive_level(formalism, n)
         assert got == _reference_exhaustive_level(formalism, n), n
         assert (got[0] is not None) == (planted and n > 1)
+
+
+# The totals the map-by-map loop gave over 1..4 situations, before a
+# structure no definable valuation cuts was counted in closed form.
+@pytest.mark.parametrize("formalism, models, premise_models", [
+    ("rel-exists", 268_546_308, 814_762),
+    ("fun", 1_054_474, 15_052),
+])
+def test_four_situation_totals_are_those_of_the_full_loop(formalism, models,
+                                                          premise_models):
+    result = search_counterexample(formalism, max_situations=4, seed=0)
+    assert result.clean
+    assert result.exhaustive_models == models
+    assert result.exhaustive_premise_models == premise_models
 
 
 def _reference_trap_violations(n, r0, r1):
