@@ -267,14 +267,17 @@ def _cmd_compare(args) -> int:
             if not raw:
                 continue
             parts = raw.split("|")
-            if len(parts) != 3:
-                print(f"{args.workload}:{lineno}: expected INIT | ACTS | FLUENT",
-                      file=sys.stderr)
+            try:
+                if len(parts) != 3:
+                    raise SitAspectError("expected INIT | ACTS | FLUENT")
+                workload.append((parse_state(parts[0], domain),
+                                 parse_actions(parts[1], domain),
+                                 parse_ground_fluent(parts[2].strip(), domain)))
+            except SitAspectError as exc:
+                # A parse diagnostic's span counts within its field: keep its message.
+                message = exc.diagnostics[0].message if isinstance(exc, DslError) else exc
+                print(f"{args.workload}:{lineno}: error: {message}", file=sys.stderr)
                 return 1
-            init = parse_state(parts[0], domain)
-            acts = parse_actions(parts[1], domain)
-            fluent = parse_ground_fluent(parts[2].strip(), domain)
-            workload.append((init, acts, fluent))
     elif args.random:
         if args.random < 1:
             print(f"error: --random must be at least 1, got {args.random}",

@@ -228,6 +228,11 @@ class Domain:
         return {}
 
     @cached_property
+    def _d_memo(self) -> tuple[dict, list, dict]:
+        """frames' memo of d: path -> id, the paths by id, (id, id) -> d."""
+        return {}, [], {}
+
+    @cached_property
     def ground_action_list(self) -> tuple:
         """`ground_actions(self)`, enumerated once per Domain object."""
         return tuple(ground_actions(self))

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .disjoint import SeqExistsDiff, SimpleInequality, d_eval
@@ -28,6 +30,7 @@ from .domain import (
     _template_members,
     check_ground_action,
     check_ground_fluent,
+    ground_fluents,
     instantiate_pat,
     instantiate_template,
     match_args,
@@ -116,11 +119,21 @@ class EconomyReport:
 
 @dataclass(frozen=True)
 class FrameDerivation:
+    """`ground` and `errors` read the domain's static aspect table, which is
+    built on first read; the other fields are derived at once."""
+
+    domain: Domain = field(repr=False, compare=False)
     schematic: tuple[SchematicFrameAxiom, ...]
-    ground: tuple[FrameAxiom, ...]
     economy: tuple[EconomyReport, ...]
-    errors: tuple[str, ...]
     notes: tuple[str, ...] = ()
+
+    @cached_property
+    def ground(self) -> tuple[FrameAxiom, ...]:
+        return _ground_axioms(self.domain)
+
+    @property
+    def errors(self) -> tuple[str, ...]:
+        return self.domain.static_aspects.errors
 
 
 def aspect_of_fluent(domain: Domain, state: WorldState, p: GroundFluent) -> AspectPath:
@@ -305,17 +318,15 @@ _FLUENT_VAR_NAMES = ("w", "v", "u")
 
 
 def derive_frame_axioms(domain: Domain) -> FrameDerivation:
-    """Schematic axioms per rule pair, ground axioms per pair, economy per aspect pair.
+    """Schematic axioms per rule pair, economy per aspect pair, ground axioms per pair.
 
     A ground pair (a, p) yields an axiom only when every satisfiable
     combination of aspect-rule groundings leaves the two aspects disjoint;
     the recorded guard is the conjunction of the aspect-rule guards used.
     """
     schematic, notes = _schematic_axioms(domain)
-    ground, economy, errors = _ground_axioms(domain)
-    return FrameDerivation(schematic=tuple(schematic), ground=tuple(ground),
-                           economy=tuple(economy), errors=tuple(errors),
-                           notes=tuple(notes))
+    return FrameDerivation(domain=domain, schematic=tuple(schematic),
+                           economy=frame_economy(domain), notes=tuple(notes))
 
 
 def _schematic_axioms(domain: Domain) -> tuple[list[SchematicFrameAxiom], list[str]]:
@@ -455,39 +466,46 @@ def _member_condition(mf, ma, set_vars: set[str]) -> str:
     return f"{mf} != {ma}"
 
 
-class _StaticDisjointness:
-    """d over the static aspects of one `StaticAspects` table, evaluated once
-    per distinct (fluent path, action path), on first use.
+def _path_id(domain: Domain, path: AspectPath) -> int:
+    """`path` interned to an int in the domain's memo of d."""
+    ids, paths, _ = domain._d_memo
+    x = ids.setdefault(path, len(ids))
+    if x == len(paths):
+        paths.append(path)
+    return x
 
-    The table's paths are interned to ints, and atoms with equal aspect
-    lists share one code. `always(i, j)` asks the pairs in the order of the
-    plain loop over the i-th fluent's aspects, then the j-th action's, and
-    stops at the first that is not disjoint, so each pair is first evaluated
-    where that loop would evaluate it, and a DisjointnessSpecError surfaces
-    on the same input.
+
+def _disjoint(domain: Domain, x: int, y: int) -> bool:
+    """d of the interned fluent path x and action path y, once per Domain."""
+    _, paths, memo = domain._d_memo
+    hit = memo.get((x, y))
+    if hit is None:
+        hit = memo[x, y] = d_eval(domain.disjointness, paths[x], paths[y])
+    return hit
+
+
+class _StaticDisjointness:
+    """d over the static aspects of the domain's `StaticAspects` table.
+
+    Atoms with equal aspect lists share one code. `always(i, j)` asks the
+    pairs in the order of the plain loop over the i-th fluent's aspects,
+    then the j-th action's, and stops at the first that is not disjoint, so
+    each pair the domain's memo lacks is first evaluated where that loop
+    would evaluate it, and a DisjointnessSpecError surfaces on its input.
     """
 
-    def __init__(self, spec, table):
-        self.spec = spec
-        self.ids: dict[AspectPath, int] = {}
+    def __init__(self, domain: Domain):
+        self.domain = domain
+        table = domain.static_aspects
         self.codes: dict[tuple[int, ...], int] = {}
         self.fluents = [self._code(combos) for _, combos in table.fluents]
         self.actions = [self._code(combos) for _, combos in table.actions]
-        self.paths = list(self.ids)
         self.code_paths = list(self.codes)
-        self._d: dict[tuple[int, int], bool] = {}
         self._always: dict[tuple[int, int], bool] = {}
 
     def _code(self, combos: tuple[AspectCombo, ...]) -> int:
-        paths = tuple(self.ids.setdefault(path, len(self.ids)) for path, _ in combos)
+        paths = tuple(_path_id(self.domain, path) for path, _ in combos)
         return self.codes.setdefault(paths, len(self.codes))
-
-    def d(self, x: int, y: int) -> bool:
-        """d of the interned fluent path x and action path y."""
-        hit = self._d.get((x, y))
-        if hit is None:
-            hit = self._d[x, y] = d_eval(self.spec, self.paths[x], self.paths[y])
-        return hit
 
     def always(self, i: int, j: int) -> bool:
         """Whether every static aspect of the i-th fluent is disjoint from
@@ -496,47 +514,51 @@ class _StaticDisjointness:
         hit = self._always.get(key)
         if hit is None:
             hit = self._always[key] = all(
-                self.d(x, y) for x in self.code_paths[key[0]]
+                _disjoint(self.domain, x, y) for x in self.code_paths[key[0]]
                 for y in self.code_paths[key[1]])
         return hit
 
 
-def _unconditional_groups(table) -> dict[AspectPath, int]:
-    """Ground atoms per aspect, over the atoms one guard-free rule places."""
-    groups: dict[AspectPath, int] = {}
-    for _, combos in table:
-        if len(combos) == 1 and not combos[0][1]:
-            groups[combos[0][0]] = groups.get(combos[0][0], 0) + 1
-    return groups
-
-
-def _ground_axioms(domain: Domain):
+def _ground_axioms(domain: Domain) -> tuple[FrameAxiom, ...]:
     table = domain.static_aspects
-    disjoint = _StaticDisjointness(domain.disjointness, table)
+    disjoint = _StaticDisjointness(domain)
     axioms: list[FrameAxiom] = []
     for j, (a, acombos) in enumerate(table.actions):
         for i, (p, fcombos) in enumerate(table.fluents):
             if disjoint.always(i, j):
-                guard: list[str] = []
-                for _, g in fcombos + acombos:
-                    for item in g:
-                        if item not in guard:
-                            guard.append(item)
+                guard = dict.fromkeys(item for _, g in fcombos + acombos for item in g)
                 axioms.append(FrameAxiom(action=a, fluent=p, guard=tuple(guard)))
+    return tuple(axioms)
 
-    # Economy is reported for unconditional aspect assignments only: a ground
-    # atom enters a group when a single guard-free rule fixes its aspect.
-    fluent_groups = _unconditional_groups(table.fluents)
-    action_groups = _unconditional_groups(table.actions)
+
+def frame_economy(domain: Domain) -> tuple[EconomyReport, ...]:
+    """One report per disjoint pair of economy groups, by the renderings of
+    the fluent, then the action aspect: m * n frame axioms from m + n + 2
+    source axioms. An atom enters the group of its aspect when its guard-free
+    rules give that one aspect and none of its guarded rules has a static
+    grounding (`_static_rows`); the static aspect table is not built."""
+    fluent_groups, action_groups = Counter(), Counter()  # aspect -> atoms
+    for kind, atoms, group in (("fluent", ground_fluents(domain), fluent_groups),
+                               ("action", domain.ground_action_list, action_groups)):
+        for x in atoms:
+            bound = domain.bound(kind, x)
+            aspects = {instantiate_template(rule.template, env0)
+                       for rule, env0 in bound if not rule.guard}
+            if len(aspects) == 1 and not any(
+                    rule.guard and _static_rows(domain, rule.guard, env0)[1]
+                    for rule, env0 in bound):
+                group[aspects.pop()] += 1
+    fluents, actions = ([(path, count, _path_id(domain, path)) for path, count
+                         in sorted(groups.items(), key=lambda item: str(item[0]))]
+                        for groups in (fluent_groups, action_groups))
     economy = []
-    for alpha in sorted(fluent_groups, key=str):
-        for beta in sorted(action_groups, key=str):
-            if disjoint.d(disjoint.ids[alpha], disjoint.ids[beta]):
-                m, n = fluent_groups[alpha], action_groups[beta]
+    for alpha, m, x in fluents:
+        for beta, n, y in actions:
+            if _disjoint(domain, x, y):
                 economy.append(EconomyReport(
                     fluent_aspect=alpha, action_aspect=beta, m=m, n=n,
                     derived_frame_axioms=m * n, source_axioms=m + n + 2))
-    return axioms, economy, list(table.errors)
+    return tuple(economy)
 
 
 # ---------------------------------------------------------------------------
@@ -933,7 +955,7 @@ def completeness_lint(domain: Domain) -> CompletenessReport:
     A pair that is always disjoint is covered by non-interference.
     """
     table = domain.static_aspects
-    disjoint = _StaticDisjointness(domain.disjointness, table)
+    disjoint = _StaticDisjointness(domain)
     uncovered = []
     for j, (a, _) in enumerate(table.actions):
         named = domain.bound("frame", a) + domain.bound("effect", a)

@@ -12,9 +12,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .domain import Domain, Guard, Pat, match_args, solve_guard
+from .domain import Domain, Guard, Pat, ground_fluents, match_args, solve_guard
 from .errors import CrossModeSoundnessError
-from .domain import ground_fluents
 from .frames import (
     EFFECT_APPLICATION,
     EQUALITY_CHECK,
@@ -190,9 +189,9 @@ def compare_modes(domain: Domain,
     Raises CrossModeSoundnessError on the first disagreement among defined
     results, carrying the offending query as a witness.
     """
-    derivation = derive_frame_axioms(domain)
-    classical = sum(r.derived_frame_axioms for r in derivation.economy)
-    source = sum(r.source_axioms for r in derivation.economy)
+    economy = derive_frame_axioms(domain).economy
+    classical = sum(r.derived_frame_axioms for r in economy)
+    source = sum(r.source_axioms for r in economy)
     ssas = compile_ssa(domain)
     records = []
     comparable = 0

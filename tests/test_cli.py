@@ -301,6 +301,37 @@ def test_compare_detects_unsound_domain(tmp_path, capsys):
     assert "DISAGREEMENT" in out
 
 
+@pytest.mark.parametrize("command", [
+    ["frames"], ["compare", "--random", "3", "--init", DISPLAY_INIT]],
+    ids=lambda command: command[0])
+def test_a_spec_that_rejects_an_aspect_pair_exits_one(tmp_path, capsys, command):
+    text = (FIXTURES / "display.dom").read_text(encoding="utf-8")
+    bad = tmp_path / "display.dom"
+    bad.write_text(text.replace("disjoint by seq-diff", "disjoint by simple"),
+                   encoding="utf-8")
+    code, out, err = run(capsys, command[0], str(bad), *command[1:])
+    assert (code, out) == (1, "")
+    # The economy's pairs are evaluated first, so one of them is named.
+    assert err == ("error: simple inequality needs single-element paths, "
+                   "got (computer,display,{p1}) and ()\n")
+
+
+@pytest.mark.parametrize("line, problem", [
+    (f"{BLOCKS_INIT} | move(a,zz) | on(a,floor)",
+     "move(a,zz): 'zz' is not an object of sort 'place'"),
+    (f"{BLOCKS_INIT} | move(a,b) | onn(a,floor)", "unknown fluent schema 'onn'"),
+    (f"{BLOCKS_INIT} | move(a | on(a,floor)", "unexpected end of line"),
+    (f"{BLOCKS_INIT} | move(a,b)", "expected INIT | ACTS | FLUENT"),
+], ids=["object", "fluent", "syntax", "fields"])
+def test_compare_names_the_workload_line_of_an_error(tmp_path, capsys, line, problem):
+    workload = tmp_path / "workload.txt"
+    workload.write_text(f"# queries\n{BLOCKS_INIT} | move(a,b) | on(a,b)\n{line}\n",
+                        encoding="utf-8")
+    code, out, err = run(capsys, "compare", BLOCKS, "--workload", str(workload))
+    assert (code, out) == (1, "")
+    assert err == f"{workload}:3: error: {problem}\n"
+
+
 def test_json_reports_are_byte_identical(capsys):
     outputs = []
     for _ in range(2):

@@ -29,6 +29,7 @@ from sitaspect.domain import (
 )
 from sitaspect.disjoint import d_eval
 from sitaspect.domain import (
+    AspectRule,
     GuardLiteral,
     MemberGuard,
     SetTemplate,
@@ -44,15 +45,18 @@ from sitaspect.domain import (
     solve_guard,
     static_guard_groundings,
 )
-from sitaspect.dsl import parse_domain
+from sitaspect.dsl import parse_domain, parse_state
 from sitaspect.errors import SchemaError, SitAspectError
 from sitaspect.frames import (
+    EconomyReport,
     _guard_fluents,
     applicable_actions,
     completeness_lint,
     derive_frame_axioms,
+    frame_economy,
     static_aspect_samples,
 )
+from sitaspect.reiter import compare_modes, random_workload
 from sitaspect.state import eval_fluent, home_of, with_fluent
 from sitaspect.terms import AspectAtom, action, fluent
 from tests.conftest import (
@@ -509,6 +513,112 @@ def test_static_aspects_follow_a_replaced_universe(name):
             for ax in derive_frame_axioms(smaller).ground] == ground
     assert completeness_lint(smaller).uncovered == uncovered
     assert domain.static_aspects is table
+
+
+# -- the axiom economy -------------------------------------------------------
+
+def _unconditional_groups(table):
+    """Ground atoms per aspect, over the atoms one guard-free rule places."""
+    groups = {}
+    for _, combos in table:
+        if len(combos) == 1 and not combos[0][1]:
+            groups[combos[0][0]] = groups.get(combos[0][0], 0) + 1
+    return groups
+
+
+def _reference_economy(domain):
+    """The economy from the static aspect table: the groups of
+    `_unconditional_groups`, paired where d holds."""
+    table = domain.static_aspects
+    fluent_groups = _unconditional_groups(table.fluents)
+    action_groups = _unconditional_groups(table.actions)
+    return tuple(
+        EconomyReport(fluent_aspect=alpha, action_aspect=beta, m=m, n=n,
+                      derived_frame_axioms=m * n, source_axioms=m + n + 2)
+        for alpha, m in sorted(fluent_groups.items(), key=lambda kv: str(kv[0]))
+        for beta, n in sorted(action_groups.items(), key=lambda kv: str(kv[0]))
+        if d_eval(domain.disjointness, alpha, beta))
+
+
+def _assert_economy_matches_the_reference(domain):
+    economy = frame_economy(domain)
+    assert "static_aspects" not in vars(domain)
+    assert economy == _reference_economy(domain)
+    return economy
+
+
+@pytest.mark.parametrize("name", [*FIXTURE_DOMAINS, *GENERATED, "shapes"])
+def test_frame_economy_matches_the_table_reference(name):
+    economy = _assert_economy_matches_the_reference(_domain(name))
+    if name == "economy.dom":
+        assert [(r.m, r.n) for r in economy] == [(5, 7)]
+
+
+def test_frame_economy_matches_the_table_reference_on_random_domains():
+    rng = random.Random(2063)
+    reports = 0
+    for _ in range(40):
+        reports += len(_assert_economy_matches_the_reference(_random_domain(rng)))
+    assert reports  # some random domain has a nonempty economy
+
+
+# p(b) has a second guard-free rule with p(x)'s aspect, p(c) one with another
+# aspect, and every static grounding of p(x)'s guarded rule clashes; q(a)'s
+# guarded rule has a static grounding.
+ECONOMY_GROUPS = """domain groups
+objects obj: a, b, c
+fluent p(obj)
+fluent q(obj)
+action act(obj)
+aspect p(x) (alpha)
+aspect q(x) (delta)
+aspect act(x) (omega)
+disjoint by seq-diff
+"""
+
+
+def test_frame_economy_groups_by_the_one_guard_free_aspect():
+    x = Var("x")
+    base = parse_domain(ECONOMY_GROUPS)
+    extra = (
+        AspectRule("fluent", Pat("p", ("b",)), (AspectAtom("alpha"),)),
+        AspectRule("fluent", Pat("p", ("c",)), (AspectAtom("beta"),)),
+        AspectRule("fluent", Pat("p", (x,)), (AspectAtom("gamma"),),
+                   (GuardLiteral(Pat("q", (x,))), GuardLiteral(Pat("q", (x,)), False))),
+        AspectRule("fluent", Pat("q", ("a",)), (AspectAtom("alpha"),),
+                   (GuardLiteral(Pat("p", ("a",))),)),
+    )
+    domain = replace(base, aspect_rules=base.aspect_rules + extra)
+    economy = _assert_economy_matches_the_reference(domain)
+    assert [(str(r.fluent_aspect), str(r.action_aspect), r.m, r.n) for r in economy] == [
+        ("(alpha)", "(omega)", 2, 3), ("(delta)", "(omega)", 2, 3)]
+    # Without the extra rules every p and q atom counts.
+    assert [(r.m, r.n) for r in frame_economy(base)] == [(3, 3), (3, 3)]
+
+
+@pytest.mark.parametrize("name, init", [("rooms.dom", ROOMS_INIT),
+                                        ("display.dom", DISPLAY_INIT)])
+def test_compare_reads_the_economy_without_the_static_aspect_table(
+        monkeypatch, name, init):
+    domain = load_domain(name)
+    workload = random_workload(domain, parse_state(init, domain), 20, 1)
+    compare_modes(domain, workload)
+    assert "static_aspects" not in vars(domain)
+    derivation = derive_frame_axioms(domain)
+    assert derivation.economy == _reference_economy(load_domain(name))
+    assert "static_aspects" not in vars(domain)
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return aspect_combos(*args)
+
+    aspect_combos = sitaspect.domain._aspect_combos
+    monkeypatch.setattr(sitaspect.domain, "_aspect_combos", counting)
+    ground = derivation.ground
+    assert derivation.ground is ground
+    assert derivation.errors == domain.static_aspects.errors
+    assert calls == ground_fluents(domain) + ground_actions(domain)
 
 
 # -- the fluent home index --------------------------------------------------

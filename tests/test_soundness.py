@@ -201,8 +201,8 @@ def test_soundness_work_counts(name, monkeypatch):
 
 def test_d_is_evaluated_once_per_distinct_aspect_pair(monkeypatch):
     # blocks-5: 1080 ground pairs per table walk, few distinct aspect paths.
-    domain = parse_domain(_blocks_text(["a", "b", "c", "d", "e"]))
-    table = domain.static_aspects
+    text = _blocks_text(["a", "b", "c", "d", "e"])
+    table = parse_domain(text).static_aspects
     fluent_paths = {alpha for _, combos in table.fluents for alpha, _ in combos}
     action_paths = {beta for _, combos in table.actions for beta, _ in combos}
     calls = []
@@ -211,13 +211,29 @@ def test_d_is_evaluated_once_per_distinct_aspect_pair(monkeypatch):
         calls.append((alpha, beta))
         return d_eval(spec, alpha, beta)
 
+    def derive(domain):
+        derivation = frames.derive_frame_axioms(domain)
+        return derivation.economy, derivation.ground
+
     monkeypatch.setattr(frames, "d_eval", counted)
-    for lint in (frames.derive_frame_axioms, frames.completeness_lint):
+    # d is memoised per Domain object, so each lint gets a fresh one.
+    for lint in (derive, frames.completeness_lint):
         calls.clear()
-        lint(domain)
+        lint(parse_domain(text))
         assert calls
         assert len(calls) <= len(fluent_paths) * len(action_paths), lint.__name__
         assert len(set(calls)) == len(calls), lint.__name__
+    # The economy and the ground axioms share the memo: where the economy is
+    # not empty, the two together evaluate each distinct pair once.
+    for name in ("display.dom", "economy.dom"):
+        calls.clear()
+        derivation = frames.derive_frame_axioms(load_domain(name))
+        economy_calls = len(calls)
+        assert derivation.economy and economy_calls
+        assert derivation.ground
+        assert len(set(calls)) == len(calls), name
+        if name == "economy.dom":
+            assert len(calls) == 1  # one aspect pair, evaluated for the economy
 
 
 # A negated literal before the literal that binds its variable: solve_guard
