@@ -132,39 +132,40 @@ def _cmd_check(args) -> int:
         }
         mono_lines = [f"monotonicity: {mono.checked} extensions checked, "
                       f"{len(mono.violations)} violations"]
-        mono_lines += [f"  {v}" for v in mono.violations]
+        mono_lines += [f"  {v}" for v in mono_report["violations"]]
         mono_bad = bool(mono.violations)
     else:
         mono_report = {"checked": 0, "violations": [],
                        "note": "not applicable to this disjointness kind"}
         mono_lines = ["monotonicity: not applicable to this disjointness kind"]
         mono_bad = False
+    violations = [str(v) for v in soundness.violations]
+    uncovered = [f"({a}, {p})" for a, p in completeness.uncovered]
     report = {
         "domain": domain.name,
         "soundness": {
-            "violations": [str(v) for v in soundness.violations],
+            "violations": violations,
             "unresolved": list(soundness.unresolved),
             "actions_checked": soundness.actions_checked,
             "valuations_checked": soundness.valuations_checked,
         },
         "monotonicity": mono_report,
         "completeness": {
-            "uncovered_pairs": [f"({a}, {p})" for a, p in completeness.uncovered],
+            "uncovered_pairs": uncovered,
         },
     }
     lines = [f"domain {domain.name}: loaded",
              f"aspect soundness: {soundness.actions_checked} actions, "
              f"{soundness.valuations_checked} guard valuations, "
-             f"{len(soundness.violations)} violations"]
-    lines += [f"  {v}" for v in soundness.violations]
+             f"{len(violations)} violations"]
+    lines += [f"  {v}" for v in violations]
     lines += [f"  note: {u}" for u in soundness.unresolved]
     lines += mono_lines
-    lines.append(f"completeness: {len(completeness.uncovered)} intersecting "
+    lines.append(f"completeness: {len(uncovered)} intersecting "
                  f"pairs without an effect rule or declared frame axiom")
-    shown = completeness.uncovered[:12]
-    lines += [f"  ({a}, {p})" for a, p in shown]
-    if len(completeness.uncovered) > len(shown):
-        lines.append(f"  ... and {len(completeness.uncovered) - len(shown)} more")
+    lines += [f"  {u}" for u in uncovered[:12]]
+    if len(uncovered) > 12:
+        lines.append(f"  ... and {len(uncovered) - 12} more")
     _emit(args, "check", report, lines)
     return 2 if (soundness.violations or mono_bad) else 0
 
@@ -174,33 +175,35 @@ def _cmd_frames(args) -> int:
     if args.universe:
         domain = _with_universe(domain, args.universe)
     result = derive_frame_axioms(domain)
+    schematic = [ax.render() for ax in result.schematic]
+    ground = [ax.render() for ax in result.ground]
+    economy = [
+        {"fluent_aspect": str(r.fluent_aspect),
+         "action_aspect": str(r.action_aspect),
+         "m": r.m, "n": r.n,
+         "derived_frame_axioms": r.derived_frame_axioms,
+         "source_axioms": r.source_axioms}
+        for r in result.economy
+    ]
     report = {
         "domain": domain.name,
-        "schematic": [ax.render() for ax in result.schematic],
-        "ground_count": len(result.ground),
-        "ground": [ax.render() for ax in result.ground],
-        "economy": [
-            {"fluent_aspect": str(r.fluent_aspect),
-             "action_aspect": str(r.action_aspect),
-             "m": r.m, "n": r.n,
-             "derived_frame_axioms": r.derived_frame_axioms,
-             "source_axioms": r.source_axioms}
-            for r in result.economy
-        ],
+        "schematic": schematic,
+        "ground_count": len(ground),
+        "ground": ground,
+        "economy": economy,
         "errors": list(result.errors),
         "notes": list(result.notes),
     }
     lines = [f"frame axioms for domain {domain.name}", "schematic:"]
-    lines += [f"  {ax.render()}" for ax in result.schematic] or ["  (none)"]
-    lines.append(f"ground: {len(result.ground)} axioms")
-    lines += [f"  {ax.render()}" for ax in result.ground]
+    lines += [f"  {ax}" for ax in schematic] or ["  (none)"]
+    lines.append(f"ground: {len(ground)} axioms")
+    lines += [f"  {ax}" for ax in ground]
     lines.append("economy:")
-    if result.economy:
-        for r in result.economy:
-            lines.append(f"  fluents at {r.fluent_aspect}: {r.m}, actions at "
-                         f"{r.action_aspect}: {r.n} -> "
-                         f"{r.derived_frame_axioms} frame axioms from "
-                         f"{r.source_axioms} source axioms")
+    if economy:
+        lines += [f"  fluents at {r['fluent_aspect']}: {r['m']}, actions at "
+                  f"{r['action_aspect']}: {r['n']} -> "
+                  f"{r['derived_frame_axioms']} frame axioms from "
+                  f"{r['source_axioms']} source axioms" for r in economy]
     else:
         lines.append("  (no unconditional disjoint aspect pairs)")
     for e in result.errors:
@@ -283,7 +286,7 @@ def _cmd_compare(args) -> int:
             print(f"error: --random must be at least 1, got {args.random}",
                   file=sys.stderr)
             return 3
-        if not args.init:
+        if args.init is None:
             print("error: --random needs --init", file=sys.stderr)
             return 3
         init = parse_state(_read(args.init), domain)

@@ -160,18 +160,16 @@ class FrameDecl:
     fluent: Pat
 
 
-# A static aspect of a ground atom and the rendered guard of the rule giving it.
-AspectCombo = tuple[AspectPath, tuple[str, ...]]
-
-
 @dataclass(frozen=True)
 class StaticAspects:
-    """Every ground fluent and action, in `ground_fluents` and `ground_actions`
-    order, with its static aspect combinations; atoms without any are named
-    in `errors` instead."""
+    """One row `(atom, paths, guard)` per ground fluent and action, in
+    `ground_fluents` and `ground_actions` order: `paths` are the atom's
+    distinct static aspects in first-seen order, and `guard` the distinct
+    rendered guard items of its rules that have a static grounding, in rule
+    order. Atoms without a static aspect are named in `errors` instead."""
 
-    fluents: tuple[tuple[GroundFluent, tuple[AspectCombo, ...]], ...]
-    actions: tuple[tuple[GroundAction, tuple[AspectCombo, ...]], ...]
+    fluents: tuple[tuple[GroundFluent, tuple[AspectPath, ...], tuple[str, ...]], ...]
+    actions: tuple[tuple[GroundAction, tuple[AspectPath, ...], tuple[str, ...]], ...]
     errors: tuple[str, ...]
 
 
@@ -243,8 +241,8 @@ class Domain:
         errors: list[str] = []
 
         def table(kind, atoms):
-            rows = ((x, _aspect_combos(self, kind, x, errors)) for x in atoms)
-            return tuple((x, combos) for x, combos in rows if combos)
+            rows = (_static_row(self, kind, x, errors) for x in atoms)
+            return tuple(row for row in rows if row[1])
 
         fluents = table("fluent", ground_fluents(self))
         actions = table("action", self.ground_action_list)
@@ -358,20 +356,21 @@ def _template_members(t: ElemTemplate) -> list:
     return [t]
 
 
-def _aspect_combos(domain: Domain, kind: str, atom,
-                   errors: list[str]) -> tuple[AspectCombo, ...]:
-    """Static (aspect, guard-rendering) combinations for a ground atom, in
-    rule and static-grounding order. A template position's element depends
-    only on its key (`_key_column`) in the grounding's row: each distinct key
-    tuple is kept at its first row, and each element and path is built once.
+def _static_row(domain: Domain, kind: str, atom, errors: list[str]) -> tuple:
+    """The `StaticAspects` row of a ground atom, from its rules in rule and
+    static-grounding order. A template position's element depends only on
+    its key (`_key_column`) in the grounding's row: each distinct key tuple
+    is kept at its first row, and each element and path is built once.
     """
-    # A dict keeps first-seen order and finds duplicates in constant time.
-    combos: dict[AspectCombo, None] = {}
+    # Dicts keep first-seen order and find duplicates in constant time.
+    paths: dict[AspectPath, None] = {}
+    guard: dict[str, None] = {}
     bound = domain.bound(kind, atom)
     for rule, env0 in bound:
-        # The rendering shows the guard under the argument binding only.
-        guard_txt = tuple(_render_guard_atom(g, env0) for g in rule.guard)
         names, rows = _static_rows(domain, rule.guard, env0)
+        if rows:
+            # The rendering shows the guard under the argument binding only.
+            guard.update(dict.fromkeys(_render_guard_atom(g, env0) for g in rule.guard))
         columns = [_key_column(t, names, rows) for t in rule.template]
         memos: list[dict] = [{} for _ in columns]
         # Each distinct key tuple, first-seen order, with a row that has it.
@@ -383,12 +382,12 @@ def _aspect_combos(domain: Domain, kind: str, atom,
                     env = {**env0, **dict(zip(names, row))}
                     elem = memo[key] = instantiate_template((t,), env).elems[0]
                 elems.append(elem)
-            combos[AspectPath(tuple(elems)), guard_txt] = None
+            paths[AspectPath(tuple(elems))] = None
     if not bound:
         errors.append(f"no aspect rule matches {kind} {atom}")
-    elif not combos:
+    elif not paths:
         errors.append(f"aspect rules for {kind} {atom} have unsatisfiable guards")
-    return tuple(combos)
+    return atom, tuple(paths), tuple(guard)
 
 
 def _key_column(t: ElemTemplate, names: list[str], rows: list[tuple]) -> list:

@@ -18,7 +18,6 @@ from typing import Iterable, Optional, Sequence
 from .disjoint import SeqExistsDiff, SimpleInequality, d_eval
 from .domain import (
     AspectRule,
-    AspectCombo,
     Domain,
     GuardLiteral,
     MemberGuard,
@@ -75,9 +74,6 @@ class ProofTrace:
 
     def count(self, kind: str) -> int:
         return sum(1 for s in self.steps if s.kind == kind)
-
-    def render(self) -> str:
-        return "\n".join(str(s) for s in self.steps)
 
 
 @dataclass(frozen=True)
@@ -484,51 +480,34 @@ def _disjoint(domain: Domain, x: int, y: int) -> bool:
     return hit
 
 
-class _StaticDisjointness:
-    """d over the static aspects of the domain's `StaticAspects` table.
+def _static_pairs(domain: Domain):
+    """Every (action row, fluent row, always disjoint) of the domain's
+    `StaticAspects` table, action-major. A pair is always disjoint when every
+    static aspect of the fluent is disjoint from every one of the action.
 
-    Atoms with equal aspect lists share one code. `always(i, j)` asks the
-    pairs in the order of the plain loop over the i-th fluent's aspects,
-    then the j-th action's, and stops at the first that is not disjoint, so
-    each pair the domain's memo lacks is first evaluated where that loop
-    would evaluate it, and a DisjointnessSpecError surfaces on its input.
+    Atoms with equal aspect lists share one answer. d is asked in the order
+    of the plain loop over the fluent's aspects, then the action's, and the
+    loop stops at the first pair that is not disjoint, so each pair the
+    domain's memo lacks is first evaluated where that loop would evaluate
+    it, and a DisjointnessSpecError surfaces on its input.
     """
-
-    def __init__(self, domain: Domain):
-        self.domain = domain
-        table = domain.static_aspects
-        self.codes: dict[tuple[int, ...], int] = {}
-        self.fluents = [self._code(combos) for _, combos in table.fluents]
-        self.actions = [self._code(combos) for _, combos in table.actions]
-        self.code_paths = list(self.codes)
-        self._always: dict[tuple[int, int], bool] = {}
-
-    def _code(self, combos: tuple[AspectCombo, ...]) -> int:
-        paths = tuple(_path_id(self.domain, path) for path, _ in combos)
-        return self.codes.setdefault(paths, len(self.codes))
-
-    def always(self, i: int, j: int) -> bool:
-        """Whether every static aspect of the i-th fluent is disjoint from
-        every one of the j-th action."""
-        key = (self.fluents[i], self.actions[j])
-        hit = self._always.get(key)
-        if hit is None:
-            hit = self._always[key] = all(
-                _disjoint(self.domain, x, y) for x in self.code_paths[key[0]]
-                for y in self.code_paths[key[1]])
-        return hit
+    table = domain.static_aspects
+    fluents = [(row, tuple(_path_id(domain, path) for path in row[1]))
+               for row in table.fluents]
+    always: dict[tuple, bool] = {}  # (fluent path ids, action path ids) -> answer
+    for arow in table.actions:
+        ys = tuple(_path_id(domain, path) for path in arow[1])
+        for frow, xs in fluents:
+            hit = always.get((xs, ys))
+            if hit is None:
+                hit = always[xs, ys] = all(_disjoint(domain, x, y) for x in xs for y in ys)
+            yield arow, frow, hit
 
 
 def _ground_axioms(domain: Domain) -> tuple[FrameAxiom, ...]:
-    table = domain.static_aspects
-    disjoint = _StaticDisjointness(domain)
-    axioms: list[FrameAxiom] = []
-    for j, (a, acombos) in enumerate(table.actions):
-        for i, (p, fcombos) in enumerate(table.fluents):
-            if disjoint.always(i, j):
-                guard = dict.fromkeys(item for _, g in fcombos + acombos for item in g)
-                axioms.append(FrameAxiom(action=a, fluent=p, guard=tuple(guard)))
-    return tuple(axioms)
+    return tuple(FrameAxiom(action=a, fluent=p, guard=tuple(dict.fromkeys(fguard + aguard)))
+                 for (a, _, aguard), (p, _, fguard), disjoint in _static_pairs(domain)
+                 if disjoint)
 
 
 def frame_economy(domain: Domain) -> tuple[EconomyReport, ...]:
@@ -954,13 +933,13 @@ def completeness_lint(domain: Domain) -> CompletenessReport:
     Regression returns `undefined` on such pairs; progression persists them.
     A pair that is always disjoint is covered by non-interference.
     """
-    table = domain.static_aspects
-    disjoint = _StaticDisjointness(domain)
-    uncovered = []
-    for j, (a, _) in enumerate(table.actions):
-        named = domain.bound("frame", a) + domain.bound("effect", a)
-        uncovered.extend((a, p) for i, (p, _) in enumerate(table.fluents)
-                         if not disjoint.always(i, j) and not _names_fluent(named, p))
+    uncovered, named_by = [], None
+    for (a, _, _), (p, _, _), disjoint in _static_pairs(domain):
+        if not disjoint:
+            if named_by is not a:  # the pairs come action-major
+                named_by, named = a, domain.bound("frame", a) + domain.bound("effect", a)
+            if not _names_fluent(named, p):
+                uncovered.append((a, p))
     return CompletenessReport(uncovered=tuple(uncovered))
 
 
@@ -977,7 +956,7 @@ def static_aspect_samples(domain: Domain) -> list[tuple[AspectPath, AspectPath]]
     """
     table = domain.static_aspects
     # Dicts dedupe in first-seen order.
-    fluent_paths = dict.fromkeys(asp for _, combos in table.fluents for asp, _ in combos)
-    action_paths = dict.fromkeys(asp for _, combos in table.actions for asp, _ in combos)
+    fluent_paths = dict.fromkeys(path for _, paths, _ in table.fluents for path in paths)
+    action_paths = dict.fromkeys(path for _, paths, _ in table.actions for path in paths)
     pairs = itertools.product(fluent_paths, action_paths)
     return list(itertools.islice(pairs, _ASPECT_SAMPLE_LIMIT))

@@ -281,6 +281,19 @@ def test_compare_random_workload(capsys):
     assert "all agree: True" in out
 
 
+def test_compare_random_accepts_the_empty_init_state(tmp_path, capsys):
+    # '' is the all-false state, given inline or as an empty file.
+    empty = tmp_path / "empty.state"
+    empty.write_text("", encoding="utf-8")
+    display = str(FIXTURES / "display.dom")
+    reports = [run(capsys, "compare", display, "--random", "10", "--seed", "3",
+                   "--init", init, "--report", "json") for init in ("", f"@{empty}")]
+    assert reports[0] == reports[1]
+    assert reports[0][0] == 0 and '"all_agree": true' in reports[0][1]
+    code, out, err = run(capsys, "compare", display, "--random", "10")
+    assert (code, out, err) == (3, "", "error: --random needs --init\n")
+
+
 def test_compare_rejects_a_random_count_below_one(capsys):
     code, out, err = run(capsys, "compare", BLOCKS, "--random", "-3",
                          "--init", BLOCKS_INIT)

@@ -1,6 +1,6 @@
 """Lookups the query path relies on, checked against naive references.
 
-Guard grounding must be duplicate-free, aspect combinations must match a
+Guard grounding must be duplicate-free, static aspect rows must match a
 whole-template instantiation at every grounding of the dict-chain static
 grounder below, a state must place
 each fluent at the home its domain declares, and a domain's rule
@@ -308,36 +308,40 @@ def test_static_groundings_raise_as_the_dict_chain():
                 assert isinstance(got, tuple), what
 
 
-# -- aspect combinations against a whole-template reference -----------------
+# -- static aspect rows against a whole-template reference -------------------
 
-def _reference_combos(domain, kind, schema, args):
-    """Instantiate the whole template at every static grounding, dedupe in
-    first-seen order."""
-    combos = []
+def _reference_row(domain, kind, x):
+    """x's static aspect row: the whole template instantiated at every static
+    grounding, and the rendered guard items of each rule that has one, each
+    deduped in first-seen order."""
+    paths, guard = [], []
     for rule in domain.aspect_rules:
-        if rule.kind != kind or rule.target.schema != schema:
+        if rule.kind != kind or rule.target.schema != x.schema:
             continue
-        env0 = match_args(rule.target.args, args)
+        env0 = match_args(rule.target.args, x.args)
         if env0 is None:
             continue
-        guard_txt = tuple(_render_guard_atom(atom, env0) for atom in rule.guard)
-        for g in _reference_static_groundings(domain, rule.guard, env0):
-            combo = (instantiate_template(rule.template, g), guard_txt)
-            if combo not in combos:
-                combos.append(combo)
-    return combos
+        groundings = _reference_static_groundings(domain, rule.guard, env0)
+        if groundings:
+            items = [_render_guard_atom(atom, env0) for atom in rule.guard]
+            guard += [item for item in dict.fromkeys(items) if item not in guard]
+        for g in groundings:
+            path = instantiate_template(rule.template, g)
+            if path not in paths:
+                paths.append(path)
+    return x, tuple(paths), tuple(guard)
 
 
 def _reference_table(domain):
-    """`Domain.static_aspects` from the reference combos."""
+    """`Domain.static_aspects` from the reference rows."""
     errors = []
 
     def table(kind, atoms):
         rows = []
         for x in atoms:
-            combos = _reference_combos(domain, kind, x.schema, x.args)
-            if combos:
-                rows.append((x, tuple(combos)))
+            row = _reference_row(domain, kind, x)
+            if row[1]:
+                rows.append(row)
             elif not any(r.kind == kind and match_args(r.target.args, x.args) is not None
                          for r in domain.aspect_rules if r.target.schema == x.schema):
                 errors.append(f"no aspect rule matches {kind} {x}")
@@ -365,13 +369,62 @@ def test_static_aspects_match_the_reference_table_on_random_domains():
 
 def test_shapes_cover_the_template_edge_cases():
     table = _domain("shapes").static_aspects
-    combos = dict(table.fluents + table.actions)
-    assert [str(p) for p, _ in combos[action("noop")]] == ["()"]
-    assert [str(p) for p, _ in combos[action("blank", "a")]] == ["()"]
-    assert {str(p) for p, _ in combos[fluent("mark", {"a", "b"})]} == {"({a,b,k})"}
-    assert "({a,b},{a,b},{a},a)" in {str(p) for p, _ in combos[action("act", {"a"}, "a")]}
+    paths = {x: paths for x, paths, _ in table.fluents + table.actions}
+    assert [str(p) for p in paths[action("noop")]] == ["()"]
+    assert [str(p) for p in paths[action("blank", "a")]] == ["()"]
+    assert [str(p) for p in paths[fluent("mark", {"a", "b"})]] == ["({a,b,k})"]
+    assert "({a,b},{a,b},{a},a)" in {str(p) for p in paths[action("act", {"a"}, "a")]}
     assert "aspect rules for action never(a) have unsatisfiable guards" in table.errors
     assert "no aspect rule matches fluent lone(b)" in table.errors
+
+
+# p(x)'s one aspect comes from a guard-free rule and from a guarded rule with
+# a static grounding; r(x)'s from two rules under different guards; the
+# guarded rule of s(x) has no static grounding. The DSL rejects such
+# overlapping rules, so they are added to the parsed domain.
+ROW_GUARDS = """domain row_guards
+objects obj: a, b
+fluent p(obj)
+fluent q(obj)
+fluent r(obj)
+fluent s(obj)
+action act(obj)
+aspect p(x) (alpha)
+aspect q(x) (delta)
+aspect r(x) (beta) if q(x)
+aspect s(x) (gamma)
+aspect act(x) (omega)
+disjoint by seq-diff
+"""
+
+
+def test_static_rows_keep_the_guards_of_statically_grounded_rules():
+    x = Var("x")
+    base = parse_domain(ROW_GUARDS)
+    extra = (
+        AspectRule("fluent", Pat("p", (x,)), (AspectAtom("alpha"),),
+                   (GuardLiteral(Pat("q", (x,))),)),
+        AspectRule("fluent", Pat("r", (x,)), (AspectAtom("beta"),),
+                   (GuardLiteral(Pat("p", (x,)), False),)),
+        AspectRule("fluent", Pat("s", (x,)), (AspectAtom("delta"),),
+                   (GuardLiteral(Pat("q", (x,))), GuardLiteral(Pat("q", (x,)), False))),
+    )
+    domain = replace(base, aspect_rules=base.aspect_rules + extra)
+    assert domain.static_aspects == _reference_table(domain)
+    rows = {str(x): ([str(p) for p in paths], guard)
+            for x, paths, guard in domain.static_aspects.fluents}
+    assert rows["p(a)"] == (["(alpha)"], ("q(a)",))
+    assert rows["r(b)"] == (["(beta)"], ("q(b)", "!p(b)"))
+    assert rows["s(a)"] == (["(gamma)"], ())
+    ground = derive_frame_axioms(domain).ground
+    assert [(ax.action, ax.fluent, ax.guard) for ax in ground] == _reference_ground(domain)[0]
+    guards = {(str(ax.action), str(ax.fluent)): ax.guard for ax in ground}
+    assert guards["act(a)", "p(b)"] == ("q(b)",)
+    assert guards["act(a)", "r(a)"] == ("q(a)", "!p(a)")
+    assert guards["act(b)", "s(a)"] == ()
+    # p's guarded rule has a static grounding, so no p atom enters a group.
+    assert [(str(r.fluent_aspect), r.m, r.n) for r in frame_economy(domain)] == [
+        ("(delta)", 2, 2), ("(gamma)", 2, 2)]
 
 
 def test_static_aspects_build_each_element_once_per_key(monkeypatch):
@@ -418,32 +471,25 @@ def _matches(action_pat, fluent_pat, a, p):
 
 def _reference_ground(domain):
     """Ground frame axioms, uncovered pairs and aspect samples, from the
-    reference combos of every ground atom."""
-    fluent_info = [(p, _reference_combos(domain, "fluent", p.schema, p.args))
-                   for p in ground_fluents(domain)]
-    action_info = [(a, _reference_combos(domain, "action", a.schema, a.args))
-                   for a in ground_actions(domain)]
+    reference rows of every ground atom."""
+    fluent_rows = [_reference_row(domain, "fluent", p) for p in ground_fluents(domain)]
+    action_rows = [_reference_row(domain, "action", a) for a in ground_actions(domain)]
     out = []
     uncovered = []
-    for a, acombos in action_info:
-        for p, fcombos in fluent_info:
-            if not acombos or not fcombos:
+    for a, apaths, aguard in action_rows:
+        for p, fpaths, fguard in fluent_rows:
+            if not apaths or not fpaths:
                 continue
             if all(d_eval(domain.disjointness, alpha, beta)
-                   for alpha, _ in fcombos for beta, _ in acombos):
-                guard = []
-                for _, g in fcombos + acombos:
-                    guard += [item for item in g if item not in guard]
-                out.append((a, p, tuple(guard)))
+                   for alpha in fpaths for beta in apaths):
+                out.append((a, p, tuple(dict.fromkeys(fguard + aguard))))
             elif not any(_matches(r.action, r.fluent, a, p)
                          for r in domain.frame_decls + domain.effects):
                 uncovered.append((a, p))
     paths = {"fluent": [], "action": []}
-    for kind, info in (("fluent", fluent_info), ("action", action_info)):
-        for _, combos in info:
-            for asp, _ in combos:
-                if asp not in paths[kind]:
-                    paths[kind].append(asp)
+    for kind, rows in (("fluent", fluent_rows), ("action", action_rows)):
+        for _, row_paths, _ in rows:
+            paths[kind] += [asp for asp in row_paths if asp not in paths[kind]]
     samples = [(f, a) for f in paths["fluent"] for a in paths["action"]]
     return out, tuple(uncovered), samples
 
@@ -482,10 +528,10 @@ def test_static_aspects_are_built_once_per_domain(monkeypatch):
 
     def counting(*args):
         calls.append(args[2])
-        return aspect_combos(*args)
+        return static_row(*args)
 
-    aspect_combos = sitaspect.domain._aspect_combos
-    monkeypatch.setattr(sitaspect.domain, "_aspect_combos", counting)
+    static_row = sitaspect.domain._static_row
+    monkeypatch.setattr(sitaspect.domain, "_static_row", counting)
     derive_frame_axioms(domain)
     completeness_lint(domain)
     static_aspect_samples(domain)
@@ -505,9 +551,8 @@ def test_static_aspects_follow_a_replaced_universe(name):
     for kind, atoms, rows in (
             ("fluent", ground_fluents(smaller), smaller.static_aspects.fluents),
             ("action", ground_actions(smaller), smaller.static_aspects.actions)):
-        reference = [(x, _reference_combos(smaller, kind, x.schema, x.args))
-                     for x in atoms]
-        assert [(x, list(c)) for x, c in rows] == [(x, c) for x, c in reference if c]
+        reference = [_reference_row(smaller, kind, x) for x in atoms]
+        assert list(rows) == [row for row in reference if row[1]]
     ground, uncovered, _ = _reference_ground(smaller)
     assert [(ax.action, ax.fluent, ax.guard)
             for ax in derive_frame_axioms(smaller).ground] == ground
@@ -520,9 +565,9 @@ def test_static_aspects_follow_a_replaced_universe(name):
 def _unconditional_groups(table):
     """Ground atoms per aspect, over the atoms one guard-free rule places."""
     groups = {}
-    for _, combos in table:
-        if len(combos) == 1 and not combos[0][1]:
-            groups[combos[0][0]] = groups.get(combos[0][0], 0) + 1
+    for _, paths, guard in table:
+        if len(paths) == 1 and not guard:
+            groups[paths[0]] = groups.get(paths[0], 0) + 1
     return groups
 
 
@@ -611,10 +656,10 @@ def test_compare_reads_the_economy_without_the_static_aspect_table(
 
     def counting(*args):
         calls.append(args[2])
-        return aspect_combos(*args)
+        return static_row(*args)
 
-    aspect_combos = sitaspect.domain._aspect_combos
-    monkeypatch.setattr(sitaspect.domain, "_aspect_combos", counting)
+    static_row = sitaspect.domain._static_row
+    monkeypatch.setattr(sitaspect.domain, "_static_row", counting)
     ground = derivation.ground
     assert derivation.ground is ground
     assert derivation.errors == domain.static_aspects.errors

@@ -203,8 +203,8 @@ def test_d_is_evaluated_once_per_distinct_aspect_pair(monkeypatch):
     # blocks-5: 1080 ground pairs per table walk, few distinct aspect paths.
     text = _blocks_text(["a", "b", "c", "d", "e"])
     table = parse_domain(text).static_aspects
-    fluent_paths = {alpha for _, combos in table.fluents for alpha, _ in combos}
-    action_paths = {beta for _, combos in table.actions for beta, _ in combos}
+    fluent_paths = {alpha for _, paths, _ in table.fluents for alpha in paths}
+    action_paths = {beta for _, paths, _ in table.actions for beta in paths}
     calls = []
 
     def counted(spec, alpha, beta):
