@@ -262,7 +262,10 @@ def _cmd_query(args) -> int:
 
 def _cmd_compare(args) -> int:
     domain = _load_domain(args.domain)
-    if args.workload:
+    if args.workload is not None and args.random is not None:
+        print("error: --workload and --random exclude each other", file=sys.stderr)
+        return 3
+    if args.workload is not None:
         workload = []
         for lineno, raw in enumerate(Path(args.workload).read_text(
                 encoding="utf-8").splitlines(), start=1):
@@ -281,7 +284,7 @@ def _cmd_compare(args) -> int:
                 message = exc.diagnostics[0].message if isinstance(exc, DslError) else exc
                 print(f"{args.workload}:{lineno}: error: {message}", file=sys.stderr)
                 return 1
-    elif args.random:
+    elif args.random is not None:
         if args.random < 1:
             print(f"error: --random must be at least 1, got {args.random}",
                   file=sys.stderr)
@@ -450,7 +453,7 @@ _COMMANDS = {
     "compare": ("compare aspect regression, SSA evaluation, and the oracle", _cmd_compare, [
         ("domain", {}),
         ("--workload", dict(default=None, help="file with lines: INIT | ACTS | FLUENT")),
-        ("--random", dict(type=int, default=0,
+        ("--random", dict(type=int, default=None,
                           help="generate this many random queries instead")),
         ("--init", dict(default=None, help="base state for --random")),
         ("--seed", dict(type=int, default=0))]),

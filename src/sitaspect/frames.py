@@ -13,7 +13,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .disjoint import SeqExistsDiff, SimpleInequality, d_eval
 from .domain import (
@@ -545,8 +545,8 @@ def frame_economy(domain: Domain) -> tuple[EconomyReport, ...]:
 # ---------------------------------------------------------------------------
 
 # The soundness lint covers every truth valuation of an action's guard
-# fluents, 2**n of them, by a depth-first search that cuts each subtree whose
-# outcome the assigned fluents already fix (see `check_aspect_soundness`).
+# fluents, 2**n of them, in three stages that skip the valuations a failed
+# precondition or action aspect decides (see `check_aspect_soundness`).
 # Actions with more than this many fluents are skipped.
 _GUARD_FLUENT_LIMIT = 14
 
@@ -579,17 +579,16 @@ def check_aspect_soundness(domain: Domain) -> SoundnessReport:
     """Verify that every fluent an action can change intersects the action.
 
     For each ground action all 2**n truth valuations of its n guard-relevant
-    ground fluents are covered and counted. They are searched depth first,
-    branching on the fluents the preconditions read, then on those the
-    action's aspect guards read, then on the rest. At each node the guards
-    are evaluated three-valued on the partial valuation (`_guard_clauses`),
-    and a subtree is cut once its outcome is fixed:
-    - where a precondition is false, its valuations are skipped silently;
-    - where the preconditions hold and the action aspect is fixed missing
-      or ambiguous, its 2**(unassigned) valuations count under that reason
-      in `unresolved`;
-    - at a leaf, the state is built, and where the preconditions hold in
-      it, linted (`_check_valuation`).
+    ground fluents are covered and counted, in three nested stages, each
+    over the valuations of its own fluents in ascending order. The guards
+    are decided on their clauses (`_guard_clauses`):
+    - over the fluents the preconditions read, a valuation where some
+      precondition is false is skipped silently;
+    - over the fluents the action's aspect guards read besides, a valuation
+      where the action aspect is missing or ambiguous counts, with every
+      value of the remaining fluents, under that reason in `unresolved`;
+    - over the remaining fluents, each whole valuation is built as a state
+      and, where the preconditions hold in it, linted (`_check_valuation`).
     Violations come in `itertools.product` order: by the least valuation
     that shows them, then by their position in it. Actions with more than
     _GUARD_FLUENT_LIMIT guard fluents are skipped and named in `unresolved`.
@@ -618,8 +617,8 @@ def check_aspect_soundness(domain: Domain) -> SoundnessReport:
 
 def _search_valuations(domain: Domain, a: GroundAction, relevant: list[GroundFluent],
                        skipped: dict[str, int]) -> list[SoundnessViolation]:
-    """The violations a shows over the valuations of `relevant`, searched
-    depth first (see `check_aspect_soundness`); skip reasons go to `skipped`.
+    """The violations a shows over the valuations of `relevant`, in the three
+    stages of `check_aspect_soundness`; skip reasons go to `skipped`.
 
     Fluent i is bit 2**(k-1-i) of a valuation, so a whole valuation, read as
     a number, is its index in `itertools.product` order.
@@ -633,32 +632,22 @@ def _search_valuations(domain: Domain, a: GroundAction, relevant: list[GroundFlu
         names, clauses = _guard_clauses(domain, rule.guard, env0, bits)
         rules.append((rule.template, env0, names, clauses, {}))
     pre_mask = _mask_of(pres)
-    guard_mask = _mask_of(clauses for _, _, _, clauses, _ in rules)
-    order = list(bits.values())
-    order = ([b for b in order if b & pre_mask]
-             + [b for b in order if b & guard_mask and not b & pre_mask]
-             + [b for b in order if not b & (pre_mask | guard_mask)])
+    guard_mask = _mask_of(clauses for _, _, _, clauses, _ in rules) & ~pre_mask
+    rest_mask = ((1 << k) - 1) & ~(pre_mask | guard_mask)
     missing = f"{a}: valuations where no aspect rule applies"
     ambiguous = f"{a}: valuations with ambiguous aspects"
     schemas = frozenset(domain.fluents)
     first: dict[SoundnessViolation, tuple[int, int]] = {}
 
-    def aspect_failure(known: int, truth: int) -> Optional[str]:
-        """The skip reason every completion of the valuation gives the action
-        aspect, if it is fixed missing or ambiguous."""
+    def aspect_failure(truth: int) -> Optional[str]:
+        """The skip reason of the action aspect where the fluents the rules
+        read take the values of `truth`, or None when one aspect applies."""
         applying = 0
-        undecided = False
         for template, env0, names, clauses, aspects in rules:
-            holds: Optional[bool] = False
             aspect = None  # the aspect of the first clause that holds
             for i, (mask, want, row) in enumerate(clauses):
-                if known & mask & (truth ^ want):
+                if truth & mask != want:
                     continue
-                if known & mask != mask:
-                    if holds is False:
-                        holds = None
-                    continue
-                holds = True
                 if i not in aspects:
                     aspects[i] = instantiate_template(
                         template, {**env0, **dict(zip(names, row))})
@@ -666,52 +655,57 @@ def _search_valuations(domain: Domain, a: GroundAction, relevant: list[GroundFlu
                     aspect = aspects[i]
                 elif aspects[i] != aspect:
                     return ambiguous
-            if holds:
+            if aspect is not None:
                 applying += 1
                 if applying > 1:
                     return ambiguous
-            elif holds is None:
-                undecided = True
-        return None if applying or undecided else missing
+        return None if applying else missing
 
-    def visit(depth: int, known: int, truth: int) -> None:
-        pre = True
-        for clauses in pres:
-            holds = _holds(clauses, known, truth)
-            if holds is False:
-                return
-            pre = pre and holds
-        if pre:
-            reason = aspect_failure(known, truth)
+    for pre in _submasks(pre_mask):
+        if not all(any(pre & mask == want for mask, want, _ in clauses)
+                   for clauses in pres):
+            continue
+        for guard in _submasks(guard_mask):
+            reason = aspect_failure(pre | guard)
             if reason is not None:
-                _bump(skipped, reason, 2 ** (k - depth))
-                return
-        if depth == k:
-            base = {f: bool(truth & b) for f, b in bits.items()}
-            state = build_state({(): base}, schemas=schemas)
-            # A leaf is decided on its state, as the flat enumeration
-            # decides it; the clauses only choose the cuts.
-            if _failed_precondition(domain, state, a) is not None:
-                return
-            found: list[SoundnessViolation] = []
-            _check_valuation(domain, a, base, state, found, skipped)
-            for position, violation in enumerate(found):
-                first[violation] = min(first.get(violation, (truth, position)),
-                                       (truth, position))
-            return
-        b = order[depth]
-        visit(depth + 1, known | b, truth)
-        visit(depth + 1, known | b, truth | b)
-
-    visit(0, 0, 0)
+                _bump(skipped, reason, 2 ** rest_mask.bit_count())
+                continue
+            for rest in _submasks(rest_mask):
+                truth = pre | guard | rest
+                base = {f: bool(truth & b) for f, b in bits.items()}
+                state = build_state({(): base}, schemas=schemas)
+                # A leaf is decided on its state, as the flat enumeration
+                # decides it; the clauses only choose the leaves.
+                if _failed_precondition(domain, state, a) is not None:
+                    continue
+                found: list[SoundnessViolation] = []
+                _check_valuation(domain, a, base, state, found, skipped)
+                for position, violation in enumerate(found):
+                    first[violation] = min(first.get(violation, (truth, position)),
+                                           (truth, position))
     return sorted(first, key=first.__getitem__)
+
+
+def _submasks(mask: int) -> Iterator[int]:
+    """Every submask of `mask`, ascending."""
+    sub = 0
+    while True:
+        yield sub
+        sub = (sub - mask) & mask
+        if not sub:
+            return
 
 
 def _guard_clauses(domain: Domain, guard, env0: dict,
                    bits: dict[GroundFluent, int]) -> tuple[list[str], list[tuple]]:
     """The guard as a disjunction over its static groundings, each the
     conjunction of the literals it reads (`_literal_reads`), over the fluents
-    numbered by `bits`; fluents outside `bits` are unmodeled, never true.
+    numbered by `bits`.
+
+    `bits` must number every fluent the guard reads. The soundness lint
+    numbers an action's `_relevant_fluents`, which takes `_guard_fluents` of
+    its precondition and aspect guards under the same bindings, so it does;
+    a fluent outside `bits` raises KeyError rather than drop a clause.
 
     Returns the grounded variables and the clauses (mask, want, row): a clause
     holds where the fluents of `mask` take the values of `want`. The
@@ -724,34 +718,20 @@ def _guard_clauses(domain: Domain, guard, env0: dict,
     for positive, keys, reads in _literal_reads(domain, guard, env0, names, rows):
         parts = {}
         for key, fluents in reads.items():
-            mask = sum(bits.get(f, 0) for f in fluents)
-            parts[key] = ((mask, mask) if mask else None) if positive else (mask, 0)
+            mask = sum(bits[f] for f in fluents)
+            parts[key] = (mask, mask if positive else 0)
         literals.append(list(map(parts.__getitem__, keys)))
     clauses = []
     for row, row_parts in zip(rows, zip(*literals) if literals else [()] * len(rows)):
         mask = want = 0
-        for part in row_parts:
-            if part is None or mask & part[0] & (want ^ part[1]):
+        for part_mask, part_want in row_parts:
+            if mask & part_mask & (want ^ part_want):
                 break
-            mask |= part[0]
-            want |= part[1]
+            mask |= part_mask
+            want |= part_want
         else:
             clauses.append((mask, want, row))
     return names, clauses
-
-
-def _holds(clauses: list[tuple], known: int, truth: int) -> Optional[bool]:
-    """Kleene value of a clause disjunction (see `_guard_clauses`) on the
-    partial valuation that assigns `known` and makes `truth` true: None
-    when some completion makes it true and another false."""
-    value: Optional[bool] = False
-    for mask, want, _ in clauses:
-        if known & mask & (truth ^ want):
-            continue
-        if known & mask == mask:
-            return True
-        value = None
-    return value
 
 
 def _mask_of(guards: Iterable[list[tuple]]) -> int:

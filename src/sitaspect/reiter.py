@@ -30,21 +30,8 @@ from .state import WorldState, eval_fluent
 from .terms import GroundAction, GroundFluent
 
 
-class _InsufficientAxioms:
-    """Distinguished outcome for queries touching actions outside the compiled set."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "insufficient-axioms"
-
-
-INSUFFICIENT_AXIOMS = _InsufficientAxioms()
+# The outcome of a query that touches actions outside the compiled set.
+INSUFFICIENT_AXIOMS = "insufficient-axioms"
 
 
 @dataclass(frozen=True)

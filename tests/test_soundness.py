@@ -1,13 +1,15 @@
-"""The soundness lint's depth-first search against the flat enumeration.
+"""The soundness lint's three stages against the flat enumeration.
 
-`check_aspect_soundness` searches an action's valuations depth first and
-cuts a subtree once three-valued guard evaluation fixes its outcome: a
-false precondition, or a missing or ambiguous action aspect.
-`_reference_soundness` is the flat enumeration: every valuation is built,
-in product order, and its preconditions evaluated. The two must give equal
-reports, down to the order of the violations and the counts of every
-`unresolved` reason. `tests/test_soundness_properties.py` compares them on
-generated domains.
+`check_aspect_soundness` covers an action's valuations in three nested
+stages: over the fluents the preconditions read, where a false
+precondition skips the valuation; over those the action's aspect guards
+read besides, where a missing or ambiguous action aspect counts every
+value of the rest at once; and over the rest, where each valuation is
+built and linted. `_reference_soundness` is the flat enumeration: every
+valuation is built, in product order, and its preconditions evaluated. The
+two must give equal reports, down to the order of the violations and the
+counts of every `unresolved` reason. `tests/test_soundness_properties.py`
+compares them on generated domains.
 """
 
 from __future__ import annotations
@@ -170,6 +172,51 @@ def test_no_precondition_matches_the_flat_enumeration():
     domain = parse_domain(text)
     assert domain.preconditions == ()
     _assert_same_report(domain)
+
+
+def _nullary_conjunction(count: int) -> str:
+    """go() over `count` nullary fluents, whose precondition reads them all."""
+    names = [f"f{i}" for i in range(count)]
+    return "\n".join([
+        "domain bound", *(f"fluent {n}()" for n in names), "action go()",
+        *(f"aspect {n}() (left)" for n in names), "aspect go() (right)",
+        "pre go() " + " & ".join(f"{n}()" for n in names),
+        "effect go() add f0()", "disjoint by seq-diff"]) + "\n"
+
+
+def _on_four(rules: str) -> str:
+    """go() over on(a)..on(d) and lit(), which only an effect guard reads."""
+    return "\n".join([
+        "domain stages", "objects obj: a, b, c, d", "fluent on(obj)", "fluent lit()",
+        "action go()", "aspect on(x) (x)", "aspect lit() (b)", rules,
+        "effect go() add on(b) if lit()", "disjoint by seq-diff"]) + "\n"
+
+
+LIMIT = frames._GUARD_FLUENT_LIMIT
+
+
+@pytest.mark.parametrize("text, expected", [
+    (_nullary_conjunction(LIMIT),
+     dict(actions_checked=1, valuations_checked=2 ** LIMIT, unresolved=())),
+    (_nullary_conjunction(LIMIT + 1),
+     dict(actions_checked=0, valuations_checked=0, unresolved=(
+         f"go(): guard fluent count {LIMIT + 1} exceeds the enumeration "
+         f"bound {LIMIT} (1 skipped)",))),
+    (_on_four("aspect go() (a)\npre go() on(z)"),
+     dict(valuations_checked=32, unresolved=(), violations=["(a)"])),
+    (_on_four("aspect go() (a)\npre go() !on(z)"),
+     dict(valuations_checked=32, unresolved=(), violations=["(a)"])),
+    (_on_four("aspect go() (z) if on(z)"),
+     dict(valuations_checked=32, violations=["(d)", "(c)", "(a)"], unresolved=(
+         "go(): valuations where no aspect rule applies (2 skipped)",
+         "go(): valuations with ambiguous aspects (22 skipped)"))),
+], ids=["at the bound", "past the bound", "any-of precondition",
+        "negated existential precondition", "ambiguous aspect"])
+def test_the_bound_and_each_stage(text, expected):
+    report = _assert_same_report(parse_domain(text))
+    aspects = [str(v.action_aspect) for v in report.violations]
+    assert {key: aspects if key == "violations" else getattr(report, key)
+            for key in expected} == expected
 
 
 # States the search may build: the flat enumeration built 720, 102, 14 and 732.
