@@ -52,6 +52,8 @@ DisjointnessSpec = SimpleInequality | SeqExistsDiff | CommutativeCanonical | Exp
 
 def elem_disjoint(e1: AspectElem, e2: AspectElem) -> bool:
     """Whether two path elements touch no common component. Symmetric."""
+    if isinstance(e1, AspectAtom) and isinstance(e2, AspectAtom):
+        return e1.name != e2.name
     s1 = _members(e1)
     s2 = _members(e2)
     return not (s1 & s2)

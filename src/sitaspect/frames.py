@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .disjoint import SeqExistsDiff, SimpleInequality, d_eval
+from .disjoint import (
+    CommutativeCanonical,
+    ExplicitTable,
+    SeqExistsDiff,
+    SimpleInequality,
+    d_eval,
+)
 from .domain import (
     AspectRule,
     Domain,
@@ -27,6 +33,7 @@ from .domain import (
     Var,
     _static_rows,
     _template_members,
+    arg_candidates,
     check_ground_action,
     check_ground_fluent,
     ground_fluents,
@@ -44,7 +51,7 @@ from .errors import (
     UndefinedActionError,
 )
 from .state import WorldState, build_state, eval_fluent, home_of, with_fluent
-from .terms import AspectAtom, AspectPath, GroundAction, GroundFluent
+from .terms import AspectAtom, AspectPath, AspectSet, GroundAction, GroundFluent
 
 # Proof trace step kinds.
 D_EVALUATION = "d-evaluation"
@@ -224,8 +231,13 @@ def _failed_precondition(domain: Domain, state: WorldState,
 
 
 def _touches_unmodeled(domain: Domain, state: WorldState, guard, env0) -> bool:
+    """Whether the guard reads a fluent outside the modeled portion. An
+    instance with an argument outside its parameter's sort names no fluent
+    of the domain, so it is passed over."""
     return any(eval_fluent(state, f) is None
-               for f in _guard_fluents(domain, guard, env0))
+               for f in _guard_fluents(domain, guard, env0)
+               if all(arg in arg_candidates(domain, ref) for arg, ref
+                      in zip(f.args, domain.fluents[f.schema].params)))
 
 
 def _guard_fluents(domain: Domain, guard, env0) -> set[GroundFluent]:
@@ -583,7 +595,8 @@ def check_aspect_soundness(domain: Domain) -> SoundnessReport:
     over the valuations of its own fluents in ascending order. The guards
     are decided on their clauses (`_guard_clauses`):
     - over the fluents the preconditions read, a valuation where some
-      precondition is false is skipped silently;
+      precondition is false is skipped silently, and only the points of one
+      precondition's clauses are visited (`_precondition_points`);
     - over the fluents the action's aspect guards read besides, a valuation
       where the action aspect is missing or ambiguous counts, with every
       value of the remaining fluents, under that reason in `unresolved`;
@@ -594,29 +607,142 @@ def check_aspect_soundness(domain: Domain) -> SoundnessReport:
     _GUARD_FLUENT_LIMIT guard fluents are skipped and named in `unresolved`.
     Effect targets absent from the guard set are given the change-revealing
     prior value.
+
+    Actions that a renaming of interchangeable objects maps onto each other
+    form an orbit (`_orbit_of`). Only the first action of an orbit is
+    linted, and its counts carry over to the others with the objects
+    renamed. Violations do not carry over, since their order follows each
+    action's own valuations: where the first action shows one, every
+    member of its orbit is linted itself.
     """
     violations: list[SoundnessViolation] = []
-    skipped: dict[str, int] = {}
+    skipped: dict[tuple, int] = {}  # (subject, reason) -> count
     actions_checked = 0
     valuations_checked = 0
+    classes = _interchangeable(domain)
+    clean: dict[tuple, tuple] = {}  # orbit key -> (first action's objects, lint)
     for a in domain.ground_action_list:
-        relevant = _relevant_fluents(domain, a)
-        if len(relevant) > _GUARD_FLUENT_LIMIT:
-            skipped[f"{a}: guard fluent count {len(relevant)} exceeds the "
-                    f"enumeration bound {_GUARD_FLUENT_LIMIT}"] = 1
-            continue
-        actions_checked += 1
-        valuations_checked += 2 ** len(relevant)
-        violations += _search_valuations(domain, a, relevant, skipped)
-    unresolved = tuple(f"{key} ({count} skipped)" for key, count
-                       in sorted(skipped.items()))
+        key, objects = _orbit_of(a, classes)
+        if key in clean:
+            first, lint = clean[key]
+            renaming = dict(zip(first, objects))
+        else:
+            lint, renaming = _lint_action(domain, a), None
+            if not lint[2]:  # no violation: the other members are counted
+                clean[key] = objects, lint
+        valuations, counts, found = lint
+        if valuations is not None:
+            actions_checked += 1
+            valuations_checked += valuations
+        for (subject, reason), count in counts.items():
+            _bump(skipped, (_renamed(subject, renaming), reason), count)
+        violations += found
+    unresolved = tuple(f"{key} ({count} skipped)" for key, count in sorted(
+        (f"{subject}: {reason}", count) for (subject, reason), count in skipped.items()))
     return SoundnessReport(violations=tuple(violations), unresolved=unresolved,
                            actions_checked=actions_checked,
                            valuations_checked=valuations_checked)
 
 
+def _lint_action(domain: Domain, a: GroundAction) -> tuple[
+        Optional[int], dict[tuple, int], list[SoundnessViolation]]:
+    """a's valuation count (None past _GUARD_FLUENT_LIMIT), its skip counts
+    by (subject, reason), and its violations."""
+    skipped: dict[tuple, int] = {}
+    relevant = _relevant_fluents(domain, a)
+    if len(relevant) > _GUARD_FLUENT_LIMIT:
+        skipped[a, f"guard fluent count {len(relevant)} exceeds the "
+                   f"enumeration bound {_GUARD_FLUENT_LIMIT}"] = 1
+        return None, skipped, []
+    return 2 ** len(relevant), skipped, _search_valuations(domain, a, relevant, skipped)
+
+
+def _interchangeable(domain: Domain) -> dict[str, int]:
+    """Each object that another object can replace, with its class.
+
+    Two objects are interchangeable when they belong to the same sorts and
+    nothing in the domain names either one (`_named_objects`). Swapping them
+    then maps the domain onto itself, and an action's lint onto the lint of
+    the renamed action. Under `commutative` no object is, because canonical
+    order compares atom names.
+    """
+    if isinstance(domain.disjointness, CommutativeCanonical):
+        return {}
+    named = _named_objects(domain)
+    sorts_of: dict[str, set[str]] = {}
+    for sort, objs in domain.sorts.items():
+        for o in objs:
+            sorts_of.setdefault(o, set()).add(sort)
+    groups: dict[frozenset, list[str]] = {}
+    for o, sorts in sorts_of.items():
+        if o not in named:
+            groups.setdefault(frozenset(sorts), []).append(o)
+    return {o: i for i, group in enumerate(groups.values()) if len(group) > 1
+            for o in group}
+
+
+def _named_objects(domain: Domain) -> set[str]:
+    """Every name that the arguments of rule heads, guards, effects,
+    preconditions and frame lines, the constants of aspect templates, the
+    `home` lines or a `table` spec spell out."""
+    rules = (*domain.aspect_rules, *domain.effects, *domain.preconditions)
+    pats = [r.target for r in domain.aspect_rules]
+    pats += [p for r in (*domain.effects, *domain.frame_decls) for p in (r.action, r.fluent)]
+    pats += [r.action for r in domain.preconditions]
+    pats += [g.fluent for r in rules for g in r.guard if isinstance(g, GuardLiteral)]
+    args = [arg for pat in pats for arg in pat.args]
+    args += [arg for r in rules for g in r.guard if isinstance(g, MemberGuard)
+             for arg in (g.member, g.collection)]
+    names: set[str] = set()
+    for arg in args:
+        if isinstance(arg, frozenset):
+            names |= arg
+        elif isinstance(arg, str):
+            names.add(arg)
+    atoms = [m for r in domain.aspect_rules for t in r.template
+             for m in _template_members(t) if isinstance(m, AspectAtom)]
+    if isinstance(domain.disjointness, ExplicitTable):
+        atoms += [atom for pair in domain.disjointness.pairs for path in pair
+                  for e in path for atom in (e.atoms if isinstance(e, AspectSet) else (e,))]
+    names.update(atom.name for atom in atoms)
+    for home in domain.homes.values():
+        names.update(home)
+    return names
+
+
+def _orbit_of(a: GroundAction, classes: dict[str, int]) -> tuple[tuple, tuple[str, ...]]:
+    """The orbit key of a, and the objects of `classes` in key order.
+
+    The key is a's schema, its arguments with the objects of `classes` left
+    out, and per such object its class and the argument positions where it
+    is the argument or a member of it. Actions with equal keys are mapped
+    onto each other by a renaming within the classes, and zipping their
+    objects gives it.
+    """
+    places: dict[str, list[int]] = {}
+    named = []
+    for i, arg in enumerate(a.args):
+        for m in arg if isinstance(arg, frozenset) else (arg,):
+            if m in classes:
+                places.setdefault(m, []).append(i)
+        named.append(frozenset(m for m in arg if m not in classes)
+                     if isinstance(arg, frozenset) else None if arg in classes else arg)
+    objects = tuple(sorted(classes, key=lambda o: (classes[o], places.get(o, []))))
+    return ((a.schema, tuple(named),
+             tuple((classes[o], tuple(places.get(o, ()))) for o in objects)), objects)
+
+
+def _renamed(atom, renaming: Optional[dict[str, str]]):
+    """The ground atom with its objects renamed."""
+    if not renaming:
+        return atom
+    return type(atom)(atom.schema, tuple(
+        frozenset(renaming.get(m, m) for m in arg) if isinstance(arg, frozenset)
+        else renaming.get(arg, arg) for arg in atom.args))
+
+
 def _search_valuations(domain: Domain, a: GroundAction, relevant: list[GroundFluent],
-                       skipped: dict[str, int]) -> list[SoundnessViolation]:
+                       skipped: dict[tuple, int]) -> list[SoundnessViolation]:
     """The violations a shows over the valuations of `relevant`, in the three
     stages of `check_aspect_soundness`; skip reasons go to `skipped`.
 
@@ -634,12 +760,12 @@ def _search_valuations(domain: Domain, a: GroundAction, relevant: list[GroundFlu
     pre_mask = _mask_of(pres)
     guard_mask = _mask_of(clauses for _, _, _, clauses, _ in rules) & ~pre_mask
     rest_mask = ((1 << k) - 1) & ~(pre_mask | guard_mask)
-    missing = f"{a}: valuations where no aspect rule applies"
-    ambiguous = f"{a}: valuations with ambiguous aspects"
+    missing = (a, "valuations where no aspect rule applies")
+    ambiguous = (a, "valuations with ambiguous aspects")
     schemas = frozenset(domain.fluents)
     first: dict[SoundnessViolation, tuple[int, int]] = {}
 
-    def aspect_failure(truth: int) -> Optional[str]:
+    def aspect_failure(truth: int) -> Optional[tuple]:
         """The skip reason of the action aspect where the fluents the rules
         read take the values of `truth`, or None when one aspect applies."""
         applying = 0
@@ -661,7 +787,7 @@ def _search_valuations(domain: Domain, a: GroundAction, relevant: list[GroundFlu
                     return ambiguous
         return None if applying else missing
 
-    for pre in _submasks(pre_mask):
+    for pre in _precondition_points(pres, pre_mask):
         if not all(any(pre & mask == want for mask, want, _ in clauses)
                    for clauses in pres):
             continue
@@ -684,6 +810,24 @@ def _search_valuations(domain: Domain, a: GroundAction, relevant: list[GroundFlu
                     first[violation] = min(first.get(violation, (truth, position)),
                                            (truth, position))
     return sorted(first, key=first.__getitem__)
+
+
+def _precondition_points(pres: list[list[tuple]], pre_mask: int) -> Iterable[int]:
+    """The valuations of the fluents of `pre_mask` that stage 1 visits,
+    ascending: the points of one precondition's clauses, or every submask.
+
+    A clause holds on a cube: the fluents of its mask take its values, and
+    the others of `pre_mask` any. The precondition whose cubes have the
+    fewest points, counted with repeats, gives its union of cubes; where
+    that count reaches 2**|pre_mask|, every submask is visited instead.
+    """
+    whole = 1 << pre_mask.bit_count()
+    size, clauses = min(((sum(1 << (pre_mask & ~mask).bit_count() for mask, _, _ in c), c)
+                         for c in pres), key=operator.itemgetter(0), default=(whole, ()))
+    if size >= whole:
+        return _submasks(pre_mask)
+    return sorted({want | free for mask, want, _ in clauses
+                   for free in _submasks(pre_mask & ~mask)})
 
 
 def _submasks(mask: int) -> Iterator[int]:
@@ -745,16 +889,16 @@ def _mask_of(guards: Iterable[list[tuple]]) -> int:
 
 def _check_valuation(domain: Domain, a: GroundAction, base: dict, state: WorldState,
                      violations: list[SoundnessViolation],
-                     skipped: dict[str, int]) -> None:
+                     skipped: dict[tuple, int]) -> None:
     """Record the violations a shows in `state`, the state of valuation
     `base` where a's preconditions hold, and the reasons it is skipped."""
     try:
         beta = aspect_of_action(domain, state, a)
     except MissingAspectError:
-        _bump(skipped, f"{a}: valuations where no aspect rule applies")
+        _bump(skipped, (a, "valuations where no aspect rule applies"))
         return
     except AmbiguousAspectError:
-        _bump(skipped, f"{a}: valuations with ambiguous aspects")
+        _bump(skipped, (a, "valuations with ambiguous aspects"))
         return
     for f, v in _net_effects(domain, state, a):
         # A target outside the valuation is given the change-revealing prior
@@ -765,8 +909,7 @@ def _check_valuation(domain: Domain, a: GroundAction, base: dict, state: WorldSt
         try:
             alpha = aspect_of_fluent(domain, state, f)
         except (MissingAspectError, AmbiguousAspectError):
-            _bump(skipped, f"{f}: valuations where the fluent aspect "
-                           f"does not resolve")
+            _bump(skipped, (f, "valuations where the fluent aspect does not resolve"))
             continue
         if d_eval(domain.disjointness, alpha, beta):
             violation = SoundnessViolation(action=a, fluent=f,
@@ -775,7 +918,7 @@ def _check_valuation(domain: Domain, a: GroundAction, base: dict, state: WorldSt
                 violations.append(violation)
 
 
-def _bump(counter: dict[str, int], key: str, count: int = 1) -> None:
+def _bump(counter: dict, key, count: int = 1) -> None:
     counter[key] = counter.get(key, 0) + count
 
 

@@ -128,6 +128,20 @@ def test_inapplicable_step_is_named_in_every_mode(capsys, command):
     assert err == "error: step 2 (move(b,c)): move(b,c): precondition does not hold\n"
 
 
+def test_an_ill_sorted_precondition_fluent_is_not_outside_the_model(tmp_path, capsys):
+    # !on(y,u) reads on(floor,u) under move(a,floor), yet floor is no block:
+    # no such fluent exists, so only the precondition fails.
+    text = (FIXTURES / "blocks.dom").read_text(encoding="utf-8").replace(
+        "pre move(x,y) clear(x) & clear(y)", "pre move(x,y) clear(x) & !on(y,u)")
+    domain = tmp_path / "blocks_pre.dom"
+    domain.write_text(text, encoding="utf-8")
+    for act in ("move(a,floor)", "move(a,c)"):
+        code, out, err = run(capsys, "simulate", str(domain), "--init", "on(a,b)",
+                             "--acts", act)
+        assert (code, out) == (1, "")
+        assert err == f"error: step 1 ({act}): {act}: precondition does not hold\n"
+
+
 def test_validate_pass_and_exit_codes(capsys):
     code, out, _ = run(capsys, "validate", HEATER, "--formalism", "rel-exists")
     assert code == 0

@@ -219,6 +219,17 @@ def test_the_bound_and_each_stage(text, expected):
             for key in expected} == expected
 
 
+def _counting(monkeypatch, attr) -> list:
+    """The positional arguments of each call of frames.`attr` from now on."""
+    calls, real = [], getattr(frames, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(frames, attr, counted)
+    return calls
+
+
 # States the search may build: the flat enumeration built 720, 102, 14 and 732.
 STATES_BUILT_AT_MOST = {"blocks.dom": 96, "display.dom": 51, "economy.dom": 7,
                         "blocks_nosupport.dom": 96, "rooms.dom": 0}
@@ -226,24 +237,82 @@ STATES_BUILT_AT_MOST = {"blocks.dom": 96, "display.dom": 51, "economy.dom": 7,
 
 @pytest.mark.parametrize("name", sorted(STATES_BUILT_AT_MOST))
 def test_soundness_work_counts(name, monkeypatch):
-    calls = {"build_state": 0, "_failed_precondition": 0}
-
-    def counting(attr):
-        real = getattr(frames, attr)
-
-        def counted(*args, **kwargs):
-            calls[attr] += 1
-            return real(*args, **kwargs)
-        return counted
-
     domain = load_domain(name)
-    for attr in calls:
-        monkeypatch.setattr(frames, attr, counting(attr))
+    built, decided = (_counting(monkeypatch, attr)
+                      for attr in ("build_state", "_failed_precondition"))
     report = check_aspect_soundness(domain)
-    assert calls["build_state"] <= STATES_BUILT_AT_MOST[name]
-    assert calls["_failed_precondition"] <= calls["build_state"]
+    assert len(built) <= STATES_BUILT_AT_MOST[name]
+    assert len(decided) <= len(built)
     if name == "blocks.dom":
         assert report.valuations_checked == 672
+
+
+DISPLAY_COMMUTATIVE = fixture_text("display.dom").replace(
+    "disjoint by seq-diff", "disjoint by commutative(computer display)")
+
+
+@pytest.mark.parametrize("text, searched, actions", [
+    (_blocks_text(["a", "b", "c", "d", "e"]), 3, 30),
+    (fixture_text("display.dom"), 11, 20),
+    (DISPLAY_COMMUTATIVE, 20, 20),
+], ids=["blocks-5", "display.dom", "display.dom commutative"])
+def test_one_action_per_orbit_is_searched(text, searched, actions, monkeypatch):
+    # blocks-5 has three orbits: move(x,x), move(x,y) onto a block, and
+    # move(x,floor). A display action's orbit is its schema and the size of
+    # its set. Under `commutative` every action is an orbit of its own.
+    domain = parse_domain(text)
+    calls = _counting(monkeypatch, "_search_valuations")
+    report = check_aspect_soundness(domain)
+    assert (len(calls), report.actions_checked) == (searched, actions)
+    assert len({a for _, a, _, _ in calls}) == searched
+
+
+# Per place that can name an object, a domain where renaming the object `a`
+# it names would change the report: as the first action of an orbit, the
+# action on b or a is clean where another member is not, or their counts
+# differ. `home` and `frame` lines name objects too, but the lint reads
+# neither.
+NAMED_BY = {
+    "aspect rule head": ("b, a, c, d", "aspect touch(a) (k) if mark(c)\n"
+                         "aspect touch(x) (x) if !mark(c)\neffect touch(x) add mark(x)"),
+    "precondition head": ("b, a, c, d", "aspect touch(x) (x)\npre touch(a) !mark(c)\n"
+                          "effect touch(x) add mark(x)"),
+    "guard literal": ("b, a, c", "aspect touch(x) (x)\npre touch(x) mark(x) & !mark(a)\n"
+                      "effect touch(x) add mark(x)"),
+    "member guard": ("b, a, c", "aspect touch(x) (x)\naction paint(set of obj)\n"
+                     "aspect paint(S) (k)\neffect touch(x) add mark(x)\n"
+                     "effect paint(S) add mark(w) if w in S & a in S"),
+    "effect": ("a, b, c", "aspect touch(x) (x)\neffect touch(x) add mark(a)"),
+    "aspect template": ("a, b, c", "aspect touch(x) (a)\neffect touch(x) add mark(x)"),
+    "table": ("b, a, c", "aspect touch(x) (k)\neffect touch(x) add mark(x)\n"
+              "disjoint by table (a)(k)"),
+}
+
+
+@pytest.mark.parametrize("where", sorted(NAMED_BY))
+def test_an_object_the_domain_names_is_never_renamed(where):
+    objects, rules = NAMED_BY[where]
+    lines = ["domain named", f"objects obj: {objects}", "fluent mark(obj)",
+             "action touch(obj)", "aspect mark(u) (u)", *rules.split("\n")]
+    if "disjoint by" not in rules:
+        lines.append("disjoint by seq-diff")
+    domain = parse_domain("\n".join(lines) + "\n")
+    assert "a" not in frames._interchangeable(domain)
+    _assert_same_report(domain)
+
+
+def test_stage_one_visits_the_points_of_the_preconditions_only(monkeypatch):
+    # One conjunction over 14 fluents: its one clause holds on one valuation.
+    domain = parse_domain(_nullary_conjunction(LIMIT))
+    points, real = [], frames._precondition_points
+
+    def recorded(*args):
+        points.extend(real(*args))
+        return points
+    monkeypatch.setattr(frames, "_precondition_points", recorded)
+    report = check_aspect_soundness(domain)
+    assert report.valuations_checked == 2 ** LIMIT
+    assert points == [2 ** LIMIT - 1]
 
 
 def test_d_is_evaluated_once_per_distinct_aspect_pair(monkeypatch):
