@@ -226,6 +226,11 @@ class Domain:
         return {}
 
     @cached_property
+    def _guards(self) -> dict:
+        """frames' compiled guards: (guard, binding items) -> compiled."""
+        return {}
+
+    @cached_property
     def _d_memo(self) -> tuple[dict, list, dict]:
         """frames' memo of d: path -> id, the paths by id, (id, id) -> d."""
         return {}, [], {}

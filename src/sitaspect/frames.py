@@ -13,7 +13,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .disjoint import (
     CommutativeCanonical,
@@ -27,10 +27,10 @@ from .domain import (
     Domain,
     GuardLiteral,
     MemberGuard,
-    Pat,
     Precondition,
     SetTemplate,
     Var,
+    _render_guard_atom,
     _static_rows,
     _template_members,
     arg_candidates,
@@ -41,7 +41,6 @@ from .domain import (
     instantiate_template,
     match_args,
     solve_guard,
-    static_guard_groundings,
 )
 from .errors import (
     AmbiguousAspectError,
@@ -235,35 +234,46 @@ def _touches_unmodeled(domain: Domain, state: WorldState, guard, env0) -> bool:
     instance with an argument outside its parameter's sort names no fluent
     of the domain, so it is passed over."""
     return any(eval_fluent(state, f) is None
-               for f in _guard_fluents(domain, guard, env0)
+               for f in _compiled(domain, guard, env0).fluents
                if all(arg in arg_candidates(domain, ref) for arg, ref
                       in zip(f.args, domain.fluents[f.schema].params)))
 
 
-def _guard_fluents(domain: Domain, guard, env0) -> set[GroundFluent]:
-    """Every ground fluent the guard's literals read over its static
-    groundings (see `_literal_reads`)."""
-    names, rows = _static_rows(domain, guard, env0)
-    return {f for _, _, reads in _literal_reads(domain, guard, env0, names, rows)
-            for fluents in reads.values() for f in fluents}
+class _CompiledGuard(NamedTuple):
+    """A guard under one binding, as `_compile_guard` grounds it."""
+
+    names: list[str]
+    rows: list[tuple]
+    reads: list[tuple[bool, list, dict]]
+    fluents: frozenset[GroundFluent]
 
 
-def _literal_reads(domain: Domain, guard, env: dict, names: list[str],
-                   rows: list[tuple]) -> list[tuple[bool, list, dict]]:
-    """The ground fluents each literal of `guard` reads at each static row.
+def _compiled(domain: Domain, guard, env0: dict) -> _CompiledGuard:
+    """`_compile_guard` of the guard under `env0`, once per Domain."""
+    key = (guard, frozenset(env0.items()))
+    hit = domain._guards.get(key)
+    if hit is None:
+        hit = domain._guards[key] = _compile_guard(domain, guard, env0)
+    return hit
 
-    `names` and `rows` are groundings of the guard's variables under `env`
-    (see `_static_rows`). A positive literal reads its instance. A negated
-    one reads as `solve_guard` does: its variables that the atoms before it
-    leave free run over their sort pools, the first slowest. Per literal, in
-    guard order: (positive, keys, reads), where `keys[r]` is row r's binding
-    of the literal's bound variables, and `reads` maps each distinct key, in
-    first-seen order, to the tuple of fluents read under it.
+
+def _compile_guard(domain: Domain, guard, env: dict) -> _CompiledGuard:
+    """The guard's static groundings under `env`, as the names of its
+    variables and their value rows (`_static_rows`), the ground fluents each
+    literal reads at each row, and every fluent it reads at any.
+
+    A positive literal reads its instance. A negated one reads as
+    `solve_guard` does: its variables that the atoms before it leave free
+    run over their sort pools, the first slowest. `reads` holds per literal,
+    in guard order, (positive, keys, by_key), where `keys[r]` is row r's
+    binding of the literal's bound variables, and `by_key` maps each
+    distinct key, in first-seen order, to the tuple of fluents read under it.
     """
+    names, rows = _static_rows(domain, guard, env)
     if not rows:
-        return []
+        return _CompiledGuard(names, rows, [], frozenset())
     bound = set(env)
-    out = []
+    reads = []
     for atom in guard:
         if isinstance(atom, MemberGuard):
             if isinstance(atom.member, Var):
@@ -280,14 +290,15 @@ def _literal_reads(domain: Domain, guard, env: dict, names: list[str],
         at = [names.index(n) for n in own]
         # One value per key when the literal binds one variable, else a tuple.
         keys = list(map(operator.itemgetter(*at), rows)) if at else [()] * len(rows)
-        reads = dict.fromkeys(keys)
-        for key in reads:
+        by_key = dict.fromkeys(keys)
+        for key in by_key:
             values = key if len(at) != 1 else (key,)
             binding = {**env, **dict(zip(own, values))}
-            reads[key] = tuple(instantiate_pat(pat, {**binding, **dict(zip(free, c))})
-                               for c in combos)
-        out.append((atom.positive, keys, reads))
-    return out
+            by_key[key] = tuple(instantiate_pat(pat, {**binding, **dict(zip(free, c))})
+                                for c in combos)
+        reads.append((atom.positive, keys, by_key))
+    fluents = frozenset(f for _, _, by_key in reads for read in by_key.values() for f in read)
+    return _CompiledGuard(names, rows, reads, fluents)
 
 
 def _net_effects(domain: Domain, state: WorldState,
@@ -349,21 +360,21 @@ def _schematic_axioms(domain: Domain) -> tuple[list[SchematicFrameAxiom], list[s
     action_rules = [r for r in domain.aspect_rules if r.kind == "action"]
     for fr in fluent_rules:
         for ar in action_rules:
-            renamed, mapping = _rename_apart(fr, ar)
+            mapping = _rename_apart(fr, ar)
             fset = _set_valued_vars(domain.fluents[fr.target.schema].params,
                                     fr.target.args)
             aset = _set_valued_vars(domain.actions[ar.target.schema].params,
                                     ar.target.args)
             set_vars = {mapping.get(v, v) for v in fset} | aset
-            condition = _symbolic_disjoint(renamed.template, ar.template, spec,
-                                           set_vars)
+            condition = _symbolic_disjoint(_renamed_template(fr.template, mapping),
+                                           ar.template, spec, set_vars)
             if condition is None:
                 continue  # the two aspects can never be disjoint
             conds = list(condition)
-            conds += [str(g) for g in renamed.guard]
+            conds += [_render_guard_atom(g, mapping) for g in fr.guard]
             conds += [str(g) for g in ar.guard]
             axioms.append(SchematicFrameAxiom(
-                fluent_head=str(renamed.target),
+                fluent_head=_render_guard_atom(GuardLiteral(fr.target), mapping),
                 action_head=str(ar.target),
                 conditions=tuple(conds)))
     return axioms, notes
@@ -374,55 +385,28 @@ def _set_valued_vars(params, args) -> set[str]:
             if isinstance(a, Var) and ref.is_set}
 
 
-def _rename_apart(fr: AspectRule, ar: AspectRule) -> tuple[AspectRule, dict[str, str]]:
+def _rename_apart(fr: AspectRule, ar: AspectRule) -> dict[str, str]:
     """Rename the fluent rule's variables away from the action rule's."""
-    taken = {v.name for v in ar.target.variables()}
-    for g in ar.guard:
-        if isinstance(g, GuardLiteral):
-            taken |= {v.name for v in g.fluent.variables()}
-    fvars: list[str] = []
-    for v in fr.target.variables():
-        if v.name not in fvars:
-            fvars.append(v.name)
-    for g in fr.guard:
-        if isinstance(g, GuardLiteral):
-            for v in g.fluent.variables():
-                if v.name not in fvars:
-                    fvars.append(v.name)
-    mapping: dict[str, str] = {}
-    candidates = itertools.chain(_FLUENT_VAR_NAMES,
-                                 (f"w{i}" for i in itertools.count(1)))
-    for name in fvars:
-        for cand in candidates:
-            if cand not in taken:
-                mapping[name] = cand
-                taken.add(cand)
-                break
-    return _substitute_rule_vars(fr, mapping), mapping
+    def names(rule: AspectRule) -> dict[str, None]:
+        pats = [rule.target, *(g.fluent for g in rule.guard if isinstance(g, GuardLiteral))]
+        return dict.fromkeys(v.name for pat in pats for v in pat.variables())
+
+    taken = names(ar)
+    fresh = (c for c in itertools.chain(_FLUENT_VAR_NAMES,
+                                        (f"w{i}" for i in itertools.count(1)))
+             if c not in taken)
+    return dict(zip(names(fr), fresh))
 
 
-def _substitute_rule_vars(rule: AspectRule, mapping: dict[str, str]) -> AspectRule:
-    def sub_arg(a):
-        return Var(mapping[a.name]) if isinstance(a, Var) and a.name in mapping else a
-
-    def sub_pat(p: Pat) -> Pat:
-        return Pat(p.schema, tuple(sub_arg(a) for a in p.args))
-
-    def sub_elem(t):
+def _renamed_template(template, mapping: dict[str, str]) -> tuple:
+    """The aspect template with its variables renamed by `mapping`."""
+    def sub(t):
         if isinstance(t, Var):
-            return sub_arg(t)
+            return Var(mapping.get(t.name, t.name))
         if isinstance(t, SetTemplate):
-            return SetTemplate(frozenset(sub_arg(m) if isinstance(m, Var) else m
-                                         for m in t.members))
+            return SetTemplate(frozenset(map(sub, t.members)))
         return t
-
-    guard = tuple(
-        GuardLiteral(sub_pat(g.fluent), g.positive) if isinstance(g, GuardLiteral)
-        else MemberGuard(sub_arg(g.member), sub_arg(g.collection))
-        for g in rule.guard)
-    return AspectRule(kind=rule.kind, target=sub_pat(rule.target),
-                      template=tuple(sub_elem(t) for t in rule.template),
-                      guard=guard)
+    return tuple(map(sub, template))
 
 
 def _symbolic_disjoint(t_fluent, t_action, spec,
@@ -601,7 +585,8 @@ def check_aspect_soundness(domain: Domain) -> SoundnessReport:
       where the action aspect is missing or ambiguous counts, with every
       value of the remaining fluents, under that reason in `unresolved`;
     - over the remaining fluents, each whole valuation is built as a state
-      and, where the preconditions hold in it, linted (`_check_valuation`).
+      and, where the preconditions hold in it, linted with the action aspect
+      that stage 2 found (`_check_valuation`).
     Violations come in `itertools.product` order: by the least valuation
     that shows them, then by their position in it. Actions with more than
     _GUARD_FLUENT_LIMIT guard fluents are skipped and named in `unresolved`.
@@ -682,12 +667,13 @@ def _interchangeable(domain: Domain) -> dict[str, int]:
 
 
 def _named_objects(domain: Domain) -> set[str]:
-    """Every name that the arguments of rule heads, guards, effects,
-    preconditions and frame lines, the constants of aspect templates, the
-    `home` lines or a `table` spec spell out."""
+    """Every name that the arguments of rule heads, guards, effects and
+    preconditions, the constants of aspect templates or a `table` spec spell
+    out. `home` and `frame` lines are left out: the soundness lint reads
+    neither."""
     rules = (*domain.aspect_rules, *domain.effects, *domain.preconditions)
     pats = [r.target for r in domain.aspect_rules]
-    pats += [p for r in (*domain.effects, *domain.frame_decls) for p in (r.action, r.fluent)]
+    pats += [p for r in domain.effects for p in (r.action, r.fluent)]
     pats += [r.action for r in domain.preconditions]
     pats += [g.fluent for r in rules for g in r.guard if isinstance(g, GuardLiteral)]
     args = [arg for pat in pats for arg in pat.args]
@@ -705,8 +691,6 @@ def _named_objects(domain: Domain) -> set[str]:
         atoms += [atom for pair in domain.disjointness.pairs for path in pair
                   for e in path for atom in (e.atoms if isinstance(e, AspectSet) else (e,))]
     names.update(atom.name for atom in atoms)
-    for home in domain.homes.values():
-        names.update(home)
     return names
 
 
@@ -765,10 +749,10 @@ def _search_valuations(domain: Domain, a: GroundAction, relevant: list[GroundFlu
     schemas = frozenset(domain.fluents)
     first: dict[SoundnessViolation, tuple[int, int]] = {}
 
-    def aspect_failure(truth: int) -> Optional[tuple]:
-        """The skip reason of the action aspect where the fluents the rules
-        read take the values of `truth`, or None when one aspect applies."""
-        applying = 0
+    def aspect_failure(truth: int):
+        """The action aspect where the fluents the rules read take the values
+        of `truth`, or the skip reason where it is missing or ambiguous."""
+        beta = None  # the aspect of the one rule that applies
         for template, env0, names, clauses, aspects in rules:
             aspect = None  # the aspect of the first clause that holds
             for i, (mask, want, row) in enumerate(clauses):
@@ -782,30 +766,34 @@ def _search_valuations(domain: Domain, a: GroundAction, relevant: list[GroundFlu
                 elif aspects[i] != aspect:
                     return ambiguous
             if aspect is not None:
-                applying += 1
-                if applying > 1:
+                if beta is not None:
                     return ambiguous
-        return None if applying else missing
+                beta = aspect
+        return missing if beta is None else beta
 
     for pre in _precondition_points(pres, pre_mask):
         if not all(any(pre & mask == want for mask, want, _ in clauses)
                    for clauses in pres):
             continue
         for guard in _submasks(guard_mask):
-            reason = aspect_failure(pre | guard)
-            if reason is not None:
-                _bump(skipped, reason, 2 ** rest_mask.bit_count())
+            beta = aspect_failure(pre | guard)
+            if isinstance(beta, tuple):  # a skip reason
+                _bump(skipped, beta, 2 ** rest_mask.bit_count())
                 continue
             for rest in _submasks(rest_mask):
                 truth = pre | guard | rest
                 base = {f: bool(truth & b) for f, b in bits.items()}
                 state = build_state({(): base}, schemas=schemas)
-                # A leaf is decided on its state, as the flat enumeration
-                # decides it; the clauses only choose the leaves.
+                # A leaf's effects and fluent aspects are decided on its
+                # state, as the flat enumeration decides them; its action
+                # aspect is beta. The preconditions, which stage 1 decided,
+                # are read again: on `check blocks-3` every `eval_fluent`
+                # call comes from here, and bench/tests/test_bench.py::
+                # test_count_pass_counts_and_samples_leaf_calls samples it.
                 if _failed_precondition(domain, state, a) is not None:
                     continue
                 found: list[SoundnessViolation] = []
-                _check_valuation(domain, a, base, state, found, skipped)
+                _check_valuation(domain, a, beta, base, state, found, skipped)
                 for position, violation in enumerate(found):
                     first[violation] = min(first.get(violation, (truth, position)),
                                            (truth, position))
@@ -843,13 +831,13 @@ def _submasks(mask: int) -> Iterator[int]:
 def _guard_clauses(domain: Domain, guard, env0: dict,
                    bits: dict[GroundFluent, int]) -> tuple[list[str], list[tuple]]:
     """The guard as a disjunction over its static groundings, each the
-    conjunction of the literals it reads (`_literal_reads`), over the fluents
+    conjunction of the literals it reads (`_compile_guard`), over the fluents
     numbered by `bits`.
 
     `bits` must number every fluent the guard reads. The soundness lint
-    numbers an action's `_relevant_fluents`, which takes `_guard_fluents` of
-    its precondition and aspect guards under the same bindings, so it does;
-    a fluent outside `bits` raises KeyError rather than drop a clause.
+    numbers an action's `_relevant_fluents`, which takes the fluents of its
+    precondition and aspect guards compiled under the same bindings, so it
+    does; a fluent outside `bits` raises KeyError rather than drop a clause.
 
     Returns the grounded variables and the clauses (mask, want, row): a clause
     holds where the fluents of `mask` take the values of `want`. The
@@ -857,11 +845,11 @@ def _guard_clauses(domain: Domain, guard, env0: dict,
     and a clause's row gives that solution. Self-contradictory clauses are
     left out: a row the clash filter drops would give only such clauses.
     """
-    names, rows = _static_rows(domain, guard, env0)
+    names, rows, reads, _ = _compiled(domain, guard, env0)
     literals = []
-    for positive, keys, reads in _literal_reads(domain, guard, env0, names, rows):
+    for positive, keys, by_key in reads:
         parts = {}
-        for key, fluents in reads.items():
+        for key, fluents in by_key.items():
             mask = sum(bits[f] for f in fluents)
             parts[key] = (mask, mask if positive else 0)
         literals.append(list(map(parts.__getitem__, keys)))
@@ -887,19 +875,12 @@ def _mask_of(guards: Iterable[list[tuple]]) -> int:
     return out
 
 
-def _check_valuation(domain: Domain, a: GroundAction, base: dict, state: WorldState,
-                     violations: list[SoundnessViolation],
+def _check_valuation(domain: Domain, a: GroundAction, beta: AspectPath, base: dict,
+                     state: WorldState, violations: list[SoundnessViolation],
                      skipped: dict[tuple, int]) -> None:
-    """Record the violations a shows in `state`, the state of valuation
-    `base` where a's preconditions hold, and the reasons it is skipped."""
-    try:
-        beta = aspect_of_action(domain, state, a)
-    except MissingAspectError:
-        _bump(skipped, (a, "valuations where no aspect rule applies"))
-        return
-    except AmbiguousAspectError:
-        _bump(skipped, (a, "valuations with ambiguous aspects"))
-        return
+    """Record the violations a, of aspect beta, shows in `state`, the state
+    of valuation `base` where a's preconditions hold, and the reasons it is
+    skipped."""
     for f, v in _net_effects(domain, state, a):
         # A target outside the valuation is given the change-revealing prior
         # value. Its aspect guards read only fluents of the valuation (see
@@ -927,11 +908,13 @@ def _relevant_fluents(domain: Domain, a: GroundAction) -> list[GroundFluent]:
     out: set[GroundFluent] = set()
     for table in ("action", "pre", "effect"):
         for rule, env0 in domain.bound(table, a):
-            out.update(_guard_fluents(domain, rule.guard, env0))
+            out.update(_compiled(domain, rule.guard, env0).fluents)
     for eff, env0 in domain.bound("effect", a):
-        for g in static_guard_groundings(domain, eff.guard, env0):
-            for frule, fenv in domain.bound("fluent", instantiate_pat(eff.fluent, g)):
-                out.update(_guard_fluents(domain, frule.guard, fenv))
+        names, rows, _, _ = _compiled(domain, eff.guard, env0)
+        for row in rows:
+            target = instantiate_pat(eff.fluent, {**env0, **dict(zip(names, row))})
+            for frule, fenv in domain.bound("fluent", target):
+                out.update(_compiled(domain, frule.guard, fenv).fluents)
     return sorted(out, key=lambda f: f.sort_key())
 
 

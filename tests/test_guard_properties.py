@@ -33,7 +33,7 @@ from sitaspect.domain import (  # noqa: E402
     static_guard_groundings,
 )
 from sitaspect.errors import SitAspectError  # noqa: E402
-from sitaspect.frames import _guard_fluents  # noqa: E402
+from sitaspect.frames import _compiled  # noqa: E402
 from sitaspect.state import build_state  # noqa: E402
 from sitaspect.terms import GroundFluent  # noqa: E402
 from tests.test_guard_solving import reference_solve  # noqa: E402
@@ -222,7 +222,7 @@ def test_guard_fluents_match_the_literal_grounder_on_generated_domains():
     @given(static_cases())
     def check(case):
         domain, guard, env = case
-        got = _outcome(_guard_fluents, domain, guard, env)
+        got = _outcome(lambda *args: _compiled(*args).fluents, domain, guard, env)
         assert got == _outcome(distinct_reference, domain, guard, env)
         seen.update(_features(guard, env))
         seen["error" if isinstance(got, tuple) else "read" if got else "nothing"] += 1

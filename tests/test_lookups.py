@@ -49,7 +49,7 @@ from sitaspect.dsl import parse_domain, parse_state
 from sitaspect.errors import SchemaError, SitAspectError
 from sitaspect.frames import (
     EconomyReport,
-    _guard_fluents,
+    _compiled,
     applicable_actions,
     completeness_lint,
     derive_frame_axioms,
@@ -275,7 +275,7 @@ def _reference_guard_fluents(domain, guard, env):
 def test_guard_fluents_match_the_literal_grounder(name):
     domain = _domain(name)
     for guard, env in _guarded_matches(domain):
-        assert _guard_fluents(domain, guard, env) == \
+        assert _compiled(domain, guard, env).fluents == \
             set(_reference_guard_fluents(domain, guard, env)), guard
 
 

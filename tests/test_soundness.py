@@ -15,8 +15,10 @@ compares them on generated domains.
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -271,7 +273,7 @@ def test_one_action_per_orbit_is_searched(text, searched, actions, monkeypatch):
 # it names would change the report: as the first action of an orbit, the
 # action on b or a is clean where another member is not, or their counts
 # differ. `home` and `frame` lines name objects too, but the lint reads
-# neither.
+# neither (see `test_home_and_frame_lines_break_no_orbit`).
 NAMED_BY = {
     "aspect rule head": ("b, a, c, d", "aspect touch(a) (k) if mark(c)\n"
                          "aspect touch(x) (x) if !mark(c)\neffect touch(x) add mark(x)"),
@@ -299,6 +301,57 @@ def test_an_object_the_domain_names_is_never_renamed(where):
     domain = parse_domain("\n".join(lines) + "\n")
     assert "a" not in frames._interchangeable(domain)
     _assert_same_report(domain)
+
+
+@pytest.mark.parametrize("line", ["home mark (a)", "frame touch(a) mark(b)"])
+def test_home_and_frame_lines_break_no_orbit(line, monkeypatch):
+    # touch(a), touch(b) and touch(c) are one orbit, though the line names a.
+    domain = parse_domain("\n".join([
+        "domain named", "objects obj: a, b, c", "fluent mark(obj)", "action touch(obj)",
+        "aspect mark(u) (u)", "aspect touch(x) (x) if mark(x)",
+        "effect touch(x) add mark(x)", line, "disjoint by seq-diff"]) + "\n")
+    calls = _counting(monkeypatch, "_search_valuations")
+    report = check_aspect_soundness(domain)
+    assert (len(calls), report.actions_checked, len(report.unresolved)) == (1, 3, 3)
+    assert report == _reference_soundness(domain)
+
+
+def _bench_gen():
+    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_GEN = _bench_gen()
+# The fixtures and the bench families blocks-3..5 and display-3..4.
+LINTED = {**{name: fixture_text(name) for name in FIXTURES},
+          **{f"blocks-{n}": _GEN.blocks(n, random.Random(n)).domain_text()
+             for n in (3, 4, 5)},
+          **{f"display-{k}": _GEN.display(k, 2, random.Random(k)).domain_text()
+             for k in (3, 4)}}
+
+
+@pytest.mark.parametrize("name", sorted(LINTED))
+def test_each_guard_is_compiled_once_per_binding(name, monkeypatch):
+    looked_up, compiled = (_counting(monkeypatch, attr)
+                           for attr in ("_compiled", "_compile_guard"))
+    check_aspect_soundness(parse_domain(LINTED[name]))
+    keys = [(guard, frozenset(env0.items())) for _, guard, env0 in compiled]
+    assert keys and len(set(keys)) == len(keys)
+    assert set(keys) == {(guard, frozenset(env0.items()))
+                         for _, guard, env0 in looked_up}
+
+
+@pytest.mark.parametrize("name", sorted(LINTED))
+def test_the_leaf_takes_the_aspect_stage_two_found(name, monkeypatch):
+    expected = _reference_soundness(parse_domain(LINTED[name]))
+
+    def unreachable(*args):
+        raise AssertionError("aspect_of_action is called")
+    monkeypatch.setattr(frames, "aspect_of_action", unreachable)
+    assert check_aspect_soundness(parse_domain(LINTED[name])) == expected
 
 
 def test_stage_one_visits_the_points_of_the_preconditions_only(monkeypatch):

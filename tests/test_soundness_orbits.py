@@ -4,7 +4,8 @@
 a renaming of interchangeable objects maps onto each other, and carries its
 counts over to the rest. Hypothesis writes small domains in the DSL whose
 objects are interchangeable or named: by a guard, an effect, a
-precondition, an aspect template, a `home` line or a `table` spec. Some
+precondition, an aspect template or a `table` spec. A `home` line names an
+object too, but the lint never reads it, so it breaks no orbit. Some
 objects belong to two sorts, some actions take a set of objects, and some
 domains get their sorts reordered. Each of the four disjointness specs is
 drawn. The whole report must equal `tests/test_soundness.py::
