@@ -27,8 +27,7 @@ from .frames import (
     regress_query,
     static_aspect_samples,
 )
-from .reiter import (INSUFFICIENT_AXIOMS, compare_modes, compile_ssa,
-                     random_workload, ssa_query)
+from .reiter import compare_modes, compile_ssa, random_workload, ssa_query
 from .search import reproduce_commutative_pitfall, search_counterexample
 from .state import eval_fluent
 from .validator import FORMALISMS, verify_theorem
@@ -248,9 +247,7 @@ def _cmd_query(args) -> int:
     else:
         value = eval_fluent(states[-1], p)
         trace_lines = []
-    rendered = ("undefined" if value is None
-                else "insufficient-axioms" if value is INSUFFICIENT_AXIOMS
-                else "true" if value else "false")
+    rendered = "undefined" if value is None else "true" if value else "false"
     report = {"fluent": str(p), "acts": [str(a) for a in acts],
               "mode": args.mode, "answer": rendered, "trace": trace_lines}
     lines = [f"{p} after [{'; '.join(str(a) for a in acts)}] = {rendered} "

@@ -444,7 +444,7 @@ def _true_groundings(domain: Domain, lit_pat: Pat, env: dict,
     if not free:
         true = eval_fluent(state, GroundFluent(lit_pat.schema, values)) is True
         return [env] if true else []
-    if state.schemas is not None and lit_pat.schema not in state.schemas:
+    if lit_pat.schema not in state.schemas:
         raise SchemaError(f"unknown fluent schema '{lit_pat.schema}'")
     first: dict[str, int] = {}  # free variable -> its first position
     for i in free:

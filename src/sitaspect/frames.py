@@ -47,6 +47,7 @@ from .errors import (
     InapplicableActionError,
     MissingAspectError,
     NoProofError,
+    SchemaError,
     UndefinedActionError,
 )
 from .state import WorldState, build_state, eval_fluent, home_of, with_fluent
@@ -194,6 +195,10 @@ def progress(domain: Domain, state: WorldState, a: GroundAction) -> WorldState:
     new_state = state
     for f, v in changes:
         if home_of(state, f) is None:
+            try:
+                check_ground_fluent(domain, f)
+            except SchemaError as exc:  # an ill-sorted effect target
+                raise SchemaError(f"{a} affects {exc}") from exc
             raise UndefinedActionError(
                 f"{a} affects {f}, which is outside the modeled portion")
         if eval_fluent(new_state, f) != v:
@@ -579,8 +584,7 @@ def check_aspect_soundness(domain: Domain) -> SoundnessReport:
     over the valuations of its own fluents in ascending order. The guards
     are decided on their clauses (`_guard_clauses`):
     - over the fluents the preconditions read, a valuation where some
-      precondition is false is skipped silently, and only the points of one
-      precondition's clauses are visited (`_precondition_points`);
+      precondition is false is skipped silently;
     - over the fluents the action's aspect guards read besides, a valuation
       where the action aspect is missing or ambiguous counts, with every
       value of the remaining fluents, under that reason in `unresolved`;
@@ -771,7 +775,7 @@ def _search_valuations(domain: Domain, a: GroundAction, relevant: list[GroundFlu
                 beta = aspect
         return missing if beta is None else beta
 
-    for pre in _precondition_points(pres, pre_mask):
+    for pre in _submasks(pre_mask):
         if not all(any(pre & mask == want for mask, want, _ in clauses)
                    for clauses in pres):
             continue
@@ -798,24 +802,6 @@ def _search_valuations(domain: Domain, a: GroundAction, relevant: list[GroundFlu
                     first[violation] = min(first.get(violation, (truth, position)),
                                            (truth, position))
     return sorted(first, key=first.__getitem__)
-
-
-def _precondition_points(pres: list[list[tuple]], pre_mask: int) -> Iterable[int]:
-    """The valuations of the fluents of `pre_mask` that stage 1 visits,
-    ascending: the points of one precondition's clauses, or every submask.
-
-    A clause holds on a cube: the fluents of its mask take its values, and
-    the others of `pre_mask` any. The precondition whose cubes have the
-    fewest points, counted with repeats, gives its union of cubes; where
-    that count reaches 2**|pre_mask|, every submask is visited instead.
-    """
-    whole = 1 << pre_mask.bit_count()
-    size, clauses = min(((sum(1 << (pre_mask & ~mask).bit_count() for mask, _, _ in c), c)
-                         for c in pres), key=operator.itemgetter(0), default=(whole, ()))
-    if size >= whole:
-        return _submasks(pre_mask)
-    return sorted({want | free for mask, want, _ in clauses
-                   for free in _submasks(pre_mask & ~mask)})
 
 
 def _submasks(mask: int) -> Iterator[int]:
@@ -892,6 +878,8 @@ def _check_valuation(domain: Domain, a: GroundAction, beta: AspectPath, base: di
         except (MissingAspectError, AmbiguousAspectError):
             _bump(skipped, (f, "valuations where the fluent aspect does not resolve"))
             continue
+        except SchemaError as exc:  # an ill-sorted effect target
+            raise SchemaError(f"{a} affects {exc}") from exc
         if d_eval(domain.disjointness, alpha, beta):
             violation = SoundnessViolation(action=a, fluent=f,
                                            fluent_aspect=alpha, action_aspect=beta)
@@ -972,7 +960,7 @@ def progression(domain: Domain, init: WorldState,
     for idx, a in enumerate(acts):
         try:
             states.append(progress(domain, states[-1], a))
-        except (InapplicableActionError, UndefinedActionError) as exc:
+        except (InapplicableActionError, UndefinedActionError, SchemaError) as exc:
             raise type(exc)(f"step {idx + 1} ({a}): {exc}") from exc
     return states
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .domain import Domain, Guard, Pat, ground_fluents, match_args, solve_guard
+from .domain import (Domain, Guard, Pat, check_ground_fluent, ground_fluents,
+                     match_args, solve_guard)
 from .errors import CrossModeSoundnessError
 from .frames import (
     EFFECT_APPLICATION,
@@ -28,10 +29,6 @@ from .frames import (
 )
 from .state import WorldState, eval_fluent
 from .terms import GroundAction, GroundFluent
-
-
-# The outcome of a query that touches actions outside the compiled set.
-INSUFFICIENT_AXIOMS = "insufficient-axioms"
 
 
 @dataclass(frozen=True)
@@ -58,33 +55,26 @@ class SuccessorStateAxiom:
 class SSASet:
     domain: Domain
     axioms: dict[str, SuccessorStateAxiom]
-    covered: frozenset[str]  # action schemas the axioms quantify over
 
     def __len__(self) -> int:
         return len(self.axioms)
 
 
-def compile_ssa(domain: Domain,
-                actions: Optional[Sequence[str]] = None) -> SSASet:
-    """One successor state axiom per fluent schema.
-
-    `actions` optionally restricts the axioms to a subset of action schemas;
-    queries through other actions are answered `insufficient-axioms`.
-    """
-    covered = frozenset(actions) if actions is not None else frozenset(domain.actions)
+def compile_ssa(domain: Domain) -> SSASet:
+    """One successor state axiom per fluent schema, over every action."""
     axioms = {}
     for schema in sorted(domain.fluents):
         plus = []
         minus = []
         for eff in domain.effects:
-            if eff.fluent.schema != schema or eff.action.schema not in covered:
+            if eff.fluent.schema != schema:
                 continue
             entry = SSAEntry(action=eff.action, fluent=eff.fluent,
                              condition=eff.guard)
             (plus if eff.add else minus).append(entry)
         axioms[schema] = SuccessorStateAxiom(
             fluent_schema=schema, gamma_plus=tuple(plus), gamma_minus=tuple(minus))
-    return SSASet(domain=domain, axioms=axioms, covered=covered)
+    return SSASet(domain=domain, axioms=axioms)
 
 
 def _entry_fires(domain: Domain, state: WorldState, entry: SSAEntry,
@@ -108,10 +98,7 @@ def ssa_query(ssas: SSASet, states: Sequence[WorldState],
     equality check per negative entry of p's axiom.
     """
     domain = ssas.domain
-    if any(a.schema not in ssas.covered for a in acts):
-        return INSUFFICIENT_AXIOMS, ProofTrace(())
-    if p.schema not in ssas.axioms:
-        return INSUFFICIENT_AXIOMS, ProofTrace(())
+    check_ground_fluent(domain, p)
     ssa = ssas.axioms[p.schema]
     steps: list[TraceStep] = []
     i = len(acts)

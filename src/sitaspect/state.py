@@ -36,9 +36,8 @@ class WorldState:
     # by updates and never mutated. Equality compares it; the hash leaves it
     # out, since states over one home map differ only in `facts`.
     homes: Mapping[GroundFluent, tuple[AspectAtom, ...]] = field(hash=False)
-    # Known fluent schema names, when the state was built through a Domain.
-    # None disables schema checking for hand-assembled states.
-    schemas: Optional[frozenset[str]] = None
+    # The domain's fluent schema names; `eval_fluent` rejects any other.
+    schemas: frozenset[str]
 
     def fluents(self) -> Iterator[tuple[GroundFluent, bool, tuple[AspectAtom, ...]]]:
         """Every modeled fluent with its value and home, by home, then fluent."""
@@ -57,7 +56,7 @@ class WorldState:
 
 def build_state(
     placements: Mapping[tuple, Mapping[GroundFluent, bool]],
-    schemas: Optional[frozenset[str]] = None,
+    schemas: frozenset[str],
 ) -> WorldState:
     """Assemble a state from {component path: {fluent: value}} placements.
 
@@ -84,7 +83,7 @@ def home_of(state: WorldState, p: GroundFluent) -> Optional[tuple[AspectAtom, ..
 
 def eval_fluent(state: WorldState, p: GroundFluent):
     """Truth value of p in state: True, False, or None when p's home is absent."""
-    if state.schemas is not None and p.schema not in state.schemas:
+    if p.schema not in state.schemas:
         raise SchemaError(f"unknown fluent schema '{p.schema}'")
     if p in state.facts:
         return True

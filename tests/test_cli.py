@@ -142,6 +142,36 @@ def test_an_ill_sorted_precondition_fluent_is_not_outside_the_model(tmp_path, ca
         assert err == f"error: step 1 ({act}): {act}: precondition does not hold\n"
 
 
+ILL_SORTED_TARGET = """domain ill
+objects block: a, b
+objects place: a, b, t
+fluent on(block, place)
+action move(block, place)
+aspect on(x,w) (w)
+aspect move(x,y) (y)
+effect move(x,y) add on(x,y)
+effect move(x,y) add on(z,y) if on(x,z)
+disjoint by seq-diff
+"""
+
+
+@pytest.mark.parametrize("command, target", [
+    (["simulate", "--init", "on(a,t)", "--acts", "move(b,a); move(a,b)"],
+     "step 2 (move(a,b)): move(a,b) affects on(t,b)"),
+    (["query", "--init", "on(a,t)", "--acts", "move(a,b)", "--fluent", "on(a,b)",
+      "--mode", "ssa"], "step 1 (move(a,b)): move(a,b) affects on(t,b)"),
+    (["check"], "move(a,a) affects on(t,a)"),
+], ids=["simulate", "query", "check"])
+def test_an_ill_sorted_effect_target_is_named_with_its_action(
+        tmp_path, capsys, command, target):
+    # on(z,y) with z the place t names no fluent: t is no block.
+    domain = tmp_path / "ill.dom"
+    domain.write_text(ILL_SORTED_TARGET, encoding="utf-8")
+    code, out, err = run(capsys, command[0], str(domain), *command[1:])
+    assert (code, out) == (1, "")
+    assert err == f"error: {target}: 't' is not an object of sort 'block'\n"
+
+
 def test_validate_pass_and_exit_codes(capsys):
     code, out, _ = run(capsys, "validate", HEATER, "--formalism", "rel-exists")
     assert code == 0

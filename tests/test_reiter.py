@@ -6,15 +6,9 @@ import pytest
 
 import sitaspect.frames
 from sitaspect.dsl import parse_domain
-from sitaspect.errors import CrossModeSoundnessError
+from sitaspect.errors import CrossModeSoundnessError, SchemaError
 from sitaspect.frames import EQUALITY_CHECK, progress, progression
-from sitaspect.reiter import (
-    INSUFFICIENT_AXIOMS,
-    compare_modes,
-    compile_ssa,
-    random_workload,
-    ssa_query,
-)
+from sitaspect.reiter import compare_modes, compile_ssa, random_workload, ssa_query
 from sitaspect.state import eval_fluent
 from sitaspect.terms import action, fluent
 
@@ -86,11 +80,10 @@ def test_ssa_agrees_with_progression(blocks, blocks_init):
         assert value is eval_fluent(final, p)
 
 
-def test_ssa_insufficient_axioms_outcome(blocks, blocks_init):
-    ssas = compile_ssa(blocks, actions=[])
-    value, _ = _ssa(ssas, blocks_init, [action("move", "a", "b")],
-                    fluent("clear", "c"))
-    assert value is INSUFFICIENT_AXIOMS
+def test_ssa_query_rejects_a_fluent_of_no_schema(blocks, blocks_init):
+    with pytest.raises(SchemaError, match="unknown fluent schema 'heater_on'"):
+        _ssa(compile_ssa(blocks), blocks_init, [action("move", "a", "b")],
+             fluent("heater_on", "h1"))
 
 
 def test_compare_modes_counts(economy):

@@ -26,7 +26,12 @@ from sitaspect import frames
 from sitaspect.disjoint import d_eval
 from sitaspect.domain import AspectRule, GuardLiteral, Pat, Precondition, Var
 from sitaspect.dsl import parse_domain
-from sitaspect.errors import AmbiguousAspectError, MissingAspectError, SitAspectError
+from sitaspect.errors import (
+    AmbiguousAspectError,
+    MissingAspectError,
+    SchemaError,
+    SitAspectError,
+)
 from sitaspect.frames import (
     SoundnessReport,
     SoundnessViolation,
@@ -35,6 +40,7 @@ from sitaspect.frames import (
 from sitaspect.state import build_state
 from sitaspect.terms import AspectPath, action
 from tests.conftest import fixture_text, load_domain
+from tests.test_cli import ILL_SORTED_TARGET
 from tests.test_random_domains import _random_domain
 
 FIXTURES = ("blocks.dom", "blocks_nosupport.dom", "rooms.dom", "display.dom",
@@ -84,6 +90,8 @@ def _reference_soundness(domain) -> SoundnessReport:
                     frames._bump(skipped, f"{f}: valuations where the fluent aspect "
                                           f"does not resolve")
                     continue
+                except SchemaError as exc:  # an ill-sorted effect target
+                    raise SchemaError(f"{a} affects {exc}") from exc
                 if d_eval(domain.disjointness, alpha, beta):
                     violation = SoundnessViolation(action=a, fluent=f,
                                                    fluent_aspect=alpha,
@@ -354,20 +362,6 @@ def test_the_leaf_takes_the_aspect_stage_two_found(name, monkeypatch):
     assert check_aspect_soundness(parse_domain(LINTED[name])) == expected
 
 
-def test_stage_one_visits_the_points_of_the_preconditions_only(monkeypatch):
-    # One conjunction over 14 fluents: its one clause holds on one valuation.
-    domain = parse_domain(_nullary_conjunction(LIMIT))
-    points, real = [], frames._precondition_points
-
-    def recorded(*args):
-        points.extend(real(*args))
-        return points
-    monkeypatch.setattr(frames, "_precondition_points", recorded)
-    report = check_aspect_soundness(domain)
-    assert report.valuations_checked == 2 ** LIMIT
-    assert points == [2 ** LIMIT - 1]
-
-
 def test_d_is_evaluated_once_per_distinct_aspect_pair(monkeypatch):
     # blocks-5: 1080 ground pairs per table walk, few distinct aspect paths.
     text = _blocks_text(["a", "b", "c", "d", "e"])
@@ -451,6 +445,16 @@ def test_a_template_variable_no_grounding_binds_raises_as_the_flat_enumeration()
             lint(domain)
         errors.append((type(exc.value), str(exc.value)))
     assert errors == [(SitAspectError, "unbound variable z in aspect template")] * 2
+
+
+def test_an_ill_sorted_effect_target_raises_as_the_flat_enumeration():
+    domain = parse_domain(ILL_SORTED_TARGET)
+    errors = []
+    for lint in (check_aspect_soundness, _reference_soundness):
+        with pytest.raises(SchemaError) as exc:
+            lint(domain)
+        errors.append(str(exc.value))
+    assert errors == ["move(a,a) affects on(t,a): 't' is not an object of sort 'block'"] * 2
 
 
 def test_soundness_renders_no_aspect_path_or_rule(monkeypatch):

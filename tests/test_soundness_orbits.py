@@ -32,7 +32,9 @@ from sitaspect.frames import check_aspect_soundness  # noqa: E402
 from tests.test_soundness import _reference_soundness  # noqa: E402
 from tests.test_soundness_properties import _outcome  # noqa: E402
 
-OBJECTS = ("a", "b", "y", "z")
+# No object shares a name with a rule variable (u, v, w, x, y, z), which a
+# rule would read as the variable; n and o sort after the atoms k and m.
+OBJECTS = ("a", "b", "n", "o")
 SPECS = ("seq-diff", "simple", "table", "commutative")
 
 
@@ -115,7 +117,7 @@ def domains(draw):
             f"{p}{q}" for p, q in zip(paths[::2], paths[1::2])))
     elif spec == "commutative":
         lines.append("disjoint by commutative(" + draw(st.sampled_from(
-            ["all"] + ["a m, b m, m y, m z, k m"] * 3)) + ")")
+            ["all"] + ["a m, b m, m n, m o, k m"] * 3)) + ")")
     else:
         lines.append(f"disjoint by {spec}")
     domain = parse_domain("\n".join(lines) + "\n", file="generated")

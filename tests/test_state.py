@@ -51,7 +51,8 @@ def test_with_fluent_is_persistent(blocks_init):
 
 def test_fluent_cannot_live_in_two_components():
     with pytest.raises(ValueError):
-        build_state({("a",): {fluent("p"): True}, ("b",): {fluent("p"): False}})
+        build_state({("a",): {fluent("p"): True}, ("b",): {fluent("p"): False}},
+                    schemas=frozenset({"p"}))
 
 
 def test_with_fluent_outside_portion_errors(display):
