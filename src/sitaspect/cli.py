@@ -258,10 +258,11 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    for flag in ("random", "init"):  # each workload line carries its own INIT
+        if args.workload is not None and getattr(args, flag) is not None:
+            print(f"error: --workload and --{flag} exclude each other", file=sys.stderr)
+            return 3
     domain = _load_domain(args.domain)
-    if args.workload is not None and args.random is not None:
-        print("error: --workload and --random exclude each other", file=sys.stderr)
-        return 3
     if args.workload is not None:
         workload = []
         for lineno, raw in enumerate(Path(args.workload).read_text(

@@ -235,11 +235,8 @@ class _DomainBuilder:
         self.homes: dict[str, tuple[str, ...]] = {}
         self.disjointness: Optional[DisjointnessSpec] = None
 
-    def objects_of(self, sort: str) -> tuple[str, ...]:
-        return self.sorts.get(sort, ())
-
     def is_object(self, name: str, sort: str) -> bool:
-        return name in self.objects_of(sort)
+        return name in self.sorts.get(sort, ())
 
 
 def parse_domain(text: str, file: str = "<domain>") -> Domain:

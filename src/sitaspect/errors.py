@@ -20,18 +20,7 @@ class MissingAspectError(SitAspectError):
 
 
 class AmbiguousAspectError(SitAspectError):
-    """More than one aspect rule (or rule binding) applies at the same time.
-
-    Rendered only when shown (the soundness lint just counts them): `what`
-    with the atom in place of `{}`, then the rival rules or aspects.
-    """
-
-    def __init__(self, what: str, atom, rivals, sep: str):
-        super().__init__(what, atom, tuple(rivals), sep)
-
-    def __str__(self) -> str:
-        what, atom, rivals, sep = self.args
-        return what.format(atom) + ": " + sep.join(map(str, rivals))
+    """More than one aspect rule (or rule binding) applies at the same time."""
 
 
 class DisjointnessSpecError(SitAspectError):

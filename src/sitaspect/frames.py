@@ -167,12 +167,12 @@ def _aspect_of(domain: Domain, state: WorldState, kind: str, atom) -> AspectPath
             raise MissingAspectError(f"no aspect rule declared for {kind} '{atom.schema}'")
         raise MissingAspectError(f"no aspect rule applies to {atom} in this state")
     if len(matched) > 1:
-        raise AmbiguousAspectError("multiple aspect rules apply to {}", atom,
-                                   [r for r, _ in matched], "; ")
+        raise AmbiguousAspectError(f"multiple aspect rules apply to {atom}: "
+                                   + "; ".join(str(r) for r, _ in matched))
     aspects = matched[0][1]
     if len(aspects) > 1:
-        raise AmbiguousAspectError("aspect rule for {} yields several aspects",
-                                   atom, aspects, ", ")
+        raise AmbiguousAspectError(f"aspect rule for {atom} yields several "
+                                   "aspects: " + ", ".join(map(str, aspects)))
     return aspects[0]
 
 

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .domain import (Domain, Guard, Pat, check_ground_fluent, ground_fluents,
+from .domain import (Domain, EffectRule, check_ground_fluent, ground_fluents,
                      match_args, solve_guard)
 from .errors import CrossModeSoundnessError
 from .frames import (
@@ -32,23 +32,11 @@ from .terms import GroundAction, GroundFluent
 
 
 @dataclass(frozen=True)
-class SSAEntry:
-    action: Pat
-    fluent: Pat
-    condition: Guard = ()
-
-    def __str__(self) -> str:
-        s = f"{self.action} -> {self.fluent}"
-        if self.condition:
-            s += " if " + " & ".join(str(g) for g in self.condition)
-        return s
-
-
-@dataclass(frozen=True)
 class SuccessorStateAxiom:
-    fluent_schema: str
-    gamma_plus: tuple[SSAEntry, ...]
-    gamma_minus: tuple[SSAEntry, ...]
+    """The schema's adding (gamma_plus) and deleting (gamma_minus) effect rules."""
+
+    gamma_plus: tuple[EffectRule, ...]
+    gamma_minus: tuple[EffectRule, ...]
 
 
 @dataclass(frozen=True)
@@ -64,28 +52,30 @@ def compile_ssa(domain: Domain) -> SSASet:
     """One successor state axiom per fluent schema, over every action."""
     axioms = {}
     for schema in sorted(domain.fluents):
-        plus = []
-        minus = []
-        for eff in domain.effects:
-            if eff.fluent.schema != schema:
-                continue
-            entry = SSAEntry(action=eff.action, fluent=eff.fluent,
-                             condition=eff.guard)
-            (plus if eff.add else minus).append(entry)
+        rules = [eff for eff in domain.effects if eff.fluent.schema == schema]
         axioms[schema] = SuccessorStateAxiom(
-            fluent_schema=schema, gamma_plus=tuple(plus), gamma_minus=tuple(minus))
+            gamma_plus=tuple(eff for eff in rules if eff.add),
+            gamma_minus=tuple(eff for eff in rules if not eff.add))
     return SSASet(domain=domain, axioms=axioms)
 
 
-def _entry_fires(domain: Domain, state: WorldState, entry: SSAEntry,
+def _entry_text(rule: EffectRule) -> str:
+    """An axiom entry as traces show it: `action -> fluent if guard`."""
+    s = f"{rule.action} -> {rule.fluent}"
+    if rule.guard:
+        s += " if " + " & ".join(str(g) for g in rule.guard)
+    return s
+
+
+def _entry_fires(domain: Domain, state: WorldState, rule: EffectRule,
                  a: GroundAction, p: GroundFluent) -> bool:
-    env = match_args(entry.action.args, a.args)
-    if entry.action.schema != a.schema or env is None:
+    env = match_args(rule.action.args, a.args)
+    if rule.action.schema != a.schema or env is None:
         return False
-    env = match_args(entry.fluent.args, p.args, env)
+    env = match_args(rule.fluent.args, p.args, env)
     if env is None:
         return False
-    return bool(solve_guard(domain, state, entry.condition, env))
+    return bool(solve_guard(domain, state, rule.guard, env))
 
 
 def ssa_query(ssas: SSASet, states: Sequence[WorldState],
@@ -112,7 +102,8 @@ def ssa_query(ssas: SSASet, states: Sequence[WorldState],
             return True, ProofTrace(tuple(steps))
         fired_minus = False
         for e in ssa.gamma_minus:
-            steps.append(TraceStep(EQUALITY_CHECK, f"test {a} against [{e}]"))
+            steps.append(TraceStep(EQUALITY_CHECK,
+                                   f"test {a} against [{_entry_text(e)}]"))
             if _entry_fires(domain, pre, e, a, p):
                 fired_minus = True
                 break

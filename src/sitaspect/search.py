@@ -51,7 +51,6 @@ class SearchResult:
     exhaustive_premise_models: int
     random_models: int
     random_premise_models: int
-    seed: int
     scope: tuple[str, ...]
 
     @property
@@ -97,7 +96,7 @@ def search_counterexample(formalism: str, max_situations: int = 3, seed: int = 0
         found, random_models, random_premise = _random_sweep(
             formalism, random_samples, seed, random_max_situations)
     return SearchResult(formalism, found, exhaustive_models, exhaustive_premise,
-                        random_models, random_premise, seed, tuple(scope))
+                        random_models, random_premise, tuple(scope))
 
 
 def _at_least(what: str, value: int, low: int) -> None:
@@ -246,7 +245,6 @@ class PitfallReport:
     first: PitfallFirstHalf
     second: PitfallSecondHalf
     corrected_d_rejects_swap: bool  # d((0,1),(1,0)) is False under the corrected spec
-    seed: int
 
     @property
     def reproduced(self) -> bool:
@@ -309,7 +307,7 @@ def reproduce_commutative_pitfall(seed: int = 0, exhaustive_max: int = 3,
 
     rejects = not d_eval(CommutativeCanonical(), path("0", "1"), path("1", "0"))
     return PitfallReport(first=first, second=second,
-                         corrected_d_rejects_swap=rejects, seed=seed)
+                         corrected_d_rejects_swap=rejects)
 
 
 def _trap_pairs(seed: int, exhaustive_max: int, nf: int, random_samples: int):

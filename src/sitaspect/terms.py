@@ -124,8 +124,9 @@ def term_sort_key(t: GroundTerm):
 
 
 @dataclass(frozen=True)
-class GroundFluent:
-    """A fluent schema applied to ground terms, e.g. ``on(a, b)``."""
+class _GroundAtom:
+    """A schema applied to ground terms. Its two subclasses are distinct
+    types, so a fluent never equals the action of the same name."""
 
     schema: str
     args: tuple[GroundTerm, ...] = ()
@@ -138,17 +139,13 @@ class GroundFluent:
 
 
 @dataclass(frozen=True)
-class GroundAction:
+class GroundFluent(_GroundAtom):
+    """A fluent schema applied to ground terms, e.g. ``on(a, b)``."""
+
+
+@dataclass(frozen=True)
+class GroundAction(_GroundAtom):
     """An action schema applied to ground terms, e.g. ``move(a, b)``."""
-
-    schema: str
-    args: tuple[GroundTerm, ...] = ()
-
-    def __str__(self) -> str:
-        return f"{self.schema}({','.join(term_str(a) for a in self.args)})"
-
-    def sort_key(self):
-        return (self.schema, tuple(term_sort_key(a) for a in self.args))
 
 
 def fluent(schema: str, *args) -> GroundFluent:

@@ -115,6 +115,23 @@ def test_query_all_modes_agree(capsys):
     assert answers == [True, True, True]
 
 
+@pytest.mark.parametrize("fluent, entry", [
+    ("on(c,floor)", "move(x,y) -> on(x,z) if on(x,z)"),
+    ("clear(c)", "move(x,y) -> clear(y)"),
+], ids=["on(c,floor)", "clear(c)"])
+def test_ssa_query_traces_name_each_negative_entry(capsys, fluent, entry):
+    init = ("on(a,floor); on(b,floor); on(c,floor); clear(a); clear(b); "
+            "clear(c); clear(floor)")
+    code, out, err = run(capsys, "query", BLOCKS, "--init", init,
+                         "--acts", "move(a,b)", "--fluent", fluent, "--mode", "ssa")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        f"{fluent} after [move(a,b)] = true (ssa mode)",
+        f"  [equality-check] test move(a,b) against [{entry}]",
+        f"  [init-lookup] {fluent} = True in the initial state",
+    ]
+
+
 @pytest.mark.parametrize("command", [
     ["query", "--fluent", "clear(a)", "--mode", "aspect"],
     ["query", "--fluent", "clear(a)", "--mode", "ssa"],
@@ -355,6 +372,14 @@ def test_compare_rejects_a_workload_with_random(capsys):
     code, out, err = run(capsys, "compare", BLOCKS, "--workload", "queries.txt",
                          "--random", "3", "--init", BLOCKS_INIT)
     assert (code, out, err) == (3, "", "error: --workload and --random exclude each other\n")
+
+
+def test_compare_rejects_a_workload_with_init(capsys):
+    # Each workload line carries its own INIT, so --init would go unread;
+    # the check comes before any file is read, the domain included.
+    code, out, err = run(capsys, "compare", "missing.dom", "--workload", "Q",
+                         "--init", "zz(q)")
+    assert (code, out, err) == (3, "", "error: --workload and --init exclude each other\n")
 
 
 def test_compare_detects_unsound_domain(tmp_path, capsys):

@@ -29,6 +29,14 @@ def test_blocks_gamma_entries(blocks):
     assert len(on.gamma_minus) == 1
 
 
+def test_ssa_entries_are_the_domain_effect_rules(blocks):
+    # The axioms hold the rules themselves, in domain order, not copies.
+    for schema, ssa in compile_ssa(blocks).axioms.items():
+        rules = [e for e in blocks.effects if e.fluent.schema == schema]
+        assert list(map(id, ssa.gamma_plus)) == [id(e) for e in rules if e.add]
+        assert list(map(id, ssa.gamma_minus)) == [id(e) for e in rules if not e.add]
+
+
 def test_fluent_without_effects_has_empty_gammas(economy):
     ssas = compile_ssa(economy)
     assert len(ssas) == 5

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from sitaspect.terms import (
     AspectAtom,
     AspectPath,
     AspectSet,
+    GroundAction,
+    GroundFluent,
     action,
     as_elem,
     fluent,
@@ -60,6 +64,15 @@ def test_ground_atom_rendering():
 def test_ground_atoms_hash_and_compare():
     assert fluent("on", "a", "b") == fluent("on", "a", "b")
     assert len({action("go", {"x", "y"}), action("go", {"y", "x"})}) == 1
+
+
+def test_fluents_and_actions_stay_apart():
+    p, a = GroundFluent("p", ("x",)), GroundAction("p", ("x",))
+    assert p != a and str(p) == str(a) == "p(x)"
+    assert (repr(p), repr(a)) == ("GroundFluent(schema='p', args=('x',))",
+                                  "GroundAction(schema='p', args=('x',))")
+    moved = replace(a, args=("y",))
+    assert type(moved) is GroundAction and moved == action("p", "y")
 
 
 def test_path_append_extends():
