@@ -274,9 +274,10 @@ def _cmd_compare(args) -> int:
             try:
                 if len(parts) != 3:
                     raise SitAspectError("expected INIT | ACTS | FLUENT")
-                workload.append((parse_state(parts[0], domain),
-                                 parse_actions(parts[1], domain),
-                                 parse_ground_fluent(parts[2].strip(), domain)))
+                init = parse_state(parts[0], domain)
+                acts = parse_actions(parts[1], domain)
+                workload.append((init, acts, parse_ground_fluent(parts[2].strip(), domain)))
+                progression(domain, init, acts)  # a failed step names its line
             except SitAspectError as exc:
                 # A parse diagnostic's span counts within its field: keep its message.
                 message = exc.diagnostics[0].message if isinstance(exc, DslError) else exc

@@ -231,6 +231,11 @@ class Domain:
         return {}
 
     @cached_property
+    def _steps(self) -> dict:
+        """frames' progressed steps: (state, action) -> (changes, successor)."""
+        return {}
+
+    @cached_property
     def _d_memo(self) -> tuple[dict, list, dict]:
         """frames' memo of d: path -> id, the paths by id, (id, id) -> d."""
         return {}, [], {}

@@ -188,7 +188,21 @@ def intersects(domain: Domain, state: WorldState, a: GroundAction, p: GroundFlue
 # ---------------------------------------------------------------------------
 
 def progress(domain: Domain, state: WorldState, a: GroundAction) -> WorldState:
-    """Apply a's firing effects; every untouched fluent keeps its value."""
+    """Apply a's firing effects; every untouched fluent keeps its value.
+
+    Each step is computed once per Domain (see `_step`)."""
+    return _step(domain, state, a)[1]
+
+
+def _step(domain: Domain, state: WorldState,
+          a: GroundAction) -> tuple[list[tuple[GroundFluent, bool]], WorldState]:
+    """a's net effects in `state` and its successor, computed once per Domain.
+
+    Only successes are stored, so a failed step raises afresh on each call.
+    """
+    hit = domain._steps.get((state, a))
+    if hit is not None:
+        return hit
     check_ground_action(domain, a)
     _check_applicable(domain, state, a)
     changes = _net_effects(domain, state, a)
@@ -203,7 +217,8 @@ def progress(domain: Domain, state: WorldState, a: GroundAction) -> WorldState:
                 f"{a} affects {f}, which is outside the modeled portion")
         if eval_fluent(new_state, f) != v:
             new_state = with_fluent(new_state, f, v)
-    return new_state
+    hit = domain._steps[state, a] = (changes, new_state)
+    return hit
 
 
 def _check_applicable(domain: Domain, state: WorldState, a: GroundAction) -> None:
@@ -915,7 +930,8 @@ def regress_query(domain: Domain, states: Sequence[WorldState],
     """Evaluate p after `acts` by regressing through the non-interference axiom.
 
     `states` is the progression of `acts`, `progression(domain, init, acts)`;
-    each step reads the state before its action. Returns (True|False|None,
+    each step reads the state before its action, and a step that resolves
+    reads the effects that progression stored. Returns (True|False|None,
     ProofTrace). A step either persists by one d-evaluation, resolves through
     an effect rule, persists by an explicitly declared frame axiom, or leaves
     the query undefined.
@@ -934,7 +950,7 @@ def regress_query(domain: Domain, states: Sequence[WorldState],
         if disjoint:
             i -= 1
             continue
-        resolved = dict(_net_effects(domain, pre, a)).get(p)
+        resolved = dict(_step(domain, pre, a)[0]).get(p)
         if resolved is not None:
             steps.append(TraceStep(
                 EFFECT_APPLICATION, f"{a} sets {p} to {resolved}"))

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .domain import (Domain, EffectRule, check_ground_fluent, ground_fluents,
                      match_args, solve_guard)
-from .errors import CrossModeSoundnessError
+from .errors import CrossModeSoundnessError, SchemaError
 from .frames import (
     EFFECT_APPLICATION,
     EQUALITY_CHECK,
@@ -148,8 +148,9 @@ def compare_modes(domain: Domain,
                   workload: Sequence[tuple[WorldState, Sequence[GroundAction], GroundFluent]] = ()) -> ComparisonReport:
     """Run each workload query in aspect, SSA, and oracle mode and compare.
 
-    Each query is progressed once, by the oracle; the other two modes read
-    its states.
+    The oracle progresses each query, and the other two modes read its
+    states. `frames.progress` computes each (state, action) step once per
+    Domain, so the steps the walks already took are read, not recomputed.
 
     Raises CrossModeSoundnessError on the first disagreement among defined
     results, carrying the offending query as a witness.
@@ -202,10 +203,11 @@ def random_workload(domain: Domain, init: WorldState, count: int, seed: int):
     with random query fluents."""
     rng = random.Random(seed)
     fluents = ground_fluents(domain)
-    # Walks share their states, so each state's options and each step's
-    # successor are computed once per workload.
+    if not fluents:
+        raise SchemaError(f"domain '{domain.name}' has no ground fluent to query")
+    # Walks share their states, so each state's options are computed once per
+    # workload; `progress` keeps each step per Domain.
     options_of: dict[WorldState, list[GroundAction]] = {}
-    successor: dict[tuple[WorldState, GroundAction], WorldState] = {}
     out = []
     for _ in range(count):
         length = rng.randint(0, _WALK_LIMIT)
@@ -218,8 +220,6 @@ def random_workload(domain: Domain, init: WorldState, count: int, seed: int):
                 break
             a = rng.choice(options_of[state])
             acts.append(a)
-            if (state, a) not in successor:
-                successor[state, a] = progress(domain, state, a)
-            state = successor[state, a]
+            state = progress(domain, state, a)
         out.append((init, tuple(acts), rng.choice(fluents)))
     return out

@@ -360,6 +360,31 @@ def test_compare_random_accepts_the_empty_init_state(tmp_path, capsys):
     assert (code, out, err) == (3, "", "error: --random needs --init\n")
 
 
+def test_compare_random_needs_a_fluent_to_query(tmp_path, capsys):
+    domain = tmp_path / "z.dom"
+    domain.write_text("domain z\nobjects o: a\naction go(o)\naspect go(x) (x)\n"
+                      "disjoint by seq-diff\n", encoding="utf-8")
+    code, out, err = run(capsys, "compare", str(domain), "--random", "2", "--init", "")
+    assert (code, out, err) == (1, "", "error: domain 'z' has no ground fluent to query\n")
+
+
+def test_query_in_aspect_mode_takes_an_intersecting_step_once(capsys, monkeypatch):
+    # Regression reads the effects that the progression already resolved.
+    calls, real = [], sitaspect.frames._net_effects
+
+    def recording(domain, state, a):
+        calls.append(str(a))
+        return real(domain, state, a)
+
+    monkeypatch.setattr(sitaspect.frames, "_net_effects", recording)
+    code, out, _ = run(capsys, "query", BLOCKS, "--mode", "aspect", "--init",
+                       "on(a,floor); on(b,floor); clear(a); clear(b); clear(floor)",
+                       "--acts", "move(a,b)", "--fluent", "on(a,b)")
+    assert code == 0
+    assert "[effect-application] move(a,b) sets on(a,b) to True" in out
+    assert calls == ["move(a,b)"]
+
+
 def test_compare_rejects_a_random_count_below_one(capsys):
     for count in ("-3", "0"):
         code, out, err = run(capsys, "compare", BLOCKS, "--random", count,
@@ -416,7 +441,9 @@ def test_a_spec_that_rejects_an_aspect_pair_exits_one(tmp_path, capsys, command)
     (f"{BLOCKS_INIT} | move(a,b) | onn(a,floor)", "unknown fluent schema 'onn'"),
     (f"{BLOCKS_INIT} | move(a | on(a,floor)", "unexpected end of line"),
     (f"{BLOCKS_INIT} | move(a,b)", "expected INIT | ACTS | FLUENT"),
-], ids=["object", "fluent", "syntax", "fields"])
+    ("on(a,floor) | move(a,b) | on(a,b)",
+     "step 1 (move(a,b)): move(a,b): precondition does not hold"),
+], ids=["object", "fluent", "syntax", "fields", "progression"])
 def test_compare_names_the_workload_line_of_an_error(tmp_path, capsys, line, problem):
     workload = tmp_path / "workload.txt"
     workload.write_text(f"# queries\n{BLOCKS_INIT} | move(a,b) | on(a,b)\n{line}\n",

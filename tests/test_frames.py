@@ -315,6 +315,29 @@ def test_transfer_moves_room_membership(rooms, rooms_init):
     assert eval_fluent(state, fluent("at_room", "a", "r1")) is False
 
 
+def test_a_step_is_stored_once_per_domain(blocks, blocks_init):
+    domain = replace(blocks)  # a fresh Domain starts with an empty table
+    assert domain._steps == {}
+    a = action("move", "a", "b")
+    after = progress(domain, blocks_init, a)
+    assert progress(domain, blocks_init, a) is after
+    assert list(domain._steps) == [(blocks_init, a)]
+    assert replace(domain)._steps == {}
+
+
+def test_a_failed_step_is_not_stored(blocks, blocks_init):
+    domain = replace(blocks)
+    state = progress(domain, blocks_init, action("move", "a", "b"))
+    covered = action("move", "b", "c")  # a now rests on b
+    messages = []
+    for _ in range(2):
+        with pytest.raises(InapplicableActionError) as exc:
+            progress(domain, state, covered)
+        messages.append(str(exc.value))
+    assert messages == ["move(b,c): precondition does not hold"] * 2
+    assert (state, covered) not in domain._steps
+
+
 # -- regression -----------------------------------------------------------------
 
 def _regress(domain, init, acts, p):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 import sitaspect.frames
@@ -113,6 +115,23 @@ def test_compare_progresses_each_query_once(blocks, blocks_init, monkeypatch):
     monkeypatch.setattr(sitaspect.frames, "progress", counting)
     compare_modes(blocks, workload=workload)
     assert len(steps) == sum(len(acts) for _, acts, _ in workload) > 0
+
+
+@pytest.mark.parametrize("name", ["blocks", "rooms"])
+def test_compare_takes_each_step_once(name, request, monkeypatch):
+    # The walks, the oracle and aspect regression share the Domain's step
+    # table, so the effects of each distinct (state, action) are resolved once.
+    domain = replace(request.getfixturevalue(name))
+    init = request.getfixturevalue(f"{name}_init")
+    calls, real = [], sitaspect.frames._net_effects
+
+    def recording(domain, state, a):
+        calls.append((state, a))
+        return real(domain, state, a)
+
+    monkeypatch.setattr(sitaspect.frames, "_net_effects", recording)
+    compare_modes(domain, workload=random_workload(domain, init, 60, seed=1))
+    assert len(calls) == len(set(calls)) > 0
 
 
 def test_compare_modes_blocks_workload(blocks, blocks_init):
