@@ -604,13 +604,13 @@ def check_aspect_soundness(domain: Domain) -> SoundnessReport:
       where the action aspect is missing or ambiguous counts, with every
       value of the remaining fluents, under that reason in `unresolved`;
     - over the remaining fluents, each whole valuation is built as a state
-      and, where the preconditions hold in it, linted with the action aspect
-      that stage 2 found (`_check_valuation`).
+      and linted with the action aspect that stage 2 found, without solving
+      the preconditions again (`_check_valuation`).
     Violations come in `itertools.product` order: by the least valuation
     that shows them, then by their position in it. Actions with more than
     _GUARD_FLUENT_LIMIT guard fluents are skipped and named in `unresolved`.
-    Effect targets absent from the guard set are given the change-revealing
-    prior value.
+    An effect target's prior value is read from the state: one absent from
+    the guard set reads as unmodeled, the change-revealing prior value.
 
     Actions that a renaming of interchangeable objects maps onto each other
     form an orbit (`_orbit_of`). Only the first action of an orbit is
@@ -801,18 +801,12 @@ def _search_valuations(domain: Domain, a: GroundAction, relevant: list[GroundFlu
                 continue
             for rest in _submasks(rest_mask):
                 truth = pre | guard | rest
-                base = {f: bool(truth & b) for f, b in bits.items()}
-                state = build_state({(): base}, schemas=schemas)
+                state = build_state({(): {f: bool(truth & b) for f, b in bits.items()}},
+                                    schemas=schemas)
                 # A leaf's effects and fluent aspects are decided on its
                 # state, as the flat enumeration decides them; its action
-                # aspect is beta. The preconditions, which stage 1 decided,
-                # are read again: on `check blocks-3` every `eval_fluent`
-                # call comes from here, and bench/tests/test_bench.py::
-                # test_count_pass_counts_and_samples_leaf_calls samples it.
-                if _failed_precondition(domain, state, a) is not None:
-                    continue
-                found: list[SoundnessViolation] = []
-                _check_valuation(domain, a, beta, base, state, found, skipped)
+                # aspect is beta, and stage 1 decided its preconditions.
+                found = _check_valuation(domain, a, beta, state, skipped)
                 for position, violation in enumerate(found):
                     first[violation] = min(first.get(violation, (truth, position)),
                                            (truth, position))
@@ -876,17 +870,17 @@ def _mask_of(guards: Iterable[list[tuple]]) -> int:
     return out
 
 
-def _check_valuation(domain: Domain, a: GroundAction, beta: AspectPath, base: dict,
-                     state: WorldState, violations: list[SoundnessViolation],
-                     skipped: dict[tuple, int]) -> None:
-    """Record the violations a, of aspect beta, shows in `state`, the state
-    of valuation `base` where a's preconditions hold, and the reasons it is
-    skipped."""
+def _check_valuation(domain: Domain, a: GroundAction, beta: AspectPath,
+                     state: WorldState, skipped: dict[tuple, int]) -> list[SoundnessViolation]:
+    """The violations a, of aspect beta, shows in `state`, a valuation's
+    state where a's preconditions hold; the reasons it is skipped go to
+    `skipped`."""
+    violations = []
     for f, v in _net_effects(domain, state, a):
-        # A target outside the valuation is given the change-revealing prior
-        # value. Its aspect guards read only fluents of the valuation (see
-        # `_relevant_fluents`), so `state` decides its aspect either way.
-        if base.get(f, not v) == v:
+        # A target outside the valuation reads None, the change-revealing
+        # prior value. Its aspect guards read only fluents of the valuation
+        # (see `_relevant_fluents`), so `state` decides its aspect either way.
+        if eval_fluent(state, f) == v:
             continue
         try:
             alpha = aspect_of_fluent(domain, state, f)
@@ -896,10 +890,9 @@ def _check_valuation(domain: Domain, a: GroundAction, beta: AspectPath, base: di
         except SchemaError as exc:  # an ill-sorted effect target
             raise SchemaError(f"{a} affects {exc}") from exc
         if d_eval(domain.disjointness, alpha, beta):
-            violation = SoundnessViolation(action=a, fluent=f,
-                                           fluent_aspect=alpha, action_aspect=beta)
-            if violation not in violations:
-                violations.append(violation)
+            violations.append(SoundnessViolation(action=a, fluent=f,
+                                                 fluent_aspect=alpha, action_aspect=beta))
+    return violations
 
 
 def _bump(counter: dict, key, count: int = 1) -> None:

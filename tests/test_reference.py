@@ -5,19 +5,23 @@ preconditions and effect guards by enumerating every variable over its
 whole sort, and applies an action's deletes, then its adds. It reads no
 `WorldState` and calls none of the guard solver, `eval_fluent`,
 `with_fluent` or `progress`, so a bug in those shows up as a mismatch.
+The walks run on the fixtures, on `_random_domain` and on the generated
+domains of `tests/test_soundness_properties.py`.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from sitaspect.domain import MemberGuard, Var, ground_fluents, initial_state
 from sitaspect.dsl import parse_ground_fluent
-from sitaspect.frames import progression
-from sitaspect.reiter import compare_modes, random_workload
+from sitaspect.errors import AmbiguousAspectError, MissingAspectError
+from sitaspect.frames import check_aspect_soundness, progression, regress_query
+from sitaspect.reiter import _oracle, compare_modes, compile_ssa, random_workload, ssa_query
 from sitaspect.terms import GroundFluent
 from tests.conftest import BLOCKS_INIT, DISPLAY_INIT, ROOMS_INIT, sort_pool
 from tests.test_random_domains import _random_domain
@@ -141,3 +145,60 @@ def test_random_domain_walks_match_the_reference():
         domain = _random_domain(rng)
         true = frozenset(p for p in ground_fluents(domain) if rng.random() < 0.5)
         _check_walks(domain, initial_state(domain, true), true, 20, trial)
+
+
+def test_generated_domain_walks_match_the_reference():
+    # Query by query, as `compare_modes` would stop at the first aspect that
+    # does not resolve. The generated aspects need not be sound, so an aspect
+    # answer that differs from the reference must be a violation the
+    # soundness lint reports for the query's fluent and an action of the walk.
+    pytest.importorskip("hypothesis")
+    from hypothesis import HealthCheck, given, settings
+    from hypothesis import strategies as st
+
+    from tests.test_soundness_properties import _domain_features, domains
+
+    seen = Counter()
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(domains(), st.integers(0, 2 ** 32))
+    def check(domain, seed):
+        rng = random.Random(seed)
+        true = frozenset(p for p in ground_fluents(domain) if rng.random() < 0.5)
+        init = initial_state(domain, true)
+        ssas = compile_ssa(domain)
+        report = None
+        for _, acts, p in random_workload(domain, init, 10, seed):
+            facts = true
+            for a in acts:
+                facts = reference_step(domain, facts, a)
+                assert facts is not None, (acts, a)
+            oracle_value, states = _oracle(domain, init, acts, p)
+            assert {f for f, value, _ in states[-1].fluents() if value} == facts, acts
+            truth = p in facts
+            assert oracle_value is truth and ssa_query(ssas, states, acts, p)[0] is truth, \
+                (acts, p)
+            seen[f"walk of {len(acts)}"] += 1
+            try:
+                aspect_value, _ = regress_query(domain, states, acts, p)
+            except (MissingAspectError, AmbiguousAspectError) as exc:
+                seen[type(exc).__name__] += 1
+                continue
+            if not isinstance(aspect_value, bool):
+                seen["undefined aspect answer"] += 1
+            elif aspect_value is truth:
+                seen["aspect answer"] += 1
+            else:
+                report = report or check_aspect_soundness(domain)
+                assert any(v.fluent == p and v.action in acts
+                           for v in report.violations), (acts, p)
+                seen["unsound aspect answer"] += 1
+        seen.update(_domain_features(domain))
+
+    check()
+    for feature in ("negated existential", "negation before its binder", "member guard",
+                    "set-valued parameter", "MissingAspectError", "AmbiguousAspectError",
+                    "undefined aspect answer", "walk of 4"):
+        assert seen[feature] >= 10, seen
+    assert seen["aspect answer"] >= 100 and seen["unsound aspect answer"], seen

@@ -18,6 +18,7 @@ import dataclasses
 import importlib.util
 import itertools
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -117,6 +118,40 @@ def _blocks_text(blocks: list[str]) -> str:
             .replace("objects block: a, b, c", f"objects block: {', '.join(blocks)}")
             .replace("objects place: a, b, c, floor",
                      f"objects place: {', '.join(blocks)}, floor"))
+
+
+def _assert_stage_one_decides_as_the_solver(domain) -> Counter:
+    """For each action within the bound and each valuation of its
+    `_relevant_fluents`, stage 1's precondition clauses hold exactly where
+    `_failed_precondition` finds every precondition solvable in the
+    valuation's state. Returns how many valuations passed and failed."""
+    outcomes = Counter()
+    schemas = frozenset(domain.fluents)
+    for a in domain.ground_action_list:
+        relevant = frames._relevant_fluents(domain, a)
+        if len(relevant) > frames._GUARD_FLUENT_LIMIT:
+            continue
+        k = len(relevant)
+        bits = {f: 1 << (k - 1 - i) for i, f in enumerate(relevant)}
+        pres = [frames._guard_clauses(domain, pre.guard, env0, bits)[1]
+                for pre, env0 in domain.bound("pre", a)]
+        for truth in range(2 ** k):
+            decided = all(any(truth & mask == want for mask, want, _ in clauses)
+                          for clauses in pres)
+            state = build_state({(): {f: bool(truth & b) for f, b in bits.items()}},
+                                schemas=schemas)
+            solved = frames._failed_precondition(domain, state, a) is None
+            assert decided == solved, (a, truth)
+            outcomes[decided] += 1
+    return outcomes
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_stage_one_decides_the_preconditions_as_the_solver(name):
+    outcomes = _assert_stage_one_decides_as_the_solver(load_domain(name))
+    # display.dom and economy.dom have no preconditions, and every rooms.dom
+    # action is past the bound.
+    assert bool(outcomes[False]) == name.startswith("blocks"), outcomes
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -252,7 +287,7 @@ def test_soundness_work_counts(name, monkeypatch):
                       for attr in ("build_state", "_failed_precondition"))
     report = check_aspect_soundness(domain)
     assert len(built) <= STATES_BUILT_AT_MOST[name]
-    assert len(decided) <= len(built)
+    assert decided == []
     if name == "blocks.dom":
         assert report.valuations_checked == 672
 
@@ -359,6 +394,18 @@ def test_the_leaf_takes_the_aspect_stage_two_found(name, monkeypatch):
     def unreachable(*args):
         raise AssertionError("aspect_of_action is called")
     monkeypatch.setattr(frames, "aspect_of_action", unreachable)
+    assert check_aspect_soundness(parse_domain(LINTED[name])) == expected
+
+
+@pytest.mark.parametrize("name", sorted(LINTED))
+def test_the_leaf_does_not_solve_the_preconditions_again(name, monkeypatch):
+    # Stage 1 decides the preconditions on their clauses; the reference
+    # solves them on each valuation's state, and the two reports agree.
+    expected = _reference_soundness(parse_domain(LINTED[name]))
+
+    def unreachable(*args):
+        raise AssertionError("_failed_precondition is called")
+    monkeypatch.setattr(frames, "_failed_precondition", unreachable)
     assert check_aspect_soundness(parse_domain(LINTED[name])) == expected
 
 

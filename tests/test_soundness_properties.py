@@ -7,7 +7,8 @@ rules, preconditions and effect guards mix positive and negated literals
 (negated existentials, some before the literal that binds their variable),
 membership guards and constants. `check_aspect_soundness` must return the
 report of `tests/test_soundness.py::_reference_soundness`, or raise its
-error.
+error. Stage 1's precondition clauses must hold exactly where the guard
+solver finds every precondition solvable.
 """
 
 from __future__ import annotations
@@ -27,7 +28,10 @@ from sitaspect.dsl import parse_domain  # noqa: E402
 from sitaspect.errors import SitAspectError  # noqa: E402
 from sitaspect import frames  # noqa: E402
 from sitaspect.frames import check_aspect_soundness  # noqa: E402
-from tests.test_soundness import _reference_soundness  # noqa: E402
+from tests.test_soundness import (  # noqa: E402
+    _assert_stage_one_decides_as_the_solver,
+    _reference_soundness,
+)
 
 HEADS = {"move": ("move(x,y)", {"x": "obj", "y": "place"}),
          "paint": ("paint(S)", {"S": "set"})}
@@ -146,8 +150,8 @@ def _outcome(lint, domain):
         return type(exc), str(exc)
 
 
-def _features(domain, report) -> set[str]:
-    """What the domain and its report exercise, for the coverage check."""
+def _domain_features(domain) -> set[str]:
+    """What the domain's rules exercise, for the coverage checks."""
     out = set()
     if any(ref.is_set for schema in domain.actions.values() for ref in schema.params):
         out.add("set-valued parameter")
@@ -175,6 +179,12 @@ def _features(domain, report) -> set[str]:
                         later.add(getattr(g.member, "name", ""))
                 if (names - bound) & later:
                     out.add("negation before its binder")
+    return out
+
+
+def _features(domain, report) -> set[str]:
+    """What the domain and its report exercise, for the coverage check."""
+    out = _domain_features(domain)
     if isinstance(report, tuple):
         out.add("error")
         return out
@@ -225,3 +235,18 @@ def test_search_matches_the_flat_enumeration_on_generated_domains(monkeypatch):
                     "set-valued parameter", "missing aspect", "ambiguous aspect",
                     "overlapping rules", "violations at several leaves"):
         assert seen[feature] >= 10, seen
+
+
+def test_stage_one_decides_the_preconditions_as_the_solver_on_generated_domains():
+    # Per domain, whether some valuation fails a precondition.
+    failing = Counter()
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(domains())
+    def check(domain):
+        outcomes = _assert_stage_one_decides_as_the_solver(domain)
+        failing[bool(outcomes[False])] += 1
+
+    check()
+    assert failing[True] >= 10 and failing[False] >= 10, failing
