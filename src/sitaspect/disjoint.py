@@ -137,7 +137,7 @@ class MonotonicityViolation:
 
     def __str__(self) -> str:
         return (f"{self.property}: d({self.alpha},{self.beta}) holds but fails "
-                f"after extending with {self.suffix}")
+                f"after extending with {AspectPath(self.suffix)}")
 
 
 @dataclass(frozen=True)

@@ -105,6 +105,11 @@ GuardAtom = Union[GuardLiteral, MemberGuard]
 Guard = tuple[GuardAtom, ...]
 
 
+def guard_text(guard: Guard) -> str:
+    """A rule's guard as its line ends: ` if A & B`, or "" when empty."""
+    return " if " + " & ".join(map(str, guard)) if guard else ""
+
+
 # Aspect templates: path elements over variables and constant atoms.
 @dataclass(frozen=True)
 class SetTemplate:
@@ -125,10 +130,8 @@ class AspectRule:
     guard: Guard = ()
 
     def __str__(self) -> str:
-        head = f"aspect {self.target} ({','.join(str(t) for t in self.template)})"
-        if self.guard:
-            head += " if " + " & ".join(str(g) for g in self.guard)
-        return head
+        template = ",".join(str(t) for t in self.template)
+        return f"aspect {self.target} ({template}){guard_text(self.guard)}"
 
 
 @dataclass(frozen=True)
@@ -140,10 +143,7 @@ class EffectRule:
 
     def __str__(self) -> str:
         op = "add" if self.add else "del"
-        s = f"effect {self.action} {op} {self.fluent}"
-        if self.guard:
-            s += " if " + " & ".join(str(g) for g in self.guard)
-        return s
+        return f"effect {self.action} {op} {self.fluent}{guard_text(self.guard)}"
 
 
 @dataclass(frozen=True)

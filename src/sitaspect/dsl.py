@@ -20,6 +20,7 @@ empty valuation: it is false in every situation.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -579,56 +580,46 @@ def _render_spec(spec: DisjointnessSpec) -> str:
 # Ground atoms and states
 # ---------------------------------------------------------------------------
 
-def parse_ground_fluent(text: str, domain: Domain, file: str = "<fluent>") -> GroundFluent:
-    return _parse_ground_atom(text, domain, file, GroundFluent)
+def _items(text: str, file: str):
+    """A cursor over each item of `text`: the tokens of one line between
+    `;` tokens. Blank items are skipped."""
+    for lineno, tokens in _tokenize_lines(text):
+        for sep, item in itertools.groupby(tokens, key=lambda t: t.text == ";"):
+            if not sep:
+                yield _Cursor(list(item), file, lineno, [])
 
 
-def _parse_ground_atom(text: str, domain: Domain, file: str, cls,
-                       line: int = 1, column: int = 1):
-    """The one ground atom of `text`, which starts at `line` and `column`,
-    checked against the domain's schemas and sorts."""
-    diags: list[ParseDiagnostic] = []
-    lines = list(_tokenize_lines(text))
-    if len(lines) != 1:
-        raise DslError([ParseDiagnostic(
-            "error", SourceSpan(file, line, column, 1),
-            f"expected a single ground atom, got {text!r}")])
-    lineno, tokens = lines[0]
-    if lineno == 1:
-        for tok in tokens:
-            tok.column += column - 1
-    cur = _Cursor(tokens, file, line + lineno - 1, diags)
+def _ground_atom(cur: _Cursor, domain: Domain, cls):
+    """The ground atom that the rest of `cur`'s item holds, checked against
+    the domain's schemas and sorts."""
     try:
+        if cur.at_end():  # a lone '!'
+            cur.fail("expected a single ground atom, got ''")
         name = cur.name("schema name").text
         args = tuple(_parens(cur, _element, "object", "object"))
         cur.finish()
     except _LineAbort:
-        raise DslError(diags) from None
+        raise DslError(cur.sink) from None
     atom = cls(name, args)
     (check_ground_fluent if cls is GroundFluent else check_ground_action)(domain, atom)
     return atom
 
 
-def _placed(text: str, separators: str):
-    """(item, line, column) for each nonblank item of `text` split at any of
-    the one-character `separators`, stripped, with the line and column of
-    `text` where it starts. A `#` comment runs to the end of its line and is
-    blanked before splitting, so no separator inside it counts."""
-    text = re.sub(r"#.*", lambda m: " " * len(m.group()), text)
-    offset = 0
-    for chunk in re.split(f"[{separators}]", text):
-        if chunk.strip():
-            start = offset + len(chunk) - len(chunk.lstrip())
-            yield (chunk.strip(), text.count("\n", 0, start) + 1,
-                   start - text.rfind("\n", 0, start))
-        offset += len(chunk) + 1
+def parse_ground_fluent(text: str, domain: Domain, file: str = "<fluent>") -> GroundFluent:
+    """The one ground fluent of `text`, which must fill exactly one line."""
+    lines = list(_tokenize_lines(text))
+    if len(lines) != 1:
+        raise DslError([ParseDiagnostic(
+            "error", SourceSpan(file, 1, 1, 1),
+            f"expected a single ground atom, got {text!r}")])
+    (lineno, tokens), = lines
+    return _ground_atom(_Cursor(tokens, file, lineno, []), domain, GroundFluent)
 
 
 def parse_actions(text: str, domain: Domain, file: str = "<acts>") -> tuple[GroundAction, ...]:
     """Ground actions separated by ';' or newlines; whitespace-only text
     means none."""
-    return tuple(_parse_ground_atom(item, domain, file, GroundAction, line, column)
-                 for item, line, column in _placed(text, ";\n"))
+    return tuple(_ground_atom(cur, domain, GroundAction) for cur in _items(text, file))
 
 
 def parse_state(text: str, domain: Domain, file: str = "<state>"):
@@ -639,14 +630,13 @@ def parse_state(text: str, domain: Domain, file: str = "<state>"):
     false, placed at their home components.
     """
     given: dict[GroundFluent, bool] = {}
-    for item, line, column in _placed(text, ";\n"):
-        negate = item.startswith("!")
-        body = item[1:].lstrip() if negate else item
-        f = _parse_ground_atom(body, domain, file, GroundFluent, line,
-                               column + len(item) - len(body))
+    for cur in _items(text, file):
+        negate = cur.peek() == "!"
+        cur.i += negate
+        f = _ground_atom(cur, domain, GroundFluent)
         if given.setdefault(f, not negate) == negate:
             raise DslError([ParseDiagnostic(
-                "error", SourceSpan(file, line, column, len(item)),
+                "error", cur.span(cur.tokens[0]),
                 f"fluent '{f}' is given both true and false")])
     return initial_state(domain, [f for f, true in given.items() if true])
 

@@ -13,7 +13,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .disjoint import (
     CommutativeCanonical,
@@ -27,6 +27,7 @@ from .domain import (
     Domain,
     GuardLiteral,
     MemberGuard,
+    Pat,
     Precondition,
     SetTemplate,
     Var,
@@ -85,29 +86,18 @@ class ProofTrace:
 
 @dataclass(frozen=True)
 class FrameAxiom:
-    """A ground frame assertion: under `guard`, `action` leaves `fluent` unchanged."""
+    """Under `guard`, `action` leaves `fluent` unchanged. A ground axiom
+    holds ground atoms; a schematic one, one per (fluent rule, action rule),
+    holds the action rule's head, the renamed fluent head, and the
+    disjointness conditions followed by the rule guards."""
 
-    action: GroundAction
-    fluent: GroundFluent
+    action: Union[GroundAction, Pat]
+    fluent: Union[GroundFluent, str]
     guard: tuple[str, ...] = ()
 
     def render(self) -> str:
         parts = list(self.guard) + [f"holds({self.fluent}, s)"]
         return " & ".join(parts) + f" -> holds({self.fluent}, do({self.action}, s))"
-
-
-@dataclass(frozen=True)
-class SchematicFrameAxiom:
-    """A frame axiom schema over variables, one per (fluent rule, action rule)."""
-
-    fluent_head: str
-    action_head: str
-    conditions: tuple[str, ...]  # disjointness conditions, then rule guards
-
-    def render(self) -> str:
-        parts = list(self.conditions) + [f"holds({self.fluent_head}, s)"]
-        return (" & ".join(parts)
-                + f" -> holds({self.fluent_head}, do({self.action_head}, s))")
 
 
 @dataclass(frozen=True)
@@ -126,7 +116,7 @@ class FrameDerivation:
     built on first read; the other fields are derived at once."""
 
     domain: Domain = field(repr=False, compare=False)
-    schematic: tuple[SchematicFrameAxiom, ...]
+    schematic: tuple[FrameAxiom, ...]
     economy: tuple[EconomyReport, ...]
     notes: tuple[str, ...] = ()
 
@@ -368,7 +358,7 @@ def derive_frame_axioms(domain: Domain) -> FrameDerivation:
                            economy=frame_economy(domain), notes=tuple(notes))
 
 
-def _schematic_axioms(domain: Domain) -> tuple[list[SchematicFrameAxiom], list[str]]:
+def _schematic_axioms(domain: Domain) -> tuple[list[FrameAxiom], list[str]]:
     notes: list[str] = []
     spec = domain.disjointness
     if not isinstance(spec, (SeqExistsDiff, SimpleInequality)):
@@ -390,13 +380,11 @@ def _schematic_axioms(domain: Domain) -> tuple[list[SchematicFrameAxiom], list[s
                                            ar.template, spec, set_vars)
             if condition is None:
                 continue  # the two aspects can never be disjoint
-            conds = list(condition)
-            conds += [_render_guard_atom(g, mapping) for g in fr.guard]
-            conds += [str(g) for g in ar.guard]
-            axioms.append(SchematicFrameAxiom(
-                fluent_head=_render_guard_atom(GuardLiteral(fr.target), mapping),
-                action_head=str(ar.target),
-                conditions=tuple(conds)))
+            axioms.append(FrameAxiom(
+                action=ar.target,
+                fluent=_render_guard_atom(GuardLiteral(fr.target), mapping),
+                guard=(*condition, *(_render_guard_atom(g, mapping) for g in fr.guard),
+                       *map(str, ar.guard))))
     return axioms, notes
 
 
@@ -927,7 +915,9 @@ def regress_query(domain: Domain, states: Sequence[WorldState],
     reads the effects that progression stored. Returns (True|False|None,
     ProofTrace). A step either persists by one d-evaluation, resolves through
     an effect rule, persists by an explicitly declared frame axiom, or leaves
-    the query undefined.
+    the query undefined. A step where p's or a's aspect does not resolve
+    records the failed lookup and establishes no d, so only the latter three
+    apply.
     """
     check_ground_fluent(domain, p)
     steps: list[TraceStep] = []
@@ -935,14 +925,18 @@ def regress_query(domain: Domain, states: Sequence[WorldState],
     while i > 0:
         a = acts[i - 1]
         pre = states[i - 1]
-        alpha = aspect_of_fluent(domain, pre, p)
-        beta = aspect_of_action(domain, pre, a)
-        disjoint = d_eval(domain.disjointness, alpha, beta)
-        steps.append(TraceStep(
-            D_EVALUATION, f"d({alpha},{beta}) = {disjoint} for {p} vs {a}"))
-        if disjoint:
-            i -= 1
-            continue
+        try:
+            alpha = aspect_of_fluent(domain, pre, p)
+            beta = aspect_of_action(domain, pre, a)
+        except (MissingAspectError, AmbiguousAspectError) as exc:
+            steps.append(TraceStep(ASPECT_LOOKUP, str(exc)))
+        else:
+            disjoint = d_eval(domain.disjointness, alpha, beta)
+            steps.append(TraceStep(
+                D_EVALUATION, f"d({alpha},{beta}) = {disjoint} for {p} vs {a}"))
+            if disjoint:
+                i -= 1
+                continue
         resolved = dict(_step(domain, pre, a)[0]).get(p)
         if resolved is not None:
             steps.append(TraceStep(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .domain import (Domain, EffectRule, check_ground_fluent, ground_fluents,
-                     match_args, solve_guard)
+                     guard_text, match_args, solve_guard)
 from .errors import CrossModeSoundnessError, SchemaError
 from .frames import (
     EFFECT_APPLICATION,
@@ -61,10 +61,7 @@ def compile_ssa(domain: Domain) -> SSASet:
 
 def _entry_text(rule: EffectRule) -> str:
     """An axiom entry as traces show it: `action -> fluent if guard`."""
-    s = f"{rule.action} -> {rule.fluent}"
-    if rule.guard:
-        s += " if " + " & ".join(str(g) for g in rule.guard)
-    return s
+    return f"{rule.action} -> {rule.fluent}{guard_text(rule.guard)}"
 
 
 def _entry_fires(domain: Domain, state: WorldState, rule: EffectRule,

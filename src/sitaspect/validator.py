@@ -128,17 +128,15 @@ def check_premises(model: FiniteModel, formalism: str) -> PremiseReport:
         raise ModelError(f"unknown formalism '{formalism}'")
     model.validate()
     _shape_check(model, formalism)
-    checks: list[PremiseCheck] = []
+    checks = _stability(model, formalism)
     notes: list[str] = []
     if is_collective(formalism):
-        checks += _collective_stability(model, formalism)
         checks += _collective_factorization(model, formalism)
         notes.append(
             "collective d(alpha,beta) is validated under the empty-intersection "
             "reading; a nonempty-intersection reading would contradict "
             "element stability and is not used")
     else:
-        checks += _stability(model, formalism)
         checks += _factorization(model, formalism)
     if is_sequential(formalism):
         notes.append("relations over aspect sequences are expanded by "
@@ -154,47 +152,30 @@ def check_premises(model: FiniteModel, formalism: str) -> PremiseReport:
 
 
 def _stability(model: FiniteModel, formalism: str) -> list[PremiseCheck]:
-    checks = []
-    for act in sorted(model.action_maps):
-        beta = model.action_aspects.get(act)
-        if beta is None:
-            raise ModelError(f"action '{act}' has no aspect assignment")
-        avec = model.act_vec(act)
-        for alpha, beta2 in sorted(model.d_table, key=str):
-            if beta2 != beta:
-                continue
-            bad = _changed(_path_rows(model, alpha, formalism), avec)
-            checks.append(_stability_check(model, f"R{alpha} under {act}", bad))
-    return checks
-
-
-def _collective_stability(model: FiniteModel, formalism: str) -> list[PremiseCheck]:
-    checks = []
-    elements = sorted(model.collective_rels)
-    if not elements:
+    """Each action keeps the rows of every relation its aspect is declared
+    independent of: under a collective formalism, the element relations
+    outside the aspect; otherwise, the path relations that d pairs with it."""
+    collective = is_collective(formalism)
+    if collective and not model.collective_rels:
         raise ModelError("collective formalisms need per-element relations")
+    checks = []
     for act in sorted(model.action_maps):
         beta = model.action_aspects.get(act)
         if beta is None:
             raise ModelError(f"action '{act}' has no aspect assignment")
-        beta_elems = {a.name for a in beta[0].atoms}
         avec = model.act_vec(act)
-        for x in elements:
-            if x not in beta_elems:
-                bad = _changed(_element_rows(model, x, formalism), avec)
-                checks.append(_stability_check(model, f"R_{x} under {act}", bad))
+        if collective:
+            inside = {a.name for a in beta[0].atoms}
+            rels = ((f"R_{x}", _element_rows(model, x, formalism))
+                    for x in sorted(model.collective_rels) if x not in inside)
+        else:
+            rels = ((f"R{alpha}", _path_rows(model, alpha, formalism))
+                    for alpha, beta2 in sorted(model.d_table, key=str) if beta2 == beta)
+        for name, rows in rels:
+            bad = next((s for s, row in enumerate(rows) if row != rows[avec[s]]), None)
+            note = "" if bad is None else f"changes at situation {model.situations[bad]}"
+            checks.append(PremiseCheck(STABILITY, f"{name} under {act}", bad is None, note))
     return checks
-
-
-def _changed(rows: list[int], avec: list[int]) -> list[int]:
-    return [s for s in range(len(rows)) if rows[s] != rows[avec[s]]]
-
-
-def _stability_check(model: FiniteModel, subject: str, bad: list[int]) -> PremiseCheck:
-    if bad:
-        return PremiseCheck(STABILITY, subject, False,
-                            f"changes at situation {model.situations[bad[0]]}")
-    return PremiseCheck(STABILITY, subject, True)
 
 
 def _path_rows(model: FiniteModel, path: AspectPath, formalism: str) -> list[int]:

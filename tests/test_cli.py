@@ -210,6 +210,50 @@ def test_check_unsound_domain_exit_two(tmp_path, capsys):
     assert "disjoint" in out
 
 
+@pytest.mark.parametrize("report", ["text", "json"])
+def test_check_renders_a_monotonicity_suffix_as_a_path(tmp_path, capsys, report):
+    domain = tmp_path / "mono.dom"
+    domain.write_text("domain mono\nfluent p()\naction go()\naspect p() (b)\n"
+                      "aspect go() (a, b)\neffect go() add p()\n"
+                      "disjoint by commutative(a b)\n", encoding="utf-8")
+    code, out, _ = run(capsys, "check", str(domain), "--report", report)
+    assert code == 2
+    violations = (out.splitlines()[4:7] if report == "text" else
+                  json.loads(out)["report"]["monotonicity"]["violations"])
+    assert [v.strip() for v in violations] == [
+        f"extend-fluent-path: d((b),(a,b)) holds but fails after extending with {suffix}"
+        for suffix in ("(a)", "(a,b)", "(b,a)")]
+
+
+def _economy_under(tmp_path, spec: str) -> str:
+    domain = tmp_path / "economy.dom"
+    domain.write_text((FIXTURES / "economy.dom").read_text(encoding="utf-8").replace(
+        "disjoint by seq-diff", f"disjoint by {spec}"), encoding="utf-8")
+    return str(domain)
+
+
+@pytest.mark.parametrize("spec", ["simple", "table (alpha)(beta)"])
+def test_check_says_monotonicity_does_not_apply_to_a_kind(tmp_path, capsys, spec):
+    domain = _economy_under(tmp_path, spec)
+    code, out, _ = run(capsys, "check", domain)
+    assert code == 0
+    assert "monotonicity: not applicable to this disjointness kind" in out.splitlines()
+    code, out, _ = run(capsys, "check", domain, "--report", "json")
+    assert code == 0
+    assert json.loads(out)["report"]["monotonicity"] == {
+        "checked": 0, "violations": [], "note": "not applicable to this disjointness kind"}
+
+
+@pytest.mark.parametrize("spec", ["commutative(all)", "table (alpha)(beta)"])
+def test_frames_derives_schematic_axioms_for_element_difference_only(tmp_path, capsys, spec):
+    code, out, _ = run(capsys, "frames", _economy_under(tmp_path, spec))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1:4] == ["schematic:", "  (none)", "ground: 35 axioms"]
+    assert lines[-1] == ("note: schematic axioms are derived for element-difference "
+                         "specifications only; ground listing still applies")
+
+
 def test_domain_error_exit_one(tmp_path, capsys):
     bad = tmp_path / "bad.dom"
     bad.write_text("domain bad\nfluent p()\n", encoding="utf-8")
@@ -383,6 +427,43 @@ def test_query_in_aspect_mode_takes_an_intersecting_step_once(capsys, monkeypatc
     assert code == 0
     assert "[effect-application] move(a,b) sets on(a,b) to True" in out
     assert calls == ["move(a,b)"]
+
+
+# go()'s aspect resolves only while p() holds, and no init below makes it hold.
+TWO_ACTIONS = ("domain two\nfluent p()\nfluent q()\naction go()\naction stay()\n"
+               "aspect p() (a)\naspect q() (b)\naspect go() (a) if p()\naspect stay() (c)\n"
+               "effect go() del p()\neffect stay() add q()\n")
+
+
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_compare_random_passes_a_step_whose_aspect_does_not_resolve(tmp_path, capsys, seed):
+    domain = tmp_path / "two.dom"
+    domain.write_text(TWO_ACTIONS, encoding="utf-8")
+    code, out, err = run(capsys, "compare", str(domain), "--random", "20", "--init", "q()",
+                         "--seed", seed)
+    assert (code, err) == (0, "")
+    assert "queries: 20 (20 comparable), all agree: True" in out
+
+
+@pytest.mark.parametrize("acts, fluent, expected", [
+    ("go(); stay()", "p()",
+     ["p() after [go(); stay()] = false (aspect mode)",
+      "  [d-evaluation] d((a),(c)) = True for p() vs stay()",
+      "  [aspect-lookup] no aspect rule applies to go() in this state",
+      "  [effect-application] go() sets p() to False"]),
+    ("go()", "q()",
+     ["q() after [go()] = undefined (aspect mode)",
+      "  [aspect-lookup] no aspect rule applies to go() in this state",
+      "  [no-axiom] q() intersects go() and no axiom resolves it"]),
+], ids=["effect", "no-axiom"])
+def test_query_records_an_aspect_lookup_that_fails_and_falls_through(
+        tmp_path, capsys, acts, fluent, expected):
+    domain = tmp_path / "two.dom"
+    domain.write_text(TWO_ACTIONS, encoding="utf-8")
+    code, out, err = run(capsys, "query", str(domain), "--mode", "aspect", "--init", "q()",
+                         "--acts", acts, "--fluent", fluent)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == expected
 
 
 def test_compare_rejects_a_random_count_below_one(capsys):

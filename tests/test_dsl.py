@@ -162,6 +162,16 @@ def test_roundtrip_fixpoint(name):
     assert unparse_domain(second) == text1
 
 
+@pytest.mark.parametrize("spec", [
+    "simple", "commutative(all)", "commutative(a b)", "table (a)(b), ({a,b})(c)"])
+def test_roundtrip_fixpoint_of_each_disjointness_kind(spec):
+    text = ("domain d\nfluent p()\naction act()\naspect p() (a)\naspect act() (b)\n"
+            f"disjoint by {spec}\n")
+    first = parse_domain(text)
+    assert unparse_domain(first).endswith(f"disjoint by {spec}\n")
+    assert parse_domain(unparse_domain(first)) == first
+
+
 def test_ground_fluent_parsing(blocks, display):
     assert parse_ground_fluent("on(a, floor)", blocks) == fluent("on", "a", "floor")
     assert parse_ground_fluent("pixel_lit(p2)", display) == fluent("pixel_lit", "p2")
@@ -407,6 +417,19 @@ def test_state_giving_a_fluent_both_ways_is_rejected(blocks, text, at):
 ])
 def test_state_and_action_spans_are_placed_in_the_text(blocks, parse, text, expected):
     assert _rendered(parse, text, blocks) == [expected]
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("on(a,b); clear(a)", ["<fluent>:1:8: error: trailing input ';'"]),
+    ("on(a,b)\nclear(a)",
+     ["<fluent>:1:1: error: expected a single ground atom, got 'on(a,b)\\nclear(a)'"]),
+    ("", ["<fluent>:1:1: error: expected a single ground atom, got ''"]),
+    ("  # c", ["<fluent>:1:1: error: expected a single ground atom, got '  # c'"]),
+    ("!on(a,b)", ["<fluent>:1:1: error: expected schema name, found '!'"]),
+    ("on(a,b) # c", []),
+])
+def test_ground_fluent_diagnostics_are_pinned(blocks, text, expected):
+    assert _rendered(parse_ground_fluent, text, blocks) == expected
 
 
 @pytest.mark.parametrize("text, true, false", [

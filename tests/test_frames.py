@@ -157,6 +157,23 @@ def test_blocks_schematic_axioms_shapes(blocks):
     assert not result.errors
 
 
+def test_schematic_conditions_read_set_valued_variables_as_sets():
+    text = ("domain grid\n"
+            "objects cell: c1, c2\n"
+            "fluent group_on(set of cell)\n"
+            "action flip(set of cell)\n"
+            "action poke(cell)\n"
+            "aspect group_on(W) (computer, W)\n"
+            "aspect flip(T) (computer, T)\n"
+            "aspect poke(y) (computer, {y})\n"
+            "disjoint by seq-diff\n")
+    rendered = [ax.render() for ax in derive_frame_axioms(parse_domain(text)).schematic]
+    assert rendered == [
+        "disjoint(w,T) & holds(group_on(w), s) -> holds(group_on(w), do(flip(T), s))",
+        "y not in w & holds(group_on(w), s) -> holds(group_on(w), do(poke(y), s))",
+    ]
+
+
 def test_economy_domain_counts(economy):
     result = derive_frame_axioms(economy)
     assert len(result.economy) == 1
