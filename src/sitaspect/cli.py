@@ -16,7 +16,8 @@ from pathlib import Path
 
 from . import __version__
 from .disjoint import CommutativeCanonical, SeqExistsDiff, check_monotonicity
-from .dsl import parse_actions, parse_domain, parse_ground_fluent, parse_model, parse_state
+from .dsl import (_NAME_RE, parse_actions, parse_domain, parse_ground_fluent, parse_model,
+                  parse_state)
 from .domain import Domain
 from .errors import CrossModeSoundnessError, DslError, SchemaError, SitAspectError
 from .frames import (
@@ -101,14 +102,16 @@ def _emit(args, command: str, report: dict, text_lines: list[str],
 def _with_universe(domain: Domain, text: str) -> Domain:
     """The domain with the sorts a `--universe` value ('sort: a, b; sort2: c')
     lists replaced; as in an `objects` line, each sort must be declared and
-    given once, with at least one object and no object twice."""
+    given once, with at least one object, each a name, and no object twice."""
     given: dict[str, tuple[str, ...]] = {}
     for chunk in filter(None, (c.strip() for c in text.split(";"))):
         sort, _, names = (s.strip() for s in chunk.partition(":"))
-        objs = tuple(n.strip() for n in names.split(",") if n.strip())
+        objs = tuple(n.strip() for n in names.split(",")) if names else ()
+        bad = [n for n in objs if not _NAME_RE.fullmatch(n)]
         problem = (f"unknown sort '{sort}' in domain '{domain.name}'" if sort not in domain.sorts
                    else f"sort '{sort}' is given twice" if sort in given
                    else f"sort '{sort}' lists no objects" if not objs
+                   else f"'{bad[0]}' in sort '{sort}' is not an object name" if bad
                    else f"sort '{sort}' repeats an object" if len(set(objs)) < len(objs)
                    else None)
         if problem:

@@ -56,13 +56,9 @@ class SortRef:
 
 
 @dataclass(frozen=True)
-class FluentSchema:
-    name: str
-    params: tuple[SortRef, ...] = ()
+class Schema:
+    """A fluent or action schema: its name and parameter sorts."""
 
-
-@dataclass(frozen=True)
-class ActionSchema:
     name: str
     params: tuple[SortRef, ...] = ()
 
@@ -177,8 +173,8 @@ class StaticAspects:
 class Domain:
     name: str
     sorts: dict[str, tuple[str, ...]]
-    fluents: dict[str, FluentSchema]
-    actions: dict[str, ActionSchema]
+    fluents: dict[str, Schema]
+    actions: dict[str, Schema]
     aspect_rules: tuple[AspectRule, ...]
     effects: tuple[EffectRule, ...]
     preconditions: tuple[Precondition, ...] = ()
@@ -424,7 +420,7 @@ def _render_guard_atom(atom: GuardAtom, env: dict) -> str:
     return ("" if atom.positive else "!") + f"{atom.fluent.schema}({args})"
 
 
-def _guard_schema(domain: Domain, lit_pat: Pat) -> FluentSchema:
+def _guard_schema(domain: Domain, lit_pat: Pat) -> Schema:
     schema = domain.fluents.get(lit_pat.schema)
     if schema is None:
         raise SchemaError(f"guard refers to unknown fluent '{lit_pat.schema}'")
@@ -594,7 +590,7 @@ def initial_state(domain: Domain, true_fluents: Iterable[GroundFluent],
     """
     truths = set(true_fluents)
     for f in truths:
-        check_ground_fluent(domain, f)
+        check_ground(domain, f)
     prefixes = [tuple(p) for p in only] if only is not None else None
     placements: dict[tuple, dict[GroundFluent, bool]] = {(): {}}
     for f in ground_fluents(domain):
@@ -605,38 +601,29 @@ def initial_state(domain: Domain, true_fluents: Iterable[GroundFluent],
     return build_state(placements, schemas=frozenset(domain.fluents))
 
 
-def check_ground_fluent(domain: Domain, f: GroundFluent) -> None:
-    schema = domain.fluents.get(f.schema)
+def check_ground(domain: Domain, atom: Union[GroundFluent, GroundAction]) -> None:
+    """Raise SchemaError unless `atom` is a well-sorted instance of its
+    schema, looked up among the fluents or the actions by the atom's type."""
+    kind = "fluent" if isinstance(atom, GroundFluent) else "action"
+    schema = (domain.fluents if kind == "fluent" else domain.actions).get(atom.schema)
     if schema is None:
-        raise SchemaError(f"unknown fluent schema '{f.schema}'")
-    _check_args(domain, schema.params, f.args, str(f))
-
-
-def check_ground_action(domain: Domain, a) -> None:
-    schema = domain.actions.get(a.schema)
-    if schema is None:
-        raise SchemaError(f"unknown action schema '{a.schema}'")
-    _check_args(domain, schema.params, a.args, str(a))
-
-
-def _check_args(domain: Domain, params: tuple[SortRef, ...],
-                args: tuple[GroundTerm, ...], what: str) -> None:
-    if len(params) != len(args):
-        raise SchemaError(f"{what}: expected {len(params)} args, got {len(args)}")
-    for ref, arg in zip(params, args):
+        raise SchemaError(f"unknown {kind} schema '{atom.schema}'")
+    if len(schema.params) != len(atom.args):
+        raise SchemaError(f"{atom}: expected {len(schema.params)} args, got {len(atom.args)}")
+    for ref, arg in zip(schema.params, atom.args):
         objs = domain.objects(ref.name)
         if ref.is_set:
             if not isinstance(arg, frozenset) or not arg:
-                raise SchemaError(f"{what}: parameter of sort 'set of {ref.name}' "
+                raise SchemaError(f"{atom}: parameter of sort 'set of {ref.name}' "
                                   f"needs a nonempty set, got {arg!r}")
             bad = [m for m in arg if m not in objs]
         else:
             if isinstance(arg, frozenset):
-                raise SchemaError(f"{what}: parameter of sort '{ref.name}' "
+                raise SchemaError(f"{atom}: parameter of sort '{ref.name}' "
                                   f"got a set argument")
             bad = [] if arg in objs else [arg]
         if bad:
-            raise SchemaError(f"{what}: {bad[0]!r} is not an object of sort '{ref.name}'")
+            raise SchemaError(f"{atom}: {bad[0]!r} is not an object of sort '{ref.name}'")
 
 
 def check_rule_exclusivity(domain: Domain) -> list[str]:

@@ -33,22 +33,20 @@ from .disjoint import (
     SimpleInequality,
 )
 from .domain import (
-    ActionSchema,
     AspectRule,
     Domain,
     EffectRule,
-    FluentSchema,
     FrameDecl,
     GuardLiteral,
     MemberGuard,
     Pat,
     Precondition,
+    Schema,
     SetTemplate,
     SortRef,
     Var,
     _template_members,
-    check_ground_action,
-    check_ground_fluent,
+    check_ground,
     check_rule_exclusivity,
     initial_state,
 )
@@ -63,7 +61,6 @@ class SourceSpan:
     file: str
     line: int
     column: int
-    length: int
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.column}"
@@ -133,8 +130,8 @@ class _Cursor:
     def span(self, tok: Optional[_Token] = None) -> SourceSpan:
         if tok is None:
             col = self.tokens[-1].column + len(self.tokens[-1].text) if self.tokens else 1
-            return SourceSpan(self.file, self.line, col, 1)
-        return SourceSpan(self.file, self.line, tok.column, len(tok.text))
+            return SourceSpan(self.file, self.line, col)
+        return SourceSpan(self.file, self.line, tok.column)
 
     def fail(self, message: str, hint: str = "", at: Optional[_Token] = None):
         if at is None and not self.at_end():
@@ -158,22 +155,33 @@ def _tokenize_lines(text: str):
 
 
 def _parse_lines(text: str, file: str, kind: str, b, parse_line) -> None:
-    """Run `parse_line(b, cursor)` on each nonblank line of a domain or model
-    file; a failed line adds its diagnostic to `b.diags` and parsing goes on."""
+    """Read the `KIND NAME` header of a domain or model file into `b.name`
+    and run `parse_line(b, cursor, keyword token)` on each other nonblank
+    line; a failed line adds its diagnostic to `b.diags` and parsing goes on."""
     lines = list(_tokenize_lines(text))
     if not lines:
         raise DslError([ParseDiagnostic(
-            "error", SourceSpan(file, 1, 1, 1), f"empty {kind} file",
+            "error", SourceSpan(file, 1, 1), f"empty {kind} file",
             f"a {kind} file starts with '{kind} NAME'")])
     for lineno, tokens in lines:
+        cur = _Cursor(tokens, file, lineno, b.diags)
         try:
-            parse_line(b, _Cursor(tokens, file, lineno, b.diags))
+            head = cur.name("declaration keyword")
+            if head.text == kind:
+                if b.name is not None:
+                    cur.fail(f"duplicate '{kind}' header", at=head)
+                b.name = cur.name(f"{kind} name").text
+                cur.finish()
+            elif b.name is None:
+                cur.fail(f"the first declaration must be '{kind} NAME'", at=head)
+            else:
+                parse_line(b, cur, head)
         except _LineAbort:
             pass
 
 
 def _file_error(b, message: str, hint: str = "") -> None:
-    b.diags.append(ParseDiagnostic("error", SourceSpan(b.file, 1, 1, 1), message, hint))
+    b.diags.append(ParseDiagnostic("error", SourceSpan(b.file, 1, 1), message, hint))
 
 
 def _word(cur: _Cursor, what: str) -> str:
@@ -224,8 +232,8 @@ class _DomainBuilder:
         self.diags: list[ParseDiagnostic] = []
         self.name: Optional[str] = None
         self.sorts: dict[str, tuple[str, ...]] = {}
-        self.fluents: dict[str, FluentSchema] = {}
-        self.actions: dict[str, ActionSchema] = {}
+        self.fluents: dict[str, Schema] = {}
+        self.actions: dict[str, Schema] = {}
         self.aspect_rules: list[AspectRule] = []
         # (kind, schema) of every aspect line whose head parsed, so a line
         # that fails later in its template or guard still covers its schema.
@@ -249,16 +257,8 @@ def parse_domain(text: str, file: str = "<domain>") -> Domain:
     return domain
 
 
-def _parse_domain_line(b: _DomainBuilder, cur: _Cursor) -> None:
-    head = cur.name("declaration keyword")
-    if b.name is None and head.text != "domain":
-        cur.fail("the first declaration must be 'domain NAME'", at=head)
-    if head.text == "domain":
-        if b.name is not None:
-            cur.fail("duplicate 'domain' header", at=head)
-        b.name = cur.name("domain name").text
-        cur.finish()
-    elif head.text == "objects":
+def _parse_domain_line(b: _DomainBuilder, cur: _Cursor, head: _Token) -> None:
+    if head.text == "objects":
         sort = cur.name("sort name").text
         cur.expect(":")
         names = _commas(cur, _word, "object name")
@@ -272,14 +272,10 @@ def _parse_domain_line(b: _DomainBuilder, cur: _Cursor) -> None:
         name_tok = cur.name("schema name")
         params = tuple(_parens(cur, _parse_param, b))
         cur.finish()
-        table = b.fluents if head.text == "fluent" else b.actions
-        other = b.actions if head.text == "fluent" else b.fluents
-        if name_tok.text in table or name_tok.text in other:
+        if name_tok.text in b.fluents or name_tok.text in b.actions:
             cur.fail(f"schema '{name_tok.text}' is declared twice", at=name_tok)
-        if head.text == "fluent":
-            table[name_tok.text] = FluentSchema(name_tok.text, params)
-        else:
-            table[name_tok.text] = ActionSchema(name_tok.text, params)
+        table = b.fluents if head.text == "fluent" else b.actions
+        table[name_tok.text] = Schema(name_tok.text, params)
     elif head.text == "home":
         f_tok = cur.name("fluent name")
         if f_tok.text not in b.fluents:
@@ -601,7 +597,7 @@ def _ground_atom(cur: _Cursor, domain: Domain, cls):
     except _LineAbort:
         raise DslError(cur.sink) from None
     atom = cls(name, args)
-    (check_ground_fluent if cls is GroundFluent else check_ground_action)(domain, atom)
+    check_ground(domain, atom)
     return atom
 
 
@@ -610,7 +606,7 @@ def parse_ground_fluent(text: str, domain: Domain, file: str = "<fluent>") -> Gr
     lines = list(_tokenize_lines(text))
     if len(lines) != 1:
         raise DslError([ParseDiagnostic(
-            "error", SourceSpan(file, 1, 1, 1),
+            "error", SourceSpan(file, 1, 1),
             f"expected a single ground atom, got {text!r}")])
     (lineno, tokens), = lines
     return _ground_atom(_Cursor(tokens, file, lineno, []), domain, GroundFluent)
@@ -666,9 +662,6 @@ class _ModelBuilder:
 def parse_model(text: str, file: str = "<model>") -> FiniteModel:
     b = _ModelBuilder(file)
     _parse_lines(text, file, "model", b, _parse_model_line)
-    _finish_model(b)
-    if b.diags:
-        raise DslError(b.diags)
     model = FiniteModel(
         name=b.name or "", situations=tuple(b.situations),
         aspect_rels={k: frozenset(v) for k, v in b.aspect_rels.items()},
@@ -680,25 +673,27 @@ def parse_model(text: str, file: str = "<model>") -> FiniteModel:
         collective_rels={k: frozenset(v) for k, v in b.collective_rels.items()},
         collective_witnesses=b.collective_witnesses,
         d_table=frozenset(b.d_table))
+    if b.name is not None and not b.situations:
+        _file_error(b, "a model needs at least one situation")
+    elif b.name is not None:
+        for message, hint in model.faults():
+            _file_error(b, message, hint)
+        for name in b.action_aspects:
+            if name not in b.action_maps:
+                _file_error(b, f"action '{name}' has an aspect but no action map",
+                            "add 'act NAME s -> t' lines")
+    if b.diags:
+        raise DslError(b.diags)
     return model.with_derived_dtable() if not model.d_table else model
 
 
-def _parse_model_line(b: _ModelBuilder, cur: _Cursor) -> None:
-    head = cur.name("declaration keyword")
-    if b.name is None and head.text != "model":
-        cur.fail("the first declaration must be 'model NAME'", at=head)
-
+def _parse_model_line(b: _ModelBuilder, cur: _Cursor, head: _Token) -> None:
     def known_situation(tok: _Token) -> str:
         if tok.text not in b.situations:
             cur.fail(f"unknown situation '{tok.text}'", at=tok)
         return tok.text
 
-    if head.text == "model":
-        if b.name is not None:
-            cur.fail("duplicate 'model' header", at=head)
-        b.name = cur.name("model name").text
-        cur.finish()
-    elif head.text in ("situation", "situations"):
+    if head.text in ("situation", "situations"):
         while not cur.at_end():
             tok = cur.name("situation name")
             if tok.text in b.situations:
@@ -777,28 +772,3 @@ def _parse_model_line(b: _ModelBuilder, cur: _Cursor) -> None:
         cur.fail(f"unknown declaration '{head.text}'",
                  "expected one of: model, situations, rel, crel, functional, "
                  "atoms, act, val, aspect, witness, cwitness, dpair", at=head)
-
-
-def _finish_model(b: _ModelBuilder) -> None:
-    if b.name is None:
-        return
-    if not b.situations:
-        _file_error(b, "a model needs at least one situation")
-        return
-    for act, mapping in b.action_maps.items():
-        missing = [s for s in b.situations if s not in mapping]
-        if missing:
-            _file_error(b, f"action '{act}' is not total: no successor for "
-                           f"{', '.join(missing)}", "add 'act NAME s -> t' lines")
-    for atom in sorted(b.functional):
-        rel = b.aspect_rels.get(atom, set())
-        for s in b.situations:
-            succ = [t for (u, t) in rel if u == s]
-            if len(succ) != 1:
-                _file_error(b, f"relation '{atom}' is flagged functional but "
-                               f"situation '{s}' has {len(succ)} successors")
-                break
-    for name in b.action_aspects:
-        if name not in b.action_maps:
-            _file_error(b, f"action '{name}' has an aspect but no action map",
-                        "add 'act NAME s -> t' lines")

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Union
 
+from .disjoint import elem_disjoint
 from .errors import ModelError
 from .terms import AspectAtom, AspectPath, AspectSet
 
@@ -32,6 +33,8 @@ class FiniteModel:
     d_table: frozenset[tuple[AspectPath, AspectPath]] = frozenset()
 
     def validate(self) -> None:
+        """Raise ModelError on no situations, a repeated or an unknown
+        situation, and then on the first of `faults()`."""
         if not self.situations:
             raise ModelError(f"model '{self.name}' has no situations")
         if len(set(self.situations)) != len(self.situations):
@@ -41,28 +44,32 @@ class FiniteModel:
             for s, t in rel:
                 if s not in sits or t not in sits:
                     raise ModelError(f"relation '{atom}' touches unknown situation")
-        for atom in self.functional:
-            rel = self.aspect_rels.get(atom, frozenset())
-            for s in self.situations:
-                succ = [t for (u, t) in rel if u == s]
-                if len(succ) > 1:
-                    raise ModelError(
-                        f"relation '{atom}' is flagged functional but {s} has "
-                        f"{len(succ)} successors")
-                if not succ:
-                    raise ModelError(
-                        f"relation '{atom}' is flagged functional but {s} has "
-                        f"no successor")
         for act, mapping in self.action_maps.items():
-            for s in self.situations:
-                if s not in mapping:
-                    raise ModelError(f"action '{act}' is not total: {s} unmapped")
             for s, t in mapping.items():
                 if s not in sits or t not in sits:
                     raise ModelError(f"action '{act}' maps unknown situations")
         for f, val in self.valuations.items():
             if not val <= sits:
                 raise ModelError(f"valuation of '{f}' lists unknown situations")
+        for message, _ in self.faults():
+            raise ModelError(message)
+
+    def faults(self):
+        """(message, hint) for each action map that is not total, then for each
+        flagged relation at its first situation without exactly one successor."""
+        for act, mapping in self.action_maps.items():
+            missing = [s for s in self.situations if s not in mapping]
+            if missing:
+                yield (f"action '{act}' is not total: no successor for "
+                       f"{', '.join(missing)}", "add 'act NAME s -> t' lines")
+        for atom in sorted(self.functional):
+            rel = self.aspect_rels.get(atom, frozenset())
+            for s in self.situations:
+                succ = [t for (u, t) in rel if u == s]
+                if len(succ) != 1:
+                    yield (f"relation '{atom}' is flagged functional but "
+                           f"situation '{s}' has {len(succ)} successors", "")
+                    break
 
     # -- bitmask views -------------------------------------------------
 
@@ -125,9 +132,7 @@ def _set_paths_disjoint(alpha: AspectPath, beta: AspectPath) -> bool:
     if len(alpha) != 1 or len(beta) != 1:
         return False
     ea, eb = alpha[0], beta[0]
-    if not isinstance(ea, AspectSet) or not isinstance(eb, AspectSet):
-        return False
-    return not (ea.atoms & eb.atoms)
+    return isinstance(ea, AspectSet) and isinstance(eb, AspectSet) and elem_disjoint(ea, eb)
 
 
 def _rows(situations: tuple[str, ...], rel: frozenset[tuple[str, str]]) -> list[int]:

@@ -35,8 +35,7 @@ from .domain import (
     _static_rows,
     _template_members,
     arg_candidates,
-    check_ground_action,
-    check_ground_fluent,
+    check_ground,
     ground_fluents,
     instantiate_pat,
     instantiate_template,
@@ -130,12 +129,12 @@ class FrameDerivation:
 
 
 def aspect_of_fluent(domain: Domain, state: WorldState, p: GroundFluent) -> AspectPath:
-    check_ground_fluent(domain, p)
+    check_ground(domain, p)
     return _aspect_of(domain, state, "fluent", p)
 
 
 def aspect_of_action(domain: Domain, state: WorldState, a: GroundAction) -> AspectPath:
-    check_ground_action(domain, a)
+    check_ground(domain, a)
     return _aspect_of(domain, state, "action", a)
 
 
@@ -193,14 +192,14 @@ def _step(domain: Domain, state: WorldState,
     hit = domain._steps.get((state, a))
     if hit is not None:
         return hit
-    check_ground_action(domain, a)
+    check_ground(domain, a)
     _check_applicable(domain, state, a)
     changes = _net_effects(domain, state, a)
     new_state = state
     for f, v in changes:
         if home_of(state, f) is None:
             try:
-                check_ground_fluent(domain, f)
+                check_ground(domain, f)
             except SchemaError as exc:  # an ill-sorted effect target
                 raise SchemaError(f"{a} affects {exc}") from exc
             raise UndefinedActionError(
@@ -919,7 +918,7 @@ def regress_query(domain: Domain, states: Sequence[WorldState],
     records the failed lookup and establishes no d, so only the latter three
     apply.
     """
-    check_ground_fluent(domain, p)
+    check_ground(domain, p)
     steps: list[TraceStep] = []
     i = len(acts)
     while i > 0:
@@ -947,8 +946,9 @@ def regress_query(domain: Domain, states: Sequence[WorldState],
                 AXIOM_INSTANTIATION, f"declared frame axiom for ({a}, {p})"))
             i -= 1
             continue
-        steps.append(TraceStep(
-            NO_AXIOM, f"{p} intersects {a} and no axiom resolves it"))
+        claim = (f"no d was established for {p} vs {a}" if steps[-1].kind == ASPECT_LOOKUP
+                 else f"{p} intersects {a}")
+        steps.append(TraceStep(NO_AXIOM, f"{claim} and no axiom resolves it"))
         return None, ProofTrace(tuple(steps))
     value = eval_fluent(states[0], p)
     steps.append(TraceStep(INIT_LOOKUP, f"{p} = {value} in the initial state"))

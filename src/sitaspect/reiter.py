@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .domain import (Domain, EffectRule, check_ground_fluent, ground_fluents,
+from .domain import (Domain, EffectRule, check_ground, ground_fluents,
                      guard_text, match_args, solve_guard)
 from .errors import CrossModeSoundnessError, SchemaError
 from .frames import (
@@ -85,7 +85,7 @@ def ssa_query(ssas: SSASet, states: Sequence[WorldState],
     equality check per negative entry of p's axiom.
     """
     domain = ssas.domain
-    check_ground_fluent(domain, p)
+    check_ground(domain, p)
     ssa = ssas.axioms[p.schema]
     steps: list[TraceStep] = []
     i = len(acts)

@@ -454,7 +454,7 @@ def test_compare_random_passes_a_step_whose_aspect_does_not_resolve(tmp_path, ca
     ("go()", "q()",
      ["q() after [go()] = undefined (aspect mode)",
       "  [aspect-lookup] no aspect rule applies to go() in this state",
-      "  [no-axiom] q() intersects go() and no axiom resolves it"]),
+      "  [no-axiom] no d was established for q() vs go() and no axiom resolves it"]),
 ], ids=["effect", "no-axiom"])
 def test_query_records_an_aspect_lookup_that_fails_and_falls_through(
         tmp_path, capsys, acts, fluent, expected):
@@ -584,6 +584,9 @@ def test_universe_override(capsys):
     ("pixl: p1", "unknown sort 'pixl' in domain 'display'"),
     ("pixel: p1; pixel: p2", "sort 'pixel' is given twice"),
     ("pixel:", "sort 'pixel' lists no objects"),
+    ("pixel: p1 p2", "'p1 p2' in sort 'pixel' is not an object name"),
+    ("pixel: p1,,p2", "'' in sort 'pixel' is not an object name"),
+    ("pixel: p(1)", "'p(1)' in sort 'pixel' is not an object name"),
 ])
 def test_universe_override_rejects_what_objects_lines_reject(capsys, universe, problem):
     code, out, err = run(capsys, "frames", str(FIXTURES / "display.dom"),

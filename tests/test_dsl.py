@@ -13,7 +13,8 @@ from sitaspect.dsl import (
     parse_state,
     unparse_domain,
 )
-from sitaspect.errors import DslError, MissingAspectError
+from sitaspect.errors import DslError, MissingAspectError, ModelError, SchemaError
+from sitaspect.finite import FiniteModel
 from sitaspect.frames import aspect_of_action
 from sitaspect.state import eval_fluent
 from sitaspect.terms import action, fluent, path
@@ -342,6 +343,25 @@ def test_ground_atom_diagnostics_are_pinned(text, expected):
     assert _rendered(parse_actions, text, domain) == expected
 
 
+@pytest.mark.parametrize("name, parse, text, expected", [
+    ("display", parse_actions, "light_pixels(p1)",
+     "light_pixels(p1): parameter of sort 'set of pixel' needs a nonempty set, got 'p1'"),
+    ("display", parse_actions, "light_pixels({p1,p9})",
+     "light_pixels({p1,p9}): 'p9' is not an object of sort 'pixel'"),
+    ("display", parse_actions, "open_window(p1)", "open_window(p1): expected 0 args, got 1"),
+    ("display", parse_actions, "nope()", "unknown action schema 'nope'"),
+    ("blocks", parse_actions, "move({a},b)",
+     "move({a},b): parameter of sort 'block' got a set argument"),
+    ("blocks", parse_ground_fluent, "on(a)", "on(a): expected 2 args, got 1"),
+    ("blocks", parse_ground_fluent, "on(a,zz)", "on(a,zz): 'zz' is not an object of sort 'place'"),
+    ("blocks", parse_ground_fluent, "move(a,b)", "unknown fluent schema 'move'"),
+])
+def test_ground_atom_schema_errors_are_pinned(request, name, parse, text, expected):
+    with pytest.raises(SchemaError) as exc:
+        parse(text, request.getfixturevalue(name))
+    assert str(exc.value) == expected
+
+
 @pytest.mark.parametrize("lines, expected", [
     ("witness f nope s0",
      [f"t.model:4:11: error: unknown formalism 'nope' (one of: {_FORMALISM_LIST})"]),
@@ -357,6 +377,12 @@ def test_ground_atom_diagnostics_are_pinned(text, expected):
      [f"t.model:4:11: error: unknown formalism 'nope' (one of: {_FORMALISM_LIST})"]),
     ("act go s0 -> s1\nact go s1 -> s0\nact go s0 -> s0",
      ["t.model:6:8: error: action 'go' maps 's0' twice"]),
+    ("aspect action go (a)",
+     ["t.model:1:1: error: action 'go' has an aspect but no action map "
+      "(add 'act NAME s -> t' lines)"]),
+    ("functional a",
+     ["t.model:1:1: error: relation 'a' is flagged functional but situation 's0' "
+      "has 0 successors"]),
 ])
 def test_model_diagnostics_are_pinned(lines, expected):
     assert _rendered(parse_model, _MODEL_BASE + lines + "\n", file="t.model") == expected
@@ -370,6 +396,39 @@ def test_model_diagnostics_are_pinned(lines, expected):
 ])
 def test_empty_file_diagnostics_are_pinned(parse, expected):
     assert _rendered(parse, "# only a comment\n", file="t") == [expected]
+
+
+@pytest.mark.parametrize("parse, text, expected", [
+    (parse_domain, "objects s: a\ndomain d\n",
+     ["t:1:1: error: the first declaration must be 'domain NAME'",
+      "t:1:1: error: empty domain: no fluent or action schemas declared"]),
+    (parse_domain, _DOMAIN_BASE.replace("\n", "\ndomain e\n", 1),
+     ["t:2:1: error: duplicate 'domain' header"]),
+    (parse_model, "situations s0\nmodel m\n",
+     ["t:1:1: error: the first declaration must be 'model NAME'",
+      "t:1:1: error: a model needs at least one situation"]),
+    (parse_model, _MODEL_BASE.replace("\n", "\nmodel n\n", 1),
+     ["t:2:1: error: duplicate 'model' header"]),
+    # Without situations the action maps are not checked.
+    (parse_model, "model m\naspect action go (a)\n",
+     ["t:1:1: error: a model needs at least one situation"]),
+])
+def test_header_diagnostics_are_pinned(parse, text, expected):
+    assert _rendered(parse, text, file="t") == expected
+
+
+@pytest.mark.parametrize("lines, fields", [
+    ("act go s0 -> s1", {"action_maps": {"go": {"s0": "s1"}}}),
+    ("functional a\nrel a s0 s0\nrel a s0 s1\nrel a s1 s1",
+     {"functional": frozenset({"a"}),
+      "aspect_rels": {"a": frozenset({("s0", "s0"), ("s0", "s1"), ("s1", "s1")})}}),
+], ids=["not-total", "functional"])
+def test_validate_raises_the_fault_that_the_reader_reports(lines, fields):
+    with pytest.raises(DslError) as parsed:
+        parse_model("model m\nsituations s0 s1\n" + lines + "\n")
+    with pytest.raises(ModelError) as built:
+        FiniteModel(name="m", situations=("s0", "s1"), **fields).validate()
+    assert [d.message for d in parsed.value.diagnostics] == [str(built.value)]
 
 
 # -- keys declared once --------------------------------------------------------

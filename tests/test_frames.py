@@ -8,12 +8,11 @@ from dataclasses import replace
 import pytest
 
 from sitaspect.domain import (
-    ActionSchema,
     AspectRule,
     Domain,
-    FluentSchema,
     GuardLiteral,
     Pat,
+    Schema,
     SortRef,
     Var,
     ground_actions,
@@ -101,8 +100,8 @@ def test_missing_aspect_errors_name_their_cause():
     x = Var("x")
     domain = Domain(
         name="hand", sorts={"obj": ("a", "b")},
-        fluents={"f": FluentSchema("f", obj), "g": FluentSchema("g", obj)},
-        actions={"go": ActionSchema("go", obj)},
+        fluents={"f": Schema("f", obj), "g": Schema("g", obj)},
+        actions={"go": Schema("go", obj)},
         aspect_rules=(AspectRule("fluent", Pat("f", ("a",)), (AspectAtom("a"),),
                                  (GuardLiteral(Pat("g", (x,))),)),
                       AspectRule("action", Pat("go", (x,)), (x,))),

@@ -23,10 +23,10 @@ from hypothesis import strategies as st  # noqa: E402
 
 from sitaspect.domain import (  # noqa: E402
     Domain,
-    FluentSchema,
     GuardLiteral,
     MemberGuard,
     Pat,
+    Schema,
     SortRef,
     Var,
     solve_guard,
@@ -60,10 +60,10 @@ def cases(draw):
     objects = st.lists(st.sampled_from(OBJECTS), min_size=1, unique=True)
     sorts = {"s": tuple(sorted(draw(objects))), "t": tuple(sorted(draw(objects)))}
     # g's set parameter gives `x in T` a set to bind T from.
-    fluents = {"g": FluentSchema("g", (REFS[2], REFS[1]))}
+    fluents = {"g": Schema("g", (REFS[2], REFS[1]))}
     for i in range(draw(st.integers(0, 2))):
         params = tuple(draw(st.lists(st.sampled_from(REFS), max_size=3)))
-        fluents[f"f{i}"] = FluentSchema(f"f{i}", params)
+        fluents[f"f{i}"] = Schema(f"f{i}", params)
     domain = Domain(name="generated", sorts=sorts, fluents=fluents, actions={},
                     aspect_rules=(), effects=())
 

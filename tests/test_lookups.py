@@ -22,8 +22,8 @@ import sitaspect.cli
 import sitaspect.domain
 from sitaspect.domain import (
     Domain,
-    FluentSchema,
     Pat,
+    Schema,
     SortRef,
     StaticAspects,
 )
@@ -283,9 +283,9 @@ def test_static_groundings_raise_as_the_dict_chain():
     x, y, T = Var("x"), Var("y"), Var("T")
     domain = Domain(
         name="hand", sorts={"s": ("a", "b")}, actions={}, aspect_rules=(), effects=(),
-        fluents={"f": FluentSchema("f", (SortRef("s"),)),
-                 "g": FluentSchema("g", (SortRef("s"), SortRef("s"))),
-                 "h": FluentSchema("h", (SortRef("nowhere"),))})
+        fluents={"f": Schema("f", (SortRef("s"),)),
+                 "g": Schema("g", (SortRef("s"), SortRef("s"))),
+                 "h": Schema("h", (SortRef("nowhere"),))})
     nothing = MemberGuard(x, Var("E"))  # E is the empty set: no grounding
     cases = {
         "unknown schema": (GuardLiteral(Pat("nope", (x,))),),

@@ -16,12 +16,11 @@ import random
 
 from sitaspect.disjoint import SeqExistsDiff, d_eval
 from sitaspect.domain import (
-    ActionSchema,
     AspectRule,
     Domain,
     EffectRule,
-    FluentSchema,
     Pat,
+    Schema,
     ground_fluents,
     initial_state,
 )
@@ -47,8 +46,8 @@ def _random_domain(rng: random.Random) -> Domain:
     every effect target's aspect atom is merged into the action's aspect set.
     """
     atoms = ["u", "v", "w"]
-    fluents = {f"p{i}": FluentSchema(f"p{i}") for i in range(4)}
-    actions = {f"a{i}": ActionSchema(f"a{i}") for i in range(3)}
+    fluents = {f"p{i}": Schema(f"p{i}") for i in range(4)}
+    actions = {f"a{i}": Schema(f"a{i}") for i in range(3)}
     fluent_aspect = {name: rng.choice(atoms) for name in fluents}
     rules = [AspectRule(kind="fluent", target=Pat(name),
                         template=(AspectAtom(fluent_aspect[name]),))
