@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__
-from .disjoint import CommutativeCanonical, SeqExistsDiff, check_monotonicity
+from .disjoint import (CommutativeCanonical, MonotonicityReport, SeqExistsDiff,
+                       check_monotonicity)
 from .dsl import (_NAME_RE, parse_actions, parse_domain, parse_ground_fluent, parse_model,
                   parse_state)
 from .domain import Domain
@@ -99,6 +100,12 @@ def _emit(args, command: str, report: dict, text_lines: list[str],
         sys.stdout.write("\n".join(text_lines) + "\n")
 
 
+def _fields(result, **overrides) -> dict:
+    """The report entry of a result dataclass: each of its fields under its
+    own name, then `overrides`. JSON writes a tuple as a list."""
+    return {f.name: getattr(result, f.name) for f in fields(result)} | overrides
+
+
 def _with_universe(domain: Domain, text: str) -> Domain:
     """The domain with the sorts a `--universe` value ('sort: a, b; sort2: c')
     lists replaced; as in an `objects` line, each sort must be declared and
@@ -126,31 +133,20 @@ def _cmd_check(args) -> int:
     completeness = completeness_lint(domain)
     spec = domain.disjointness
     if isinstance(spec, (SeqExistsDiff, CommutativeCanonical)):
-        samples = static_aspect_samples(domain)
-        mono = check_monotonicity(spec, samples)
-        mono_report = {
-            "checked": mono.checked,
-            "violations": [str(v) for v in mono.violations],
-        }
+        mono = check_monotonicity(spec, static_aspect_samples(domain))
+        mono_report = _fields(mono, violations=[str(v) for v in mono.violations])
         mono_lines = [f"monotonicity: {mono.checked} extensions checked, "
                       f"{len(mono.violations)} violations"]
         mono_lines += [f"  {v}" for v in mono_report["violations"]]
-        mono_bad = bool(mono.violations)
     else:
-        mono_report = {"checked": 0, "violations": [],
-                       "note": "not applicable to this disjointness kind"}
-        mono_lines = ["monotonicity: not applicable to this disjointness kind"]
-        mono_bad = False
+        mono = MonotonicityReport(checked=0, violations=())
+        mono_report = _fields(mono, note="not applicable to this disjointness kind")
+        mono_lines = [f"monotonicity: {mono_report['note']}"]
     violations = [str(v) for v in soundness.violations]
     uncovered = [f"({a}, {p})" for a, p in completeness.uncovered]
     report = {
         "domain": domain.name,
-        "soundness": {
-            "violations": violations,
-            "unresolved": list(soundness.unresolved),
-            "actions_checked": soundness.actions_checked,
-            "valuations_checked": soundness.valuations_checked,
-        },
+        "soundness": _fields(soundness, violations=violations),
         "monotonicity": mono_report,
         "completeness": {
             "uncovered_pairs": uncovered,
@@ -169,7 +165,7 @@ def _cmd_check(args) -> int:
     if len(uncovered) > 12:
         lines.append(f"  ... and {len(uncovered) - 12} more")
     _emit(args, "check", report, lines)
-    return 2 if (soundness.violations or mono_bad) else 0
+    return 2 if (soundness.violations or mono.violations) else 0
 
 
 def _cmd_frames(args) -> int:
@@ -179,14 +175,8 @@ def _cmd_frames(args) -> int:
     result = derive_frame_axioms(domain)
     schematic = [ax.render() for ax in result.schematic]
     ground = [ax.render() for ax in result.ground]
-    economy = [
-        {"fluent_aspect": str(r.fluent_aspect),
-         "action_aspect": str(r.action_aspect),
-         "m": r.m, "n": r.n,
-         "derived_frame_axioms": r.derived_frame_axioms,
-         "source_axioms": r.source_axioms}
-        for r in result.economy
-    ]
+    economy = [_fields(r, fluent_aspect=str(r.fluent_aspect),
+                       action_aspect=str(r.action_aspect)) for r in result.economy]
     report = {
         "domain": domain.name,
         "schematic": schematic,
@@ -339,11 +329,7 @@ def _cmd_validate(args) -> int:
         "model": model.name,
         "formalism": args.formalism,
         "verdict": verdict.verdict,
-        "premises": [
-            {"axiom": c.axiom, "subject": c.subject, "holds": c.holds,
-             "note": c.note}
-            for c in verdict.premises.checks
-        ],
+        "premises": [_fields(c) for c in verdict.premises.checks],
         "premise_notes": list(verdict.premises.notes),
         "conclusion_counterexamples": [
             {"fluent": p, "action": a, "situation": s}
@@ -367,15 +353,8 @@ def _cmd_search(args) -> int:
         args.formalism, max_situations=args.max_situations, seed=args.seed,
         random_samples=args.random_samples,
         random_max_situations=args.random_max_situations)
-    report = {
-        "formalism": result.formalism,
-        "counterexample_found": result.counterexample is not None,
-        "exhaustive_models": result.exhaustive_models,
-        "exhaustive_premise_models": result.exhaustive_premise_models,
-        "random_models": result.random_models,
-        "random_premise_models": result.random_premise_models,
-        "scope": list(result.scope),
-    }
+    report = _fields(result, counterexample_found=result.counterexample is not None)
+    del report["counterexample"]
     lines = [
         f"{result.formalism}: "
         + ("COUNTEREXAMPLE FOUND" if result.counterexample else "no counterexample"),
@@ -394,27 +373,14 @@ def _cmd_pitfall(args) -> int:
         seed=args.seed, exhaustive_max=args.max_situations,
         functional_situations=args.functional_situations,
         random_samples=args.random_samples)
-    report = {
-        "reproduced": result.reproduced,
-        "first_half": {
-            "pairs_checked": result.first.pairs_checked,
-            "commuting_pairs": result.first.commuting_pairs,
-            "violations": result.first.violations,
-            "effect_free_everywhere": result.first.effect_free_everywhere,
-            "scope": list(result.first.scope),
-        },
-        "second_half": {
-            "model": result.second.model.name,
-            "commutativity_holds": result.second.commutativity_holds,
-            "premises_hold": result.second.premises_hold,
-            "changed_fluent": result.second.changed_fluent,
-            "changed_at": result.second.changed_at,
-            "naive_premises_hold": result.second.naive_premises_hold,
-        },
-        "corrected_d_rejects_swap": result.corrected_d_rejects_swap,
-    }
     first = result.first
     second = result.second
+    report = {
+        "reproduced": result.reproduced,
+        "first_half": _fields(first, effect_free_everywhere=first.effect_free_everywhere),
+        "second_half": _fields(second, model=second.model.name),
+        "corrected_d_rejects_swap": result.corrected_d_rejects_swap,
+    }
     lines = [
         "commutativity trap: " + ("reproduced" if result.reproduced else "FAILED"),
         f"half 1 (naive d + commutativity): {first.pairs_checked} relation "

@@ -181,6 +181,18 @@ class Domain:
     frame_decls: tuple[FrameDecl, ...] = ()
     disjointness: DisjointnessSpec = field(default_factory=SeqExistsDiff)
     homes: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    # Memo tables, filled on use; dataclasses.replace starts them empty and
+    # equality ignores them. _bound: `bound`'s (table, atom) -> result;
+    # _pools: `arg_candidates`' SortRef -> {term: rank}; _guards: frames'
+    # (guard, binding items) -> compiled guard; _steps: frames' (state,
+    # action) -> (changes, successor); _d_memo: frames' d, as path -> id,
+    # the paths by id and (id, id) -> d.
+    _bound: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _pools: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _guards: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _d_memo: tuple[dict, list, dict] = field(default_factory=lambda: ({}, [], {}),
+                                             init=False, repr=False, compare=False)
 
     def bound(self, table: str, atom) -> tuple[tuple[object, dict], ...]:
         """The rules of `table` whose head matches the ground `atom`, in
@@ -212,29 +224,6 @@ class Domain:
             key = (table, head.schema)
             out[key] = out.get(key, ()) + ((rule, head.args),)
         return out
-
-    @cached_property
-    def _bound(self) -> dict:
-        return {}
-
-    @cached_property
-    def _pools(self) -> dict:
-        return {}
-
-    @cached_property
-    def _guards(self) -> dict:
-        """frames' compiled guards: (guard, binding items) -> compiled."""
-        return {}
-
-    @cached_property
-    def _steps(self) -> dict:
-        """frames' progressed steps: (state, action) -> (changes, successor)."""
-        return {}
-
-    @cached_property
-    def _d_memo(self) -> tuple[dict, list, dict]:
-        """frames' memo of d: path -> id, the paths by id, (id, id) -> d."""
-        return {}, [], {}
 
     @cached_property
     def ground_action_list(self) -> tuple:

@@ -68,13 +68,12 @@ class SourceSpan:
 
 @dataclass(frozen=True)
 class ParseDiagnostic:
-    severity: str  # "error" | "warning"
     span: SourceSpan
     message: str
     hint: str = ""
 
     def render(self) -> str:
-        out = f"{self.span}: {self.severity}: {self.message}"
+        out = f"{self.span}: error: {self.message}"
         if self.hint:
             out += f" ({self.hint})"
         return out
@@ -136,7 +135,7 @@ class _Cursor:
     def fail(self, message: str, hint: str = "", at: Optional[_Token] = None):
         if at is None and not self.at_end():
             at = self.tokens[self.i]
-        self.sink.append(ParseDiagnostic("error", self.span(at), message, hint))
+        self.sink.append(ParseDiagnostic(self.span(at), message, hint))
         raise _LineAbort()
 
     def finish(self):
@@ -160,9 +159,8 @@ def _parse_lines(text: str, file: str, kind: str, b, parse_line) -> None:
     line; a failed line adds its diagnostic to `b.diags` and parsing goes on."""
     lines = list(_tokenize_lines(text))
     if not lines:
-        raise DslError([ParseDiagnostic(
-            "error", SourceSpan(file, 1, 1), f"empty {kind} file",
-            f"a {kind} file starts with '{kind} NAME'")])
+        raise DslError([ParseDiagnostic(SourceSpan(file, 1, 1), f"empty {kind} file",
+                                        f"a {kind} file starts with '{kind} NAME'")])
     for lineno, tokens in lines:
         cur = _Cursor(tokens, file, lineno, b.diags)
         try:
@@ -181,7 +179,7 @@ def _parse_lines(text: str, file: str, kind: str, b, parse_line) -> None:
 
 
 def _file_error(b, message: str, hint: str = "") -> None:
-    b.diags.append(ParseDiagnostic("error", SourceSpan(b.file, 1, 1), message, hint))
+    b.diags.append(ParseDiagnostic(SourceSpan(b.file, 1, 1), message, hint))
 
 
 def _word(cur: _Cursor, what: str) -> str:
@@ -606,8 +604,7 @@ def parse_ground_fluent(text: str, domain: Domain, file: str = "<fluent>") -> Gr
     lines = list(_tokenize_lines(text))
     if len(lines) != 1:
         raise DslError([ParseDiagnostic(
-            "error", SourceSpan(file, 1, 1),
-            f"expected a single ground atom, got {text!r}")])
+            SourceSpan(file, 1, 1), f"expected a single ground atom, got {text!r}")])
     (lineno, tokens), = lines
     return _ground_atom(_Cursor(tokens, file, lineno, []), domain, GroundFluent)
 
@@ -632,8 +629,7 @@ def parse_state(text: str, domain: Domain, file: str = "<state>"):
         f = _ground_atom(cur, domain, GroundFluent)
         if given.setdefault(f, not negate) == negate:
             raise DslError([ParseDiagnostic(
-                "error", cur.span(cur.tokens[0]),
-                f"fluent '{f}' is given both true and false")])
+                cur.span(cur.tokens[0]), f"fluent '{f}' is given both true and false")])
     return initial_state(domain, [f for f, true in given.items() if true])
 
 

@@ -384,6 +384,56 @@ def test_search_ignores_the_random_size_without_samples(capsys):
     assert "no counterexample" in out
 
 
+# Report paths that no pinned digest reaches, each pinned by its stdout.
+PLANTED_SEARCH_TEXT = (
+    "rel-exists: COUNTEREXAMPLE FOUND\n"
+    "exhaustive: 6 models (6 satisfied the premises)\n"
+    "random: 0 models (0 satisfied the premises)\n"
+    "scope: exhaustive over 1..2 situations, one checked aspect, one action, "
+    "all valuations, witnesses searched over all predicates\n")
+
+
+def test_search_reports_a_planted_counterexample(monkeypatch, capsys):
+    # Every valuation definable, as in test_search: a counterexample is found.
+    monkeypatch.setattr(sitaspect.search, "_defined", lambda rows, q, universal: q)
+    argv = ["search", "rel-exists", "--max-situations", "2"]
+    assert run(capsys, *argv) == (2, PLANTED_SEARCH_TEXT, "")
+    code, out, err = run(capsys, *argv, "--report", "json")
+    assert (code, err) == (2, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "5a17696bd07e956159e8b6b96753c806b09a887a95f4989d3e22d984be8bbc49")
+    report = json.loads(out)["report"]
+    assert report["counterexample_found"] is True
+    assert "counterexample" not in report
+
+
+def test_pitfall_reports_a_failed_first_half(monkeypatch, capsys):
+    monkeypatch.setattr(sitaspect.search, "_naive_trap_violations", lambda n, r0, r1: 1)
+    code, out, err = run(capsys, "pitfall", "--max-situations", "2",
+                         "--functional-situations", "2", "--random-samples", "10",
+                         "--report", "json")
+    assert (code, err) == (2, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "65ebfde5623cf5ca61036bf48ecd432cc14fe4bee530844f93ec651394d8f93b")
+    report = json.loads(out)["report"]
+    assert report["reproduced"] is False
+    assert report["first_half"]["effect_free_everywhere"] is False
+    assert report["second_half"]["model"] == "mesh-witness"
+
+
+def test_validate_reports_a_vacuous_verdict_in_json(capsys):
+    code, out, err = run(capsys, "validate", HEATER, "--formalism", "rel-forall",
+                         "--report", "json")
+    assert (code, err) == (2, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "e4fe9a493f3ae29d5e696ddc5b7f7a636222bacb90fab9d8ea400dd2f8555885")
+    report = json.loads(out)["report"]
+    assert report["verdict"] == "vacuous"
+    assert report["premises"]
+    assert all(sorted(p) == ["axiom", "holds", "note", "subject"]
+               for p in report["premises"])
+
+
 def test_compare_random_workload(capsys):
     code, out, _ = run(capsys, "compare", BLOCKS, "--random", "20",
                        "--seed", "5", "--init", BLOCKS_INIT)

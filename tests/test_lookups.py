@@ -45,12 +45,13 @@ from sitaspect.domain import (
     solve_guard,
     static_guard_groundings,
 )
-from sitaspect.dsl import parse_domain, parse_state
+from sitaspect.dsl import parse_domain, parse_state, unparse_domain
 from sitaspect.errors import SchemaError, SitAspectError
 from sitaspect.frames import (
     EconomyReport,
     _compiled,
     applicable_actions,
+    check_aspect_soundness,
     completeness_lint,
     derive_frame_axioms,
     frame_economy,
@@ -851,6 +852,22 @@ def test_replaced_domains_build_their_own_pools(display):
         frozenset({"p2"}), frozenset({"p1"}), frozenset({"p1", "p2"})]
     assert arg_candidates(display, ref) is pool
     assert list(pool) == sort_pool(display, ref)
+
+
+MEMO_TABLES = ("_bound", "_pools", "_guards", "_steps", "_d_memo")
+
+
+def test_memo_tables_start_empty_in_a_replaced_domain_and_are_not_compared():
+    domain = load_domain("display.dom")
+    check_aspect_soundness(domain)
+    init = parse_state(DISPLAY_INIT, domain)
+    assert compare_modes(domain, workload=random_workload(domain, init, 10, 1)).all_agree
+    assert all(getattr(domain, t) for t in MEMO_TABLES[:-1])
+    assert all(domain._d_memo)  # path -> id, the paths by id, (id, id) -> d
+    fresh = replace(domain)
+    assert [getattr(fresh, t) for t in MEMO_TABLES] == [{}, {}, {}, {}, ({}, [], {})]
+    assert parse_domain(unparse_domain(domain)) == domain
+    assert not any(t in repr(domain) for t in MEMO_TABLES)
 
 
 def test_applicable_actions_follow_a_replaced_universe(blocks, blocks_init):
