@@ -73,22 +73,21 @@ def d_eval(spec: DisjointnessSpec, alpha: AspectPath, beta: AspectPath) -> bool:
                 f"simple inequality needs single-element paths, got {alpha} and {beta}")
         return elem_disjoint(alpha[0], beta[0])
     if isinstance(spec, SeqExistsDiff):
-        return _exists_diff(alpha, beta)
+        return _exists_diff(alpha.elems, beta.elems)
     if isinstance(spec, CommutativeCanonical):
-        return _canonical_diff(canonicalize(alpha, spec.constraints),
-                               canonicalize(beta, spec.constraints))
+        # Equal canonical forms differ at no position, since no element is
+        # disjoint from itself: d is `_exists_diff` of the canonical forms.
+        return _exists_diff(canonicalize(alpha, spec.constraints).elems,
+                            canonicalize(beta, spec.constraints).elems)
     if isinstance(spec, ExplicitTable):
         return (alpha, beta) in spec.pairs
     raise DisjointnessSpecError(f"unknown disjointness spec {spec!r}")
 
 
-def _exists_diff(alpha: AspectPath, beta: AspectPath) -> bool:
+def _exists_diff(alpha: tuple[AspectElem, ...], beta: tuple[AspectElem, ...]) -> bool:
+    """Whether some shared position of two element tuples holds disjoint
+    elements: d under SeqExistsDiff, read on the paths' elements."""
     return any(elem_disjoint(a, b) for a, b in zip(alpha, beta))
-
-
-def _canonical_diff(ca: AspectPath, cb: AspectPath) -> bool:
-    """d under CommutativeCanonical, given both paths' canonical forms."""
-    return ca != cb and _exists_diff(ca, cb)
 
 
 def canonicalize(alpha: AspectPath, constraints: Optional[frozenset[tuple[str, str]]]) -> AspectPath:
@@ -109,14 +108,16 @@ def canonicalize(alpha: AspectPath, constraints: Optional[frozenset[tuple[str, s
     if constraints is None and not alpha.is_atomic():
         raise DisjointnessSpecError(
             f"path {alpha} has set elements; full commutativity applies to atoms only")
+    if len(alpha) < 2:
+        return alpha
     rest = [(elem_sort_key(e), e) for e in alpha.elems]
     out = []
     while rest:
-        best = 0
+        best, least = 0, rest[0][0]
         for i in range(1, len(rest)):
-            if rest[i][0] < rest[best][0] and all(
-                    _commute(e, rest[i][1], constraints) for _, e in rest[:i]):
-                best = i
+            key, e = rest[i]
+            if key < least and all(_commute(x, e, constraints) for _, x in rest[:i]):
+                best, least = i, key
         out.append(rest.pop(best)[1])
     return AspectPath(tuple(out))
 
@@ -125,7 +126,8 @@ def _commute(a: AspectElem, b: AspectElem,
              constraints: Optional[frozenset[tuple[str, str]]]) -> bool:
     if not (isinstance(a, AspectAtom) and isinstance(b, AspectAtom)):
         return False
-    return constraints is None or tuple(sorted((a.name, b.name))) in constraints
+    x, y = a.name, b.name
+    return constraints is None or ((x, y) if x < y else (y, x)) in constraints
 
 
 @dataclass(frozen=True)
@@ -161,10 +163,14 @@ def check_monotonicity(
     position (zip truncates), so a d that holds still holds: no extension
     is evaluated, and checked counts the two extensions per suffix that this
     prefix argument covers. Under CommutativeCanonical only the fluent path
-    is extended, and each extension is evaluated, because canonical
-    reordering can break d. Canonical forms depend on the path alone, so
-    each distinct path, sampled or extended, is canonicalized once.
-    Violations are reported with the offending suffix.
+    is extended, because canonical reordering can break d, and checked
+    counts one extension per suffix. d there is `_exists_diff` of the two
+    canonical forms, so it reads an extension only up to the action path's
+    length: the extensions of a fluent path are grouped by that prefix, and
+    d is evaluated once per distinct prefix. An atom that commutes with
+    nothing (a barrier) keeps its place, so an extension is canonicalized
+    only up to its suffix's first barrier, and each distinct path at most
+    once. Violations are reported with the offending suffix, in suffix order.
     """
     if not isinstance(spec, (SeqExistsDiff, CommutativeCanonical)):
         raise DisjointnessSpecError(
@@ -174,27 +180,44 @@ def check_monotonicity(
     if isinstance(spec, SeqExistsDiff):
         held = sum(1 for alpha, beta in samples if d_eval(spec, alpha, beta))
         return MonotonicityReport(checked=2 * len(suffixes) * held, violations=())
-    canonical: dict[AspectPath, AspectPath] = {}
+    constraints = spec.constraints
+    movable = None if constraints is None else {x for pair in constraints for x in pair}
+    canonical: dict[AspectPath, tuple[AspectElem, ...]] = {}
 
-    def canon(p: AspectPath) -> AspectPath:
+    def canon(p: AspectPath) -> tuple[AspectElem, ...]:
         c = canonical.get(p)
         if c is None:
-            c = canonical[p] = canonicalize(p, spec.constraints)
+            c = canonical[p] = canonicalize(p, constraints).elems
         return c
 
-    extended: dict[AspectPath, list[AspectPath]] = {}
+    def split(suffix: tuple) -> tuple[tuple, tuple]:
+        """The suffix up to its first barrier, and the canonical rest."""
+        for k, atom in enumerate(suffix):
+            if movable is not None and atom.name not in movable:
+                return suffix[:k], (atom,) + canon(AspectPath(suffix[k + 1:]))
+        return suffix, ()
+
+    splits = [split(suffix) for suffix in suffixes]
+    heads = dict.fromkeys(head for head, _ in splits)
+    groups: dict[tuple[AspectPath, int], list] = {}  # (alpha, n) -> [(prefix, suffix indices)]
     checked = 0
     violations = []
     for alpha, beta in samples:
         cb = canon(beta)
-        if not _canonical_diff(canon(alpha), cb):
+        if not _exists_diff(canon(alpha), cb):
             continue
-        if alpha not in extended:
-            extended[alpha] = [canon(alpha.append(*suffix)) for suffix in suffixes]
         checked += len(suffixes)
-        violations += [MonotonicityViolation("extend-fluent-path", alpha, beta, suffix)
-                       for suffix, ce in zip(suffixes, extended[alpha])
-                       if not _canonical_diff(ce, cb)]
+        n = len(cb)
+        if (alpha, n) not in groups:
+            canon_head = {head: canon(alpha.append(*head)) for head in heads}
+            by_prefix: dict[tuple, list[int]] = {}
+            for i, (head, tail) in enumerate(splits):
+                by_prefix.setdefault((canon_head[head] + tail)[:n], []).append(i)
+            groups[alpha, n] = list(by_prefix.items())
+        bad = sorted(i for prefix, members in groups[alpha, n]
+                     if not _exists_diff(prefix, cb) for i in members)
+        violations += [MonotonicityViolation("extend-fluent-path", alpha, beta, suffixes[i])
+                       for i in bad]
     return MonotonicityReport(checked=checked, violations=tuple(violations))
 
 

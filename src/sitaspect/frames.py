@@ -169,7 +169,7 @@ def intersects(domain: Domain, state: WorldState, a: GroundAction, p: GroundFlue
     """Whether a and p intersect (are not declared non-interfering) in `state`."""
     alpha = aspect_of_fluent(domain, state, p)
     beta = aspect_of_action(domain, state, a)
-    return not d_eval(domain.disjointness, alpha, beta)
+    return not _d(domain, alpha, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +481,11 @@ def _disjoint(domain: Domain, x: int, y: int) -> bool:
     if hit is None:
         hit = memo[x, y] = d_eval(domain.disjointness, paths[x], paths[y])
     return hit
+
+
+def _d(domain: Domain, alpha: AspectPath, beta: AspectPath) -> bool:
+    """d(alpha, beta), fluent path first, through the domain's memo."""
+    return _disjoint(domain, _path_id(domain, alpha), _path_id(domain, beta))
 
 
 def _static_pairs(domain: Domain):
@@ -876,7 +881,7 @@ def _check_valuation(domain: Domain, a: GroundAction, beta: AspectPath,
             continue
         except SchemaError as exc:  # an ill-sorted effect target
             raise SchemaError(f"{a} affects {exc}") from exc
-        if d_eval(domain.disjointness, alpha, beta):
+        if _d(domain, alpha, beta):
             violations.append(SoundnessViolation(action=a, fluent=f,
                                                  fluent_aspect=alpha, action_aspect=beta))
     return violations
@@ -930,7 +935,7 @@ def regress_query(domain: Domain, states: Sequence[WorldState],
         except (MissingAspectError, AmbiguousAspectError) as exc:
             steps.append(TraceStep(ASPECT_LOOKUP, str(exc)))
         else:
-            disjoint = d_eval(domain.disjointness, alpha, beta)
+            disjoint = _d(domain, alpha, beta)
             steps.append(TraceStep(
                 D_EVALUATION, f"d({alpha},{beta}) = {disjoint} for {p} vs {a}"))
             if disjoint:
@@ -989,7 +994,7 @@ def persistence_proof(domain: Domain, state: WorldState, a: GroundAction,
     if mode == "aspect":
         alpha = aspect_of_fluent(domain, state, p)
         beta = aspect_of_action(domain, state, a)
-        if not d_eval(domain.disjointness, alpha, beta):
+        if not _d(domain, alpha, beta):
             raise NoProofError(f"{p} and {a} intersect; no aspect persistence proof")
         steps = (
             TraceStep(ASPECT_LOOKUP, f"{p} : {alpha}"),

@@ -321,6 +321,98 @@ def test_commutative_monotonicity_canonicalizes_each_path_once(monkeypatch):
         alpha.append(*s) for alpha in held for s in suffixes}
 
 
+def test_commutative_monotonicity_leaves_barriers_in_place(monkeypatch):
+    # c is in no pair, so it commutes with nothing: an extension is
+    # canonicalized only up to its suffix's first c, and what follows that
+    # c is canonicalized on its own.
+    spec = CommutativeCanonical.of(("a", "b"))
+    alpha, beta = path("b", "c"), path("a")
+    expected = _reference_monotonicity(spec, [(alpha, beta)], 2)
+    calls = []
+
+    def counted(p, constraints):
+        calls.append(p)
+        return canonicalize(p, constraints)
+
+    monkeypatch.setattr(disjoint, "canonicalize", counted)
+    report = check_monotonicity(spec, [(alpha, beta)], max_extension=2)
+    assert (report.checked, report.violations) == expected
+    assert report.checked == 12
+    assert len(calls) == len(set(calls))
+    heads = [s for n in (1, 2) for s in itertools.product("ab", repeat=n)]
+    assert set(calls) == {alpha, beta} | {alpha.append(*h) for h in heads} | {
+        path(), path("a"), path("b"), path("c")}
+    # What follows the barrier is canonicalized too: (a,c,b,a) takes (b) to
+    # (a,b,c,a,b), which differs from the action path at no position. A
+    # suffix needs four atoms for this, since one before the barrier must
+    # move into the fluent path and two after it must swap.
+    alpha, beta = path("b"), path("a", "b", "c", "a", "b")
+    report = check_monotonicity(spec, [(alpha, beta)], max_extension=4)
+    assert (report.checked, report.violations) == \
+        _reference_monotonicity(spec, [(alpha, beta)], 4)
+    assert MonotonicityViolation("extend-fluent-path", alpha, beta,
+                                 tuple(AspectAtom(x) for x in "acba")) in report.violations
+
+
+_COMMUTATIVE_SPECS = {
+    "all": CommutativeCanonical(),
+    # c and d commute with nothing.
+    "one-pair": CommutativeCanonical.of(("a", "b")),
+    # c moves only by its self pair, and d commutes with nothing.
+    "self-pair": CommutativeCanonical.of(("a", "b"), ("c", "c")),
+}
+
+
+@pytest.mark.parametrize("max_extension", [1, 2, 3])
+@pytest.mark.parametrize("name", list(_COMMUTATIVE_SPECS))
+def test_commutative_monotonicity_matches_the_extension_loop(name, max_extension):
+    spec = _COMMUTATIVE_SPECS[name]
+    rng = random.Random(f"{name}/{max_extension}")
+    elems = ["a", "b", "c", "d"]
+    if spec.constraints is not None:
+        elems += [{"a", "b"}, {"c", "d"}]  # barriers inside paths
+    longer = shorter = repeated = violated = 0
+    for _ in range(120):
+        # Samples drawn from a small pool of paths, so that fluent paths,
+        # action paths and whole samples repeat.
+        pool = [path(*rng.choices(elems, k=rng.choice((1, 1, 2, 3)))) for _ in range(4)]
+        samples = [(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randint(1, 6))]
+        report = check_monotonicity(spec, samples, max_extension=max_extension)
+        assert (report.checked, report.violations) == \
+            _reference_monotonicity(spec, samples, max_extension)
+        held = [(a, b) for a, b in samples if d_eval(spec, a, b)]
+        longer += any(len(b) > len(a) for a, b in held)
+        shorter += any(len(b) < len(a) for a, b in held)
+        repeated += len(set(held)) < len(held)
+        violated += not report.clean
+    assert min(longer, shorter, repeated, violated) > 0
+
+
+def test_barrier_atoms_split_the_canonical_form():
+    # An atom in no pair, or a set element, commutes with nothing, so the
+    # least reordering of w1 + b + w2 keeps b in place: it is the least
+    # reordering of w1, then b, then the least reordering of w2.
+    elems = [as_elem(e) for e in ("a", "b", "c", {"a", "b"})]
+    pairs = list(itertools.combinations_with_replacement("abc", 2))
+    seqs = [seq for n in range(1, 5) for seq in itertools.product(elems, repeat=n)]
+    barriers_seen = set()
+    for constraints in (frozenset(c) for n in range(len(pairs) + 1)
+                        for c in itertools.combinations(pairs, n)):
+        movable = {x for pair in constraints for x in pair}
+        for seq in seqs:
+            barriers = [k for k, e in enumerate(seq)
+                        if not isinstance(e, AspectAtom) or e.name not in movable]
+            if not barriers:
+                continue
+            least = _bfs_least_reordering(seq, constraints)
+            for k in barriers:
+                assert least == canonicalize(AspectPath(seq[:k]), constraints).elems \
+                    + (seq[k],) + canonicalize(AspectPath(seq[k + 1:]), constraints).elems, \
+                    (seq, k, constraints)
+                barriers_seen.add(seq[k])
+    assert barriers_seen == set(elems)
+
+
 def _frontier_suffixes(atoms, max_len):
     """Suffixes of 1..max_len atoms by extending a frontier, shorter first."""
     frontier = [()]
