@@ -42,29 +42,57 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
-def _build_parser(argv: list[str]) -> _Parser:
-    """The parser for `argv`: with only the invoked subcommand declared when
-    `argv[0]` names one, else with all of them. The command list in the
-    usage line is the same either way."""
+def _build_parser() -> _Parser:
     parser = _Parser(prog="sitaspect", description=__doc__)
     parser.add_argument("--version", action="version",
                         version=f"sitaspect {__version__}")
-    one = bool(argv) and argv[0] in _COMMANDS
-    # The metavar keeps every command in the usage line of a one-command parser.
-    sub = parser.add_subparsers(dest="command", required=True, **(
-        {"metavar": "{" + ",".join(_COMMANDS) + "}"} if one else {}))
-    for name in [argv[0]] if one else _COMMANDS:
-        help_text, _, arguments = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--report", choices=("text", "json"), default="text")
-        for flag, kwargs in arguments:
+        for flag, kwargs in (_REPORT, *arguments):
             p.add_argument(flag, **kwargs)
     return parser
 
 
+def _read_plain(argv: list[str]):
+    """The namespace argparse gives for a plain argv: a command, its
+    positionals and `--option value` pairs, each option spelled in full once
+    and every value allowed by its `choices` and `type`. None for any other
+    argv, such as help, errors, `--opt=value` or a value starting with '-'."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    specs = dict((_REPORT, *_COMMANDS[argv[0]][2]))
+    slots = iter([flag for flag in specs if not flag.startswith("-")])
+    given = {}
+    words = iter(argv[1:])
+    for word in words:
+        if word.startswith("-"):
+            flag, value = word, next(words, "-")
+        else:
+            flag, value = next(slots, None), word
+        if flag not in specs or flag in given or value.startswith("-"):
+            return None
+        given[flag] = value
+    values = {"command": argv[0]}
+    for flag, kwargs in specs.items():
+        if flag in given:
+            try:
+                value = kwargs.get("type", str)(given[flag])
+            except ValueError:
+                return None
+            if value not in kwargs.get("choices", (value,)):
+                return None
+        elif kwargs.get("required", not flag.startswith("-")):
+            return None
+        else:
+            value = kwargs.get("default")
+        values[flag.lstrip("-").replace("-", "_")] = value
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser(argv).parse_args(argv)
+    args = _read_plain(argv) or _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command][1](args)
     except DslError as exc:
@@ -397,8 +425,12 @@ def _cmd_pitfall(args) -> int:
     return 0 if result.reproduced else 2
 
 
-# name -> (help, handler, [(argument, add_argument keywords)]); every
-# command also takes --report.
+# The option every command takes, declared before the command's own.
+_REPORT = ("--report", dict(choices=("text", "json"), default="text"))
+
+# name -> (help, handler, [(argument, add_argument keywords)]). Both argv
+# readers use this table; `_read_plain` knows the keywords default,
+# required, type and choices, so give no others but help.
 _COMMANDS = {
     "check": ("load a domain and run the annotation lints", _cmd_check, [
         ("domain", {})]),

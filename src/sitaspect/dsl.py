@@ -80,13 +80,14 @@ class ParseDiagnostic:
 
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+(?:-[A-Za-z0-9_]+)*")
-_TOKEN_RE = re.compile(r"->|" + _NAME_RE.pattern + r"|[(){},:;!&]|\S")
+_TOKEN_RE = re.compile(r"->|(?P<name>" + _NAME_RE.pattern + r")|[(){},:;!&]|\S")
 
 
 @dataclass
 class _Token:
     text: str
     column: int
+    is_name: bool  # whether `_NAME_RE` matches all of `text`
 
 
 class _LineAbort(Exception):
@@ -108,11 +109,11 @@ class _Cursor:
         return self.tokens[self.i].text if self.i < len(self.tokens) else None
 
     def next(self) -> _Token:
-        if self.at_end():
+        i = self.i
+        if i >= len(self.tokens):
             self.fail("unexpected end of line")
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+        self.i = i + 1
+        return self.tokens[i]
 
     def expect(self, text: str) -> _Token:
         tok = self.next()
@@ -122,7 +123,7 @@ class _Cursor:
 
     def name(self, what: str = "name") -> _Token:
         tok = self.next()
-        if not _NAME_RE.fullmatch(tok.text):
+        if not tok.is_name:
             self.fail(f"expected {what}, found '{tok.text}'", at=tok)
         return tok
 
@@ -147,7 +148,7 @@ class _Cursor:
 def _tokenize_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
-        tokens = [_Token(m.group(0), m.start() + 1)
+        tokens = [_Token(m.group(0), m.start() + 1, m.lastgroup == "name")
                   for m in _TOKEN_RE.finditer(body)]
         if tokens:
             yield lineno, tokens
@@ -642,7 +643,7 @@ class _ModelBuilder:
         self.file = file
         self.diags: list[ParseDiagnostic] = []
         self.name: Optional[str] = None
-        self.situations: list[str] = []
+        self.situations: dict[str, None] = {}  # in declared order
         self.aspect_rels: dict[str, set[tuple[str, str]]] = {}
         self.functional: set[str] = set()
         self.action_maps: dict[str, dict[str, str]] = {}
@@ -694,7 +695,7 @@ def _parse_model_line(b: _ModelBuilder, cur: _Cursor, head: _Token) -> None:
             tok = cur.name("situation name")
             if tok.text in b.situations:
                 cur.fail(f"situation '{tok.text}' is declared twice", at=tok)
-            b.situations.append(tok.text)
+            b.situations[tok.text] = None
     elif head.text in ("rel", "crel"):
         collective = head.text == "crel"
         name = cur.name("element" if collective else "aspect atom").text

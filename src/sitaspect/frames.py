@@ -111,13 +111,19 @@ class EconomyReport:
 
 @dataclass(frozen=True)
 class FrameDerivation:
-    """`ground` and `errors` read the domain's static aspect table, which is
-    built on first read; the other fields are derived at once."""
+    """`economy` is derived at once; the schematic axioms and their notes,
+    and `ground`, are derived on first read. `ground` and `errors` read the
+    domain's static aspect table, which is built on first read."""
 
     domain: Domain = field(repr=False, compare=False)
-    schematic: tuple[FrameAxiom, ...]
     economy: tuple[EconomyReport, ...]
-    notes: tuple[str, ...] = ()
+
+    @cached_property
+    def _schematic(self) -> tuple[tuple[FrameAxiom, ...], tuple[str, ...]]:
+        return _schematic_axioms(self.domain)
+
+    schematic = property(lambda self: self._schematic[0])
+    notes = property(lambda self: self._schematic[1])
 
     @cached_property
     def ground(self) -> tuple[FrameAxiom, ...]:
@@ -352,18 +358,15 @@ def derive_frame_axioms(domain: Domain) -> FrameDerivation:
     combination of aspect-rule groundings leaves the two aspects disjoint;
     the recorded guard is the conjunction of the aspect-rule guards used.
     """
-    schematic, notes = _schematic_axioms(domain)
-    return FrameDerivation(domain=domain, schematic=tuple(schematic),
-                           economy=frame_economy(domain), notes=tuple(notes))
+    return FrameDerivation(domain=domain, economy=frame_economy(domain))
 
 
-def _schematic_axioms(domain: Domain) -> tuple[list[FrameAxiom], list[str]]:
-    notes: list[str] = []
+def _schematic_axioms(domain: Domain) -> tuple[tuple[FrameAxiom, ...], tuple[str, ...]]:
+    """The schematic axioms, and notes on why there are none."""
     spec = domain.disjointness
     if not isinstance(spec, (SeqExistsDiff, SimpleInequality)):
-        notes.append("schematic axioms are derived for element-difference "
-                     "specifications only; ground listing still applies")
-        return [], notes
+        return (), ("schematic axioms are derived for element-difference "
+                    "specifications only; ground listing still applies",)
     axioms = []
     fluent_rules = [r for r in domain.aspect_rules if r.kind == "fluent"]
     action_rules = [r for r in domain.aspect_rules if r.kind == "action"]
@@ -384,7 +387,7 @@ def _schematic_axioms(domain: Domain) -> tuple[list[FrameAxiom], list[str]]:
                 fluent=_render_guard_atom(GuardLiteral(fr.target), mapping),
                 guard=(*condition, *(_render_guard_atom(g, mapping) for g in fr.guard),
                        *map(str, ar.guard))))
-    return axioms, notes
+    return tuple(axioms), ()
 
 
 def _set_valued_vars(params, args) -> set[str]:

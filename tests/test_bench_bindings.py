@@ -2,7 +2,7 @@
 
 `bench/tracing.py` names the bindings it wraps in LEAVES and COMPARE_PARTS;
 a rename in the package must fail here, in the fast suite, rather than in a
-traced benchmark run.
+traced benchmark run. So must a bench job whose argv would go to argparse.
 """
 
 from __future__ import annotations
@@ -56,3 +56,16 @@ def test_compare_modes_calls_every_traced_part(monkeypatch, blocks, blocks_init)
         monkeypatch.setattr(owner, attr, counted)
     compare_modes(blocks, workload=workload)
     assert all(calls.values()), calls
+
+
+def test_every_bench_argv_takes_the_plain_path(monkeypatch, tmp_path):
+    # The bench times `main` on these argvs; each must skip argparse.
+    from sitaspect.cli import _read_plain
+
+    monkeypatch.syspath_prepend(str(TRACING.parent))
+    workloads = importlib.import_module("workloads")
+    inputs = workloads.Inputs(tmp_path)
+    jobs = [job for build in workloads.ROUNDS.values()
+            for r in (0, 1) for job in build(inputs, 1, r)]
+    assert len({job.argv[0] for job in jobs}) == 8
+    assert [job.argv for job in jobs if _read_plain(job.argv) is None] == []

@@ -8,10 +8,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
+from unittest import mock
 
 import pytest
 
 import sitaspect
+from sitaspect import cli
 from sitaspect.cli import _build_parser, main
 from tests.conftest import BLOCKS_INIT, DISPLAY_INIT, FIXTURES, ROOMS_INIT
 from tests.test_dsl import NEGATION_ONLY, negation_only_text
@@ -290,26 +293,39 @@ USAGE = ("usage: sitaspect [-h] [--version]\n"
          "                 ...\n")
 
 
-def _parse(capsys, parser, argv):
-    """(exit code or parsed arguments, stdout, stderr) of one parse."""
+def _parse(capsys, read, argv):
+    """(exit code or parsed arguments, stdout, stderr) of `read(argv)`."""
     try:
-        result = vars(parser.parse_args(argv))
+        result = vars(read(argv))
     except SystemExit as exc:
         result = exc.code
     captured = capsys.readouterr()
     return result, captured.out, captured.err
 
 
+def _main_parse(argv):
+    """The arguments `main` reads from argv, returned instead of run."""
+    table = {name: (help_text, lambda args: args, arguments)
+             for name, (help_text, _, arguments) in cli._COMMANDS.items()}
+    with mock.patch.dict(cli._COMMANDS, table):
+        return main(argv)
+
+
+def _argparse(argv):
+    return _build_parser().parse_args(argv)
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_one_command_parser_prints_as_the_full_one(capsys, monkeypatch, command):
+    # `main` reads each command's argv as the full parser does.
     monkeypatch.setenv("COLUMNS", "80")
     cases = {"help": [command, "--help"], "missing argument": [command],
              "unknown option": [command, "--nope"],
              "extra positional": [command, "x", "y", "z"]}
     seen = {}
     for what, argv in cases.items():
-        seen[what] = _parse(capsys, _build_parser([]), argv)
-        assert _parse(capsys, _build_parser(argv), argv) == seen[what], what
+        seen[what] = _parse(capsys, _argparse, argv)
+        assert _parse(capsys, _main_parse, argv) == seen[what], what
     assert seen["help"][0] == 0
     assert seen["help"][1].startswith(f"usage: sitaspect {command} ")
     assert seen["unknown option"][0] == seen["extra positional"][0] == 3
@@ -323,7 +339,7 @@ def test_one_command_parser_prints_as_the_full_one(capsys, monkeypatch, command)
 ])
 def test_no_or_unknown_command_lists_every_command(capsys, monkeypatch, argv, message):
     monkeypatch.setenv("COLUMNS", "80")
-    code, out, err = _parse(capsys, _build_parser(argv), argv)
+    code, out, err = _parse(capsys, _main_parse, argv)
     # Where argparse breaks the usage line, and whether it quotes the
     # choices, varies with the Python version; the words and their order do not.
     def words(text):
@@ -332,7 +348,69 @@ def test_no_or_unknown_command_lists_every_command(capsys, monkeypatch, argv, me
         3, "", words(USAGE + f"sitaspect: error: {message}\n"))
 
 
-def test_a_command_builds_its_parser_only(capsys, monkeypatch):
+def _specs(command):
+    return (cli._REPORT, *cli._COMMANDS[command][2])
+
+
+_FLAGS = sorted({flag for command in COMMANDS for flag, _ in _specs(command)
+                 if flag.startswith("-")})
+_VALUES = sorted({str(choice) for command in COMMANDS for _, kwargs in _specs(command)
+                  for choice in kwargs.get("choices", ())}
+                 | {"0", "3", "-1", "1.5", "x", "a b", "", "@f", "bogus", "-", "--"})
+_WORDS = (*COMMANDS, *_FLAGS, *(flag[:5] for flag in _FLAGS), *_VALUES,
+          "-h", "--help", "--version")
+
+
+def test_main_reads_every_argv_as_argparse_does(capsys, monkeypatch):
+    pytest.importorskip("hypothesis")
+    from hypothesis import HealthCheck, given, settings
+    from hypothesis import strategies as st
+
+    @st.composite
+    def argvs(draw):
+        """A command's argv: its arguments, each mostly given with a good value,
+        an option sometimes abbreviated, joined by '=' or repeated; in any order,
+        with at times a word from anywhere in the table put in."""
+        command = draw(st.sampled_from(COMMANDS))
+        items = []
+        for flag, kwargs in _specs(command):
+            good = [str(c) for c in kwargs.get("choices", ())] or (
+                ["0", "3"] if "type" in kwargs else ["x", "@f", "a b"])
+            if draw(st.integers(0, 7)):
+                value = draw(st.sampled_from(_VALUES if not draw(st.integers(0, 5)) else good))
+                if not flag.startswith("-"):
+                    items.append([value])
+                    continue
+                form = draw(st.integers(0, 11))
+                spelled = flag[:draw(st.integers(3, len(flag)))] if form == 1 else flag
+                items.append([f"{spelled}={value}"] if form == 2 else [spelled, value])
+                if form == 3:
+                    items.append([flag, draw(st.sampled_from(good))])
+        argv = [command, *(word for item in draw(st.permutations(items)) for word in item)]
+        for _ in range(draw(st.integers(0, 2)) * (not draw(st.integers(0, 3)))):
+            word = draw(st.sampled_from(_WORDS) | st.builds(
+                "{}={}".format, st.sampled_from(_FLAGS), st.sampled_from(_VALUES)))
+            argv.insert(draw(st.integers(1, len(argv))), word)
+        return argv
+
+    monkeypatch.setenv("COLUMNS", "80")
+    paths = Counter()
+
+    @settings(max_examples=1000, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(argvs())
+    def check(argv):
+        expected = _parse(capsys, _argparse, argv)
+        assert _parse(capsys, _main_parse, argv) == expected
+        plain = cli._read_plain(argv)
+        assert plain is None or vars(plain) == expected[0]
+        paths["plain" if plain else "usage error" if expected[0] == 3 else "argparse"] += 1
+
+    check()
+    assert min(paths.values()) >= 100, paths
+
+
+def test_a_plain_command_builds_no_parser(capsys, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -344,8 +422,15 @@ def test_a_command_builds_its_parser_only(capsys, monkeypatch):
     code, out, _ = run(capsys, "query", BLOCKS, "--init", BLOCKS_INIT,
                        "--acts", "move(a,b)", "--fluent", "on(a,b)")
     assert code == 0 and out.startswith("on(a,b) after [move(a,b)] = true (aspect mode)\n")
-    assert built == ["sitaspect", "sitaspect query"]
-    assert tuple(sitaspect.cli._COMMANDS) == COMMANDS
+    assert built == []
+    full = ["sitaspect", *(f"sitaspect {command}" for command in COMMANDS)]
+    for argv in (["query", "--help"], ["query", BLOCKS, "--mode", "bogus"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert built == full, argv
+        built.clear()
+    capsys.readouterr()
+    assert tuple(cli._COMMANDS) == COMMANDS
 
 
 def test_search_exit_zero(capsys):

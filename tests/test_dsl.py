@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from sitaspect.disjoint import CommutativeCanonical, ExplicitTable, SeqExistsDiff
@@ -258,6 +260,17 @@ def test_model_unknown_situation_is_spanned():
 
 def test_university_model_derives_dtable(university_model):
     assert (path({"f1", "f2"}), path({"st1"})) in university_model.d_table
+
+
+def test_a_model_with_many_situations_parses_in_linear_time():
+    sits = [f"s{i}" for i in range(20_000)]
+    text = ("model big\nsituations " + " ".join(sits) + "\n"
+            + "".join(f"act go {s} -> {t}\n" for s, t in zip(sits, sits[1:] + sits[-1:]))
+            + "val p " + " ".join(sits[::2]) + "\n")
+    start = time.perf_counter()
+    model = parse_model(text)
+    assert time.perf_counter() - start < 5  # a list scan per situation read is quadratic
+    assert model.situations == tuple(sits)
 
 
 # -- pinned diagnostics of every list form ------------------------------------

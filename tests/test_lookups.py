@@ -20,6 +20,7 @@ import pytest
 
 import sitaspect.cli
 import sitaspect.domain
+import sitaspect.frames
 from sitaspect.domain import (
     Domain,
     Pat,
@@ -648,11 +649,19 @@ def test_compare_reads_the_economy_without_the_static_aspect_table(
         monkeypatch, name, init):
     domain = load_domain(name)
     workload = random_workload(domain, parse_state(init, domain), 20, 1)
+    schematic = []
+
+    def derive_schematic(d, _derive=sitaspect.frames._schematic_axioms):
+        schematic.append(d)
+        return _derive(d)
+
+    monkeypatch.setattr(sitaspect.frames, "_schematic_axioms", derive_schematic)
     compare_modes(domain, workload)
-    assert "static_aspects" not in vars(domain)
+    assert "static_aspects" not in vars(domain) and schematic == []
     derivation = derive_frame_axioms(domain)
     assert derivation.economy == _reference_economy(load_domain(name))
     assert "static_aspects" not in vars(domain)
+    assert derivation.schematic is derivation.schematic and schematic == [domain]
     calls = []
 
     def counting(*args):
