@@ -20,8 +20,8 @@ empty valuation: it is false in every situation.
 
 from __future__ import annotations
 
-import itertools
 import re
+import string
 from dataclasses import dataclass
 from typing import Optional
 
@@ -80,14 +80,10 @@ class ParseDiagnostic:
 
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_]+(?:-[A-Za-z0-9_]+)*")
-_TOKEN_RE = re.compile(r"->|(?P<name>" + _NAME_RE.pattern + r")|[(){},:;!&]|\S")
-
-
-@dataclass
-class _Token:
-    text: str
-    column: int
-    is_name: bool  # whether `_NAME_RE` matches all of `text`
+_TOKEN_RE = re.compile(r"->|" + _NAME_RE.pattern + r"|[(){},:;!&]|\S")
+# A token is a name exactly when it starts with one of these: the name
+# alternative of `_TOKEN_RE` comes before `\S`.
+_NAME_START = frozenset(string.ascii_letters + string.digits + "_")
 
 
 class _LineAbort(Exception):
@@ -95,84 +91,96 @@ class _LineAbort(Exception):
 
 
 class _Cursor:
-    def __init__(self, tokens: list[_Token], file: str, line: int, sink: list):
-        self.tokens = tokens
-        self.i = 0
+    """Reads the tokens of one item: a line, or the tokens between `;` of
+    one line starting at token `offset`. Tokens are plain strings; `span`
+    finds a token's column in the line's body only for a diagnostic."""
+
+    def __init__(self, file: str, sink: list):
         self.file = file
-        self.line = line
         self.sink = sink
+
+    def at_line(self, line: int, body: str, tokens: list[str], offset: int = 0) -> "_Cursor":
+        self.line, self.body, self.tokens, self.offset, self.i = line, body, tokens, offset, 0
+        return self
 
     def at_end(self) -> bool:
         return self.i >= len(self.tokens)
 
     def peek(self) -> Optional[str]:
-        return self.tokens[self.i].text if self.i < len(self.tokens) else None
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
 
-    def next(self) -> _Token:
+    def next(self) -> str:
         i = self.i
         if i >= len(self.tokens):
             self.fail("unexpected end of line")
         self.i = i + 1
         return self.tokens[i]
 
-    def expect(self, text: str) -> _Token:
+    def expect(self, text: str) -> str:
         tok = self.next()
-        if tok.text != text:
-            self.fail(f"expected '{text}', found '{tok.text}'", at=tok)
+        if tok != text:
+            self.fail(f"expected '{text}', found '{tok}'", at=self.i - 1)
         return tok
 
-    def name(self, what: str = "name") -> _Token:
-        tok = self.next()
-        if not tok.is_name:
-            self.fail(f"expected {what}, found '{tok.text}'", at=tok)
+    def name(self, what: str = "name") -> str:
+        i = self.i
+        try:
+            tok = self.tokens[i]
+        except IndexError:
+            self.fail("unexpected end of line")
+        if tok[0] not in _NAME_START:
+            self.fail(f"expected {what}, found '{tok}'", at=i)
+        self.i = i + 1
         return tok
 
-    def span(self, tok: Optional[_Token] = None) -> SourceSpan:
-        if tok is None:
-            col = self.tokens[-1].column + len(self.tokens[-1].text) if self.tokens else 1
-            return SourceSpan(self.file, self.line, col)
-        return SourceSpan(self.file, self.line, tok.column)
+    def span(self, at: Optional[int] = None) -> SourceSpan:
+        """The position of token `at` of the item, or of the item's end."""
+        if not self.tokens:
+            return SourceSpan(self.file, self.line, 1)
+        m = list(_TOKEN_RE.finditer(self.body))[
+            self.offset + (len(self.tokens) - 1 if at is None else at)]
+        return SourceSpan(self.file, self.line, (m.end() if at is None else m.start()) + 1)
 
-    def fail(self, message: str, hint: str = "", at: Optional[_Token] = None):
+    def fail(self, message: str, hint: str = "", at: Optional[int] = None):
         if at is None and not self.at_end():
-            at = self.tokens[self.i]
+            at = self.i
         self.sink.append(ParseDiagnostic(self.span(at), message, hint))
         raise _LineAbort()
 
     def finish(self):
         if not self.at_end():
-            tok = self.tokens[self.i]
-            self.fail(f"trailing input '{tok.text}'", at=tok)
+            self.fail(f"trailing input '{self.tokens[self.i]}'")
 
 
 def _tokenize_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
-        tokens = [_Token(m.group(0), m.start() + 1, m.lastgroup == "name")
-                  for m in _TOKEN_RE.finditer(body)]
+        tokens = _TOKEN_RE.findall(body)
         if tokens:
-            yield lineno, tokens
+            yield lineno, body, tokens
 
 
 def _parse_lines(text: str, file: str, kind: str, b, parse_line) -> None:
     """Read the `KIND NAME` header of a domain or model file into `b.name`
-    and run `parse_line(b, cursor, keyword token)` on each other nonblank
-    line; a failed line adds its diagnostic to `b.diags` and parsing goes on."""
+    and run `parse_line(b, cursor, keyword)` on each other nonblank line,
+    the keyword being token 0; a failed line adds its diagnostic to
+    `b.diags` and parsing goes on."""
     lines = list(_tokenize_lines(text))
     if not lines:
         raise DslError([ParseDiagnostic(SourceSpan(file, 1, 1), f"empty {kind} file",
                                         f"a {kind} file starts with '{kind} NAME'")])
-    for lineno, tokens in lines:
-        cur = _Cursor(tokens, file, lineno, b.diags)
+    cur = _Cursor(file, b.diags)
+    for lineno, body, tokens in lines:
+        cur.at_line(lineno, body, tokens)
         try:
             head = cur.name("declaration keyword")
-            if head.text == kind:
+            if head == kind:
                 if b.name is not None:
-                    cur.fail(f"duplicate '{kind}' header", at=head)
-                b.name = cur.name(f"{kind} name").text
+                    cur.fail(f"duplicate '{kind}' header", at=0)
+                b.name = cur.name(f"{kind} name")
                 cur.finish()
             elif b.name is None:
-                cur.fail(f"the first declaration must be '{kind} NAME'", at=head)
+                cur.fail(f"the first declaration must be '{kind} NAME'", at=0)
             else:
                 parse_line(b, cur, head)
         except _LineAbort:
@@ -181,10 +189,6 @@ def _parse_lines(text: str, file: str, kind: str, b, parse_line) -> None:
 
 def _file_error(b, message: str, hint: str = "") -> None:
     b.diags.append(ParseDiagnostic(SourceSpan(b.file, 1, 1), message, hint))
-
-
-def _word(cur: _Cursor, what: str) -> str:
-    return cur.name(what).text
 
 
 def _commas(cur: _Cursor, item, *args) -> list:
@@ -214,9 +218,9 @@ def _pair(cur: _Cursor, item, *args) -> tuple:
 def _element(cur: _Cursor, what: str, member: str):
     """A name, or a nonempty `{name, ...}` set as a frozenset."""
     if cur.peek() != "{":
-        return _word(cur, what)
+        return cur.name(what)
     cur.next()
-    members = frozenset(_commas(cur, _word, member))
+    members = frozenset(_commas(cur, _Cursor.name, member))
     cur.expect("}")
     return members
 
@@ -256,86 +260,86 @@ def parse_domain(text: str, file: str = "<domain>") -> Domain:
     return domain
 
 
-def _parse_domain_line(b: _DomainBuilder, cur: _Cursor, head: _Token) -> None:
-    if head.text == "objects":
-        sort = cur.name("sort name").text
+def _parse_domain_line(b: _DomainBuilder, cur: _Cursor, head: str) -> None:
+    # Diagnostics name the keyword (token 0) or the name after it (token 1).
+    if head == "objects":
+        sort = cur.name("sort name")
         cur.expect(":")
-        names = _commas(cur, _word, "object name")
+        names = _commas(cur, _Cursor.name, "object name")
         cur.finish()
         if sort in b.sorts:
-            cur.fail(f"sort '{sort}' is declared twice", at=head)
+            cur.fail(f"sort '{sort}' is declared twice", at=0)
         if len(set(names)) != len(names):
-            cur.fail(f"sort '{sort}' repeats an object", at=head)
+            cur.fail(f"sort '{sort}' repeats an object", at=0)
         b.sorts[sort] = tuple(names)
-    elif head.text in ("fluent", "action"):
-        name_tok = cur.name("schema name")
+    elif head in ("fluent", "action"):
+        name = cur.name("schema name")
         params = tuple(_parens(cur, _parse_param, b))
         cur.finish()
-        if name_tok.text in b.fluents or name_tok.text in b.actions:
-            cur.fail(f"schema '{name_tok.text}' is declared twice", at=name_tok)
-        table = b.fluents if head.text == "fluent" else b.actions
-        table[name_tok.text] = Schema(name_tok.text, params)
-    elif head.text == "home":
-        f_tok = cur.name("fluent name")
-        if f_tok.text not in b.fluents:
-            cur.fail(f"unknown fluent '{f_tok.text}'", at=f_tok)
-        atoms = tuple(_parens(cur, _word, "atom"))
+        if name in b.fluents or name in b.actions:
+            cur.fail(f"schema '{name}' is declared twice", at=1)
+        table = b.fluents if head == "fluent" else b.actions
+        table[name] = Schema(name, params)
+    elif head == "home":
+        f = cur.name("fluent name")
+        if f not in b.fluents:
+            cur.fail(f"unknown fluent '{f}'", at=1)
+        atoms = tuple(_parens(cur, _Cursor.name, "atom"))
         cur.finish()
-        if f_tok.text in b.homes:
-            cur.fail(f"'home {f_tok.text}' is declared twice", at=f_tok)
-        b.homes[f_tok.text] = atoms
-    elif head.text == "aspect":
+        if f in b.homes:
+            cur.fail(f"'home {f}' is declared twice", at=1)
+        b.homes[f] = atoms
+    elif head == "aspect":
         rule = _parse_aspect_rule(b, cur)
         b.aspect_rules.append(rule)
-    elif head.text == "effect":
+    elif head == "effect":
         b.effects.append(_parse_effect(b, cur))
-    elif head.text == "pre":
+    elif head == "pre":
         pat, scope = _parse_head(b, cur, "action")
         guard = _parse_guard(b, cur, scope)
         cur.finish()
         b.preconditions.append(Precondition(action=pat, guard=guard))
-    elif head.text == "frame":
+    elif head == "frame":
         apat, scope = _parse_head(b, cur, "action")
         fpat, _ = _parse_head(b, cur, "fluent", scope)
         cur.finish()
         b.frame_decls.append(FrameDecl(action=apat, fluent=fpat))
-    elif head.text == "disjoint":
+    elif head == "disjoint":
         cur.expect("by")
         if b.disjointness is not None:
-            cur.fail("the disjointness specification is declared twice", at=head)
+            cur.fail("the disjointness specification is declared twice", at=0)
         b.disjointness = _parse_disjoint_spec(cur)
     else:
-        cur.fail(f"unknown declaration '{head.text}'",
+        cur.fail(f"unknown declaration '{head}'",
                  "expected one of: domain, objects, fluent, action, home, "
-                 "aspect, effect, pre, frame, disjoint", at=head)
+                 "aspect, effect, pre, frame, disjoint", at=0)
 
 
 def _parse_param(cur: _Cursor, b: _DomainBuilder) -> SortRef:
-    tok = cur.name("sort name")
-    if tok.text == "set":
+    sort = cur.name("sort name")
+    ref = SortRef(sort)
+    if sort == "set":
         cur.expect("of")
-        tok = cur.name("sort name")
-        ref = SortRef(tok.text, is_set=True)
-    else:
-        ref = SortRef(tok.text)
+        ref = SortRef(cur.name("sort name"), is_set=True)
     if ref.name not in b.sorts:
-        cur.fail(f"unknown sort '{ref.name}'", at=tok)
+        cur.fail(f"unknown sort '{ref.name}'", at=cur.i - 1)
     return ref
 
 
 def _parse_head(b: _DomainBuilder, cur: _Cursor, kind: str,
                 scope: Optional[dict[str, SortRef]] = None):
     """Parse NAME(args...) as a pattern; returns (Pat, var scope)."""
-    name_tok = cur.name(f"{kind} name")
+    at = cur.i
+    name = cur.name(f"{kind} name")
     table = b.fluents if kind == "fluent" else b.actions
-    schema = table.get(name_tok.text)
+    schema = table.get(name)
     if schema is None:
-        cur.fail(f"unknown {kind} '{name_tok.text}'", at=name_tok)
-    args = _parens(cur, _word, "argument")
+        cur.fail(f"unknown {kind} '{name}'", at=at)
+    args = _parens(cur, _Cursor.name, "argument")
     scope = dict(scope) if scope else {}
     if len(args) != len(schema.params):
-        cur.fail(f"'{name_tok.text}' expects {len(schema.params)} arguments, "
-                 f"got {len(args)}", at=name_tok)
+        cur.fail(f"'{name}' expects {len(schema.params)} arguments, "
+                 f"got {len(args)}", at=at)
     resolved: list = []
     for arg, ref in zip(args, schema.params):
         if arg in scope:
@@ -345,7 +349,7 @@ def _parse_head(b: _DomainBuilder, cur: _Cursor, kind: str,
         else:
             scope[arg] = ref
             resolved.append(Var(arg))
-    return Pat(name_tok.text, tuple(resolved)), scope
+    return Pat(name, tuple(resolved)), scope
 
 
 def _parse_guard(b: _DomainBuilder, cur: _Cursor,
@@ -377,30 +381,29 @@ def _parse_guard_literal(b: _DomainBuilder, cur: _Cursor,
 
 
 def _parse_member(b: _DomainBuilder, cur: _Cursor, scope: dict[str, SortRef],
-                  member_tok: _Token) -> MemberGuard:
-    coll_tok = cur.name("set variable")
-    if coll_tok.text not in scope or not scope[coll_tok.text].is_set:
-        cur.fail(f"'{coll_tok.text}' is not a set-valued variable in scope",
-                 at=coll_tok)
-    elem_sort = scope[coll_tok.text].name
-    if member_tok.text in scope:
-        member: object = Var(member_tok.text)
-    elif b.is_object(member_tok.text, elem_sort):
-        member = member_tok.text
+                  name: str) -> MemberGuard:
+    coll = cur.name("set variable")
+    if coll not in scope or not scope[coll].is_set:
+        cur.fail(f"'{coll}' is not a set-valued variable in scope", at=cur.i - 1)
+    elem_sort = scope[coll].name
+    if name in scope:
+        member: object = Var(name)
+    elif b.is_object(name, elem_sort):
+        member = name
     else:
-        scope[member_tok.text] = SortRef(elem_sort)
-        member = Var(member_tok.text)
-    return MemberGuard(member=member, collection=Var(coll_tok.text))
+        scope[name] = SortRef(elem_sort)
+        member = Var(name)
+    return MemberGuard(member=member, collection=Var(coll))
 
 
 def _parse_aspect_rule(b: _DomainBuilder, cur: _Cursor) -> AspectRule:
-    name_tok = cur.name("fluent or action name")
-    if name_tok.text in b.fluents:
+    name = cur.name("fluent or action name")
+    if name in b.fluents:
         kind = "fluent"
-    elif name_tok.text in b.actions:
+    elif name in b.actions:
         kind = "action"
     else:
-        cur.fail(f"unknown fluent or action '{name_tok.text}'", at=name_tok)
+        cur.fail(f"unknown fluent or action '{name}'", at=1)
     cur.i -= 1
     pat, scope = _parse_head(b, cur, kind)
     b.aspect_heads.add((kind, pat.schema))
@@ -412,7 +415,7 @@ def _parse_aspect_rule(b: _DomainBuilder, cur: _Cursor) -> AspectRule:
         guard = _parse_guard(b, cur, scope)
     cur.finish()
     template = _resolve_template(raw_path, scope)
-    _require_bound(cur, cur.tokens[start:], template, _binders(pat, guard), "aspect template")
+    _require_bound(cur, start, template, _binders(pat, guard), "aspect template")
     return AspectRule(kind=kind, target=pat, template=template, guard=guard)
 
 
@@ -436,8 +439,8 @@ def _resolve_template(raw_path: list, scope: dict[str, SortRef]) -> tuple:
 def _parse_effect(b: _DomainBuilder, cur: _Cursor) -> EffectRule:
     apat, scope = _parse_head(b, cur, "action")
     op = cur.name("'add' or 'del'")
-    if op.text not in ("add", "del"):
-        cur.fail(f"expected 'add' or 'del', found '{op.text}'", at=op)
+    if op not in ("add", "del"):
+        cur.fail(f"expected 'add' or 'del', found '{op}'", at=cur.i - 1)
     fstart = cur.i
     _parse_head(b, cur, "fluent", scope)
     guard: tuple = ()
@@ -448,8 +451,8 @@ def _parse_effect(b: _DomainBuilder, cur: _Cursor) -> EffectRule:
     # The target is resolved once the guard's variables are in scope.
     cur.i = fstart
     fpat, _ = _parse_head(b, cur, "fluent", scope)
-    _require_bound(cur, cur.tokens[fstart:], fpat.args, _binders(apat, guard), "effect target")
-    return EffectRule(action=apat, add=(op.text == "add"), fluent=fpat, guard=guard)
+    _require_bound(cur, fstart, fpat.args, _binders(apat, guard), "effect target")
+    return EffectRule(action=apat, add=(op == "add"), fluent=fpat, guard=guard)
 
 
 def _binders(pattern: Pat, guard: tuple) -> set[str]:
@@ -461,41 +464,41 @@ def _binders(pattern: Pat, guard: tuple) -> set[str]:
     return {a.name for a in args if isinstance(a, Var)}
 
 
-def _require_bound(cur: _Cursor, tokens: list, elems, bound: set, what: str) -> None:
+def _require_bound(cur: _Cursor, start: int, elems, bound: set, what: str) -> None:
     """Fail at the first variable of `elems` (pattern arguments or template
-    elements) outside `bound`, spanning its first token in `tokens`."""
+    elements) outside `bound`, spanning its first token from token `start`."""
     for m in (m for elem in elems for m in _template_members(elem)):
         if isinstance(m, Var) and m.name not in bound:
             cur.fail(f"{what} variable '{m.name}' is bound by neither the pattern "
                      f"nor the guard", "a negated literal binds nothing",
-                     at=next(t for t in tokens if t.text == m.name))
+                     at=cur.tokens.index(m.name, start))
 
 
 def _parse_disjoint_spec(cur: _Cursor) -> DisjointnessSpec:
-    kind = cur.name("disjointness kind")
-    if kind.text == "seq-diff":
+    kind = cur.name("disjointness kind")  # token 2 of 'disjoint by KIND'
+    if kind == "seq-diff":
         cur.finish()
         return SeqExistsDiff()
-    if kind.text == "simple":
+    if kind == "simple":
         cur.finish()
         return SimpleInequality()
-    if kind.text == "commutative":
+    if kind == "commutative":
         cur.expect("(")
-        if _word(cur, "'all' or atom") == "all":
+        if _Cursor.name(cur, "'all' or atom") == "all":
             cur.expect(")")
             cur.finish()
             return CommutativeCanonical()
         cur.i -= 1
-        pairs = _commas(cur, _pair, _word, "atom")
+        pairs = _commas(cur, _pair, _Cursor.name, "atom")
         cur.expect(")")
         cur.finish()
         return CommutativeCanonical.of(*pairs)
-    if kind.text == "table":
+    if kind == "table":
         pairs = _commas(cur, _pair, _parse_path_value)
         cur.finish()
         return ExplicitTable(frozenset(pairs))
-    cur.fail(f"unknown disjointness kind '{kind.text}'",
-             "expected seq-diff, simple, commutative(...), or table", at=kind)
+    cur.fail(f"unknown disjointness kind '{kind}'",
+             "expected seq-diff, simple, commutative(...), or table", at=2)
 
 
 def _parse_path_value(cur: _Cursor) -> AspectPath:
@@ -578,10 +581,11 @@ def _render_spec(spec: DisjointnessSpec) -> str:
 def _items(text: str, file: str):
     """A cursor over each item of `text`: the tokens of one line between
     `;` tokens. Blank items are skipped."""
-    for lineno, tokens in _tokenize_lines(text):
-        for sep, item in itertools.groupby(tokens, key=lambda t: t.text == ";"):
-            if not sep:
-                yield _Cursor(list(item), file, lineno, [])
+    for lineno, body, tokens in _tokenize_lines(text):
+        ends = [i for i, t in enumerate(tokens) if t == ";"]
+        for start, end in zip([-1] + ends, ends + [len(tokens)]):
+            if end > start + 1:
+                yield _Cursor(file, []).at_line(lineno, body, tokens[start + 1:end], start + 1)
 
 
 def _ground_atom(cur: _Cursor, domain: Domain, cls):
@@ -590,7 +594,7 @@ def _ground_atom(cur: _Cursor, domain: Domain, cls):
     try:
         if cur.at_end():  # a lone '!'
             cur.fail("expected a single ground atom, got ''")
-        name = cur.name("schema name").text
+        name = cur.name("schema name")
         args = tuple(_parens(cur, _element, "object", "object"))
         cur.finish()
     except _LineAbort:
@@ -606,8 +610,7 @@ def parse_ground_fluent(text: str, domain: Domain, file: str = "<fluent>") -> Gr
     if len(lines) != 1:
         raise DslError([ParseDiagnostic(
             SourceSpan(file, 1, 1), f"expected a single ground atom, got {text!r}")])
-    (lineno, tokens), = lines
-    return _ground_atom(_Cursor(tokens, file, lineno, []), domain, GroundFluent)
+    return _ground_atom(_Cursor(file, []).at_line(*lines[0]), domain, GroundFluent)
 
 
 def parse_actions(text: str, domain: Domain, file: str = "<acts>") -> tuple[GroundAction, ...]:
@@ -630,7 +633,7 @@ def parse_state(text: str, domain: Domain, file: str = "<state>"):
         f = _ground_atom(cur, domain, GroundFluent)
         if given.setdefault(f, not negate) == negate:
             raise DslError([ParseDiagnostic(
-                cur.span(cur.tokens[0]), f"fluent '{f}' is given both true and false")])
+                cur.span(0), f"fluent '{f}' is given both true and false")])
     return initial_state(domain, [f for f, true in given.items() if true])
 
 
@@ -684,88 +687,88 @@ def parse_model(text: str, file: str = "<model>") -> FiniteModel:
     return model.with_derived_dtable() if not model.d_table else model
 
 
-def _parse_model_line(b: _ModelBuilder, cur: _Cursor, head: _Token) -> None:
-    def known_situation(tok: _Token) -> str:
-        if tok.text not in b.situations:
-            cur.fail(f"unknown situation '{tok.text}'", at=tok)
-        return tok.text
+def _situation(b: _ModelBuilder, cur: _Cursor) -> str:
+    s = cur.name("situation")
+    if s not in b.situations:
+        cur.fail(f"unknown situation '{s}'", at=cur.i - 1)
+    return s
 
-    if head.text in ("situation", "situations"):
+
+def _parse_model_line(b: _ModelBuilder, cur: _Cursor, head: str) -> None:
+    # Diagnostics name the keyword (token 0) or a name at a fixed token.
+    if head in ("situation", "situations"):
         while not cur.at_end():
-            tok = cur.name("situation name")
-            if tok.text in b.situations:
-                cur.fail(f"situation '{tok.text}' is declared twice", at=tok)
-            b.situations[tok.text] = None
-    elif head.text in ("rel", "crel"):
-        collective = head.text == "crel"
-        name = cur.name("element" if collective else "aspect atom").text
-        s = known_situation(cur.name("situation"))
-        t = known_situation(cur.name("situation"))
+            s = cur.name("situation name")
+            if s in b.situations:
+                cur.fail(f"situation '{s}' is declared twice", at=cur.i - 1)
+            b.situations[s] = None
+    elif head in ("rel", "crel"):
+        collective = head == "crel"
+        name = cur.name("element" if collective else "aspect atom")
+        s = _situation(b, cur)
+        t = _situation(b, cur)
         cur.finish()
         rels = b.collective_rels if collective else b.aspect_rels
         rels.setdefault(name, set()).add((s, t))
-    elif head.text == "functional":
-        atom = cur.name("aspect atom").text
+    elif head == "functional":
+        atom = cur.name("aspect atom")
         cur.finish()
         b.functional.add(atom)
         b.aspect_rels.setdefault(atom, set())
-    elif head.text == "atoms":
+    elif head == "atoms":
         while not cur.at_end():
-            b.aspect_rels.setdefault(cur.name("aspect atom").text, set())
-    elif head.text == "act":
-        name = cur.name("action name").text
-        s_tok = cur.name("situation")
-        s = known_situation(s_tok)
+            b.aspect_rels.setdefault(cur.name("aspect atom"), set())
+    elif head == "act":
+        name = cur.name("action name")
+        s = _situation(b, cur)
         cur.expect("->")
-        t = known_situation(cur.name("situation"))
+        t = _situation(b, cur)
         cur.finish()
         mapping = b.action_maps.setdefault(name, {})
         if s in mapping:
-            cur.fail(f"action '{name}' maps '{s}' twice", at=s_tok)
+            cur.fail(f"action '{name}' maps '{s}' twice", at=2)
         mapping[s] = t
-    elif head.text == "val":
-        f = cur.name("fluent name").text
+    elif head == "val":
+        f = cur.name("fluent name")
         b.valuations.setdefault(f, set())
         while not cur.at_end():
-            b.valuations[f].add(known_situation(cur.name("situation")))
-    elif head.text == "aspect":
+            b.valuations[f].add(_situation(b, cur))
+    elif head == "aspect":
         kind = cur.name("'fluent' or 'action'")
-        if kind.text not in ("fluent", "action"):
+        if kind not in ("fluent", "action"):
             cur.fail("expected 'aspect fluent NAME PATH' or "
-                     "'aspect action NAME PATH'", at=kind)
-        name_tok = cur.name("name")
+                     "'aspect action NAME PATH'", at=1)
+        name = cur.name("name")
         apath = _parse_path_value(cur)
         cur.finish()
-        table = b.fluent_aspects if kind.text == "fluent" else b.action_aspects
-        if name_tok.text in table:
-            cur.fail(f"'aspect {kind.text} {name_tok.text}' is declared twice",
-                     at=name_tok)
-        table[name_tok.text] = apath
-        if kind.text == "fluent":
-            b.valuations.setdefault(name_tok.text, set())
-    elif head.text in ("witness", "cwitness"):
-        f_tok = cur.name("fluent name")
-        form_tok = cur.name("formalism")
-        formalism = form_tok.text
+        table = b.fluent_aspects if kind == "fluent" else b.action_aspects
+        if name in table:
+            cur.fail(f"'aspect {kind} {name}' is declared twice", at=2)
+        table[name] = apath
+        if kind == "fluent":
+            b.valuations.setdefault(name, set())
+    elif head in ("witness", "cwitness"):
+        f = cur.name("fluent name")
+        formalism = cur.name("formalism")
         if formalism not in FORMALISMS:
             cur.fail(f"unknown formalism '{formalism}'",
-                     "one of: " + ", ".join(FORMALISMS), at=form_tok)
-        key: tuple = (f_tok.text, formalism)
+                     "one of: " + ", ".join(FORMALISMS), at=2)
+        key: tuple = (f, formalism)
         table = b.witnesses
-        if head.text == "cwitness":
-            key += (cur.name("element").text,)
+        if head == "cwitness":
+            key += (cur.name("element"),)
             table = b.collective_witnesses
         sits = set()
         while not cur.at_end():
-            sits.add(known_situation(cur.name("situation")))
+            sits.add(_situation(b, cur))
         if key in table:
-            cur.fail(f"'{head.text} {' '.join(key)}' is declared twice", at=f_tok)
+            cur.fail(f"'{head} {' '.join(key)}' is declared twice", at=1)
         table[key] = frozenset(sits)
-    elif head.text == "dpair":
+    elif head == "dpair":
         pair = _pair(cur, _parse_path_value)
         cur.finish()
         b.d_table.add(pair)
     else:
-        cur.fail(f"unknown declaration '{head.text}'",
+        cur.fail(f"unknown declaration '{head}'",
                  "expected one of: model, situations, rel, crel, functional, "
-                 "atoms, act, val, aspect, witness, cwitness, dpair", at=head)
+                 "atoms, act, val, aspect, witness, cwitness, dpair", at=0)

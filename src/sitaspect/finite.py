@@ -31,10 +31,16 @@ class FiniteModel:
     collective_rels: dict[str, frozenset[tuple[str, str]]] = field(default_factory=dict)
     collective_witnesses: dict[tuple[str, str, str], frozenset[str]] = field(default_factory=dict)
     d_table: frozenset[tuple[AspectPath, AspectPath]] = frozenset()
+    # Built once per model object: "index", the situation index; ("rel",
+    # atom) and ("elem", element), a relation's rows; "valid", set once
+    # validate() has passed.
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def validate(self) -> None:
         """Raise ModelError on no situations, a repeated or an unknown
         situation, and then on the first of `faults()`."""
+        if "valid" in self._memo:
+            return
         if not self.situations:
             raise ModelError(f"model '{self.name}' has no situations")
         if len(set(self.situations)) != len(self.situations):
@@ -53,6 +59,7 @@ class FiniteModel:
                 raise ModelError(f"valuation of '{f}' lists unknown situations")
         for message, _ in self.faults():
             raise ModelError(message)
+        self._memo["valid"] = True
 
     def faults(self):
         """(message, hint) for each action map that is not total, then for each
@@ -73,18 +80,30 @@ class FiniteModel:
 
     # -- bitmask views -------------------------------------------------
 
+    # The index and the rows are shared between calls: callers must not
+    # change them.
+
     def index(self) -> dict[str, int]:
-        return {s: i for i, s in enumerate(self.situations)}
+        idx = self._memo.get("index")
+        if idx is None:
+            idx = self._memo["index"] = {s: i for i, s in enumerate(self.situations)}
+        return idx
 
     def rel_rows(self, atom: str) -> list[int]:
         if atom not in self.aspect_rels:
             raise ModelError(f"no relation declared for aspect atom '{atom}'")
-        return _rows(self.situations, self.aspect_rels[atom])
+        return self._memo_rows(("rel", atom), self.aspect_rels[atom])
 
     def element_rows(self, elem: str) -> list[int]:
         if elem not in self.collective_rels:
             raise ModelError(f"no relation declared for collective element '{elem}'")
-        return _rows(self.situations, self.collective_rels[elem])
+        return self._memo_rows(("elem", elem), self.collective_rels[elem])
+
+    def _memo_rows(self, key: tuple[str, str], rel: frozenset[tuple[str, str]]) -> list[int]:
+        rows = self._memo.get(key)
+        if rows is None:
+            rows = self._memo[key] = _rows(self.situations, rel)
+        return rows
 
     def path_rows(self, path: AspectPath) -> list[int]:
         """Rows of the composed relation along an atom path (first atom first)."""

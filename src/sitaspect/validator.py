@@ -221,7 +221,11 @@ def _first_witness(rows: list[int], val: int, universal: bool) -> Optional[int]:
     of every situation in val, so their union is the least candidate. An
     existential witness misses the rows of every situation outside val, so
     it lies inside the complement of their union; from there, clearing bits
-    from the top while the witness still works reaches the least one.
+    from the top while the witness still works reaches the least one. When
+    bit t comes up, the bits below it are all still set, so t must stay
+    exactly when some row's lowest bit in q is t and no bit kept above t
+    meets that row: one pass over the rows by falling lowest bit decides
+    every bit.
     """
     inside = outside = 0
     for s, row in enumerate(rows):
@@ -233,9 +237,12 @@ def _first_witness(rows: list[int], val: int, universal: bool) -> Optional[int]:
     if _defined(rows, q, universal) != val:
         return None
     if not universal:
-        for t in reversed(range(len(rows))):
-            if q >> t & 1 and _defined(rows, q & ~(1 << t), False) == val:
-                q &= ~(1 << t)
+        hits = [row & q for row in rows]
+        hits.sort(key=lambda h: h & -h, reverse=True)
+        q = 0
+        for h in hits:
+            if not h & q:
+                q |= h & -h
     return q
 
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import importlib
 import time
 
 import pytest
 
+import sitaspect.dsl
 from sitaspect.disjoint import CommutativeCanonical, ExplicitTable, SeqExistsDiff
 from sitaspect.dsl import (
     parse_actions,
@@ -20,7 +22,7 @@ from sitaspect.finite import FiniteModel
 from sitaspect.frames import aspect_of_action
 from sitaspect.state import eval_fluent
 from sitaspect.terms import action, fluent, path
-from tests.conftest import fixture_text
+from tests.conftest import FIXTURES, fixture_text
 
 FIXTURE_DOMAINS = ["blocks.dom", "blocks_nosupport.dom", "rooms.dom",
                    "display.dom", "economy.dom"]
@@ -519,3 +521,48 @@ def test_action_comments_run_to_the_end_of_the_line(blocks):
     assert [str(a) for a in parse_actions("move(a,b); # note", blocks)] == ["move(a,b)"]
     assert [str(a) for a in parse_actions("move(a,b) # ; move(b,c)\n;move(c,a)",
                                           blocks)] == ["move(a,b)", "move(c,a)"]
+
+
+# -- columns are found only for a diagnostic ---------------------------------
+
+def _no_span(*args, **kwargs):
+    raise AssertionError("a clean parse looked up a column")
+
+
+def _bench_inputs(monkeypatch, tmp_path):
+    """(parser, (text,) or (text, domain)) for each input of the first
+    round (seed 1) of every bench workload: domain and model files, then
+    `--init`, `--acts` and `--fluent` text read with the job's domain."""
+    root = FIXTURES.parents[1]  # a job's relative paths start here
+    monkeypatch.syspath_prepend(str(root / "bench"))
+    workloads = importlib.import_module("workloads")
+    inputs = workloads.Inputs(tmp_path)
+    parsers = {"--init": parse_state, "--acts": parse_actions, "--fluent": parse_ground_fluent}
+    for build in workloads.ROUNDS.values():
+        for job in build(inputs, 1, 0):
+            source = root / job.argv[1]
+            if source.suffix == ".model":
+                yield parse_model, (source.read_text(),)
+            if source.suffix != ".dom":
+                continue
+            domain = parse_domain(source.read_text())
+            yield parse_domain, (source.read_text(),)
+            for flag, value in zip(job.argv, job.argv[1:]):
+                if flag in parsers:
+                    text = (root / value[1:]).read_text() if value.startswith("@") else value
+                    yield parsers[flag], (text, domain)
+
+
+def test_a_clean_parse_finds_no_column(monkeypatch, tmp_path):
+    fixtures = [(parse_domain if p.suffix == ".dom" else parse_model, (p.read_text(),))
+                for p in sorted(FIXTURES.iterdir()) if p.suffix in (".dom", ".model")]
+    cases = fixtures + list(_bench_inputs(monkeypatch, tmp_path))
+    assert {parse for parse, _ in cases} == {parse_domain, parse_model, parse_state,
+                                             parse_actions, parse_ground_fluent}
+    monkeypatch.setattr(sitaspect.dsl._Cursor, "span", _no_span)
+    for parse, args in cases:
+        parse(*args)
+        assert all(type(t) is str for _, _, tokens in sitaspect.dsl._tokenize_lines(args[0])
+                   for t in tokens)
+    with pytest.raises(AssertionError, match="column"):
+        parse_domain("domain d\nnope\n")

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import random
 
 import pytest
 
+import sitaspect.finite
+import sitaspect.validator
 from sitaspect.dsl import parse_model
 from sitaspect.errors import ModelError
 from sitaspect.finite import (
@@ -30,6 +33,7 @@ from sitaspect.validator import (
     check_premises,
     verify_theorem,
 )
+from tests.conftest import load_model
 from tests.planted import FACTORIZATION, STABILITY, make_model
 
 
@@ -438,6 +442,28 @@ def test_first_witness_matches_the_scan_on_random_cases():
     assert found > 50 and missing > 50
 
 
+def test_the_least_existential_witness_takes_linear_time(monkeypatch):
+    # Each situation sees only itself and p holds on every second one, so
+    # the witness is p's valuation; a `_defined` pass per bit tried from the
+    # top is quadratic in the situations.
+    sits = tuple(f"s{i}" for i in range(4000))
+    model = FiniteModel(name="big", situations=sits,
+                        aspect_rels={"a": frozenset((s, s) for s in sits)},
+                        valuations={"p": frozenset(sits[::2])},
+                        fluent_aspects={"p": path("a")})
+    calls = []
+
+    def counted(rows, q, universal, _defined=sitaspect.validator._defined):
+        calls.append(q)
+        return _defined(rows, q, universal)
+
+    monkeypatch.setattr(sitaspect.validator, "_defined", counted)
+    verdict = verify_theorem("rel-exists", model)
+    assert len(calls) <= 2
+    assert verdict.premises.checks[0].note == \
+        "witness found by search: {" + ",".join(sits[::2]) + "}"
+
+
 def _reference_modal_unstable(rows: list[int], avec: list[int], universal: bool):
     """The subset-valuation loop the row comparison replaced: the situations
     where some valuation x of the schema variable tells w from a(w)."""
@@ -647,3 +673,34 @@ def test_collective_factorization_matches_the_joint_search_on_random_cases():
             else:
                 missing += 1
     assert found > 100 and missing > 100
+
+
+@pytest.mark.parametrize("name, formalism", [("heater_all.model", "rel-forall"),
+                                             ("university.model", "coll-rel-exists")])
+def test_model_memo_builds_each_relation_once_and_is_not_compared(monkeypatch, name,
+                                                                  formalism):
+    model = load_model(name)
+    built = []
+
+    def counted(situations, rel, _rows=sitaspect.finite._rows):
+        built.append(rel)
+        return _rows(situations, rel)
+
+    monkeypatch.setattr(sitaspect.finite, "_rows", counted)
+    verdict = verify_theorem(formalism, model)
+    assert verdict.verdict == "pass" and built
+    assert len(built) == sum(isinstance(key, tuple) for key in model._memo)
+    assert model._memo["valid"] and model._memo["index"]
+    underived = dataclasses.replace(model, d_table=frozenset())
+    for fresh in (dataclasses.replace(model), underived, underived.with_derived_dtable()):
+        assert fresh._memo == {}
+    assert dataclasses.replace(model) == model
+    assert "_memo" not in repr(model)
+
+
+def test_a_faulty_model_raises_on_every_validate_call():
+    model = FiniteModel(name="m", situations=("s0", "s1"), action_maps={"go": {"s0": "s1"}})
+    for _ in range(2):
+        with pytest.raises(ModelError, match="not total"):
+            model.validate()
+    assert "valid" not in model._memo
