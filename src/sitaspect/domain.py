@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .disjoint import DisjointnessSpec, SeqExistsDiff
 from .errors import SchemaError, SitAspectError
-from .state import WorldState, build_state, eval_fluent
+from .state import WorldState, build_state
 from .terms import (
     AspectAtom,
     AspectElem,
@@ -141,6 +141,9 @@ class EffectRule:
         op = "add" if self.add else "del"
         return f"effect {self.action} {op} {self.fluent}{guard_text(self.guard)}"
 
+    # The rule as an entry of its successor state axiom: `action -> fluent if guard`.
+    entry = property(lambda self: f"{self.action} -> {self.fluent}{guard_text(self.guard)}")
+
 
 @dataclass(frozen=True)
 class Precondition:
@@ -183,14 +186,19 @@ class Domain:
     homes: dict[str, tuple[str, ...]] = field(default_factory=dict)
     # Memo tables, filled on use; dataclasses.replace starts them empty and
     # equality ignores them. _bound: `bound`'s (table, atom) -> result;
-    # _pools: `arg_candidates`' SortRef -> {term: rank}; _guards: frames'
-    # (guard, binding items) -> compiled guard; _steps: frames' (state,
-    # action) -> (changes, successor); _d_memo: frames' d, as path -> id,
-    # the paths by id and (id, id) -> d.
+    # _pools: `arg_candidates`' SortRef -> {term: rank}; _ground: the atoms
+    # `check_ground` passed. In frames: _guards, (guard, binding items) ->
+    # compiled guard; _pres, ground action -> split preconditions; _steps,
+    # (state, action) -> (changes, successor); _aspects, (state, kind, atom)
+    # -> path or failed lookup's message; _d_memo, d as path -> id, the
+    # paths by id and (id, id) -> d.
     _bound: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _pools: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _guards: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _pres: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _aspects: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _ground: set = field(default_factory=set, init=False, repr=False, compare=False)
     _d_memo: tuple[dict, list, dict] = field(default_factory=lambda: ({}, [], {}),
                                              init=False, repr=False, compare=False)
 
@@ -432,26 +440,28 @@ def _true_groundings(domain: Domain, lit_pat: Pat, env: dict,
                     for a in lit_pat.args])
     free = [i for i, v in enumerate(values) if isinstance(v, Var)]
     if not free:
-        true = eval_fluent(state, GroundFluent(lit_pat.schema, values)) is True
-        return [env] if true else []
+        return [env] if state.holds(lit_pat.schema, values) else []
     if lit_pat.schema not in state.schemas:
         raise SchemaError(f"unknown fluent schema '{lit_pat.schema}'")
     first: dict[str, int] = {}  # free variable -> its first position
     for i in free:
         first.setdefault(values[i].name, i)
-    fixed = [(i, v) for i, v in enumerate(values) if not isinstance(v, Var)]
+    facts = state.facts_index.get(lit_pat.schema, ())
+    fixed = [i for i, v in enumerate(values) if not isinstance(v, Var)]
+    if fixed:
+        pick = operator.itemgetter(*fixed)
+        want = pick(values)
+        facts = [args for args in facts if pick(args) == want]
     same = [(i, first[values[i].name]) for i in free if first[values[i].name] != i]
     pools = [(i, arg_candidates(domain, schema.params[i])) for i in first.values()]
     rows = []
-    for args in state.facts_index.get(lit_pat.schema, ()):
-        if any(args[i] != v for i, v in fixed) or any(args[i] != args[j] for i, j in same):
-            continue
+    for args in facts:
         # A fact with an argument outside its variable's pool is no candidate.
-        ranks = tuple(pool.get(args[i]) for i, pool in pools)
-        if None not in ranks:
+        ranks = [pool.get(args[i]) for i, pool in pools]
+        if None not in ranks and (not same or all(args[i] == args[j] for i, j in same)):
             rows.append((ranks, args))
     # Pool positions order the solutions as the sort product does.
-    rows.sort(key=lambda row: row[0])
+    rows.sort(key=operator.itemgetter(0))
     return [{**env, **{name: args[i] for name, i in first.items()}} for _, args in rows]
 
 
@@ -593,6 +603,8 @@ def initial_state(domain: Domain, true_fluents: Iterable[GroundFluent],
 def check_ground(domain: Domain, atom: Union[GroundFluent, GroundAction]) -> None:
     """Raise SchemaError unless `atom` is a well-sorted instance of its
     schema, looked up among the fluents or the actions by the atom's type."""
+    if atom in domain._ground:
+        return
     kind = "fluent" if isinstance(atom, GroundFluent) else "action"
     schema = (domain.fluents if kind == "fluent" else domain.actions).get(atom.schema)
     if schema is None:
@@ -613,6 +625,7 @@ def check_ground(domain: Domain, atom: Union[GroundFluent, GroundAction]) -> Non
             bad = [] if arg in objs else [arg]
         if bad:
             raise SchemaError(f"{atom}: {bad[0]!r} is not an object of sort '{ref.name}'")
+    domain._ground.add(atom)
 
 
 def check_rule_exclusivity(domain: Domain) -> list[str]:

@@ -684,6 +684,7 @@ def parse_model(text: str, file: str = "<model>") -> FiniteModel:
                             "add 'act NAME s -> t' lines")
     if b.diags:
         raise DslError(b.diags)
+    model._memo["valid"] = True  # a clean parse checked all that validate() checks
     return model.with_derived_dtable() if not model.d_table else model
 
 

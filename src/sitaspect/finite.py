@@ -31,9 +31,10 @@ class FiniteModel:
     collective_rels: dict[str, frozenset[tuple[str, str]]] = field(default_factory=dict)
     collective_witnesses: dict[tuple[str, str, str], frozenset[str]] = field(default_factory=dict)
     d_table: frozenset[tuple[AspectPath, AspectPath]] = frozenset()
-    # Built once per model object: "index", the situation index; ("rel",
+    # Built once per model object, and shared by the model that
+    # `with_derived_dtable` derives: "index", the situation index; ("rel",
     # atom) and ("elem", element), a relation's rows; "valid", set once
-    # validate() has passed.
+    # validate() or a clean `dsl.parse_model` has passed.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def validate(self) -> None:
@@ -144,7 +145,9 @@ class FiniteModel:
             for beta in self.action_aspects.values():
                 if _set_paths_disjoint(alpha, beta):
                     pairs.add((alpha, beta))
-        return replace(self, d_table=frozenset(pairs))
+        derived = replace(self, d_table=frozenset(pairs))
+        derived._memo.update(self._memo)  # no entry reads the d table
+        return derived
 
 
 def _set_paths_disjoint(alpha: AspectPath, beta: AspectPath) -> bool:

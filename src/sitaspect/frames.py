@@ -31,6 +31,8 @@ from .domain import (
     Precondition,
     SetTemplate,
     Var,
+    _fully_bound,
+    _guard_schema,
     _render_guard_atom,
     _static_rows,
     _template_members,
@@ -65,8 +67,13 @@ NO_AXIOM = "no-axiom"
 
 @dataclass(frozen=True)
 class TraceStep:
+    """A proof step whose text is rendered from `text` and `values` when read."""
+
     kind: str
-    detail: str
+    text: str
+    values: tuple
+
+    detail = property(lambda self: self.text.format(*self.values))
 
     def __str__(self) -> str:
         return f"[{self.kind}] {self.detail}"
@@ -237,9 +244,29 @@ def _check_applicable(domain: Domain, state: WorldState, a: GroundAction) -> Non
 def _failed_precondition(domain: Domain, state: WorldState,
                          a: GroundAction) -> Optional[tuple[Precondition, dict]]:
     """The first precondition of a whose guard has no solution in `state`,
-    with its argument binding, or None when every precondition holds."""
-    for pre, env0 in domain.bound("pre", a):
-        if not solve_guard(domain, state, pre.guard, env0):
+    with its argument binding, or None when every precondition holds. Split
+    once per Domain, a guard's leading positive literals that the head binds
+    fully are looked up as facts, and the rest is solved when they hold. A
+    literal that `_guard_schema` rejects starts the rest, so `solve_guard`
+    raises its error at the same call as on the whole guard."""
+    split = domain._pres.get(a)
+    if split is None:
+        split = domain._pres[a] = []
+        for pre, env0 in domain.bound("pre", a):
+            facts = []
+            for g in pre.guard:
+                if not (isinstance(g, GuardLiteral) and g.positive
+                        and _fully_bound(g.fluent, env0)):
+                    break
+                try:
+                    _guard_schema(domain, g.fluent)
+                except SchemaError:
+                    break
+                facts.append((g.fluent.schema, instantiate_pat(g.fluent, env0).args))
+            split.append((pre, env0, facts, pre.guard[len(facts):]))
+    for pre, env0, facts, rest in split:
+        if not all(itertools.starmap(state.holds, facts)) or (
+                rest and not solve_guard(domain, state, rest, env0)):
             return pre, env0
     return None
 
@@ -932,35 +959,47 @@ def regress_query(domain: Domain, states: Sequence[WorldState],
     while i > 0:
         a = acts[i - 1]
         pre = states[i - 1]
-        try:
-            alpha = aspect_of_fluent(domain, pre, p)
-            beta = aspect_of_action(domain, pre, a)
-        except (MissingAspectError, AmbiguousAspectError) as exc:
-            steps.append(TraceStep(ASPECT_LOOKUP, str(exc)))
+        alpha = _aspect_in(domain, pre, "fluent", p)
+        # A failed lookup is its message, and a's is not looked up after p's.
+        beta = alpha if isinstance(alpha, str) else _aspect_in(domain, pre, "action", a)
+        if isinstance(beta, str):
+            steps.append(TraceStep(ASPECT_LOOKUP, "{}", (beta,)))
         else:
             disjoint = _d(domain, alpha, beta)
-            steps.append(TraceStep(
-                D_EVALUATION, f"d({alpha},{beta}) = {disjoint} for {p} vs {a}"))
+            steps.append(TraceStep(D_EVALUATION, "d({},{}) = {} for {} vs {}",
+                                   (alpha, beta, disjoint, p, a)))
             if disjoint:
                 i -= 1
                 continue
         resolved = dict(_step(domain, pre, a)[0]).get(p)
         if resolved is not None:
-            steps.append(TraceStep(
-                EFFECT_APPLICATION, f"{a} sets {p} to {resolved}"))
+            steps.append(TraceStep(EFFECT_APPLICATION, "{} sets {} to {}", (a, p, resolved)))
             return resolved, ProofTrace(tuple(steps))
         if _names_fluent(domain.bound("frame", a), p):
-            steps.append(TraceStep(
-                AXIOM_INSTANTIATION, f"declared frame axiom for ({a}, {p})"))
+            steps.append(TraceStep(AXIOM_INSTANTIATION,
+                                   "declared frame axiom for ({}, {})", (a, p)))
             i -= 1
             continue
-        claim = (f"no d was established for {p} vs {a}" if steps[-1].kind == ASPECT_LOOKUP
-                 else f"{p} intersects {a}")
-        steps.append(TraceStep(NO_AXIOM, f"{claim} and no axiom resolves it"))
+        claim = ("no d was established for {} vs {}" if steps[-1].kind == ASPECT_LOOKUP
+                 else "{} intersects {}")
+        steps.append(TraceStep(NO_AXIOM, claim + " and no axiom resolves it", (p, a)))
         return None, ProofTrace(tuple(steps))
     value = eval_fluent(states[0], p)
-    steps.append(TraceStep(INIT_LOOKUP, f"{p} = {value} in the initial state"))
+    steps.append(TraceStep(INIT_LOOKUP, "{} = {} in the initial state", (p, value)))
     return value, ProofTrace(tuple(steps))
+
+
+def _aspect_in(domain: Domain, state: WorldState, kind: str, atom) -> Union[AspectPath, str]:
+    """atom's aspect in `state`, once per Domain, or the failed lookup's message."""
+    key = (state, kind, atom)
+    hit = domain._aspects.get(key)
+    if hit is None:
+        try:
+            hit = (aspect_of_fluent if kind == "fluent" else aspect_of_action)(domain, state, atom)
+        except (MissingAspectError, AmbiguousAspectError) as exc:
+            hit = str(exc)
+        domain._aspects[key] = hit
+    return hit
 
 
 def progression(domain: Domain, init: WorldState,
@@ -1000,11 +1039,11 @@ def persistence_proof(domain: Domain, state: WorldState, a: GroundAction,
         if not _d(domain, alpha, beta):
             raise NoProofError(f"{p} and {a} intersect; no aspect persistence proof")
         steps = (
-            TraceStep(ASPECT_LOOKUP, f"{p} : {alpha}"),
-            TraceStep(ASPECT_LOOKUP, f"{a} : {beta}"),
-            TraceStep(D_EVALUATION, f"d({alpha},{beta}) = True"),
+            TraceStep(ASPECT_LOOKUP, "{} : {}", (p, alpha)),
+            TraceStep(ASPECT_LOOKUP, "{} : {}", (a, beta)),
+            TraceStep(D_EVALUATION, "d({},{}) = True", (alpha, beta)),
             TraceStep(AXIOM_INSTANTIATION,
-                      f"non-interference yields holds({p},s) = holds({p},do({a},s))"),
+                      "non-interference yields holds({0},s) = holds({0},do({1},s))", (p, a)),
         )
         return ProofTrace(steps)
     if mode == "classical":
@@ -1015,7 +1054,7 @@ def persistence_proof(domain: Domain, state: WorldState, a: GroundAction,
         if not present:
             raise NoProofError(f"no frame axiom listed for ({a}, {p})")
         return ProofTrace((TraceStep(AXIOM_INSTANTIATION,
-                                     f"frame axiom F[{a},{p}] found in the list"),))
+                                     "frame axiom F[{},{}] found in the list", (a, p)),))
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -12,8 +12,8 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .domain import (Domain, EffectRule, check_ground, ground_fluents,
-                     guard_text, match_args, solve_guard)
+from .domain import (Domain, EffectRule, check_ground, ground_fluents, match_args,
+                     solve_guard)
 from .errors import CrossModeSoundnessError, SchemaError
 from .frames import (
     EFFECT_APPLICATION,
@@ -59,15 +59,10 @@ def compile_ssa(domain: Domain) -> SSASet:
     return SSASet(domain=domain, axioms=axioms)
 
 
-def _entry_text(rule: EffectRule) -> str:
-    """An axiom entry as traces show it: `action -> fluent if guard`."""
-    return f"{rule.action} -> {rule.fluent}{guard_text(rule.guard)}"
-
-
 def _entry_fires(domain: Domain, state: WorldState, rule: EffectRule,
                  a: GroundAction, p: GroundFluent) -> bool:
-    env = match_args(rule.action.args, a.args)
-    if rule.action.schema != a.schema or env is None:
+    env = match_args(rule.action.args, a.args) if rule.action.schema == a.schema else None
+    if env is None:
         return False
     env = match_args(rule.fluent.args, p.args, env)
     if env is None:
@@ -95,22 +90,21 @@ def ssa_query(ssas: SSASet, states: Sequence[WorldState],
         fired_plus = any(_entry_fires(domain, pre, e, a, p) for e in ssa.gamma_plus)
         if fired_plus:
             steps.append(TraceStep(EFFECT_APPLICATION,
-                                   f"a positive entry makes {p} true after {a}"))
+                                   "a positive entry makes {} true after {}", (p, a)))
             return True, ProofTrace(tuple(steps))
         fired_minus = False
         for e in ssa.gamma_minus:
-            steps.append(TraceStep(EQUALITY_CHECK,
-                                   f"test {a} against [{_entry_text(e)}]"))
+            steps.append(TraceStep(EQUALITY_CHECK, "test {} against [{.entry}]", (a, e)))
             if _entry_fires(domain, pre, e, a, p):
                 fired_minus = True
                 break
         if fired_minus:
             steps.append(TraceStep(EFFECT_APPLICATION,
-                                   f"a negative entry makes {p} false after {a}"))
+                                   "a negative entry makes {} false after {}", (p, a)))
             return False, ProofTrace(tuple(steps))
         i -= 1  # persistence: no entry fired
     value = eval_fluent(states[0], p)
-    steps.append(TraceStep(INIT_LOOKUP, f"{p} = {value} in the initial state"))
+    steps.append(TraceStep(INIT_LOOKUP, "{} = {} in the initial state", (p, value)))
     return value, ProofTrace(tuple(steps))
 
 

@@ -11,10 +11,10 @@ state, and to None ("undefined") when the state models only a portion of
 the world that does not include it.
 
 Guard solving reads a state through its facts index: for each fluent
-schema, the argument tuples of its true facts. It is built from `facts` on
-first use and is not part of the value, so equality and hashing read
-`facts` only. A positive guard literal binds its free variables from the
-matching true facts, a negated one with unbound variables holds when no
+schema, the set of argument tuples of its true facts. It is built from
+`facts` on first use and is not part of the value, so equality and hashing
+read `facts` only. A positive guard literal binds its free variables from
+the matching true facts, a negated one with unbound variables holds when no
 true fact matches, and the solutions come out in sort-product order,
 whatever order the index lists the facts in (see `domain.solve_guard`).
 """
@@ -46,12 +46,18 @@ class WorldState:
             yield f, f in self.facts, self.homes[f]
 
     @cached_property
-    def facts_index(self) -> dict[str, list[tuple]]:
+    def facts_index(self) -> dict[str, set[tuple]]:
         """Fluent schema -> the argument tuples of its true facts."""
-        index: dict[str, list[tuple]] = {}
+        index: dict[str, set[tuple]] = {}
         for f in self.facts:
-            index.setdefault(f.schema, []).append(f.args)
+            index.setdefault(f.schema, set()).add(f.args)
         return index
+
+    def holds(self, schema: str, args: tuple) -> bool:
+        """Whether `schema(args)` is a true fact; SchemaError on an unknown schema."""
+        if schema not in self.schemas:
+            raise SchemaError(f"unknown fluent schema '{schema}'")
+        return args in self.facts_index.get(schema, ())
 
 
 def build_state(

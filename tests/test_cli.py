@@ -61,7 +61,10 @@ PINNED_INITS = {"BLOCKS_INIT": BLOCKS_INIT, "DISPLAY_INIT": DISPLAY_INIT,
 def _pinned_id(pinned) -> str:
     argv = pinned["argv"]
     formalism = argv[argv.index("--formalism") + 1] if "--formalism" in argv else ""
-    return (" ".join(a for a in argv[:2] if not a.startswith("--"))
+    # A query names its mode and fluent; its walk is pinned by the digest.
+    query = (f" {argv[argv.index('--mode') + 1]} {argv[argv.index('--fluent') + 1]}"
+             if argv[0] == "query" else "")
+    return (" ".join(a for a in argv[:2] if not a.startswith("--")) + query
             + (f" {formalism}" if formalism else "")
             + (" --universe" if "--universe" in argv else "")
             + ("" if "--report" in argv else " text"))

@@ -3,20 +3,26 @@
 from __future__ import annotations
 
 import pickle
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from sitaspect import frames
+from sitaspect.cli import main
 from sitaspect.domain import (
     AspectRule,
     Domain,
     GuardLiteral,
     Pat,
+    Precondition,
     Schema,
     SortRef,
     Var,
     ground_actions,
+    ground_fluents,
     initial_state,
+    solve_guard,
 )
 from sitaspect.dsl import parse_domain, parse_state
 from sitaspect.errors import (
@@ -24,10 +30,12 @@ from sitaspect.errors import (
     InapplicableActionError,
     MissingAspectError,
     NoProofError,
+    SchemaError,
     UndefinedActionError,
 )
 from sitaspect.frames import (
     D_EVALUATION,
+    TraceStep,
     applicable_actions,
     aspect_of_action,
     aspect_of_fluent,
@@ -42,7 +50,8 @@ from sitaspect.frames import (
 )
 from sitaspect.state import eval_fluent
 from sitaspect.terms import AspectAtom, action, fluent, path
-from tests.conftest import fixture_text, reachable_states
+from tests.conftest import (BLOCKS_INIT, DISPLAY_INIT, FIXTURES, ROOMS_INIT, fixture_text,
+                            load_domain, reachable_states)
 
 
 # -- aspects of ground atoms -------------------------------------------------
@@ -354,6 +363,25 @@ def test_a_failed_step_is_not_stored(blocks, blocks_init):
     assert (state, covered) not in domain._steps
 
 
+@pytest.mark.parametrize("bad, message", [
+    (Pat("clear", (Var("x"), Var("y"))), "arity mismatch in guard literal clear\\(x,y\\)"),
+    (Pat("glow", (Var("x"),)), "guard refers to unknown fluent 'glow'"),
+])
+def test_a_bad_precondition_literal_raises_only_where_the_solver_reaches_it(blocks, bad,
+                                                                           message):
+    # Only b is clear: move(a,b) fails on clear(a) before the bad literal,
+    # while move(b,a) reaches it, and solving the whole guard raises there.
+    pre = Precondition(Pat("move", (Var("x"), Var("y"))),
+                       (GuardLiteral(Pat("clear", (Var("x"),))), GuardLiteral(bad)))
+    domain = replace(blocks, preconditions=(pre,))
+    state = parse_state("on(a,floor); clear(b)", blocks)
+    assert frames._failed_precondition(domain, state, action("move", "a", "b"))[0] == pre
+    with pytest.raises(SchemaError, match=message):
+        frames._failed_precondition(domain, state, action("move", "b", "a"))
+    with pytest.raises(SchemaError, match=message):
+        solve_guard(domain, state, pre.guard, {"x": "b", "y": "a"})
+
+
 # -- regression -----------------------------------------------------------------
 
 def _regress(domain, init, acts, p):
@@ -421,6 +449,78 @@ def test_regress_inapplicable_action_identifies_step(blocks, blocks_init):
         _regress(blocks, blocks_init,
                  [action("move", "a", "b"), action("move", "c", "b")],
                  fluent("clear", "c"))
+
+
+def _counting_lookups(monkeypatch) -> Counter:
+    calls = Counter()
+    for name in ("aspect_of_fluent", "aspect_of_action"):
+        def counted(*args, _real=getattr(frames, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(frames, name, counted)
+    return calls
+
+
+def test_regression_looks_up_each_aspect_once_per_state(monkeypatch):
+    domain = load_domain("rooms.dom")
+    init = parse_state(ROOMS_INIT, domain)
+    acts = [action("move", "a", "b"), action("transfer", "c", "a")]
+    states = progression(domain, init, acts)
+    calls = _counting_lookups(monkeypatch)
+    first = [str(s) for s in regress_query(domain, states, acts, fluent("on", "a", "f1"))[1].steps]
+    # One fluent and one action lookup per state the query regresses through.
+    assert calls == {"aspect_of_fluent": 2, "aspect_of_action": 2}
+    assert len(domain._aspects) == 4
+    again = [str(s) for s in regress_query(domain, states, acts, fluent("on", "a", "f1"))[1].steps]
+    assert again == first and sum(calls.values()) == 4
+    # A copy of the domain starts with an empty table and looks up afresh.
+    fresh = replace(domain)
+    assert fresh._aspects == {} and fresh._pres == {}
+    regress_query(fresh, states, acts, fluent("on", "a", "f1"))
+    assert sum(calls.values()) == 8
+
+
+def test_a_failed_aspect_lookup_is_replayed_unchanged(monkeypatch):
+    domain = load_domain("blocks.dom")
+    init = parse_state("clear(a); clear(b)", domain)
+    a, p = action("move", "a", "b"), fluent("clear", "c")
+    states = progression(domain, init, [a])
+    with pytest.raises(MissingAspectError) as raised:
+        aspect_of_action(domain, init, a)
+    expected = [f"[aspect-lookup] {raised.value}",
+                "[no-axiom] no d was established for clear(c) vs move(a,b) "
+                "and no axiom resolves it"]
+    calls = _counting_lookups(monkeypatch)
+    for _ in range(2):
+        value, trace = regress_query(domain, states, [a], p)
+        assert value is None and [str(s) for s in trace.steps] == expected
+    assert calls == {"aspect_of_fluent": 1, "aspect_of_action": 1}
+    assert domain._aspects[init, "action", a] == str(raised.value)
+
+
+@pytest.mark.parametrize("name", ["blocks.dom", "rooms.dom", "display.dom",
+                                  "display_comm.dom"])
+def test_the_soundness_lint_leaves_the_aspect_table_empty(name):
+    domain = load_domain(name)
+    check_aspect_soundness(domain)
+    assert domain._aspects == {}
+
+
+@pytest.mark.parametrize("name, init", [("blocks.dom", BLOCKS_INIT), ("rooms.dom", ROOMS_INIT),
+                                        ("display.dom", DISPLAY_INIT)],
+                         ids=["blocks.dom", "rooms.dom", "display.dom"])
+def test_compare_formats_no_trace_text(monkeypatch, capsys, name, init):
+    def refuse(step):
+        raise AssertionError(f"rendered a {step.kind} step")
+
+    monkeypatch.setattr(TraceStep, "detail", property(refuse))
+    code = main(["compare", str(FIXTURES / name), "--random", "40", "--seed", "3",
+                 "--init", init, "--report", "json"])
+    assert code == 0 and '"all_agree": true' in capsys.readouterr().out
+    # The same steps render once they are printed.
+    with pytest.raises(AssertionError, match="rendered"):
+        main(["query", str(FIXTURES / name), "--init", init, "--acts", "",
+              "--fluent", str(ground_fluents(load_domain(name))[0])])
 
 
 # -- persistence proofs -----------------------------------------------------------

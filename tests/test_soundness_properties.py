@@ -8,7 +8,9 @@ rules, preconditions and effect guards mix positive and negated literals
 membership guards and constants. `check_aspect_soundness` must return the
 report of `tests/test_soundness.py::_reference_soundness`, or raise its
 error. Stage 1's precondition clauses must hold exactly where the guard
-solver finds every precondition solvable.
+solver finds every precondition solvable, and the preconditions split into
+looked-up facts and a solved rest must decide, on random states, as the
+solver does on every whole guard.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from sitaspect.domain import GuardLiteral, MemberGuard  # noqa: E402
+from sitaspect.domain import (  # noqa: E402
+    GuardLiteral, MemberGuard, ground_fluents, initial_state, solve_guard)
 from sitaspect.dsl import parse_domain  # noqa: E402
 from sitaspect.errors import SitAspectError  # noqa: E402
 from sitaspect import frames  # noqa: E402
@@ -250,3 +253,60 @@ def test_stage_one_decides_the_preconditions_as_the_solver_on_generated_domains(
 
     check()
     assert failing[True] >= 10 and failing[False] >= 10, failing
+
+
+def _reference_failed_precondition(domain, state, a):
+    """The first precondition of a that `solve_guard` finds no solution of."""
+    for pre, env0 in domain.bound("pre", a):
+        if not solve_guard(domain, state, pre.guard, env0):
+            return pre, env0
+    return None
+
+
+@st.composite
+def domain_states(draw):
+    """A generated domain and a state of it: random true fluents, at times
+    with nothing modeled, or with a schema the state does not know."""
+    domain = draw(domains())
+    fluents = ground_fluents(domain)
+    truths = [f for f, bit in zip(fluents, draw(st.lists(st.booleans(), min_size=len(fluents),
+                                                          max_size=len(fluents)))) if bit]
+    shape = draw(st.sampled_from(("total", "total", "unmodeled", "unknown schema")))
+    if shape == "unmodeled":
+        return domain, initial_state(domain, truths, only=[])
+    state = initial_state(domain, truths)
+    if shape == "unknown schema":
+        state = dataclasses.replace(state, schemas=state.schemas - {draw(st.sampled_from(
+            sorted(domain.fluents)))})
+    return domain, state
+
+
+def test_precondition_facts_decide_as_the_solver_on_generated_domains():
+    seen = Counter()
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(domain_states())
+    def check(case):
+        domain, state = case
+        for a in domain.ground_action_list:
+            try:
+                want = _reference_failed_precondition(domain, state, a)
+            except SitAspectError as exc:
+                seen["error"] += 1
+                with pytest.raises(type(exc)) as raised:
+                    frames._failed_precondition(domain, state, a)
+                assert str(raised.value) == str(exc)
+            else:
+                seen["holds" if want is None else "fails"] += 1
+                assert frames._failed_precondition(domain, state, a) == want
+            # Each precondition, as split: its looked-up facts and solved rest.
+            for _, _, facts, rest in domain._pres[a]:
+                seen[("facts" if facts else "") + (" & rest" if rest else "")] += 1
+        assert _outcome(lambda d: frames.applicable_actions(d, state), domain) == _outcome(
+            lambda d: [a for a in d.ground_action_list
+                       if _reference_failed_precondition(d, state, a) is None], domain)
+
+    check()
+    for feature in ("error", "fails", "holds", "facts", "facts & rest", " & rest"):
+        assert seen[feature] >= 10, seen

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import pytest
 
-from sitaspect.domain import ground_fluents, initial_state
+from sitaspect.domain import GuardLiteral, Pat, ground_fluents, initial_state, solve_guard
 from sitaspect.dsl import parse_state
 from sitaspect.errors import SchemaError, UndefinedPortionError
 from sitaspect.state import build_state, eval_fluent, with_fluent
@@ -29,6 +30,17 @@ def test_eval_fluent_outside_modeled_portion(display):
 def test_eval_fluent_unknown_schema_errors(blocks_init):
     with pytest.raises(SchemaError):
         eval_fluent(blocks_init, fluent("heater_on", "h1"))
+
+
+def test_holds_reads_the_facts_index_and_rejects_an_unknown_schema(blocks, blocks_init):
+    assert blocks_init.holds("on", ("a", "floor"))
+    assert not blocks_init.holds("on", ("a", "b"))
+    narrowed = dataclasses.replace(blocks_init, schemas=frozenset({"on"}))
+    with pytest.raises(SchemaError, match="unknown fluent schema 'clear'"):
+        narrowed.holds("clear", ("a",))
+    # A fully bound guard literal is read through holds, so it raises alike.
+    with pytest.raises(SchemaError, match="unknown fluent schema 'clear'"):
+        solve_guard(blocks, narrowed, (GuardLiteral(Pat("clear", ("a",))),), {})
 
 
 def test_with_fluent_read_after_write(blocks_init):

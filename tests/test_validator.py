@@ -11,6 +11,7 @@ import pytest
 
 import sitaspect.finite
 import sitaspect.validator
+from sitaspect.cli import main
 from sitaspect.dsl import parse_model
 from sitaspect.errors import ModelError
 from sitaspect.finite import (
@@ -33,7 +34,7 @@ from sitaspect.validator import (
     check_premises,
     verify_theorem,
 )
-from tests.conftest import load_model
+from tests.conftest import FIXTURES, load_model
 from tests.planted import FACTORIZATION, STABILITY, make_model
 
 
@@ -704,3 +705,21 @@ def test_a_faulty_model_raises_on_every_validate_call():
         with pytest.raises(ModelError, match="not total"):
             model.validate()
     assert "valid" not in model._memo
+
+
+@pytest.mark.parametrize("name, formalism", [("heater.model", "rel-exists"),
+                                             ("university.model", "coll-rel-exists")])
+def test_validate_checks_a_parsed_models_faults_once(monkeypatch, capsys, name, formalism):
+    # The parse reports the faults; the model it returns, and the copy that
+    # with_derived_dtable makes of it, are known valid.
+    calls = []
+
+    def counted(self, _faults=FiniteModel.faults):
+        calls.append(self)
+        return _faults(self)
+
+    monkeypatch.setattr(FiniteModel, "faults", counted)
+    assert main(["validate", str(FIXTURES / name), "--formalism", formalism]) == 0
+    assert "pass" in capsys.readouterr().out
+    assert len(calls) == 1
+    assert load_model(name)._memo["valid"]
