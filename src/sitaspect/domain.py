@@ -191,7 +191,8 @@ class Domain:
     # compiled guard; _pres, ground action -> split preconditions; _steps,
     # (state, action) -> (changes, successor); _aspects, (state, kind, atom)
     # -> path or failed lookup's message; _d_memo, d as path -> id, the
-    # paths by id and (id, id) -> d.
+    # paths by id and (id, id) -> d. _rule_paths: `_rule_paths`' id(rule)
+    # -> (the head variables it reads, their values -> paths).
     _bound: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _pools: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _guards: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -201,6 +202,7 @@ class Domain:
     _ground: set = field(default_factory=set, init=False, repr=False, compare=False)
     _d_memo: tuple[dict, list, dict] = field(default_factory=lambda: ({}, [], {}),
                                              init=False, repr=False, compare=False)
+    _rule_paths: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def bound(self, table: str, atom) -> tuple[tuple[object, dict], ...]:
         """The rules of `table` whose head matches the ground `atom`, in
@@ -361,36 +363,69 @@ def _template_members(t: ElemTemplate) -> list:
 
 def _static_row(domain: Domain, kind: str, atom, errors: list[str]) -> tuple:
     """The `StaticAspects` row of a ground atom, from its rules in rule and
-    static-grounding order. A template position's element depends only on
-    its key (`_key_column`) in the grounding's row: each distinct key tuple
-    is kept at its first row, and each element and path is built once.
-    """
+    static-grounding order (`_rule_paths`)."""
     # Dicts keep first-seen order and find duplicates in constant time.
     paths: dict[AspectPath, None] = {}
     guard: dict[str, None] = {}
     bound = domain.bound(kind, atom)
     for rule, env0 in bound:
-        names, rows = _static_rows(domain, rule.guard, env0)
-        if rows:
+        rule_paths = _rule_paths(domain, rule, env0)
+        if rule_paths:
             # The rendering shows the guard under the argument binding only.
             guard.update(dict.fromkeys(_render_guard_atom(g, env0) for g in rule.guard))
-        columns = [_key_column(t, names, rows) for t in rule.template]
-        memos: list[dict] = [{} for _ in columns]
-        # Each distinct key tuple, first-seen order, with a row that has it.
-        for keys, row in dict(zip(zip(*columns) if columns else [()], rows)).items():
-            elems = []
-            for t, memo, key in zip(rule.template, memos, keys):
-                elem = memo.get(key)
-                if elem is None:
-                    env = {**env0, **dict(zip(names, row))}
-                    elem = memo[key] = instantiate_template((t,), env).elems[0]
-                elems.append(elem)
-            paths[AspectPath(tuple(elems))] = None
+        paths.update(dict.fromkeys(rule_paths))
     if not bound:
         errors.append(f"no aspect rule matches {kind} {atom}")
     elif not paths:
         errors.append(f"aspect rules for {kind} {atom} have unsatisfiable guards")
     return atom, tuple(paths), tuple(guard)
+
+
+def _rule_paths(domain: Domain, rule: AspectRule, env0: dict) -> tuple[AspectPath, ...]:
+    """The distinct static aspects an aspect rule gives under its head
+    binding `env0`, in static-grounding order; () when its guard has no
+    static grounding.
+
+    They depend only on the head variables the rule reads: its template's,
+    and its guard's when the guard has a member guard or a negated literal,
+    the only atoms whose rows a head value filters (`_static_rows`). So they
+    are built once per Domain and per value of those variables. A template
+    position's element depends only on its key (`_key_column`) in the
+    grounding's row: each distinct key tuple is kept at its first row, and
+    each element and path is built once.
+    """
+    # Rules are keyed by id, since hashing one hashes its whole template and
+    # guard; the Domain holds its rules, so no id is reused.
+    entry = domain._rule_paths.get(id(rule))
+    if entry is None:
+        variables = {m.name for t in rule.template for m in _template_members(t)
+                     if isinstance(m, Var)}
+        if any(isinstance(g, MemberGuard) or not g.positive for g in rule.guard):
+            variables.update(a.name for g in rule.guard for a in (
+                (g.member, g.collection) if isinstance(g, MemberGuard) else g.fluent.args)
+                if isinstance(a, Var))
+        entry = domain._rule_paths[id(rule)] = ([n for n in env0 if n in variables], {})
+    reads, by_values = entry
+    values = tuple([env0[n] for n in reads])
+    hit = by_values.get(values)
+    if hit is not None:
+        return hit
+    names, rows = _static_rows(domain, rule.guard, env0)
+    columns = [_key_column(t, names, rows) for t in rule.template]
+    memos: list[dict] = [{} for _ in columns]
+    paths: dict[AspectPath, None] = {}
+    # Each distinct key tuple, first-seen order, with a row that has it.
+    for keys, row in dict(zip(zip(*columns) if columns else [()], rows)).items():
+        elems = []
+        for t, memo, key in zip(rule.template, memos, keys):
+            elem = memo.get(key)
+            if elem is None:
+                env = {**env0, **dict(zip(names, row))}
+                elem = memo[key] = instantiate_template((t,), env).elems[0]
+            elems.append(elem)
+        paths[AspectPath(tuple(elems))] = None
+    hit = by_values[values] = tuple(paths)
+    return hit
 
 
 def _key_column(t: ElemTemplate, names: list[str], rows: list[tuple]) -> list:

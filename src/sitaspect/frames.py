@@ -34,6 +34,7 @@ from .domain import (
     _fully_bound,
     _guard_schema,
     _render_guard_atom,
+    _rule_paths,
     _static_rows,
     _template_members,
     arg_candidates,
@@ -518,49 +519,59 @@ def _d(domain: Domain, alpha: AspectPath, beta: AspectPath) -> bool:
     return _disjoint(domain, _path_id(domain, alpha), _path_id(domain, beta))
 
 
-def _static_pairs(domain: Domain):
-    """Every (action row, fluent row, always disjoint) of the domain's
-    `StaticAspects` table, action-major. A pair is always disjoint when every
-    static aspect of the fluent is disjoint from every one of the action.
+def _static_pairs(domain: Domain) -> Iterator[tuple[tuple, list[int], list[int]]]:
+    """Per action row of the domain's `StaticAspects` table, in order: the
+    row, the indices of the fluent rows always disjoint from it, and those
+    of the other fluent rows, ascending. A pair is always disjoint when
+    every static aspect of the fluent is disjoint from every one of the
+    action.
 
-    Atoms with equal aspect lists share one answer. d is asked in the order
-    of the plain loop over the fluent's aspects, then the action's, and the
-    loop stops at the first pair that is not disjoint, so each pair the
-    domain's memo lacks is first evaluated where that loop would evaluate
-    it, and a DisjointnessSpecError surfaces on its input.
+    Each distinct action aspect list is decided once, where it is first
+    seen, and fluents with equal aspect lists share one answer. d is asked
+    in the order of the plain loop over the fluent's aspects, then the
+    action's, and the loop stops at the first pair that is not disjoint, so
+    each pair the domain's memo lacks is first evaluated where the loop over
+    every (action, fluent) pair would evaluate it, and a
+    DisjointnessSpecError surfaces on its input.
     """
     table = domain.static_aspects
-    fluents = [(row, tuple(_path_id(domain, path) for path in row[1]))
-               for row in table.fluents]
-    always: dict[tuple, bool] = {}  # (fluent path ids, action path ids) -> answer
+    fluents = [tuple(_path_id(domain, path) for path in row[1]) for row in table.fluents]
+    split: dict[tuple, tuple[list[int], list[int]]] = {}  # action path ids -> rows
     for arow in table.actions:
         ys = tuple(_path_id(domain, path) for path in arow[1])
-        for frow, xs in fluents:
-            hit = always.get((xs, ys))
-            if hit is None:
-                hit = always[xs, ys] = all(_disjoint(domain, x, y) for x in xs for y in ys)
-            yield arow, frow, hit
+        hit = split.get(ys)
+        if hit is None:
+            always: dict[tuple, bool] = {}  # fluent path ids -> answer
+            hit = split[ys] = ([], [])
+            for i, xs in enumerate(fluents):
+                answer = always.get(xs)
+                if answer is None:
+                    answer = always[xs] = all(_disjoint(domain, x, y) for x in xs for y in ys)
+                hit[not answer].append(i)
+        yield arow, *hit
 
 
 def _ground_axioms(domain: Domain) -> tuple[FrameAxiom, ...]:
+    fluents = domain.static_aspects.fluents
     return tuple(FrameAxiom(action=a, fluent=p, guard=tuple(dict.fromkeys(fguard + aguard)))
-                 for (a, _, aguard), (p, _, fguard), disjoint in _static_pairs(domain)
-                 if disjoint)
+                 for (a, _, aguard), disjoint, _ in _static_pairs(domain)
+                 for p, _, fguard in map(fluents.__getitem__, disjoint))
 
 
 def frame_economy(domain: Domain) -> tuple[EconomyReport, ...]:
     """One report per disjoint pair of economy groups, by the renderings of
     the fluent, then the action aspect: m * n frame axioms from m + n + 2
     source axioms. An atom enters the group of its aspect when its guard-free
-    rules give that one aspect and none of its guarded rules has a static
-    grounding (`_static_rows`); the static aspect table is not built."""
+    rules give that one aspect (`_rule_paths`) and none of its guarded rules
+    has a static grounding (`_static_rows`); neither the static aspect table
+    nor a guarded rule's paths are built."""
     fluent_groups, action_groups = Counter(), Counter()  # aspect -> atoms
     for kind, atoms, group in (("fluent", ground_fluents(domain), fluent_groups),
                                ("action", domain.ground_action_list, action_groups)):
         for x in atoms:
             bound = domain.bound(kind, x)
-            aspects = {instantiate_template(rule.template, env0)
-                       for rule, env0 in bound if not rule.guard}
+            aspects = {path for rule, env0 in bound if not rule.guard
+                       for path in _rule_paths(domain, rule, env0)}
             if len(aspects) == 1 and not any(
                     rule.guard and _static_rows(domain, rule.guard, env0)[1]
                     for rule, env0 in bound):
@@ -1077,14 +1088,43 @@ def completeness_lint(domain: Domain) -> CompletenessReport:
     Regression returns `undefined` on such pairs; progression persists them.
     A pair that is always disjoint is covered by non-interference.
     """
-    uncovered, named_by = [], None
-    for (a, _, _), (p, _, _), disjoint in _static_pairs(domain):
-        if not disjoint:
-            if named_by is not a:  # the pairs come action-major
-                named_by, named = a, domain.bound("frame", a) + domain.bound("effect", a)
-            if not _names_fluent(named, p):
-                uncovered.append((a, p))
+    fluents = domain.static_aspects.fluents
+    # (schema, arity) and (schema, position, argument) -> rows
+    index: dict[tuple, set[int]] = {}
+    for i, (p, _, _) in enumerate(fluents):
+        index.setdefault((p.schema, len(p.args)), set()).add(i)
+        for key in zip(itertools.repeat(p.schema), itertools.count(), p.args):
+            index.setdefault(key, set()).add(i)
+    uncovered = []
+    for (a, _, _), _, others in _static_pairs(domain):
+        if others:
+            named = _named_rows(domain.bound("frame", a) + domain.bound("effect", a),
+                                index, fluents)
+            uncovered += ((a, fluents[i][0]) for i in others if i not in named)
     return CompletenessReport(uncovered=tuple(uncovered))
+
+
+def _named_rows(entries: Sequence[tuple[object, dict]], index: dict[tuple, set[int]],
+                fluents: Sequence[tuple]) -> set[int]:
+    """The rows of `fluents` that some effect or frame entry of `entries`
+    names, as `_names_fluent` decides, looked up in `completeness_lint`'s
+    index instead of matched row by row."""
+    named: set[int] = set()
+    for rule, env0 in entries:
+        pat = rule.fluent
+        fixed, free = [], []
+        for i, arg in enumerate(pat.args):
+            if isinstance(arg, Var) and arg.name not in env0:
+                free.append(arg.name)
+            else:
+                value = env0[arg.name] if isinstance(arg, Var) else arg
+                fixed.append(index.get((pat.schema, i, value), set()))
+        rows = index.get((pat.schema, len(pat.args)), set()).intersection(*fixed)
+        if len(set(free)) < len(free):  # a repeated free variable
+            rows = {i for i in rows
+                    if match_args(pat.args, fluents[i][0].args, env0) is not None}
+        named |= rows
+    return named
 
 
 _ASPECT_SAMPLE_LIMIT = 400

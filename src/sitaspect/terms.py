@@ -9,6 +9,7 @@ the whole world.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 
@@ -104,6 +105,11 @@ class AspectPath:
         return AspectPath(self.elems + tuple(as_elem(p) for p in parts))
 
     def __str__(self) -> str:
+        return self._text
+
+    # Computed once per path object; a frozen dataclass keeps it in __dict__.
+    @cached_property
+    def _text(self) -> str:
         return "(" + ",".join(str(e) for e in self.elems) + ")"
 
 
@@ -132,6 +138,10 @@ class _GroundAtom:
     args: tuple[GroundTerm, ...] = ()
 
     def __str__(self) -> str:
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
         return f"{self.schema}({','.join(term_str(a) for a in self.args)})"
 
     def sort_key(self):

@@ -106,19 +106,31 @@ FLUENT_RULES = {
 }
 
 
+# Rules that make move's violations show under two action aspects: on(x,y)
+# is at (y), disjoint from both (k) and (r).
+PLANTED = {"on(u,v)": ("(v)",), "move(x,y)": ("(k) if mark(x)", "(r) if !mark(x)"),
+           "effect": "add on(x,y)"}
+
+
 @st.composite
 def domains(draw):
     """A generated domain. An action's second aspect rule is drawn freely,
     so the two may overlap: it is parsed in a copy of the text that has it
     in place of the first, and then appended to the rules."""
     actions = ["move"] + (["paint"] if draw(st.booleans()) else [])
+    # One draw in four plants PLANTED: move then changes on(x,y), whose
+    # aspect is disjoint from move's aspect at the leaves of both rules, so
+    # violations at several leaves do not hang on the examples drawn.
+    planted = draw(st.integers(0, 3)) == 0
     lines = ["domain generated", "objects obj: a, b", "objects place: a, floor",
              "fluent on(obj, place)", "fluent mark(obj)", "fluent tag(set of obj)",
              "action move(obj, place)"]
     if "paint" in actions:
         lines.append("action paint(set of obj)")
     for head, choices in FLUENT_RULES.items():
-        lines += [f"aspect {head} {body}" for body in draw(st.sampled_from(choices))]
+        bodies = PLANTED["on(u,v)"] if planted and head == "on(u,v)" else \
+            draw(st.sampled_from(choices))
+        lines += [f"aspect {head} {body}" for body in bodies]
     firsts, seconds = [], []
     for name in actions:
         text, head = HEADS[name]
@@ -130,15 +142,19 @@ def domains(draw):
                              + (f" if {guard}" if guard else ""))
             else:
                 rules.append(f"aspect {text} {draw(templates(list(head)))}")
+        if planted and name == "move":
+            rules = [f"aspect {text} {body}" for body in PLANTED["move(x,y)"]]
         firsts.append(rules[0])
         seconds.append(rules[-1])
         if draw(st.booleans()):
             guard, _ = draw(guards(head))
             if guard:
                 lines.append(f"pre {text} {guard}")
-        for effect in draw(st.lists(st.sampled_from(EFFECTS[name]), min_size=1,
-                                    max_size=3, unique=True)):
-            lines.append(f"effect {text} {effect}")
+        effects = draw(st.lists(st.sampled_from(EFFECTS[name]), min_size=1,
+                                max_size=3, unique=True))
+        if planted and name == "move":
+            effects = list(dict.fromkeys([PLANTED["effect"], *effects]))
+        lines += [f"effect {text} {effect}" for effect in effects]
     lines.append("disjoint by seq-diff")
     first, second = (parse_domain("\n".join(lines + rules) + "\n", file="generated")
                      for rules in (firsts, seconds))
