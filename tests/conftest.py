@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from sitaspect import frames
 from sitaspect.dsl import parse_domain, parse_model, parse_state
-from sitaspect.errors import UndefinedActionError
+from sitaspect.errors import SchemaError, SitAspectError, UndefinedActionError
 from sitaspect.frames import applicable_actions, progress
+from sitaspect.state import build_state
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -31,7 +34,9 @@ def sort_pool(domain, ref) -> list:
     """The ground terms a parameter of sort `ref` can take, built without the
     program's pools: the sort's objects, or its nonempty subsets by size,
     then by object order."""
-    objs = domain.objects(ref.name)
+    if ref.name not in domain.sorts:
+        raise SchemaError(f"unknown sort '{ref.name}' in domain '{domain.name}'")
+    objs = domain.sorts[ref.name]
     if not ref.is_set:
         return list(objs)
     return [frozenset(combo) for size in range(1, len(objs) + 1)
@@ -60,6 +65,40 @@ def reachable_states(domain, init, max_depth: int) -> list:
         if not frontier:
             break
     return out
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and text of the SitAspectError it raises."""
+    try:
+        return fn(*args)
+    except SitAspectError as exc:
+        return type(exc), str(exc)
+
+
+def assert_stage_one_decides_as_the_solver(domain) -> Counter:
+    """For each action within the bound and each valuation of its
+    `_relevant_fluents`, stage 1's precondition clauses hold exactly where
+    `_failed_precondition` finds every precondition solvable in the
+    valuation's state. Returns how many valuations passed and failed."""
+    outcomes = Counter()
+    schemas = frozenset(domain.fluents)
+    for a in domain.ground_action_list:
+        relevant = frames._relevant_fluents(domain, a)
+        if len(relevant) > frames._GUARD_FLUENT_LIMIT:
+            continue
+        k = len(relevant)
+        bits = {f: 1 << (k - 1 - i) for i, f in enumerate(relevant)}
+        pres = [frames._guard_clauses(domain, pre.guard, env0, bits)[1]
+                for pre, env0 in domain.bound("pre", a)]
+        for truth in range(2 ** k):
+            decided = all(any(truth & mask == want for mask, want, _ in clauses)
+                          for clauses in pres)
+            state = build_state({(): {f: bool(truth & b) for f, b in bits.items()}},
+                                schemas=schemas)
+            solved = frames._failed_precondition(domain, state, a) is None
+            assert decided == solved, (a, truth)
+            outcomes[decided] += 1
+    return outcomes
 
 
 def load_domain(name: str):
@@ -134,3 +173,10 @@ def rooms_init(rooms):
 @pytest.fixture(scope="session")
 def display_init(display):
     return parse_state(DISPLAY_INIT, display)
+
+
+def depth2(request, name):
+    """The fixture domain `name` and the states within two steps of its
+    initial state."""
+    domain = request.getfixturevalue(name)
+    return domain, reachable_states(domain, request.getfixturevalue(f"{name}_init"), 2)

@@ -50,8 +50,9 @@ from sitaspect.frames import (
 )
 from sitaspect.state import eval_fluent
 from sitaspect.terms import AspectAtom, action, fluent, path
-from tests.conftest import (BLOCKS_INIT, DISPLAY_INIT, FIXTURES, ROOMS_INIT, fixture_text,
-                            load_domain, reachable_states)
+from tests import reference
+from tests.conftest import (BLOCKS_INIT, DISPLAY_INIT, FIXTURES, ROOMS_INIT, depth2,
+                            fixture_text, load_domain, reachable_states)
 
 
 # -- aspects of ground atoms -------------------------------------------------
@@ -609,32 +610,14 @@ def test_completeness_lint_display_clean(display):
 def test_every_guard_solution_is_a_static_grounding(request, name):
     # The static grounder over-approximates the state solver: whatever
     # solves a guard in a reachable state is one of its static groundings.
-    from sitaspect.domain import (
-        ground_fluents,
-        match_args,
-        solve_guard,
-        static_guard_groundings,
-    )
+    from sitaspect.domain import solve_guard, static_guard_groundings
 
-    domain = request.getfixturevalue(name)
-    init = request.getfixturevalue(f"{name}_init")
-    matched = []
-    for p in ground_fluents(domain):
-        matched += [(r.guard, match_args(r.target.args, p.args))
-                    for r in domain.aspect_rules
-                    if r.kind == "fluent" and r.target.schema == p.schema]
-    for a in ground_actions(domain):
-        matched += [(r.guard, match_args(r.target.args, a.args))
-                    for r in domain.aspect_rules
-                    if r.kind == "action" and r.target.schema == a.schema]
-        matched += [(r.guard, match_args(r.action.args, a.args))
-                    for r in domain.preconditions + domain.effects
-                    if r.action.schema == a.schema]
+    domain, states = depth2(request, name)
     statics = [(guard, env0, {frozenset(g.items())
                               for g in static_guard_groundings(domain, guard, env0)})
-               for guard, env0 in matched if env0 is not None]
+               for guard, env0 in reference.guarded_matches(domain)]
     solved = 0
-    for state in reachable_states(domain, init, 2):
+    for state in states:
         for guard, env0, static in statics:
             for sol in solve_guard(domain, state, guard, env0):
                 assert frozenset(sol.items()) in static, (guard, sol)

@@ -1,17 +1,16 @@
-"""Lookups the query path relies on, checked against naive references.
+"""Lookups the query path relies on, checked against `tests/reference.py`.
 
 Guard grounding must be duplicate-free, static aspect rows must match a
-whole-template instantiation at every grounding of the dict-chain static
-grounder below, a state must place
-each fluent at the home its domain declares, and a domain's rule
-lookups, sort pools and static-aspect tables must equal the filtered rule
-tuples and the test-side pools and be built once per Domain object.
+whole-template instantiation at every grounding of the reference's static
+grounder, a state must place each fluent at the home its domain declares,
+and a domain's rule lookups, sort pools and static-aspect tables must equal
+the reference's filtered rule tuples and the test-side pools and be built
+once per Domain object.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import random
 from dataclasses import replace
@@ -22,34 +21,24 @@ import sitaspect.cli
 import sitaspect.domain
 import sitaspect.frames
 from sitaspect.domain import (
-    Domain,
-    Pat,
-    Schema,
-    SortRef,
-    StaticAspects,
-)
-from sitaspect.disjoint import d_eval
-from sitaspect.domain import (
     AspectRule,
+    Domain,
     GuardLiteral,
     MemberGuard,
+    Pat,
+    Schema,
     SetTemplate,
+    SortRef,
     Var,
-    _render_guard_atom,
     arg_candidates,
     ground_actions,
     ground_fluents,
     initial_state,
-    instantiate_pat,
-    instantiate_template,
-    match_args,
     solve_guard,
     static_guard_groundings,
 )
 from sitaspect.dsl import parse_domain, parse_state, unparse_domain
-from sitaspect.errors import SchemaError, SitAspectError
 from sitaspect.frames import (
-    EconomyReport,
     _compiled,
     applicable_actions,
     check_aspect_soundness,
@@ -61,14 +50,16 @@ from sitaspect.frames import (
 from sitaspect.reiter import compare_modes, random_workload
 from sitaspect.state import eval_fluent, home_of, with_fluent
 from sitaspect.terms import AspectAtom, action, fluent
+from tests import reference
 from tests.conftest import (
     BLOCKS_INIT,
     DISPLAY_INIT,
     FIXTURES,
     ROOMS_INIT,
+    depth2,
     fixture_text,
     load_domain,
-    reachable_states,
+    outcome,
     sort_pool,
 )
 from tests.test_random_domains import _random_domain
@@ -132,89 +123,7 @@ def _domain(name):
     return load_domain(name)
 
 
-def _depth2(request, name):
-    domain = request.getfixturevalue(name)
-    init = request.getfixturevalue(f"{name}_init")
-    return domain, reachable_states(domain, init, 2)
-
-
 # -- duplicate-free guard groundings ----------------------------------------
-
-def _literal_candidates(domain, lit_pat, env):
-    """Groundings of a literal's unbound variables over the `sort_pool`s of
-    its schema's sorts, the first variable slowest, each variable once."""
-    schema = domain.fluents.get(lit_pat.schema)
-    if schema is None:
-        raise SchemaError(f"guard refers to unknown fluent '{lit_pat.schema}'")
-    if len(schema.params) != len(lit_pat.args):
-        raise SchemaError(f"arity mismatch in guard literal {lit_pat}")
-    free: list[str] = []
-    pools = []
-    for pa, ref in zip(lit_pat.args, schema.params):
-        if isinstance(pa, Var) and pa.name not in env and pa.name not in free:
-            free.append(pa.name)
-            pools.append(sort_pool(domain, ref))
-    for combo in itertools.product(*pools):
-        yield {**env, **dict(zip(free, combo))}
-
-
-def _reference_static_groundings(domain, guard, env):
-    """The static grounder as a chain of dicts: each positive literal extends
-    every binding over `_literal_candidates`, a member guard binds over the
-    sorted collection or filters, a negated literal keeps every binding;
-    then a binding is dropped when a fully bound negated literal is also
-    one of its positive literals."""
-    def value(arg, e):
-        if isinstance(arg, Var):
-            if arg.name not in e:
-                raise SitAspectError(f"unbound variable {arg.name}")
-            return e[arg.name]
-        return arg
-
-    envs = [dict(env)]
-    for atom in guard:
-        if isinstance(atom, MemberGuard):
-            nxt = []
-            for e in envs:
-                coll = value(atom.collection, e)
-                if not isinstance(coll, frozenset):
-                    raise SitAspectError(
-                        f"membership guard needs a set-valued collection, got {coll!r}")
-                if isinstance(atom.member, Var) and atom.member.name not in e:
-                    nxt += [{**e, atom.member.name: m} for m in sorted(coll)]
-                elif value(atom.member, e) in coll:
-                    nxt.append(e)
-            envs = nxt
-        elif atom.positive:
-            envs = [e2 for e in envs for e2 in _literal_candidates(domain, atom.fluent, e)]
-    literals = [g for g in guard if isinstance(g, GuardLiteral)]
-
-    def clashes(e):
-        negated = {instantiate_pat(g.fluent, e) for g in literals if not g.positive
-                   and all(not isinstance(a, Var) or a.name in e for a in g.fluent.args)}
-        return bool(negated) and any(instantiate_pat(g.fluent, e) in negated
-                                     for g in literals if g.positive)
-
-    return [e for e in envs if not clashes(e)]
-
-
-def _guarded_matches(domain):
-    """(guard, argument binding) for every aspect rule, precondition and
-    effect that matches some ground fluent or action of the domain."""
-    out = []
-    for p in ground_fluents(domain):
-        for rule in domain.aspect_rules:
-            if rule.kind == "fluent" and rule.target.schema == p.schema:
-                out.append((rule.guard, match_args(rule.target.args, p.args)))
-    for a in ground_actions(domain):
-        for rule in domain.aspect_rules:
-            if rule.kind == "action" and rule.target.schema == a.schema:
-                out.append((rule.guard, match_args(rule.target.args, a.args)))
-        for item in domain.preconditions + domain.effects:
-            if item.action.schema == a.schema:
-                out.append((item.guard, match_args(item.action.args, a.args)))
-    return [(guard, env) for guard, env in out if env is not None]
-
 
 def _assert_distinct(envs, what):
     keys = [frozenset(e.items()) for e in envs]
@@ -223,8 +132,8 @@ def _assert_distinct(envs, what):
 
 @pytest.mark.parametrize("name", ["blocks", "rooms", "display"])
 def test_guard_groundings_are_duplicate_free(request, name):
-    domain, states = _depth2(request, name)
-    matches = _guarded_matches(domain)
+    domain, states = depth2(request, name)
+    matches = reference.guarded_matches(domain)
     assert matches
     for guard, env in matches:
         _assert_distinct(static_guard_groundings(domain, guard, env), guard)
@@ -236,49 +145,21 @@ def test_guard_groundings_are_duplicate_free(request, name):
 @pytest.mark.parametrize("name", [*FIXTURE_DOMAINS, *GENERATED, "shapes"])
 def test_static_groundings_match_the_dict_chain(name):
     domain = _domain(name)
-    matches = _guarded_matches(domain)
+    matches = reference.guarded_matches(domain)
     assert matches
     for guard, env in matches:
         got = static_guard_groundings(domain, guard, env)
         # Equal bindings, in the same order, each with the same key order.
         assert [list(e.items()) for e in got] == [
-            list(e.items()) for e in _reference_static_groundings(domain, guard, env)]
-
-
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except SitAspectError as exc:
-        return type(exc), str(exc)
-
-
-def _reference_guard_fluents(domain, guard, env):
-    """The fluents a guard's literals read, through the dict chain: each
-    literal at every static grounding, its variables that the grounding
-    leaves free over `_literal_candidates`. A negated literal sees only the
-    bindings made before it, as `solve_guard` reads it."""
-    def before(i, g):
-        bound = set(env)
-        for atom in guard[:i]:
-            if isinstance(atom, MemberGuard) and isinstance(atom.member, Var):
-                bound.add(atom.member.name)
-            elif isinstance(atom, GuardLiteral) and atom.positive:
-                bound.update(v.name for v in atom.fluent.variables())
-        return {name: value for name, value in g.items() if name in bound}
-
-    return [instantiate_pat(atom.fluent, g2)
-            for g in _reference_static_groundings(domain, guard, env)
-            for i, atom in enumerate(guard) if isinstance(atom, GuardLiteral)
-            for g2 in _literal_candidates(
-                domain, atom.fluent, g if atom.positive else before(i, g))]
+            list(e.items()) for e in reference.solutions(domain, guard, env)]
 
 
 @pytest.mark.parametrize("name", [*FIXTURE_DOMAINS, *GENERATED, "shapes"])
 def test_guard_fluents_match_the_literal_grounder(name):
     domain = _domain(name)
-    for guard, env in _guarded_matches(domain):
+    for guard, env in reference.guarded_matches(domain):
         assert _compiled(domain, guard, env).fluents == \
-            set(_reference_guard_fluents(domain, guard, env)), guard
+            reference.guard_fluents(domain, guard, env), guard
 
 
 def test_static_groundings_raise_as_the_dict_chain():
@@ -302,8 +183,8 @@ def test_static_groundings_raise_as_the_dict_chain():
     for what, guard in cases.items():
         for guard in (guard, (nothing,) + guard):
             env = {"E": frozenset()}
-            got = _outcome(static_guard_groundings, domain, guard, env)
-            assert got == _outcome(_reference_static_groundings, domain, guard, env), what
+            got = outcome(static_guard_groundings, domain, guard, env)
+            assert got == outcome(reference.solutions, domain, guard, env), what
             if guard[0] is nothing:
                 assert got == [], what
             elif not what.startswith("negated"):
@@ -312,61 +193,17 @@ def test_static_groundings_raise_as_the_dict_chain():
 
 # -- static aspect rows against a whole-template reference -------------------
 
-def _reference_row(domain, kind, x):
-    """x's static aspect row: the whole template instantiated at every static
-    grounding, and the rendered guard items of each rule that has one, each
-    deduped in first-seen order."""
-    paths, guard = [], []
-    for rule in domain.aspect_rules:
-        if rule.kind != kind or rule.target.schema != x.schema:
-            continue
-        env0 = match_args(rule.target.args, x.args)
-        if env0 is None:
-            continue
-        groundings = _reference_static_groundings(domain, rule.guard, env0)
-        if groundings:
-            items = [_render_guard_atom(atom, env0) for atom in rule.guard]
-            guard += [item for item in dict.fromkeys(items) if item not in guard]
-        for g in groundings:
-            path = instantiate_template(rule.template, g)
-            if path not in paths:
-                paths.append(path)
-    return x, tuple(paths), tuple(guard)
-
-
-def _reference_table(domain):
-    """`Domain.static_aspects` from the reference rows."""
-    errors = []
-
-    def table(kind, atoms):
-        rows = []
-        for x in atoms:
-            row = _reference_row(domain, kind, x)
-            if row[1]:
-                rows.append(row)
-            elif not any(r.kind == kind and match_args(r.target.args, x.args) is not None
-                         for r in domain.aspect_rules if r.target.schema == x.schema):
-                errors.append(f"no aspect rule matches {kind} {x}")
-            else:
-                errors.append(f"aspect rules for {kind} {x} have unsatisfiable guards")
-        return tuple(rows)
-
-    fluents = table("fluent", ground_fluents(domain))
-    actions = table("action", ground_actions(domain))
-    return StaticAspects(fluents=fluents, actions=actions, errors=tuple(errors))
-
-
 @pytest.mark.parametrize("name", [*FIXTURE_DOMAINS, *GENERATED, "shapes"])
 def test_static_aspects_match_the_reference_table(name):
     domain = _domain(name)
-    assert domain.static_aspects == _reference_table(domain)
+    assert domain.static_aspects == reference.static_table(domain)
 
 
 def test_static_aspects_match_the_reference_table_on_random_domains():
     rng = random.Random(2062)
     for trial in range(40):
         domain = _random_domain(rng)
-        assert domain.static_aspects == _reference_table(domain), trial
+        assert domain.static_aspects == reference.static_table(domain), trial
 
 
 def test_shapes_cover_the_template_edge_cases():
@@ -412,14 +249,14 @@ def test_static_rows_keep_the_guards_of_statically_grounded_rules():
                    (GuardLiteral(Pat("q", (x,))), GuardLiteral(Pat("q", (x,)), False))),
     )
     domain = replace(base, aspect_rules=base.aspect_rules + extra)
-    assert domain.static_aspects == _reference_table(domain)
+    assert domain.static_aspects == reference.static_table(domain)
     rows = {str(x): ([str(p) for p in paths], guard)
             for x, paths, guard in domain.static_aspects.fluents}
     assert rows["p(a)"] == (["(alpha)"], ("q(a)",))
     assert rows["r(b)"] == (["(beta)"], ("q(b)", "!p(b)"))
     assert rows["s(a)"] == (["(gamma)"], ())
     ground = derive_frame_axioms(domain).ground
-    assert [(ax.action, ax.fluent, ax.guard) for ax in ground] == _reference_ground(domain)[0]
+    assert ground == reference.ground_axioms(domain)
     guards = {(str(ax.action), str(ax.fluent)): ax.guard for ax in ground}
     assert guards["act(a)", "p(b)"] == ("q(b)",)
     assert guards["act(a)", "r(a)"] == ("q(a)", "!p(a)")
@@ -438,15 +275,15 @@ def test_static_aspects_build_each_element_once_per_key(monkeypatch):
     for kind, atoms in (("fluent", ground_fluents(domain)),
                         ("action", ground_actions(domain))):
         for x in atoms:
-            for rule, env0 in domain.bound(kind, x):
-                for g in _reference_static_groundings(domain, rule.guard, env0):
+            for rule, env0 in reference.rules_for(domain, kind, x):
+                for g in reference.solutions(domain, rule.guard, env0):
                     for i, t in enumerate(rule.template):
                         members = t.members if isinstance(t, SetTemplate) else [t]
                         free = frozenset(g[m.name] for m in members
                                          if isinstance(m, Var) and m.name not in env0)
                         key = free if isinstance(t, SetTemplate) else tuple(free)
                         keys.add((x, rule, i, key))
-    reference = _reference_table(load_domain("rooms.dom"))
+    table = reference.static_table(load_domain("rooms.dom"))
     calls = {"instantiate_template": 0, "AspectSet": 0}
 
     def counting(name):
@@ -459,49 +296,17 @@ def test_static_aspects_build_each_element_once_per_key(monkeypatch):
 
     counting("instantiate_template")
     counting("AspectSet")
-    assert domain.static_aspects == reference
+    assert domain.static_aspects == table
     assert 0 < calls["AspectSet"] <= calls["instantiate_template"] <= len(keys)
-
-
-def _matches(action_pat, fluent_pat, a, p):
-    """Whether a rule about (action_pat, fluent_pat) can be about (a, p)."""
-    if action_pat.schema != a.schema or fluent_pat.schema != p.schema:
-        return False
-    env = match_args(action_pat.args, a.args)
-    return env is not None and match_args(fluent_pat.args, p.args, env) is not None
-
-
-def _reference_ground(domain):
-    """Ground frame axioms, uncovered pairs and aspect samples, from the
-    reference rows of every ground atom."""
-    fluent_rows = [_reference_row(domain, "fluent", p) for p in ground_fluents(domain)]
-    action_rows = [_reference_row(domain, "action", a) for a in ground_actions(domain)]
-    out = []
-    uncovered = []
-    for a, apaths, aguard in action_rows:
-        for p, fpaths, fguard in fluent_rows:
-            if not apaths or not fpaths:
-                continue
-            if all(d_eval(domain.disjointness, alpha, beta)
-                   for alpha in fpaths for beta in apaths):
-                out.append((a, p, tuple(dict.fromkeys(fguard + aguard))))
-            elif not any(_matches(r.action, r.fluent, a, p)
-                         for r in domain.frame_decls + domain.effects):
-                uncovered.append((a, p))
-    paths = {"fluent": [], "action": []}
-    for kind, rows in (("fluent", fluent_rows), ("action", action_rows)):
-        for _, row_paths, _ in rows:
-            paths[kind] += [asp for asp in row_paths if asp not in paths[kind]]
-    samples = [(f, a) for f in paths["fluent"] for a in paths["action"]]
-    return out, tuple(uncovered), samples
 
 
 @pytest.mark.parametrize("name", FIXTURE_DOMAINS)
 def test_aspect_combos_match_whole_template_reference(name):
     domain = load_domain(name)
-    ground, uncovered, samples = _reference_ground(domain)
-    derived = derive_frame_axioms(domain).ground
-    assert [(ax.action, ax.fluent, ax.guard) for ax in derived] == ground
+    table = reference.static_table(domain)
+    uncovered, samples = (reference.uncovered(domain, table),
+                          reference.aspect_samples(domain, table))
+    assert derive_frame_axioms(domain).ground == reference.ground_axioms(domain, table)
     assert completeness_lint(domain).uncovered == uncovered
     assert static_aspect_samples(domain) == samples[:400]
     if name == "rooms.dom":
@@ -518,7 +323,7 @@ def test_completeness_lint_counts_declared_frame_axioms():
         e for e in display.effects if e.action.schema != "meteorite" or not e.guard))
     undeclared = replace(bare, frame_decls=())
     for domain in (bare, undeclared):
-        assert completeness_lint(domain).uncovered == _reference_ground(domain)[1]
+        assert completeness_lint(domain).uncovered == reference.uncovered(domain)
     gained = set(completeness_lint(undeclared).uncovered) - set(completeness_lint(bare).uncovered)
     assert {(str(a), str(p)) for a, p in gained} >= {
         ("meteorite()", "pixel_lit(p1)"), ("meteorite()", "cell_set(m1)")}
@@ -553,44 +358,19 @@ def test_static_aspects_follow_a_replaced_universe(name):
     for kind, atoms, rows in (
             ("fluent", ground_fluents(smaller), smaller.static_aspects.fluents),
             ("action", ground_actions(smaller), smaller.static_aspects.actions)):
-        reference = [_reference_row(smaller, kind, x) for x in atoms]
-        assert list(rows) == [row for row in reference if row[1]]
-    ground, uncovered, _ = _reference_ground(smaller)
-    assert [(ax.action, ax.fluent, ax.guard)
-            for ax in derive_frame_axioms(smaller).ground] == ground
-    assert completeness_lint(smaller).uncovered == uncovered
+        expected = [reference.static_row(smaller, kind, x) for x in atoms]
+        assert list(rows) == [row for row in expected if row[1]]
+    assert derive_frame_axioms(smaller).ground == reference.ground_axioms(smaller)
+    assert completeness_lint(smaller).uncovered == reference.uncovered(smaller)
     assert domain.static_aspects is table
 
 
 # -- the axiom economy -------------------------------------------------------
 
-def _unconditional_groups(table):
-    """Ground atoms per aspect, over the atoms one guard-free rule places."""
-    groups = {}
-    for _, paths, guard in table:
-        if len(paths) == 1 and not guard:
-            groups[paths[0]] = groups.get(paths[0], 0) + 1
-    return groups
-
-
-def _reference_economy(domain):
-    """The economy from the static aspect table: the groups of
-    `_unconditional_groups`, paired where d holds."""
-    table = domain.static_aspects
-    fluent_groups = _unconditional_groups(table.fluents)
-    action_groups = _unconditional_groups(table.actions)
-    return tuple(
-        EconomyReport(fluent_aspect=alpha, action_aspect=beta, m=m, n=n,
-                      derived_frame_axioms=m * n, source_axioms=m + n + 2)
-        for alpha, m in sorted(fluent_groups.items(), key=lambda kv: str(kv[0]))
-        for beta, n in sorted(action_groups.items(), key=lambda kv: str(kv[0]))
-        if d_eval(domain.disjointness, alpha, beta))
-
-
 def _assert_economy_matches_the_reference(domain):
     economy = frame_economy(domain)
     assert "static_aspects" not in vars(domain)
-    assert economy == _reference_economy(domain)
+    assert economy == reference.economy(domain)
     return economy
 
 
@@ -659,7 +439,7 @@ def test_compare_reads_the_economy_without_the_static_aspect_table(
     compare_modes(domain, workload)
     assert "static_aspects" not in vars(domain) and schematic == []
     derivation = derive_frame_axioms(domain)
-    assert derivation.economy == _reference_economy(load_domain(name))
+    assert derivation.economy == reference.economy(load_domain(name))
     assert "static_aspects" not in vars(domain)
     assert derivation.schematic is derivation.schematic and schematic == [domain]
     calls = []
@@ -697,7 +477,7 @@ def _assert_index_agrees(domain, state, only=None):
 
 @pytest.mark.parametrize("name", ["blocks", "rooms", "display"])
 def test_home_index_agrees_with_tree_walk_on_reachable_states(request, name):
-    domain, states = _depth2(request, name)
+    domain, states = depth2(request, name)
     for state in states:
         _assert_index_agrees(domain, state)
 
@@ -734,19 +514,6 @@ def test_with_fluent_derived_states_compare_by_value(blocks, blocks_init):
 _BOUND_TABLES = ("fluent", "action", "pre", "effect", "frame")
 
 
-def _reference_bound(domain, table, atom):
-    """(rule, head binding) for every rule of `table` whose head matches the
-    atom, filtered from the domain's rule tuples in declaration order."""
-    if table in ("fluent", "action"):
-        heads = [(r, r.target) for r in domain.aspect_rules if r.kind == table]
-    else:
-        rules = {"pre": domain.preconditions, "effect": domain.effects,
-                 "frame": domain.frame_decls}[table]
-        heads = [(r, r.action) for r in rules]
-    return tuple((r, env) for r, head in heads if head.schema == atom.schema
-                 and (env := match_args(head.args, atom.args)) is not None)
-
-
 def _assert_bound_matches(domain):
     atoms = {"fluent": ground_fluents(domain)}
     for table in _BOUND_TABLES[1:]:
@@ -755,7 +522,7 @@ def _assert_bound_matches(domain):
     for table in _BOUND_TABLES:
         for atom in atoms[table]:
             got = domain.bound(table, atom)
-            assert got == _reference_bound(domain, table, atom), (table, atom)
+            assert got == reference.rules_for(domain, table, atom), (table, atom)
             hits += len(got)
     assert hits
 
@@ -829,7 +596,7 @@ def test_commands_leave_memoised_bindings_unchanged(monkeypatch, capsys, argv):
     [domain] = loaded
     assert domain._bound
     for (table, atom), hits in domain._bound.items():
-        assert hits == _reference_bound(domain, table, atom), (table, atom)
+        assert hits == reference.rules_for(domain, table, atom), (table, atom)
     schemas = [*domain.fluents.values(), *domain.actions.values()]
     assert bool(pools) == any(schema.params for schema in schemas)
     assert all(d is domain for d, _, _ in pools)

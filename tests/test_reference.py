@@ -1,4 +1,4 @@
-"""Progression and all three query modes against a naive reference interpreter.
+"""Progression and all three query modes against `tests/reference.py`.
 
 The reference keeps a state as the set of true ground atoms. It grounds
 preconditions and effect guards by enumerating every variable over its
@@ -6,110 +6,27 @@ whole sort, and applies an action's deletes, then its adds. It reads no
 `WorldState` and calls none of the guard solver, `eval_fluent`,
 `with_fluent` or `progress`, so a bug in those shows up as a mismatch.
 The walks run on the fixtures, on `_random_domain` and on the generated
-domains of `tests/test_soundness_properties.py`.
+domains of `tests/test_soundness_properties.py`. The last test pins the
+reference's independence: the names it may import from `sitaspect`.
 """
 
 from __future__ import annotations
 
-import itertools
+import ast
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from sitaspect.domain import MemberGuard, Var, ground_fluents, initial_state
+from sitaspect.domain import ground_fluents, initial_state
 from sitaspect.dsl import parse_ground_fluent
 from sitaspect.frames import (ASPECT_LOOKUP, check_aspect_soundness, progression,
                               regress_query)
 from sitaspect.reiter import _oracle, compare_modes, compile_ssa, random_workload, ssa_query
-from sitaspect.terms import GroundFluent
-from tests.conftest import BLOCKS_INIT, DISPLAY_INIT, ROOMS_INIT, sort_pool
+from tests import reference
+from tests.conftest import BLOCKS_INIT, DISPLAY_INIT, ROOMS_INIT
 from tests.test_random_domains import _random_domain
-
-
-def _match(pat_args, terms):
-    """The binding under which pattern args equal the ground terms, or None."""
-    env = {}
-    for pa, t in zip(pat_args, terms):
-        if isinstance(pa, Var):
-            if env.setdefault(pa.name, t) != t:
-                return None
-        elif pa != t:
-            return None
-    return env
-
-
-def _ground(pat, env):
-    return GroundFluent(pat.schema, tuple(env[a.name] if isinstance(a, Var) else a
-                                          for a in pat.args))
-
-
-def _value(arg, env):
-    return env[arg.name] if isinstance(arg, Var) else arg
-
-
-def _holds(domain, facts, guard, env):
-    """Every binding extending env under which the guard holds in `facts`.
-
-    A variable is bound by the first positive literal or membership test
-    that names it. A negative literal reads "no grounding is true" over the
-    variables that no earlier atom binds.
-    """
-    pools, bound, checks = {}, set(env), []
-    everything = sorted({o for objs in domain.sorts.values() for o in objs})
-    for atom in guard:
-        checks.append((atom, frozenset(bound)))
-        if isinstance(atom, MemberGuard):
-            if isinstance(atom.member, Var) and atom.member.name not in bound:
-                pools[atom.member.name] = everything
-                bound.add(atom.member.name)
-        elif atom.positive:
-            params = domain.fluents[atom.fluent.schema].params
-            for pa, ref in zip(atom.fluent.args, params):
-                if isinstance(pa, Var) and pa.name not in bound:
-                    pools[pa.name] = sort_pool(domain, ref)
-                    bound.add(pa.name)
-    out = []
-    for values in itertools.product(*pools.values()):
-        e = {**env, **dict(zip(pools, values))}
-        if all(_atom_holds(domain, facts, atom, e, before) for atom, before in checks):
-            out.append(e)
-    return out
-
-
-def _atom_holds(domain, facts, atom, env, before):
-    """Whether one guard atom holds under env; a negative literal leaves the
-    variables outside `before` free."""
-    if isinstance(atom, MemberGuard):
-        return _value(atom.member, env) in _value(atom.collection, env)
-    if atom.positive:
-        return _ground(atom.fluent, env) in facts
-    params = domain.fluents[atom.fluent.schema].params
-    free = {pa.name: sort_pool(domain, ref)
-            for pa, ref in zip(atom.fluent.args, params)
-            if isinstance(pa, Var) and pa.name not in before}
-    return not any(_ground(atom.fluent, {**env, **dict(zip(free, values))}) in facts
-                   for values in itertools.product(*free.values()))
-
-
-def _matching(rules, a):
-    """(rule, head binding) for each rule whose action head matches a."""
-    for rule in rules:
-        env = _match(rule.action.args, a.args) if rule.action.schema == a.schema else None
-        if env is not None:
-            yield rule, env
-
-
-def reference_step(domain, facts, a):
-    """The true atoms after a; None when a precondition fails."""
-    if any(not _holds(domain, facts, pre.guard, env)
-           for pre, env in _matching(domain.preconditions, a)):
-        return None
-    adds, dels = set(), set()
-    for rule, env in _matching(domain.effects, a):
-        for e in _holds(domain, facts, rule.guard, env):
-            (adds if rule.add else dels).add(_ground(rule.fluent, e))
-    return frozenset((facts - dels) | adds)
 
 
 def _check_walks(domain, init, init_facts, count, seed):
@@ -118,7 +35,7 @@ def _check_walks(domain, init, init_facts, count, seed):
     for (_, acts, p), record in zip(workload, report.queries):
         facts = init_facts
         for a in acts:
-            facts = reference_step(domain, facts, a)
+            facts = reference.step(domain, facts, a)
             assert facts is not None, (acts, a)
         final = progression(domain, init, acts)[-1]
         assert {f for f, value, _ in final.fluents() if value} == facts, acts
@@ -173,7 +90,7 @@ def test_generated_domain_walks_match_the_reference():
         for _, acts, p in random_workload(domain, init, 10, seed):
             facts = true
             for a in acts:
-                facts = reference_step(domain, facts, a)
+                facts = reference.step(domain, facts, a)
                 assert facts is not None, (acts, a)
             oracle_value, states = _oracle(domain, init, acts, p)
             assert {f for f, value, _ in states[-1].fluents() if value} == facts, acts
@@ -200,3 +117,42 @@ def test_generated_domain_walks_match_the_reference():
                     "walk of 4"):
         assert seen[feature] >= 10, seen
     assert seen["aspect answer"] >= 100 and seen["unsound aspect answer"], seen
+
+
+# What `tests/reference.py` may import from `sitaspect`: data and report
+# types, the exception types, the DSL parsers, d (checked against its
+# definitions in `tests/test_disjoint.py`) and the soundness lint's bound.
+REFERENCE_IMPORTS = {
+    "sitaspect.disjoint": {"d_eval"},
+    "sitaspect.domain": {"GuardLiteral", "MemberGuard", "StaticAspects", "Var"},
+    "sitaspect.errors": {"SchemaError", "SitAspectError"},
+    "sitaspect.frames": {"EconomyReport", "FrameAxiom", "SoundnessReport",
+                         "SoundnessViolation", "_GUARD_FLUENT_LIMIT"},
+    "sitaspect.terms": {"AspectAtom", "AspectPath", "AspectSet", "GroundAction",
+                        "GroundFluent"},
+}
+
+
+def _disallowed_imports(source: str) -> list[str]:
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out += [alias.name for alias in node.names if alias.name.startswith("sitaspect")]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sitaspect"):
+            allowed = REFERENCE_IMPORTS.get(node.module, set())
+            out += [f"{node.module}.{alias.name}" for alias in node.names
+                    if alias.name not in allowed and not (
+                        node.module == "sitaspect.dsl" and alias.name.startswith("parse_"))]
+    return out
+
+
+def test_the_reference_imports_only_data_types_the_parsers_and_d():
+    source = (Path(__file__).parent / "reference.py").read_text(encoding="utf-8")
+    assert _disallowed_imports(source) == []
+    assert "import sitaspect" not in source.replace("from sitaspect", "")
+    # The check itself catches what it is there to catch.
+    assert _disallowed_imports("from sitaspect.domain import Var, _static_rows\n"
+                               "from sitaspect.dsl import parse_domain\n"
+                               "import sitaspect.frames\n"
+                               "from sitaspect import frames\n") == [
+        "sitaspect.domain._static_rows", "sitaspect.frames", "sitaspect.frames"]

@@ -5,8 +5,8 @@ stages: over the fluents the preconditions read, where a false
 precondition skips the valuation; over those the action's aspect guards
 read besides, where a missing or ambiguous action aspect counts every
 value of the rest at once; and over the rest, where each valuation is
-built and linted. `_reference_soundness` is the flat enumeration: every
-valuation is built, in product order, and its preconditions evaluated. The
+built and linted. `tests/reference.py::soundness` is the flat enumeration:
+every valuation, in product order, with its preconditions evaluated. The
 two must give equal reports, down to the order of the violations and the
 counts of every `unresolved` reason. `tests/test_soundness_properties.py`
 compares them on generated domains.
@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.util
-import itertools
 import random
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -27,20 +25,12 @@ from sitaspect import frames
 from sitaspect.disjoint import d_eval
 from sitaspect.domain import AspectRule, GuardLiteral, Pat, Precondition, Var
 from sitaspect.dsl import parse_domain
-from sitaspect.errors import (
-    AmbiguousAspectError,
-    MissingAspectError,
-    SchemaError,
-    SitAspectError,
-)
-from sitaspect.frames import (
-    SoundnessReport,
-    SoundnessViolation,
-    check_aspect_soundness,
-)
+from sitaspect.errors import SchemaError, SitAspectError
+from sitaspect.frames import SoundnessReport, check_aspect_soundness
 from sitaspect.state import build_state
 from sitaspect.terms import AspectPath, action
-from tests.conftest import fixture_text, load_domain
+from tests import reference
+from tests.conftest import assert_stage_one_decides_as_the_solver, fixture_text, load_domain
 from tests.test_cli import ILL_SORTED_TARGET
 from tests.test_random_domains import _random_domain
 
@@ -48,67 +38,9 @@ FIXTURES = ("blocks.dom", "blocks_nosupport.dom", "rooms.dom", "display.dom",
             "economy.dom")
 
 
-def _reference_soundness(domain) -> SoundnessReport:
-    """Every valuation of each action's guard fluents, in product order, is
-    built as a state and its preconditions evaluated."""
-    violations: list[SoundnessViolation] = []
-    skipped: dict[str, int] = {}
-    actions_checked = 0
-    valuations_checked = 0
-    for a in domain.ground_action_list:
-        relevant = frames._relevant_fluents(domain, a)
-        if len(relevant) > frames._GUARD_FLUENT_LIMIT:
-            skipped[f"{a}: guard fluent count {len(relevant)} exceeds the "
-                    f"enumeration bound {frames._GUARD_FLUENT_LIMIT}"] = 1
-            continue
-        actions_checked += 1
-        for bits in itertools.product((False, True), repeat=len(relevant)):
-            valuations_checked += 1
-            base = dict(zip(relevant, bits))
-            state = build_state({(): base}, schemas=frozenset(domain.fluents))
-            if frames._failed_precondition(domain, state, a) is not None:
-                continue
-            try:
-                beta = frames.aspect_of_action(domain, state, a)
-            except MissingAspectError:
-                frames._bump(skipped, f"{a}: valuations where no aspect rule applies")
-                continue
-            except AmbiguousAspectError:
-                frames._bump(skipped, f"{a}: valuations with ambiguous aspects")
-                continue
-            changes = frames._net_effects(domain, state, a)
-            full = dict(base)
-            for f, v in changes:
-                if f not in full:
-                    full[f] = not v
-            full_state = build_state({(): full}, schemas=frozenset(domain.fluents))
-            for f, v in changes:
-                if full[f] == v:
-                    continue
-                try:
-                    alpha = frames.aspect_of_fluent(domain, full_state, f)
-                except (MissingAspectError, AmbiguousAspectError):
-                    frames._bump(skipped, f"{f}: valuations where the fluent aspect "
-                                          f"does not resolve")
-                    continue
-                except SchemaError as exc:  # an ill-sorted effect target
-                    raise SchemaError(f"{a} affects {exc}") from exc
-                if d_eval(domain.disjointness, alpha, beta):
-                    violation = SoundnessViolation(action=a, fluent=f,
-                                                   fluent_aspect=alpha,
-                                                   action_aspect=beta)
-                    if violation not in violations:
-                        violations.append(violation)
-    unresolved = tuple(f"{key} ({count} skipped)" for key, count
-                       in sorted(skipped.items()))
-    return SoundnessReport(violations=tuple(violations), unresolved=unresolved,
-                           actions_checked=actions_checked,
-                           valuations_checked=valuations_checked)
-
-
 def _assert_same_report(domain) -> SoundnessReport:
     report = check_aspect_soundness(domain)
-    assert report == _reference_soundness(domain)
+    assert report == reference.soundness(domain)
     return report
 
 
@@ -120,35 +52,9 @@ def _blocks_text(blocks: list[str]) -> str:
                      f"objects place: {', '.join(blocks)}, floor"))
 
 
-def _assert_stage_one_decides_as_the_solver(domain) -> Counter:
-    """For each action within the bound and each valuation of its
-    `_relevant_fluents`, stage 1's precondition clauses hold exactly where
-    `_failed_precondition` finds every precondition solvable in the
-    valuation's state. Returns how many valuations passed and failed."""
-    outcomes = Counter()
-    schemas = frozenset(domain.fluents)
-    for a in domain.ground_action_list:
-        relevant = frames._relevant_fluents(domain, a)
-        if len(relevant) > frames._GUARD_FLUENT_LIMIT:
-            continue
-        k = len(relevant)
-        bits = {f: 1 << (k - 1 - i) for i, f in enumerate(relevant)}
-        pres = [frames._guard_clauses(domain, pre.guard, env0, bits)[1]
-                for pre, env0 in domain.bound("pre", a)]
-        for truth in range(2 ** k):
-            decided = all(any(truth & mask == want for mask, want, _ in clauses)
-                          for clauses in pres)
-            state = build_state({(): {f: bool(truth & b) for f, b in bits.items()}},
-                                schemas=schemas)
-            solved = frames._failed_precondition(domain, state, a) is None
-            assert decided == solved, (a, truth)
-            outcomes[decided] += 1
-    return outcomes
-
-
 @pytest.mark.parametrize("name", FIXTURES)
 def test_stage_one_decides_the_preconditions_as_the_solver(name):
-    outcomes = _assert_stage_one_decides_as_the_solver(load_domain(name))
+    outcomes = assert_stage_one_decides_as_the_solver(load_domain(name))
     # display.dom and economy.dom have no preconditions, and every rooms.dom
     # action is past the bound.
     assert bool(outcomes[False]) == name.startswith("blocks"), outcomes
@@ -356,7 +262,7 @@ def test_home_and_frame_lines_break_no_orbit(line, monkeypatch):
     calls = _counting(monkeypatch, "_search_valuations")
     report = check_aspect_soundness(domain)
     assert (len(calls), report.actions_checked, len(report.unresolved)) == (1, 3, 3)
-    assert report == _reference_soundness(domain)
+    assert report == reference.soundness(domain)
 
 
 def _bench_gen():
@@ -389,7 +295,7 @@ def test_each_guard_is_compiled_once_per_binding(name, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(LINTED))
 def test_the_leaf_takes_the_aspect_stage_two_found(name, monkeypatch):
-    expected = _reference_soundness(parse_domain(LINTED[name]))
+    expected = reference.soundness(parse_domain(LINTED[name]))
 
     def unreachable(*args):
         raise AssertionError("aspect_of_action is called")
@@ -401,7 +307,7 @@ def test_the_leaf_takes_the_aspect_stage_two_found(name, monkeypatch):
 def test_the_leaf_does_not_solve_the_preconditions_again(name, monkeypatch):
     # Stage 1 decides the preconditions on their clauses; the reference
     # solves them on each valuation's state, and the two reports agree.
-    expected = _reference_soundness(parse_domain(LINTED[name]))
+    expected = reference.soundness(parse_domain(LINTED[name]))
 
     def unreachable(*args):
         raise AssertionError("_failed_precondition is called")
@@ -487,7 +393,7 @@ def test_a_template_variable_no_grounding_binds_raises_as_the_flat_enumeration()
     domain = dataclasses.replace(domain, aspect_rules=tuple(
         rule if r.target.schema == "move" else r for r in domain.aspect_rules))
     errors = []
-    for lint in (check_aspect_soundness, _reference_soundness):
+    for lint in (check_aspect_soundness, reference.soundness):
         with pytest.raises(SitAspectError) as exc:
             lint(domain)
         errors.append((type(exc.value), str(exc.value)))
@@ -497,7 +403,7 @@ def test_a_template_variable_no_grounding_binds_raises_as_the_flat_enumeration()
 def test_an_ill_sorted_effect_target_raises_as_the_flat_enumeration():
     domain = parse_domain(ILL_SORTED_TARGET)
     errors = []
-    for lint in (check_aspect_soundness, _reference_soundness):
+    for lint in (check_aspect_soundness, reference.soundness):
         with pytest.raises(SchemaError) as exc:
             lint(domain)
         errors.append(str(exc.value))

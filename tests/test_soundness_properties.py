@@ -6,11 +6,11 @@ and an action `move(obj, place)` with, at times, `paint(set of obj)`. Aspect
 rules, preconditions and effect guards mix positive and negated literals
 (negated existentials, some before the literal that binds their variable),
 membership guards and constants. `check_aspect_soundness` must return the
-report of `tests/test_soundness.py::_reference_soundness`, or raise its
-error. Stage 1's precondition clauses must hold exactly where the guard
-solver finds every precondition solvable, and the preconditions split into
-looked-up facts and a solved rest must decide, on random states, as the
-solver does on every whole guard.
+report of `tests/reference.py::soundness`, or raise its error. Stage 1's
+precondition clauses must hold exactly where the guard solver finds every
+precondition solvable, and the preconditions split into looked-up facts and
+a solved rest must decide, on random states, as the solver does on every
+whole guard.
 """
 
 from __future__ import annotations
@@ -31,10 +31,8 @@ from sitaspect.dsl import parse_domain  # noqa: E402
 from sitaspect.errors import SitAspectError  # noqa: E402
 from sitaspect import frames  # noqa: E402
 from sitaspect.frames import check_aspect_soundness  # noqa: E402
-from tests.test_soundness import (  # noqa: E402
-    _assert_stage_one_decides_as_the_solver,
-    _reference_soundness,
-)
+from tests import reference  # noqa: E402
+from tests.conftest import assert_stage_one_decides_as_the_solver, outcome  # noqa: E402
 
 HEADS = {"move": ("move(x,y)", {"x": "obj", "y": "place"}),
          "paint": ("paint(S)", {"S": "set"})}
@@ -162,13 +160,6 @@ def domains(draw):
     return dataclasses.replace(first, aspect_rules=first.aspect_rules + extra)
 
 
-def _outcome(lint, domain):
-    try:
-        return lint(domain)
-    except SitAspectError as exc:
-        return type(exc), str(exc)
-
-
 def _domain_features(domain) -> set[str]:
     """What the domain's rules exercise, for the coverage checks."""
     out = set()
@@ -227,26 +218,27 @@ def _features(domain, report) -> set[str]:
 def test_search_matches_the_flat_enumeration_on_generated_domains(monkeypatch):
     seen = Counter()
     calls = Counter()
-    for name in ("build_state", "_net_effects"):
-        def counted(*args, _real=getattr(frames, name), _name=name, **kwargs):
+    for module, name in ((frames, "build_state"), (frames, "_net_effects"),
+                         (reference, "changes")):
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
-        monkeypatch.setattr(frames, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
     @settings(max_examples=100, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
     @given(domains())
     def check(domain):
         calls.clear()
-        got = _outcome(check_aspect_soundness, domain)
+        got = outcome(check_aspect_soundness, domain)
         searched = dict(calls)
         calls.clear()
-        assert got == _outcome(_reference_soundness, domain)
+        assert got == outcome(reference.soundness, domain)
         if not isinstance(got, tuple):
             # The search builds one state per valuation whose effects the
             # flat enumeration reads, and no other.
             assert searched.get("build_state", 0) == searched.get("_net_effects", 0) \
-                == calls["_net_effects"]
+                == calls["changes"]
         seen.update(_features(domain, got))
 
     check()
@@ -264,7 +256,7 @@ def test_stage_one_decides_the_preconditions_as_the_solver_on_generated_domains(
               suppress_health_check=[HealthCheck.too_slow])
     @given(domains())
     def check(domain):
-        outcomes = _assert_stage_one_decides_as_the_solver(domain)
+        outcomes = assert_stage_one_decides_as_the_solver(domain)
         failing[bool(outcomes[False])] += 1
 
     check()
@@ -319,7 +311,7 @@ def test_precondition_facts_decide_as_the_solver_on_generated_domains():
             # Each precondition, as split: its looked-up facts and solved rest.
             for _, _, facts, rest in domain._pres[a]:
                 seen[("facts" if facts else "") + (" & rest" if rest else "")] += 1
-        assert _outcome(lambda d: frames.applicable_actions(d, state), domain) == _outcome(
+        assert outcome(lambda d: frames.applicable_actions(d, state), domain) == outcome(
             lambda d: [a for a in d.ground_action_list
                        if _reference_failed_precondition(d, state, a) is None], domain)
 

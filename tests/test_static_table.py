@@ -1,10 +1,10 @@
-"""The whole-universe frame tables against per-atom references.
+"""The whole-universe frame tables against the per-atom references.
 
 `Domain.static_aspects` builds each aspect rule's paths once per value of
 the head variables the rule reads (`domain._rule_paths`), `_static_pairs`
 decides each distinct action aspect list once, and `completeness_lint`
 finds the fluents an action's effect and frame entries name through an
-index of the ground fluents by argument. The references here do the
+index of the ground fluents by argument. `tests/reference.py` does the
 per-atom work instead: every rule is grounded for every atom, d is asked
 for every (action, fluent) pair in a flat loop, every pair is matched
 against the action's entries, and the economy instantiates each guard-free
@@ -28,7 +28,6 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import sitaspect.domain  # noqa: E402
-from sitaspect.disjoint import d_eval  # noqa: E402
 from sitaspect.domain import (  # noqa: E402
     AspectRule,
     FrameDecl,
@@ -39,131 +38,34 @@ from sitaspect.domain import (  # noqa: E402
     SortRef,
     StaticAspects,
     Var,
-    _key_column,
-    _render_guard_atom,
     _static_rows,
-    instantiate_template,
-    ground_fluents,
 )
+from sitaspect.dsl import parse_state  # noqa: E402
 from sitaspect.frames import (  # noqa: E402
-    EconomyReport,
-    FrameAxiom,
     FrameDerivation,
     completeness_lint,
     derive_frame_axioms,
     frame_economy,
 )
-from tests import test_soundness_orbits, test_soundness_properties  # noqa: E402
-from tests.conftest import ROOMS_INIT, load_domain  # noqa: E402
-from sitaspect.dsl import parse_state  # noqa: E402
 from sitaspect.reiter import compare_modes, random_workload  # noqa: E402
 from sitaspect.terms import AspectAtom  # noqa: E402
-from tests.test_soundness_properties import _outcome  # noqa: E402
-
-
-# -- the per-atom references ------------------------------------------------
-
-def _reference_row(domain, kind, atom, errors):
-    """An atom's `StaticAspects` row, every rule grounded for this atom."""
-    paths: dict = {}
-    guard: dict = {}
-    bound = domain.bound(kind, atom)
-    for rule, env0 in bound:
-        names, rows = _static_rows(domain, rule.guard, env0)
-        if rows:
-            guard.update(dict.fromkeys(_render_guard_atom(g, env0) for g in rule.guard))
-        columns = [_key_column(t, names, rows) for t in rule.template]
-        memos: list[dict] = [{} for _ in columns]
-        for keys, row in dict(zip(zip(*columns) if columns else [()], rows)).items():
-            elems = []
-            for t, memo, key in zip(rule.template, memos, keys):
-                elem = memo.get(key)
-                if elem is None:
-                    env = {**env0, **dict(zip(names, row))}
-                    elem = memo[key] = instantiate_template((t,), env).elems[0]
-                elems.append(elem)
-            paths[sitaspect.domain.AspectPath(tuple(elems))] = None
-    if not bound:
-        errors.append(f"no aspect rule matches {kind} {atom}")
-    elif not paths:
-        errors.append(f"aspect rules for {kind} {atom} have unsatisfiable guards")
-    return atom, tuple(paths), tuple(guard)
-
-
-def _reference_table(domain) -> StaticAspects:
-    errors: list[str] = []
-
-    def table(kind, atoms):
-        rows = (_reference_row(domain, kind, x, errors) for x in atoms)
-        return tuple(row for row in rows if row[1])
-
-    fluents = table("fluent", ground_fluents(domain))
-    actions = table("action", domain.ground_action_list)
-    return StaticAspects(fluents=fluents, actions=actions, errors=tuple(errors))
-
-
-def _reference_pairs(domain):
-    """Every (action row, fluent row, always disjoint), action-major."""
-    table = _reference_table(domain)
-    for arow in table.actions:
-        for frow in table.fluents:
-            yield arow, frow, all(d_eval(domain.disjointness, x, y)
-                                  for x in frow[1] for y in arow[1])
-
-
-def _reference_ground(domain):
-    return tuple(FrameAxiom(action=a, fluent=p, guard=tuple(dict.fromkeys(fguard + aguard)))
-                 for (a, _, aguard), (p, _, fguard), disjoint in _reference_pairs(domain)
-                 if disjoint)
-
-
-def _names_fluent(entries, p) -> bool:
-    return any(rule.fluent.schema == p.schema
-               and sitaspect.domain.match_args(rule.fluent.args, p.args, env0) is not None
-               for rule, env0 in entries)
-
-
-def _reference_uncovered(domain):
-    return tuple((a, p) for (a, _, _), (p, _, _), disjoint in _reference_pairs(domain)
-                 if not disjoint and not _names_fluent(
-                     domain.bound("frame", a) + domain.bound("effect", a), p))
-
-
-def _reference_economy(domain):
-    """The economy with each guard-free template instantiated per atom."""
-    fluent_groups, action_groups = Counter(), Counter()
-    for kind, atoms, group in (("fluent", ground_fluents(domain), fluent_groups),
-                               ("action", domain.ground_action_list, action_groups)):
-        for x in atoms:
-            bound = domain.bound(kind, x)
-            aspects = {instantiate_template(rule.template, env0)
-                       for rule, env0 in bound if not rule.guard}
-            if len(aspects) == 1 and not any(
-                    rule.guard and _static_rows(domain, rule.guard, env0)[1]
-                    for rule, env0 in bound):
-                group[aspects.pop()] += 1
-    fluents, actions = (sorted(groups.items(), key=lambda item: str(item[0]))
-                        for groups in (fluent_groups, action_groups))
-    return tuple(EconomyReport(fluent_aspect=alpha, action_aspect=beta, m=m, n=n,
-                               derived_frame_axioms=m * n, source_axioms=m + n + 2)
-                 for alpha, m in fluents for beta, n in actions
-                 if d_eval(domain.disjointness, alpha, beta))
+from tests import reference, test_soundness_orbits, test_soundness_properties  # noqa: E402
+from tests.conftest import ROOMS_INIT, load_domain, outcome  # noqa: E402
 
 
 def _reference(domain):
-    domain = dataclasses.replace(domain)
-    return (_outcome(_reference_economy, domain), _outcome(_reference_table, domain),
-            _outcome(_reference_ground, domain), _outcome(_reference_uncovered, domain))
+    return (outcome(reference.economy, domain), outcome(reference.static_table, domain),
+            outcome(reference.ground_axioms, domain), outcome(reference.uncovered, domain))
 
 
 def _program(domain):
     """The four parts in the order the `frames` and `check` commands read
     them, on a fresh copy of the domain's memo tables."""
     domain = dataclasses.replace(domain)
-    return (_outcome(frame_economy, domain),
-            _outcome(lambda d: d.static_aspects, domain),
-            _outcome(lambda d: FrameDerivation(domain=d, economy=()).ground, domain),
-            _outcome(lambda d: completeness_lint(d).uncovered, domain))
+    return (outcome(frame_economy, domain),
+            outcome(lambda d: d.static_aspects, domain),
+            outcome(lambda d: FrameDerivation(domain=d, economy=()).ground, domain),
+            outcome(lambda d: completeness_lint(d).uncovered, domain))
 
 
 # -- generated domains --------------------------------------------------------
