@@ -180,3 +180,34 @@ def depth2(request, name):
     initial state."""
     domain = request.getfixturevalue(name)
     return domain, reachable_states(domain, request.getfixturevalue(f"{name}_init"), 2)
+
+
+# A negated literal is a negated existential: it binds nothing, so neither an
+# aspect template nor an effect target may read a variable only it names.
+NEGATION_ONLY = {
+    "aspect": ("aspect move(x,y) ({y,z}) if on(x,z)", "aspect move(x,y) (z) if !on(z,y)",
+               "blocks.dom:9:19: error: aspect template variable 'z' is bound by "
+               "neither the pattern nor the guard (a negated literal binds nothing)"),
+    "effect": ("effect move(x,y) add on(x,y)", "effect move(x,y) add on(x,z) if !on(z,y)",
+               "blocks.dom:11:27: error: effect target variable 'z' is bound by "
+               "neither the pattern nor the guard (a negated literal binds nothing)"),
+}
+
+
+def negation_only_text(rule: str) -> str:
+    """blocks.dom with one rule whose variable z only a negated literal names."""
+    old, new, _ = NEGATION_ONLY[rule]
+    return fixture_text("blocks.dom").replace(old, new)
+
+
+ILL_SORTED_TARGET = """domain ill
+objects block: a, b
+objects place: a, b, t
+fluent on(block, place)
+action move(block, place)
+aspect on(x,w) (w)
+aspect move(x,y) (y)
+effect move(x,y) add on(x,y)
+effect move(x,y) add on(z,y) if on(x,z)
+disjoint by seq-diff
+"""

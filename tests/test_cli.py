@@ -16,8 +16,8 @@ import pytest
 import sitaspect
 from sitaspect import cli
 from sitaspect.cli import _build_parser, main
-from tests.conftest import BLOCKS_INIT, DISPLAY_INIT, FIXTURES, ROOMS_INIT
-from tests.test_dsl import NEGATION_ONLY, negation_only_text
+from tests.conftest import (BLOCKS_INIT, DISPLAY_INIT, FIXTURES, ILL_SORTED_TARGET,
+                            NEGATION_ONLY, ROOMS_INIT, negation_only_text)
 
 BLOCKS = str(FIXTURES / "blocks.dom")
 ECONOMY = str(FIXTURES / "economy.dom")
@@ -163,19 +163,6 @@ def test_an_ill_sorted_precondition_fluent_is_not_outside_the_model(tmp_path, ca
                              "--acts", act)
         assert (code, out) == (1, "")
         assert err == f"error: step 1 ({act}): {act}: precondition does not hold\n"
-
-
-ILL_SORTED_TARGET = """domain ill
-objects block: a, b
-objects place: a, b, t
-fluent on(block, place)
-action move(block, place)
-aspect on(x,w) (w)
-aspect move(x,y) (y)
-effect move(x,y) add on(x,y)
-effect move(x,y) add on(z,y) if on(x,z)
-disjoint by seq-diff
-"""
 
 
 @pytest.mark.parametrize("command, target", [

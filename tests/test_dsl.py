@@ -22,7 +22,7 @@ from sitaspect.finite import FiniteModel
 from sitaspect.frames import aspect_of_action
 from sitaspect.state import eval_fluent
 from sitaspect.terms import action, fluent, path
-from tests.conftest import FIXTURES, fixture_text
+from tests.conftest import FIXTURES, NEGATION_ONLY, fixture_text, negation_only_text
 
 FIXTURE_DOMAINS = ["blocks.dom", "blocks_nosupport.dom", "rooms.dom",
                    "display.dom", "economy.dom"]
@@ -106,24 +106,6 @@ def test_unbound_effect_variable_is_rejected():
     with pytest.raises(DslError) as exc:
         parse_domain(text)
     assert any("bound by neither" in d.message for d in exc.value.diagnostics)
-
-
-# A negated literal is a negated existential: it binds nothing, so neither an
-# aspect template nor an effect target may read a variable only it names.
-NEGATION_ONLY = {
-    "aspect": ("aspect move(x,y) ({y,z}) if on(x,z)", "aspect move(x,y) (z) if !on(z,y)",
-               "blocks.dom:9:19: error: aspect template variable 'z' is bound by "
-               "neither the pattern nor the guard (a negated literal binds nothing)"),
-    "effect": ("effect move(x,y) add on(x,y)", "effect move(x,y) add on(x,z) if !on(z,y)",
-               "blocks.dom:11:27: error: effect target variable 'z' is bound by "
-               "neither the pattern nor the guard (a negated literal binds nothing)"),
-}
-
-
-def negation_only_text(rule: str) -> str:
-    """blocks.dom with one rule whose variable z only a negated literal names."""
-    old, new, _ = NEGATION_ONLY[rule]
-    return fixture_text("blocks.dom").replace(old, new)
 
 
 @pytest.mark.parametrize("rule", sorted(NEGATION_ONLY))

@@ -19,7 +19,6 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from sitaspect.domain import (  # noqa: E402
@@ -38,6 +37,7 @@ from sitaspect.state import build_state  # noqa: E402
 from sitaspect.terms import GroundFluent  # noqa: E402
 from tests import reference  # noqa: E402
 from tests.conftest import outcome  # noqa: E402
+from tests.domains import assert_floors, examples, guard_features  # noqa: E402
 
 OBJECTS = ("a", "b", "c")
 STRAY = "d"  # an object of no sort
@@ -105,49 +105,23 @@ def cases(draw):
     return domain, state, tuple(guard), env
 
 
-def _features(guard, env):
-    """What the guard exercises, for the coverage check."""
-    out = set()
-    bound = set(env)
-    for atom in guard:
-        if isinstance(atom, MemberGuard):
-            if atom.collection.name in bound:
-                out.add("x in S" if atom.collection.name == "S" else "x in T")
-            if isinstance(atom.member, Var):
-                bound.add(atom.member.name)
-            continue
-        names = [a.name for a in atom.fluent.args if isinstance(a, Var)]
-        if len(names) > len(set(names)):
-            out.add("repeated variable")
-        if len(names) < len(atom.fluent.args):
-            out.add("constant argument")
-        if not atom.positive and set(names) - bound:
-            out.add("negated existential")
-        if atom.positive:
-            bound.update(names)
-    return out
-
-
 def test_solve_guard_matches_the_sort_product_on_generated_domains():
     seen = Counter()
 
-    @settings(max_examples=300, deadline=None, derandomize=True,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(cases())
+    @examples(300, cases())
     def check(case):
         domain, state, guard, env = case
         before = dict(env)
         got = outcome(solve_guard, domain, state, guard, env)
         assert got == outcome(reference.solutions, domain, guard, env, state.facts)
         assert env == before
-        seen.update(_features(guard, env))
+        seen.update(guard_features(guard, env))
         seen["error" if isinstance(got, tuple) else
              "solved" if got else "no solution"] += 1
 
     check()
-    for feature in ("repeated variable", "constant argument", "negated existential",
-                    "x in S", "x in T", "solved", "no solution"):
-        assert seen[feature] >= 10, seen
+    assert_floors(seen, 10, "repeated variable", "constant argument", "negated existential",
+                  "x in S", "x in T", "solved", "no solution")
 
 
 @st.composite
@@ -167,12 +141,11 @@ def static_cases(draw):
 
 
 def _static_features(domain, guard, env, got):
-    out = _features(guard, env) - {"negated existential"}
+    out = guard_features(guard, env) - {"negated existential"}
     for atom in guard:
-        if isinstance(atom, MemberGuard):
-            out.add("member guard")
-        elif any(isinstance(a, Var) and ref.is_set for a, ref in
-                 zip(atom.fluent.args, domain.fluents[atom.fluent.schema].params)):
+        if isinstance(atom, GuardLiteral) and any(
+                isinstance(a, Var) and ref.is_set for a, ref in
+                zip(atom.fluent.args, domain.fluents[atom.fluent.schema].params)):
             out.add("set-valued parameter")
     if isinstance(got, tuple):
         out.add("error")
@@ -190,9 +163,7 @@ def test_static_groundings_match_the_dict_chain_on_generated_domains():
     def listed(outcome):
         return outcome if isinstance(outcome, tuple) else [list(e.items()) for e in outcome]
 
-    @settings(max_examples=300, deadline=None, derandomize=True,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(static_cases())
+    @examples(300, static_cases())
     def check(case):
         domain, guard, env = case
         before = dict(env)
@@ -202,24 +173,20 @@ def test_static_groundings_match_the_dict_chain_on_generated_domains():
         seen.update(_static_features(domain, guard, env, got))
 
     check()
-    for feature in ("member guard", "set-valued parameter", "repeated variable",
-                    "constant argument", "clash", "unsatisfiable", "grounded", "error"):
-        assert seen[feature] >= 10, seen
+    assert_floors(seen, 10, "member guard", "set-valued parameter", "repeated variable",
+                  "constant argument", "clash", "unsatisfiable", "grounded", "error")
 
 
 def test_guard_fluents_match_the_literal_grounder_on_generated_domains():
     seen = Counter()
 
-    @settings(max_examples=300, deadline=None, derandomize=True,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(static_cases())
+    @examples(300, static_cases())
     def check(case):
         domain, guard, env = case
         got = outcome(lambda *args: _compiled(*args).fluents, domain, guard, env)
         assert got == outcome(reference.guard_fluents, domain, guard, env)
-        seen.update(_features(guard, env))
+        seen.update(guard_features(guard, env))
         seen["error" if isinstance(got, tuple) else "read" if got else "nothing"] += 1
 
     check()
-    for feature in ("negated existential", "repeated variable", "read", "nothing", "error"):
-        assert seen[feature] >= 10, seen
+    assert_floors(seen, 10, "negated existential", "repeated variable", "read", "nothing", "error")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import random
 from dataclasses import replace
 
 import pytest
@@ -62,7 +61,6 @@ from tests.conftest import (
     outcome,
     sort_pool,
 )
-from tests.test_random_domains import _random_domain
 
 FIXTURE_DOMAINS = ("blocks.dom", "blocks_nosupport.dom", "rooms.dom",
                    "display.dom", "economy.dom")
@@ -200,10 +198,13 @@ def test_static_aspects_match_the_reference_table(name):
 
 
 def test_static_aspects_match_the_reference_table_on_random_domains():
-    rng = random.Random(2062)
-    for trial in range(40):
-        domain = _random_domain(rng)
-        assert domain.static_aspects == reference.static_table(domain), trial
+    gen = pytest.importorskip("tests.domains")
+
+    @gen.examples(40, gen.domains("propositional"))
+    def check(domain):
+        assert domain.static_aspects == reference.static_table(domain)
+
+    check()
 
 
 def test_shapes_cover_the_template_edge_cases():
@@ -382,10 +383,14 @@ def test_frame_economy_matches_the_table_reference(name):
 
 
 def test_frame_economy_matches_the_table_reference_on_random_domains():
-    rng = random.Random(2063)
-    reports = 0
-    for _ in range(40):
-        reports += len(_assert_economy_matches_the_reference(_random_domain(rng)))
+    gen = pytest.importorskip("tests.domains")
+    reports = []
+
+    @gen.examples(40, gen.domains("propositional"))
+    def check(domain):
+        reports.extend(_assert_economy_matches_the_reference(domain))
+
+    check()
     assert reports  # some random domain has a nonempty economy
 
 

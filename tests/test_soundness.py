@@ -23,16 +23,15 @@ import pytest
 
 from sitaspect import frames
 from sitaspect.disjoint import d_eval
-from sitaspect.domain import AspectRule, GuardLiteral, Pat, Precondition, Var
+from sitaspect.domain import AspectRule, GuardLiteral, Pat, Var
 from sitaspect.dsl import parse_domain
 from sitaspect.errors import SchemaError, SitAspectError
 from sitaspect.frames import SoundnessReport, check_aspect_soundness
 from sitaspect.state import build_state
 from sitaspect.terms import AspectPath, action
 from tests import reference
-from tests.conftest import assert_stage_one_decides_as_the_solver, fixture_text, load_domain
-from tests.test_cli import ILL_SORTED_TARGET
-from tests.test_random_domains import _random_domain
+from tests.conftest import (ILL_SORTED_TARGET, assert_stage_one_decides_as_the_solver,
+                            fixture_text, load_domain)
 
 FIXTURES = ("blocks.dom", "blocks_nosupport.dom", "rooms.dom", "display.dom",
             "economy.dom")
@@ -80,19 +79,16 @@ def test_generated_blocks_match_the_flat_enumeration(blocks):
 
 
 def test_random_domains_match_the_flat_enumeration():
-    # _random_domain has no preconditions; each domain is also checked with
-    # random ones added, so that the precondition prefix ends anywhere.
-    rng = random.Random(4409)
-    for _ in range(50):
-        domain = _random_domain(rng)
+    # Each propositional domain is checked without its preconditions and
+    # with them, random literals that end the precondition prefix anywhere.
+    gen = pytest.importorskip("tests.domains")
+
+    @gen.examples(50, gen.domains("propositional", "precondition"))
+    def check(domain):
+        _assert_same_report(dataclasses.replace(domain, preconditions=()))
         _assert_same_report(domain)
-        names = sorted(domain.fluents)
-        pres = tuple(
-            Precondition(action=Pat(a), guard=tuple(
-                GuardLiteral(fluent=Pat(f), positive=rng.random() < 0.6)
-                for f in rng.sample(names, rng.randint(1, 2))))
-            for a in sorted(domain.actions) if rng.random() < 0.7)
-        _assert_same_report(dataclasses.replace(domain, preconditions=pres))
+
+    check()
 
 
 def test_precondition_on_the_last_fluent_reads_the_whole_valuation():

@@ -8,11 +8,10 @@ index of the ground fluents by argument. `tests/reference.py` does the
 per-atom work instead: every rule is grounded for every atom, d is asked
 for every (action, fluent) pair in a flat loop, every pair is matched
 against the action's entries, and the economy instantiates each guard-free
-template per atom. On domains drawn by the soundness generators of
-`tests/test_soundness_properties.py` and `tests/test_soundness_orbits.py`,
-with `frame` lines and at times a fluent without aspects added, the table,
-the ground axioms, the uncovered pairs and the economy must be equal, or
-the same SitAspectError must be raised.
+template per atom. On the domains `tests/domains.py` draws for the
+soundness lint and for its orbits, with `frame` lines and at times the
+lone(obj) rows, the table, the ground axioms, the uncovered pairs and the
+economy must be equal, or the same SitAspectError must be raised.
 """
 
 from __future__ import annotations
@@ -24,22 +23,9 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import HealthCheck, given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
 
 import sitaspect.domain  # noqa: E402
-from sitaspect.domain import (  # noqa: E402
-    AspectRule,
-    FrameDecl,
-    GuardLiteral,
-    MemberGuard,
-    Pat,
-    Schema,
-    SortRef,
-    StaticAspects,
-    Var,
-    _static_rows,
-)
+from sitaspect.domain import StaticAspects, _static_rows  # noqa: E402
 from sitaspect.dsl import parse_state  # noqa: E402
 from sitaspect.frames import (  # noqa: E402
     FrameDerivation,
@@ -48,9 +34,10 @@ from sitaspect.frames import (  # noqa: E402
     frame_economy,
 )
 from sitaspect.reiter import compare_modes, random_workload  # noqa: E402
-from sitaspect.terms import AspectAtom  # noqa: E402
-from tests import reference, test_soundness_orbits, test_soundness_properties  # noqa: E402
+from tests import reference  # noqa: E402
 from tests.conftest import ROOMS_INIT, load_domain, outcome  # noqa: E402
+from tests.domains import (  # noqa: E402
+    LINT, ORBITS, assert_floors, domains, examples, features, guard_features)
 
 
 def _reference(domain):
@@ -70,57 +57,11 @@ def _program(domain):
 
 # -- generated domains --------------------------------------------------------
 
-# Arguments of a `frame` line's fluent: the heads' variables, free ones (z
-# twice makes a repeated free variable), and objects of both generators.
-FRAME_ARGS = (Var("x"), Var("y"), Var("S"), Var("z"), Var("z"), Var("w"), "a", "floor")
-# A frame line whose fluent repeats a free variable, drawn half the time.
-REPEATED = FrameDecl(Pat("move", (Var("x"), Var("y"))), Pat("on", (Var("z"), Var("z"))))
-
-
-# lone(a) has an aspect, lone(b) only a rule whose guard clashes, and any
-# other lone atom no rule: the table names both kinds of error. BROKEN's
-# member guard reads an object as a set, which raises.
-LONE = (AspectRule("fluent", Pat("lone", ("a",)), (AspectAtom("k"),)),
-        AspectRule("fluent", Pat("lone", ("b",)), (AspectAtom("k"),),
-                   (GuardLiteral(Pat("mark", ("b",))),
-                    GuardLiteral(Pat("mark", ("b",)), False))))
-BROKEN = (AspectRule("fluent", Pat("lone", (Var("u"),)), (AspectAtom("k"),),
-                     (MemberGuard(Var("z"), Var("u")),)),)
-
-
-@st.composite
-def extended(draw, domain):
-    """The domain with up to two `frame` lines drawn over its schemas, at
-    times REPEATED, and at times the fluent lone(obj) of LONE, or of LONE
-    and BROKEN."""
-    extra = draw(st.integers(0, 3))
-    if extra:
-        domain = dataclasses.replace(
-            domain, fluents={**domain.fluents, "lone": Schema("lone", (SortRef("obj"),))},
-            aspect_rules=domain.aspect_rules + LONE + (BROKEN if extra == 3 else ()))
-    decls = [REPEATED] if draw(st.booleans()) else []
-    for _ in range(draw(st.integers(0, 2))):
-        name = draw(st.sampled_from(sorted(domain.actions)))
-        head = ((draw(st.sampled_from((Var("x"), "a"))), draw(st.sampled_from(
-            (Var("y"), "floor")))) if name == "move" else (Var("S"),))
-        schema = draw(st.sampled_from(sorted(domain.fluents)))
-        args = tuple(draw(st.sampled_from(FRAME_ARGS))
-                     for _ in domain.fluents[schema].params)
-        decls.append(FrameDecl(Pat(name, head), Pat(schema, args)))
-    return dataclasses.replace(domain, frame_decls=domain.frame_decls + tuple(decls))
-
-
 def _features(domain, outcome) -> set[str]:
-    out = set()
-    guards = [g for r in domain.aspect_rules for g in r.guard]
-    if any(isinstance(g, GuardLiteral) and not g.positive for g in guards):
-        out.add("negated literal")
-    if any(isinstance(g, MemberGuard) for g in guards):
-        out.add("member guard")
-    for rule in domain.frame_decls + domain.effects:
-        free = [a for a in rule.fluent.args if isinstance(a, Var)]
-        if len(set(free)) < len(free):
-            out.add("repeated variable in an entry")
+    # The table reads the guards of aspect rules only.
+    out = {f for rule in domain.aspect_rules for f in guard_features(rule.guard, ())
+           if f in ("negated literal", "member guard")}
+    out |= features(domain) & {"repeated variable in an entry"}
     economy, table, ground, uncovered = outcome
     if any(isinstance(part, tuple) and part and isinstance(part[0], type)
            for part in outcome):
@@ -136,42 +77,26 @@ def _features(domain, outcome) -> set[str]:
     return out
 
 
-def _check_generated(drawn, seen):
-    got = _program(drawn)
-    assert got == _reference(drawn)
-    seen.update(_features(drawn, got))
+def _check_generated(*wanted):
+    seen = Counter()
 
+    @examples(400, domains(*wanted, "frame", "lone"))
+    def check(domain):
+        got = _program(domain)
+        assert got == _reference(domain)
+        seen.update(_features(domain, got))
 
-FLOORS = ("negated literal", "member guard", "repeated variable in an entry", "error",
-          "table errors", "ground axioms", "uncovered pairs", "economy")
+    check()
+    assert_floors(seen, 10, "negated literal", "member guard", "repeated variable in an entry",
+                  "error", "table errors", "ground axioms", "uncovered pairs", "economy")
 
 
 def test_tables_match_the_per_atom_references_on_soundness_domains():
-    seen = Counter()
-
-    @settings(max_examples=400, deadline=None, derandomize=True, database=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(test_soundness_properties.domains().flatmap(extended))
-    def check(domain):
-        _check_generated(domain, seen)
-
-    check()
-    for feature in FLOORS:
-        assert seen[feature] >= 10, seen
+    _check_generated(*LINT)
 
 
 def test_tables_match_the_per_atom_references_on_orbit_domains():
-    seen = Counter()
-
-    @settings(max_examples=400, deadline=None, derandomize=True, database=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(test_soundness_orbits.domains().flatmap(lambda drawn: extended(drawn[0])))
-    def check(domain):
-        _check_generated(domain, seen)
-
-    check()
-    for feature in FLOORS:
-        assert seen[feature] >= 10, seen
+    _check_generated(*ORBITS)
 
 
 # -- the shape of the memo ----------------------------------------------------
