@@ -67,6 +67,18 @@ def reachable_states(domain, init, max_depth: int) -> list:
     return out
 
 
+def record_calls(monkeypatch, owner, attr: str, keep=lambda *args: args) -> list:
+    """What `keep` makes of the positional arguments of each call of
+    owner.`attr` from now on; the calls go on to the real `attr`."""
+    calls, real = [], getattr(owner, attr)
+
+    def recorded(*args, **kwargs):
+        calls.append(keep(*args))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(owner, attr, recorded)
+    return calls
+
+
 def outcome(fn, *args):
     """fn's result, or the type and text of the SitAspectError it raises."""
     try:

@@ -6,7 +6,7 @@ turn on, parses it and returns the Domain. `features(domain)` reads
 features back off the parsed domain, so a test floors what its domains
 have, not what was drawn: it asks for the features it needs, counts
 `features(domain)` and what its outcomes show over the `examples`, and
-ends with `assert_floors`. `domain_states(*wanted)` adds a state.
+asserts a floor on each count. `domain_states(*wanted)` adds a state.
 
 Relational domains have objects of sort obj, places (floor and at times
 objects of obj), the fluents on(obj, place) and mark(obj), the action
@@ -29,8 +29,8 @@ from hypothesis import strategies as st
 
 from sitaspect.disjoint import (CommutativeCanonical, ExplicitTable, SeqExistsDiff,
                                 SimpleInequality)
-from sitaspect.domain import GuardLiteral, MemberGuard, SetTemplate, Var, ground_fluents, \
-    initial_state
+from sitaspect.domain import EffectRule, GuardLiteral, MemberGuard, SetTemplate, Var, \
+    ground_fluents, initial_state
 from sitaspect.dsl import parse_domain
 from sitaspect.terms import AspectAtom
 
@@ -41,14 +41,32 @@ SPECS = ("seq-diff", "simple", "table", "commutative")
 FEATURES = frozenset((
     *SPECS, "free guards", "negation before its binder",
     "negation before its binder in an effect", "precondition", "home", "frame", "lone",
-    "propositional", "error state"))
+    "commutative(all) over sets", "propositional", "error state"))
 
 # What the tests of the soundness lint ask for.
 LINT = ("free guards", "negation before its binder", "precondition")
 # What its orbits read: objects named by a rule, a template, a `home` line or
 # a `table` spec, or left interchangeable, under each of the four specs.
-ORBITS = (*SPECS, "home", "precondition")
+ORBITS = (*SPECS, "home", "precondition", "commutative(all) over sets")
 
+# Fixed aspect templates of each schema: the one-element ones of ONE under
+# `simple`, ONE and MIXED under `seq-diff` and `table`, and under
+# `commutative` paths that mix objects with the atoms m and k, whose
+# canonical order a renaming changes.
+ONE = {"on": ("(v)", "(u)", "(m)", "({u,v})"), "mark": ("(u)", "(m)", "(u) if !on(u,floor)"),
+       "move": ("(x)", "(y)", "({x,y})", "(m)",
+                "(x) if mark(x)\naspect move(x,y) (y) if !mark(x)"),
+       "paint": ("(S)", "({S})", "(m)")}
+MIXED = {"on": ("(v,m)",), "mark": ("(m,u)", "(u,k)"),
+         "move": ("(x,m)", "(m,y)", "(k,x,y)", "({y,z}) if on(x,z)"), "paint": ("(m,S)",)}
+BOTH = {name: ONE[name] + MIXED[name] for name in ONE}
+COMMUTATIVE = {"on": ("(m)", "(v,m)"), "mark": ("(m)", "(m,u)"),
+               "move": ("(x,m)", "(m,y)", "(k,x,y)"), "paint": BOTH["paint"]}
+TEMPLATES = {"seq-diff": BOTH, "table": BOTH, "simple": ONE, "commutative": COMMUTATIVE}
+# With free guards on(u,v)'s aspect may read mark(u), which makes the lint
+# read mark(u) with every on fluent: only two objects keep that small.
+GUARDED_ON = ("(v) if mark(u)", "(v) if mark(u)\naspect on(u,v) (u) if !mark(u)")
+MOVE_PRES = ("!on(y,x)", "mark(x)", "mark(x) & on(x,z)", "!mark(x) & on(x,z)")
 # Move's and paint's effects, besides one that names an object.
 MOVE_EFFECTS = ("add on(x,y)", "del on(x,z) if on(x,z)", "add mark(x)",
                 "add mark(x) if !mark(x)", "del mark(x) if mark(x)", "del mark(z) if on(z,y)")
@@ -78,11 +96,6 @@ def examples(count: int, *strategies):
         suppress_health_check=[HealthCheck.too_slow])(given(*strategies)(test))
 
 
-def assert_floors(seen, floor: int, *names: str) -> None:
-    """Each of `names` was counted at least `floor` times."""
-    assert all(seen[name] >= floor for name in names), seen
-
-
 def _pick(draw, options):
     """One of `options`; the integers strategy is cached, where a new
     `sampled_from` would be built and validated for every draw."""
@@ -103,7 +116,9 @@ def domains(draw, *wanted: str):
     specs = [s for s in SPECS if s in want] or ["seq-diff"]
     # `commutative` twice as often: a violation past the first action of an
     # orbit shows only under it, and only in some draws.
-    spec = _pick(draw, specs + ["commutative"] * ("commutative" in specs))
+    if "commutative" in specs:
+        specs.append("commutative")
+    spec = _pick(draw, specs)
     simple, commutative = spec == "simple", spec == "commutative"
     guarded = "free guards" in want
     if guarded:
@@ -120,8 +135,9 @@ def domains(draw, *wanted: str):
     sorts = {"obj": objs, "place": shared + ["floor"]}
 
     # Half the domains declare their sorts, and each sort's objects, in reverse.
-    order = list(sorts.items()) if _one_in(draw, 2) else [
-        (s, names[::-1]) for s, names in reversed(sorts.items())]
+    order = list(sorts.items())
+    if _one_in(draw, 2):
+        order = [(s, names[::-1]) for s, names in reversed(order)]
     lines = ["domain generated", *(f"objects {s}: {', '.join(names)}" for s, names in order),
              "fluent on(obj, place)", "fluent mark(obj)", "action move(obj, place)"]
     heads = {"move": {"x": "obj", "y": "place"}}
@@ -131,8 +147,9 @@ def domains(draw, *wanted: str):
     params = {"on": ("obj", "place"), "mark": ("obj",)}
     if guarded:
         params["tag"] = ("set",)
-        lines += ["fluent tag(set of obj)", "aspect tag(T) " + _pick(draw, ("(T)", "({T})", "(k)"))]
-    lone = "lone" in want and draw(st.integers(0, 3))
+        tag = _pick(draw, ("(T)", "({T})", "(k)"))
+        lines += ["fluent tag(set of obj)", f"aspect tag(T) {tag}"]
+    lone = draw(st.integers(0, 3)) if "lone" in want else 0
     if lone:
         params["lone"] = ("obj",)
         # lone(a) has an aspect, lone(b) only a rule whose guard clashes, and
@@ -142,23 +159,17 @@ def domains(draw, *wanted: str):
     if "home" in want and _one_in(draw, 4):
         lines.append(f"home mark (k, {_pick(draw, objs)})")
 
+    fixed = TEMPLATES[spec]
+    on = fixed["on"]
+    if guarded:
+        on += GUARDED_ON
     planted = guarded and _one_in(draw, 4)
-    # A guard on on(u,v)'s aspect makes the lint read mark(u) with every on
-    # fluent: only two objects keep that small.
-    on = (["(m)", "(v,m)"] if commutative else
-          ["(v)", "(u)", "(m)", "({u,v})"] + ([] if simple else ["(v,m)"]) + (
-              ["(v) if mark(u)", "(v) if mark(u)\naspect on(u,v) (u) if !mark(u)"]
-              if guarded else []))
-    mark = (["(m)", "(m,u)"] if commutative else
-            ["(u)", "(m)", "(u) if !on(u,floor)"] + ([] if simple else ["(m,u)", "(u,k)"]))
-    lines += [PLANTED[0] if planted else f"aspect on(u,v) {_pick(draw, on)}",
-              f"aspect mark(u) {_pick(draw, mark)}"]
+    if planted:
+        lines.append(PLANTED[0])
+    else:
+        lines.append(f"aspect on(u,v) {_pick(draw, on)}")
+    lines.append(f"aspect mark(u) {_pick(draw, fixed['mark'])}")
 
-    fixed = {
-        "move": ["(x,m)", "(m,y)", "(k,x,y)"] if commutative else
-        ["(x)", "(y)", "({x,y})", "(m)", "(x) if mark(x)\naspect move(x,y) (y) if !mark(x)"]
-        + ([] if simple else ["(x,m)", "(m,y)", "(k,x,y)", "({y,z}) if on(x,z)"]),
-        "paint": ["(S)", "({S})", "(m)"] + ([] if simple else ["(m,S)"])}
     firsts, seconds = [], []
     for name, head in heads.items():
         text = f"{name}({','.join(head)})"
@@ -169,7 +180,9 @@ def domains(draw, *wanted: str):
                 rules.append(f"aspect {text} {_template(draw, bound, spec)}"
                              + (f" if {guard}" if guard else ""))
             elif name == "move" and _one_in(draw, 5):
-                rules.append(f"aspect {text} ({_pick(draw, objs)}{'' if simple else ',x'})")
+                # A template constant that is an object.
+                o = _pick(draw, objs)
+                rules.append(f"aspect {text} ({o})" if simple else f"aspect {text} ({o},x)")
             else:
                 rules.append(f"aspect {text} {_pick(draw, fixed[name])}")
         if planted and name == "move":
@@ -180,9 +193,12 @@ def domains(draw, *wanted: str):
         # A free guard reads more fluents than a fixed precondition: domains
         # with free guards get a precondition half the time, half of them one.
         if "precondition" in want and not _one_in(draw, 2 if guarded else 5):
-            pre = _guard(draw, head, sorts)[0] if guarded and _one_in(draw, 2) else _pick(draw, [
-                "!on(y,x)", "mark(x)", "mark(x) & on(x,z)", "!mark(x) & on(x,z)",
-                f"!mark({_pick(draw, objs)})"]) if name == "move" else ""
+            pre = ""
+            if guarded and _one_in(draw, 2):
+                pre = _guard(draw, head, sorts)[0]
+            elif name == "move":
+                o = _pick(draw, objs)
+                pre = _pick(draw, (*MOVE_PRES, f"!mark({o})"))
             if pre:
                 lines.append(f"pre {text} {pre}")
         if name == "move" and "negation before its binder" in want and _one_in(draw, 3):
@@ -208,19 +224,26 @@ def domains(draw, *wanted: str):
         lines.append("disjoint by table " + ", ".join(
             f"{p}{q}" for p, q in zip(paths[::2], paths[1::2])))
     elif commutative:
-        # Full commutativity reads atoms only: it is not drawn where a path
-        # may hold a set.
+        # Full commutativity reads atoms only, and d raises on a path that
+        # holds a set: only "commutative(all) over sets" draws it there, and
+        # then one time in three.
         sets = "tag" in params or "paint" in heads
-        lines.append(f"disjoint by commutative("
-                     f"{_pick(draw, ['all'] * (not sets) + ['a m, b m, m n, m o, k m'] * 3)})")
+        if sets and "commutative(all) over sets" in want:
+            full = _one_in(draw, 3)
+        else:
+            full = not sets and _one_in(draw, 4)
+        pairs = "all" if full else "a m, b m, m n, m o, k m"
+        lines.append(f"disjoint by commutative({pairs})")
     else:
         lines.append(f"disjoint by {spec}")
 
     # An action's second rule may overlap its first: it is parsed in a copy of
     # the text that has it in place of the first, and appended.
     domain = parse_domain("\n".join(lines + firsts) + "\n", file="generated")
-    second = parse_domain("\n".join(lines + seconds) + "\n", file="generated")
-    extra = [r for r in second.aspect_rules if r not in domain.aspect_rules]
+    extra = []
+    if seconds != firsts:
+        second = parse_domain("\n".join(lines + seconds) + "\n", file="generated")
+        extra = [r for r in second.aspect_rules if r not in domain.aspect_rules]
     if lone == 3:
         extra += parse_domain(BROKEN).aspect_rules
     return dataclasses.replace(domain, aspect_rules=domain.aspect_rules + tuple(extra))
@@ -267,8 +290,10 @@ def _template(draw, names: list[str], spec: str) -> str:
     elems = []
     for _ in range(1 if spec == "simple" else draw(st.integers(1, 2))):
         picked = _some(draw, names + ["r"], 1 if spec == "commutative" else 2)
-        elems.append(picked[0] if len(picked) == 1 and (spec == "commutative" or _one_in(
-            draw, 2)) else "{" + ",".join(picked) + "}")
+        if len(picked) == 1 and (spec == "commutative" or _one_in(draw, 2)):
+            elems.append(picked[0])
+        else:
+            elems.append("{" + ",".join(picked) + "}")
     return "(" + ",".join(elems) + ")"
 
 
@@ -302,16 +327,22 @@ def _propositional(draw, want):
         touched = set()
         for _ in range(draw(st.integers(0, 3))):
             target = _pick(draw, fluents)
-            guard = (f" if {'!' if _one_in(draw, 5) else ''}{_pick(draw, fluents)}()"
-                     if draw(st.integers(0, 4)) < 2 else "")
-            lines.append(f"effect a{i}() {_pick(draw, ('add', 'del'))} {target}(){guard}")
             touched.add(atom[target])
+            effect = f"effect a{i}() {_pick(draw, ('add', 'del'))} {target}()"
+            # Two effects in five are guarded, one guard in five negated.
+            if draw(st.integers(0, 4)) < 2:
+                sign = "!" if _one_in(draw, 5) else ""
+                effect += f" if {sign}{_pick(draw, fluents)}()"
+            lines.append(effect)
         touched = sorted(touched) or [_pick(draw, "uvw")]
         lines.append(f"aspect a{i}() ({{{','.join(touched)}}})")
+        # Seven actions in ten get a precondition, two literals in five negated.
         if "precondition" in want and draw(st.integers(0, 9)) < 7:
-            lines.append(f"pre a{i}() " + " & ".join(
-                f"{'' if draw(st.integers(0, 4)) < 3 else '!'}{p}()"
-                for p in _some(draw, fluents, 2)))
+            literals = []
+            for p in _some(draw, fluents, 2):
+                sign = "!" if draw(st.integers(0, 4)) < 2 else ""
+                literals.append(f"{sign}{p}()")
+            lines.append(f"pre a{i}() " + " & ".join(literals))
     lines.append("disjoint by seq-diff")
     return parse_domain("\n".join(lines) + "\n", file="generated")
 
@@ -326,8 +357,9 @@ def domain_states(draw, *wanted: str):
     fluents = ground_fluents(domain)
     bits = draw(st.integers(0, 2 ** len(fluents) - 1))
     truths = frozenset(f for i, f in enumerate(fluents) if bits >> i & 1)
-    shape = _pick(draw, ("total", "total", "unmodeled", "unknown schema")) \
-        if "error state" in wanted else "total"
+    shape = "total"
+    if "error state" in wanted:
+        shape = _pick(draw, ("total", "total", "unmodeled", "unknown schema"))
     state = initial_state(domain, truths, only=[] if shape == "unmodeled" else None)
     if shape == "unknown schema":
         read = {g.fluent.schema for pre in domain.preconditions for g in pre.guard
@@ -342,6 +374,8 @@ def features(domain) -> set[str]:
     schemas, the objects its text names, and what its guards do."""
     spec = domain.disjointness
     objects = [o for names in domain.sorts.values() for o in names]
+    # floor, the one object outside obj, is in no orbit: naming it breaks none.
+    interchangeable = set(domain.sorts.get("obj", ()))
     out = {dict(zip((SeqExistsDiff, SimpleInequality, ExplicitTable, CommutativeCanonical),
                     SPECS))[type(spec)]}
     if len(set(objects)) < len(objects):
@@ -370,12 +404,16 @@ def features(domain) -> set[str]:
         head = getattr(rule, "target", None) or rule.action
         guard = getattr(rule, "guard", ())
         found = guard_features(guard, {v.name for v in head.variables()})
+        if isinstance(rule, EffectRule) and "negation before its binder" in found:
+            out.add("negation before its binder in an effect")
+        out |= found
         # The DSL reads a pattern's argument as a constant only if it is an
         # object of the parameter's sort.
-        if "constant argument" in found or any(
-                isinstance(a, str) for p in (head, getattr(rule, "fluent", head)) for a in p.args):
+        named = [*head.args, *getattr(rule, "fluent", head).args]
+        for g in guard:
+            named += [g.member] if isinstance(g, MemberGuard) else g.fluent.args
+        if interchangeable & set(named):
             out.add("named by rule")
-        out |= found
     return out
 
 

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from tests.conftest import record_calls
+
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
@@ -47,13 +49,7 @@ def test_compare_modes_calls_every_traced_part(monkeypatch, blocks, blocks_init)
     calls = {}
     for module, attr in _TRACING.COMPARE_PARTS:
         owner = importlib.import_module(f"sitaspect.{module}")
-        calls[module, attr] = 0
-
-        def counted(*args, _fn=getattr(owner, attr), _key=(module, attr), **kwargs):
-            calls[_key] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(owner, attr, counted)
+        calls[module, attr] = record_calls(monkeypatch, owner, attr)
     compare_modes(blocks, workload=workload)
     assert all(calls.values()), calls
 

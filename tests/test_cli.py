@@ -17,7 +17,7 @@ import sitaspect
 from sitaspect import cli
 from sitaspect.cli import _build_parser, main
 from tests.conftest import (BLOCKS_INIT, DISPLAY_INIT, FIXTURES, ILL_SORTED_TARGET,
-                            NEGATION_ONLY, ROOMS_INIT, negation_only_text)
+                            NEGATION_ONLY, ROOMS_INIT, negation_only_text, record_calls)
 
 BLOCKS = str(FIXTURES / "blocks.dom")
 ECONOMY = str(FIXTURES / "economy.dom")
@@ -539,13 +539,8 @@ def test_compare_random_needs_a_fluent_to_query(tmp_path, capsys):
 
 def test_query_in_aspect_mode_takes_an_intersecting_step_once(capsys, monkeypatch):
     # Regression reads the effects that the progression already resolved.
-    calls, real = [], sitaspect.frames._net_effects
-
-    def recording(domain, state, a):
-        calls.append(str(a))
-        return real(domain, state, a)
-
-    monkeypatch.setattr(sitaspect.frames, "_net_effects", recording)
+    calls = record_calls(monkeypatch, sitaspect.frames, "_net_effects",
+                         lambda domain, state, a: str(a))
     code, out, _ = run(capsys, "query", BLOCKS, "--mode", "aspect", "--init",
                        "on(a,floor); on(b,floor); clear(a); clear(b); clear(floor)",
                        "--acts", "move(a,b)", "--fluent", "on(a,b)")

@@ -22,6 +22,7 @@ from sitaspect.disjoint import (
 )
 from sitaspect.errors import DisjointnessSpecError
 from sitaspect.terms import AspectAtom, AspectPath, as_elem, elem_sort_key, path
+from tests.conftest import record_calls
 
 
 def test_elem_disjoint_atom_vs_set():
@@ -271,13 +272,7 @@ def _reference_monotonicity(spec, samples, max_extension):
 def test_monotonicity_matches_the_extension_loop(spec, max_extension, monkeypatch):
     rng = random.Random(max_extension)
     elems = ["a", "b", "c", {"a", "b"}, {"b", "c"}, {"a", "c"}]
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return d_eval(*args)
-
-    monkeypatch.setattr(disjoint, "d_eval", counted)
+    calls = record_calls(monkeypatch, disjoint, "d_eval")
     held = violated = 0
     for _ in range(150):
         samples = [tuple(path(*rng.choices(elems, k=rng.randint(1, 3))) for _ in "ab")
@@ -302,13 +297,7 @@ def test_commutative_monotonicity_canonicalizes_each_path_once(monkeypatch):
     samples = [(alpha, beta) for alpha in alphas for beta in betas] * 2
     expected = _reference_monotonicity(spec, samples, 2)
     held = {alpha for alpha, beta in samples if d_eval(spec, alpha, beta)}
-    calls = []
-
-    def counted(p, constraints):
-        calls.append(p)
-        return canonicalize(p, constraints)
-
-    monkeypatch.setattr(disjoint, "canonicalize", counted)
+    calls = record_calls(monkeypatch, disjoint, "canonicalize", lambda p, constraints: p)
     report = check_monotonicity(spec, samples, max_extension=2)
     assert (report.checked, report.violations) == expected
     assert report.checked > 0 and not report.clean
@@ -328,13 +317,7 @@ def test_commutative_monotonicity_leaves_barriers_in_place(monkeypatch):
     spec = CommutativeCanonical.of(("a", "b"))
     alpha, beta = path("b", "c"), path("a")
     expected = _reference_monotonicity(spec, [(alpha, beta)], 2)
-    calls = []
-
-    def counted(p, constraints):
-        calls.append(p)
-        return canonicalize(p, constraints)
-
-    monkeypatch.setattr(disjoint, "canonicalize", counted)
+    calls = record_calls(monkeypatch, disjoint, "canonicalize", lambda p, constraints: p)
     report = check_monotonicity(spec, [(alpha, beta)], max_extension=2)
     assert (report.checked, report.violations) == expected
     assert report.checked == 12

@@ -37,7 +37,7 @@ from sitaspect.state import build_state  # noqa: E402
 from sitaspect.terms import GroundFluent  # noqa: E402
 from tests import reference  # noqa: E402
 from tests.conftest import outcome  # noqa: E402
-from tests.domains import assert_floors, examples, guard_features  # noqa: E402
+from tests.domains import examples, guard_features  # noqa: E402
 
 OBJECTS = ("a", "b", "c")
 STRAY = "d"  # an object of no sort
@@ -120,8 +120,9 @@ def test_solve_guard_matches_the_sort_product_on_generated_domains():
              "solved" if got else "no solution"] += 1
 
     check()
-    assert_floors(seen, 10, "repeated variable", "constant argument", "negated existential",
-                  "x in S", "x in T", "solved", "no solution")
+    for feature in ("repeated variable", "constant argument", "negated existential",
+                    "x in S", "x in T", "solved", "no solution"):
+        assert seen[feature] >= 10, seen
 
 
 @st.composite
@@ -173,8 +174,9 @@ def test_static_groundings_match_the_dict_chain_on_generated_domains():
         seen.update(_static_features(domain, guard, env, got))
 
     check()
-    assert_floors(seen, 10, "member guard", "set-valued parameter", "repeated variable",
-                  "constant argument", "clash", "unsatisfiable", "grounded", "error")
+    for feature in ("member guard", "set-valued parameter", "repeated variable",
+                    "constant argument", "clash", "unsatisfiable", "grounded", "error"):
+        assert seen[feature] >= 10, seen
 
 
 def test_guard_fluents_match_the_literal_grounder_on_generated_domains():
@@ -189,4 +191,5 @@ def test_guard_fluents_match_the_literal_grounder_on_generated_domains():
         seen["error" if isinstance(got, tuple) else "read" if got else "nothing"] += 1
 
     check()
-    assert_floors(seen, 10, "negated existential", "repeated variable", "read", "nothing", "error")
+    for feature in ("negated existential", "repeated variable", "read", "nothing", "error"):
+        assert seen[feature] >= 10, seen

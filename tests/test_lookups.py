@@ -59,6 +59,7 @@ from tests.conftest import (
     fixture_text,
     load_domain,
     outcome,
+    record_calls,
     sort_pool,
 )
 
@@ -285,20 +286,10 @@ def test_static_aspects_build_each_element_once_per_key(monkeypatch):
                         key = free if isinstance(t, SetTemplate) else tuple(free)
                         keys.add((x, rule, i, key))
     table = reference.static_table(load_domain("rooms.dom"))
-    calls = {"instantiate_template": 0, "AspectSet": 0}
-
-    def counting(name):
-        fn = getattr(sitaspect.domain, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(sitaspect.domain, name, counted)
-
-    counting("instantiate_template")
-    counting("AspectSet")
+    made, instantiated = (record_calls(monkeypatch, sitaspect.domain, name)
+                          for name in ("AspectSet", "instantiate_template"))
     assert domain.static_aspects == table
-    assert 0 < calls["AspectSet"] <= calls["instantiate_template"] <= len(keys)
+    assert 0 < len(made) <= len(instantiated) <= len(keys)
 
 
 @pytest.mark.parametrize("name", FIXTURE_DOMAINS)
@@ -332,14 +323,7 @@ def test_completeness_lint_counts_declared_frame_axioms():
 
 def test_static_aspects_are_built_once_per_domain(monkeypatch):
     domain = load_domain("rooms.dom")
-    calls = []
-
-    def counting(*args):
-        calls.append(args[2])
-        return static_row(*args)
-
-    static_row = sitaspect.domain._static_row
-    monkeypatch.setattr(sitaspect.domain, "_static_row", counting)
+    calls = record_calls(monkeypatch, sitaspect.domain, "_static_row", lambda *args: args[2])
     derive_frame_axioms(domain)
     completeness_lint(domain)
     static_aspect_samples(domain)
@@ -434,27 +418,14 @@ def test_compare_reads_the_economy_without_the_static_aspect_table(
         monkeypatch, name, init):
     domain = load_domain(name)
     workload = random_workload(domain, parse_state(init, domain), 20, 1)
-    schematic = []
-
-    def derive_schematic(d, _derive=sitaspect.frames._schematic_axioms):
-        schematic.append(d)
-        return _derive(d)
-
-    monkeypatch.setattr(sitaspect.frames, "_schematic_axioms", derive_schematic)
+    schematic = record_calls(monkeypatch, sitaspect.frames, "_schematic_axioms", lambda d: d)
     compare_modes(domain, workload)
     assert "static_aspects" not in vars(domain) and schematic == []
     derivation = derive_frame_axioms(domain)
     assert derivation.economy == reference.economy(load_domain(name))
     assert "static_aspects" not in vars(domain)
     assert derivation.schematic is derivation.schematic and schematic == [domain]
-    calls = []
-
-    def counting(*args):
-        calls.append(args[2])
-        return static_row(*args)
-
-    static_row = sitaspect.domain._static_row
-    monkeypatch.setattr(sitaspect.domain, "_static_row", counting)
+    calls = record_calls(monkeypatch, sitaspect.domain, "_static_row", lambda *args: args[2])
     ground = derivation.ground
     assert derivation.ground is ground
     assert derivation.errors == domain.static_aspects.errors

@@ -35,7 +35,7 @@ from sitaspect.reiter import compare_modes, random_workload  # noqa: E402
 from sitaspect.state import eval_fluent  # noqa: E402
 from sitaspect.terms import AspectAtom  # noqa: E402
 from tests.conftest import reachable_states  # noqa: E402
-from tests.domains import assert_floors, domain_states, domains, examples  # noqa: E402
+from tests.domains import domain_states, domains, examples  # noqa: E402
 
 
 @examples(60, domain_states("propositional"))
@@ -81,4 +81,4 @@ def test_planted_overreach_is_caught():
             seen["caught"] += 1
 
     check()
-    assert_floors(seen, 21, "caught")
+    assert seen["caught"] > 20, seen

@@ -75,13 +75,16 @@ def test_generated_domain_walks_match_the_reference():
     pytest.importorskip("hypothesis")
     from hypothesis import strategies as st
 
-    from tests.domains import LINT, SPECS, assert_floors, domain_states, examples, features
+    from tests.domains import LINT, SPECS, domain_states, examples, features
 
     seen = Counter()
 
     def walk(case, seed):
         domain, init, true = case
         ssas = compile_ssa(domain)
+        found = features(domain)
+        # The strict xfail below pins the SSA on such an effect.
+        ssa_checked = "negation before its binder in an effect" not in found
         report = None
         for _, acts, p in random_workload(domain, init, 10, seed):
             facts = true
@@ -91,8 +94,9 @@ def test_generated_domain_walks_match_the_reference():
             oracle_value, states = _oracle(domain, init, acts, p)
             assert {f for f, value, _ in states[-1].fluents() if value} == facts, acts
             truth = p in facts
-            assert oracle_value is truth and ssa_query(ssas, states, acts, p)[0] is truth, \
-                (acts, p)
+            assert oracle_value is truth, (acts, p)
+            if ssa_checked:
+                assert ssa_query(ssas, states, acts, p)[0] is truth, (acts, p)
             seen[f"walk of {len(acts)}"] += 1
             aspect_value, trace = regress_query(domain, states, acts, p)
             seen["aspect-lookup"] += trace.count(ASPECT_LOOKUP)
@@ -105,14 +109,17 @@ def test_generated_domain_walks_match_the_reference():
                 assert any(v.fluent == p and v.action in acts
                            for v in report.violations), (acts, p)
                 seen["unsound aspect answer"] += 1
-        seen.update(features(domain))
+        seen.update(found)
 
     # A quarter of the examples under each spec.
     for spec in SPECS:
-        examples(25, domain_states(*LINT, "home", spec), st.integers(0, 2 ** 32))(walk)()
-    assert_floors(seen, 10, "negated existential", "negation before its binder", "member guard",
-                  "set-valued parameter", "aspect-lookup", "undefined aspect answer",
-                  "walk of 4", "named by rule", "home", *SPECS)
+        examples(25, domain_states(*LINT, "negation before its binder in an effect", "home", spec),
+                 st.integers(0, 2 ** 32))(walk)()
+    for feature in ("negated existential", "negation before its binder",
+                    "negation before its binder in an effect", "member guard",
+                    "set-valued parameter", "aspect-lookup", "undefined aspect answer",
+                    "walk of 4", "named by rule", "home", *SPECS):
+        assert seen[feature] >= 10, seen
     assert seen["aspect answer"] >= 100 and seen["unsound aspect answer"], seen
 
 

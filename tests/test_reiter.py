@@ -13,6 +13,7 @@ from sitaspect.frames import EQUALITY_CHECK, progress, progression
 from sitaspect.reiter import compare_modes, compile_ssa, random_workload, ssa_query
 from sitaspect.state import eval_fluent
 from sitaspect.terms import action, fluent
+from tests.conftest import record_calls
 
 
 def test_compile_ssa_one_axiom_per_fluent(blocks):
@@ -105,14 +106,7 @@ def test_compare_modes_counts(economy):
 
 def test_compare_progresses_each_query_once(blocks, blocks_init, monkeypatch):
     workload = random_workload(blocks, blocks_init, 40, seed=7)
-    steps = []
-    real = sitaspect.frames.progress
-
-    def counting(domain, state, a):
-        steps.append(a)
-        return real(domain, state, a)
-
-    monkeypatch.setattr(sitaspect.frames, "progress", counting)
+    steps = record_calls(monkeypatch, sitaspect.frames, "progress")
     compare_modes(blocks, workload=workload)
     assert len(steps) == sum(len(acts) for _, acts, _ in workload) > 0
 
@@ -123,13 +117,8 @@ def test_compare_takes_each_step_once(name, request, monkeypatch):
     # table, so the effects of each distinct (state, action) are resolved once.
     domain = replace(request.getfixturevalue(name))
     init = request.getfixturevalue(f"{name}_init")
-    calls, real = [], sitaspect.frames._net_effects
-
-    def recording(domain, state, a):
-        calls.append((state, a))
-        return real(domain, state, a)
-
-    monkeypatch.setattr(sitaspect.frames, "_net_effects", recording)
+    calls = record_calls(monkeypatch, sitaspect.frames, "_net_effects",
+                         lambda domain, state, a: (state, a))
     compare_modes(domain, workload=random_workload(domain, init, 60, seed=1))
     assert len(calls) == len(set(calls)) > 0
 

@@ -25,6 +25,7 @@ from sitaspect.validator import (
     is_universal,
     verify_theorem,
 )
+from tests.conftest import record_calls
 
 
 @pytest.mark.parametrize("formalism", FORMALISMS)
@@ -227,21 +228,9 @@ def _reference_first_half(seed, exhaustive_max, nf, random_samples):
     (0, 1, 1, 0), (1, 2, 3, 500), (7, 3, 2, 40), (3, 1, 4, 25), (11, 2, 2, 300)])
 def test_pitfall_tally_matches_the_three_loops(monkeypatch, seed, exhaustive_max,
                                                nf, random_samples):
-    commutes = sitaspect.search._commutes
-    trap = sitaspect.search._naive_trap_violations
-    calls = []
-    passed = []
-
-    def counting(r0, r1):
-        calls.append(None)
-        return commutes(r0, r1)
-
-    def recording(n, r0, r1):
-        passed.append((n, tuple(r0), tuple(r1)))
-        return trap(n, r0, r1)
-
-    monkeypatch.setattr(sitaspect.search, "_commutes", counting)
-    monkeypatch.setattr(sitaspect.search, "_naive_trap_violations", recording)
+    calls = record_calls(monkeypatch, sitaspect.search, "_commutes")
+    passed = record_calls(monkeypatch, sitaspect.search, "_naive_trap_violations",
+                          lambda n, r0, r1: (n, tuple(r0), tuple(r1)))
     first = reproduce_commutative_pitfall(seed, exhaustive_max, nf, random_samples).first
     pairs, commuting, violations, seen = _reference_first_half(
         seed, exhaustive_max, nf, random_samples)

@@ -22,7 +22,6 @@ from pathlib import Path
 import pytest
 
 from sitaspect import frames
-from sitaspect.disjoint import d_eval
 from sitaspect.domain import AspectRule, GuardLiteral, Pat, Var
 from sitaspect.dsl import parse_domain
 from sitaspect.errors import SchemaError, SitAspectError
@@ -31,7 +30,7 @@ from sitaspect.state import build_state
 from sitaspect.terms import AspectPath, action
 from tests import reference
 from tests.conftest import (ILL_SORTED_TARGET, assert_stage_one_decides_as_the_solver,
-                            fixture_text, load_domain)
+                            fixture_text, load_domain, record_calls)
 
 FIXTURES = ("blocks.dom", "blocks_nosupport.dom", "rooms.dom", "display.dom",
             "economy.dom")
@@ -166,17 +165,6 @@ def test_the_bound_and_each_stage(text, expected):
             for key in expected} == expected
 
 
-def _counting(monkeypatch, attr) -> list:
-    """The positional arguments of each call of frames.`attr` from now on."""
-    calls, real = [], getattr(frames, attr)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-    monkeypatch.setattr(frames, attr, counted)
-    return calls
-
-
 # States the search may build: the flat enumeration built 720, 102, 14 and 732.
 STATES_BUILT_AT_MOST = {"blocks.dom": 96, "display.dom": 51, "economy.dom": 7,
                         "blocks_nosupport.dom": 96, "rooms.dom": 0}
@@ -185,7 +173,7 @@ STATES_BUILT_AT_MOST = {"blocks.dom": 96, "display.dom": 51, "economy.dom": 7,
 @pytest.mark.parametrize("name", sorted(STATES_BUILT_AT_MOST))
 def test_soundness_work_counts(name, monkeypatch):
     domain = load_domain(name)
-    built, decided = (_counting(monkeypatch, attr)
+    built, decided = (record_calls(monkeypatch, frames, attr)
                       for attr in ("build_state", "_failed_precondition"))
     report = check_aspect_soundness(domain)
     assert len(built) <= STATES_BUILT_AT_MOST[name]
@@ -208,7 +196,7 @@ def test_one_action_per_orbit_is_searched(text, searched, actions, monkeypatch):
     # move(x,floor). A display action's orbit is its schema and the size of
     # its set. Under `commutative` every action is an orbit of its own.
     domain = parse_domain(text)
-    calls = _counting(monkeypatch, "_search_valuations")
+    calls = record_calls(monkeypatch, frames, "_search_valuations")
     report = check_aspect_soundness(domain)
     assert (len(calls), report.actions_checked) == (searched, actions)
     assert len({a for _, a, _, _ in calls}) == searched
@@ -255,7 +243,7 @@ def test_home_and_frame_lines_break_no_orbit(line, monkeypatch):
         "domain named", "objects obj: a, b, c", "fluent mark(obj)", "action touch(obj)",
         "aspect mark(u) (u)", "aspect touch(x) (x) if mark(x)",
         "effect touch(x) add mark(x)", line, "disjoint by seq-diff"]) + "\n")
-    calls = _counting(monkeypatch, "_search_valuations")
+    calls = record_calls(monkeypatch, frames, "_search_valuations")
     report = check_aspect_soundness(domain)
     assert (len(calls), report.actions_checked, len(report.unresolved)) == (1, 3, 3)
     assert report == reference.soundness(domain)
@@ -280,7 +268,7 @@ LINTED = {**{name: fixture_text(name) for name in FIXTURES},
 
 @pytest.mark.parametrize("name", sorted(LINTED))
 def test_each_guard_is_compiled_once_per_binding(name, monkeypatch):
-    looked_up, compiled = (_counting(monkeypatch, attr)
+    looked_up, compiled = (record_calls(monkeypatch, frames, attr)
                            for attr in ("_compiled", "_compile_guard"))
     check_aspect_soundness(parse_domain(LINTED[name]))
     keys = [(guard, frozenset(env0.items())) for _, guard, env0 in compiled]
@@ -317,17 +305,12 @@ def test_d_is_evaluated_once_per_distinct_aspect_pair(monkeypatch):
     table = parse_domain(text).static_aspects
     fluent_paths = {alpha for _, paths, _ in table.fluents for alpha in paths}
     action_paths = {beta for _, paths, _ in table.actions for beta in paths}
-    calls = []
-
-    def counted(spec, alpha, beta):
-        calls.append((alpha, beta))
-        return d_eval(spec, alpha, beta)
+    calls = record_calls(monkeypatch, frames, "d_eval", lambda spec, alpha, beta: (alpha, beta))
 
     def derive(domain):
         derivation = frames.derive_frame_axioms(domain)
         return derivation.economy, derivation.ground
 
-    monkeypatch.setattr(frames, "d_eval", counted)
     # d is memoised per Domain object, so each lint gets a fresh one.
     for lint in (derive, frames.completeness_lint):
         calls.clear()

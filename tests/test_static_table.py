@@ -25,7 +25,7 @@ pytest.importorskip("hypothesis")
 
 
 import sitaspect.domain  # noqa: E402
-from sitaspect.domain import StaticAspects, _static_rows  # noqa: E402
+from sitaspect.domain import StaticAspects  # noqa: E402
 from sitaspect.dsl import parse_state  # noqa: E402
 from sitaspect.frames import (  # noqa: E402
     FrameDerivation,
@@ -35,9 +35,9 @@ from sitaspect.frames import (  # noqa: E402
 )
 from sitaspect.reiter import compare_modes, random_workload  # noqa: E402
 from tests import reference  # noqa: E402
-from tests.conftest import ROOMS_INIT, load_domain, outcome  # noqa: E402
+from tests.conftest import ROOMS_INIT, load_domain, outcome, record_calls  # noqa: E402
 from tests.domains import (  # noqa: E402
-    LINT, ORBITS, assert_floors, domains, examples, features, guard_features)
+    LINT, ORBITS, domains, examples, features, guard_features)
 
 
 def _reference(domain):
@@ -87,12 +87,13 @@ def _check_generated(*wanted):
         seen.update(_features(domain, got))
 
     check()
-    assert_floors(seen, 10, "negated literal", "member guard", "repeated variable in an entry",
-                  "error", "table errors", "ground axioms", "uncovered pairs", "economy")
+    for feature in ("negated literal", "member guard", "repeated variable in an entry",
+                    "error", "table errors", "ground axioms", "uncovered pairs", "economy"):
+        assert seen[feature] >= 10, seen
 
 
 def test_tables_match_the_per_atom_references_on_soundness_domains():
-    _check_generated(*LINT)
+    _check_generated(*LINT, "negation before its binder in an effect")
 
 
 def test_tables_match_the_per_atom_references_on_orbit_domains():
@@ -103,14 +104,10 @@ def test_tables_match_the_per_atom_references_on_orbit_domains():
 
 def test_blocks_grounds_the_move_rule_once_per_destination(monkeypatch):
     domain = load_domain("blocks.dom")
-    calls = Counter()
-
-    def counted(domain, guard, env, _real=_static_rows):
-        calls[guard] += 1
-        return _real(domain, guard, env)
-
-    monkeypatch.setattr(sitaspect.domain, "_static_rows", counted)
+    guards = record_calls(monkeypatch, sitaspect.domain, "_static_rows",
+                          lambda domain, guard, env: guard)
     table = domain.static_aspects
+    calls = Counter(guards)
     move = next(r for r in domain.aspect_rules if r.target.schema == "move")
     # Its template ({y,z}) reads y of the head, and its guard on(x,z) has no
     # negated literal or member guard: one grounding per place, not per move.

@@ -34,7 +34,7 @@ from sitaspect.validator import (
     check_premises,
     verify_theorem,
 )
-from tests.conftest import FIXTURES, load_model
+from tests.conftest import FIXTURES, load_model, record_calls
 from tests.planted import FACTORIZATION, STABILITY, make_model
 
 
@@ -452,13 +452,8 @@ def test_the_least_existential_witness_takes_linear_time(monkeypatch):
                         aspect_rels={"a": frozenset((s, s) for s in sits)},
                         valuations={"p": frozenset(sits[::2])},
                         fluent_aspects={"p": path("a")})
-    calls = []
-
-    def counted(rows, q, universal, _defined=sitaspect.validator._defined):
-        calls.append(q)
-        return _defined(rows, q, universal)
-
-    monkeypatch.setattr(sitaspect.validator, "_defined", counted)
+    calls = record_calls(monkeypatch, sitaspect.validator, "_defined",
+                         lambda rows, q, universal: q)
     verdict = verify_theorem("rel-exists", model)
     assert len(calls) <= 2
     assert verdict.premises.checks[0].note == \
@@ -681,13 +676,7 @@ def test_collective_factorization_matches_the_joint_search_on_random_cases():
 def test_model_memo_builds_each_relation_once_and_is_not_compared(monkeypatch, name,
                                                                   formalism):
     model = load_model(name)
-    built = []
-
-    def counted(situations, rel, _rows=sitaspect.finite._rows):
-        built.append(rel)
-        return _rows(situations, rel)
-
-    monkeypatch.setattr(sitaspect.finite, "_rows", counted)
+    built = record_calls(monkeypatch, sitaspect.finite, "_rows", lambda situations, rel: rel)
     verdict = verify_theorem(formalism, model)
     assert verdict.verdict == "pass" and built
     assert len(built) == sum(isinstance(key, tuple) for key in model._memo)
@@ -712,13 +701,7 @@ def test_a_faulty_model_raises_on_every_validate_call():
 def test_validate_checks_a_parsed_models_faults_once(monkeypatch, capsys, name, formalism):
     # The parse reports the faults; the model it returns, and the copy that
     # with_derived_dtable makes of it, are known valid.
-    calls = []
-
-    def counted(self, _faults=FiniteModel.faults):
-        calls.append(self)
-        return _faults(self)
-
-    monkeypatch.setattr(FiniteModel, "faults", counted)
+    calls = record_calls(monkeypatch, FiniteModel, "faults")
     assert main(["validate", str(FIXTURES / name), "--formalism", formalism]) == 0
     assert "pass" in capsys.readouterr().out
     assert len(calls) == 1
