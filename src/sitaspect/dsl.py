@@ -241,6 +241,7 @@ class _DomainBuilder:
         # (kind, schema) of every aspect line whose head parsed, so a line
         # that fails later in its template or guard still covers its schema.
         self.aspect_heads: set[tuple[str, str]] = set()
+        self.set_paths: list[AspectRule] = []  # aspect rules whose path may hold a set
         self.effects: list[EffectRule] = []
         self.preconditions: list[Precondition] = []
         self.frame_decls: list[FrameDecl] = []
@@ -416,7 +417,11 @@ def _parse_aspect_rule(b: _DomainBuilder, cur: _Cursor) -> AspectRule:
     cur.finish()
     template = _resolve_template(raw_path, scope)
     _require_bound(cur, start, template, _binders(pat, guard), "aspect template")
-    return AspectRule(kind=kind, target=pat, template=template, guard=guard)
+    rule = AspectRule(kind=kind, target=pat, template=template, guard=guard)
+    if any(isinstance(e, SetTemplate) or isinstance(e, Var) and scope[e.name].is_set
+           for e in template):
+        b.set_paths.append(rule)
+    return rule
 
 
 def _parse_raw_path(cur: _Cursor) -> list:
@@ -526,6 +531,10 @@ def _finish_domain(b: _DomainBuilder) -> Optional[Domain]:
         aspect_rules=tuple(b.aspect_rules), effects=tuple(b.effects),
         preconditions=tuple(b.preconditions), frame_decls=tuple(b.frame_decls),
         disjointness=b.disjointness or SeqExistsDiff(), homes=b.homes)
+    if domain.disjointness == CommutativeCanonical():
+        for rule in b.set_paths:
+            _file_error(b, f"disjoint by commutative(all) reads atoms only, but [{rule}] "
+                           "may hold a set", "list the atom pairs that commute")
     for problem in check_rule_exclusivity(domain):
         _file_error(b, problem, "guards of same-schema rules must exclude each "
                                 "other through a complementary literal")

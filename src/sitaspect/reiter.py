@@ -61,13 +61,13 @@ def compile_ssa(domain: Domain) -> SSASet:
 
 def _entry_fires(domain: Domain, state: WorldState, rule: EffectRule,
                  a: GroundAction, p: GroundFluent) -> bool:
+    """Whether the rule fires on p: its guard is solved under a's binding
+    alone, as progression solves it, and some solution's target is p."""
     env = match_args(rule.action.args, a.args) if rule.action.schema == a.schema else None
-    if env is None:
+    if env is None or match_args(rule.fluent.args, p.args, env) is None:
         return False
-    env = match_args(rule.fluent.args, p.args, env)
-    if env is None:
-        return False
-    return bool(solve_guard(domain, state, rule.guard, env))
+    return any(match_args(rule.fluent.args, p.args, sol) is not None
+               for sol in solve_guard(domain, state, rule.guard, env))
 
 
 def ssa_query(ssas: SSASet, states: Sequence[WorldState],

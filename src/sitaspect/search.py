@@ -13,8 +13,8 @@ A level is counted by row classes, the situations that share a row. An
 action map passes stability iff it keeps each situation in its class, and
 a valuation separates s from act[s] iff it cuts s's class. A structure no
 definable valuation cuts holds no counterexample, so its maps and
-valuations are counted in closed form; a structure some definable
-valuation cuts is searched map by map, in the order of the full product.
+valuations are counted in closed form, once per row multiset; a structure
+some definable valuation cuts is searched map by map, in product order.
 
 The random layer samples larger structures, biased so that a useful share
 of them satisfies the premises instead of being vacuous.
@@ -113,9 +113,11 @@ def _exhaustive_level(formalism: str, n: int):
     A structure no definable valuation cuts a row class of is counted in
     closed form: every map times every valuation checked, and the product
     of the class sizes (the maps that pass stability) times the definable
-    valuations with their premises holding. Any other structure is searched
-    map by map, so the first counterexample and every count are those of
-    the full product order."""
+    valuations with their premises holding. `_defined` reads situation s
+    only through rows[s], so permuting the rows permutes every definable
+    valuation: that count is taken once per row multiset, at its first
+    structure. A cut structure is searched map by map, so the first
+    counterexample and every count are those of the full product order."""
     universal = is_universal(formalism)
     checked = 0
     premise_models = 0
@@ -124,18 +126,23 @@ def _exhaustive_level(formalism: str, n: int):
         structures = ([1 << t for t in vec] for vec in acts)
     else:
         structures = itertools.product(range(1 << n), repeat=n)
+    closed: dict[tuple, int] = {}  # row multiset -> premise models of each structure
     for rows in structures:
-        definable = {_defined(rows, q, universal) for q in range(1 << n)}
-        classes: dict[int, int] = {}
-        for s in range(n):
-            classes[rows[s]] = classes.get(rows[s], 0) | 1 << s
-        if not any(0 < val & members != members
-                   for val in definable for members in classes.values()):
-            passing = 1
+        key = tuple(sorted(rows))
+        if key not in closed:
+            definable = {_defined(rows, q, universal) for q in range(1 << n)}
+            classes: dict[int, int] = {}
             for s in range(n):
-                passing *= classes[rows[s]].bit_count()
+                classes[rows[s]] = classes.get(rows[s], 0) | 1 << s
+            if not any(0 < val & members != members
+                       for val in definable for members in classes.values()):
+                passing = 1
+                for s in range(n):
+                    passing *= classes[rows[s]].bit_count()
+                closed[key] = passing * len(definable)
+        if key in closed:
             checked += len(acts) << n
-            premise_models += passing * len(definable)
+            premise_models += closed[key]
             continue
         for act in acts:
             if any(rows[s] != rows[act[s]] for s in range(n)):
@@ -174,37 +181,35 @@ def _materialize(formalism: str, n: int, rows, act, val) -> FiniteModel:
 
 def _random_sweep(formalism: str, samples: int, seed: int, max_n: int):
     rng = random.Random(f"{formalism}/{seed}")
+    randrange, coin, choice = rng.randrange, rng.random, rng.choice
     functional = is_functional(formalism)
     universal = is_universal(formalism)
-    checked = 0
     premise_models = 0
-    for _ in range(samples):
-        checked += 1
-        n = rng.randint(2, max_n)
+    for checked in range(1, samples + 1):
+        n = randrange(2, max_n + 1)
         # A function's rows are singletons, so its draws are successor indices.
-        draws = [1 << rng.randrange(n) if functional else rng.randrange(1 << n)
-                 for _ in range(2 * n)]
+        draws = ([1 << randrange(n) for _ in range(2 * n)] if functional
+                 else [randrange(1 << n) for _ in range(2 * n)])
         rows = compose_rows(draws[:n], draws[n:])
-        if rng.random() < 0.5:
-            act = [rng.randrange(n) for _ in range(n)]
+        if coin() < 0.5:
+            act = [randrange(n) for _ in range(n)]
         else:
             classes: dict[int, list[int]] = {}
             for s in range(n):
                 classes.setdefault(rows[s], []).append(s)
-            act = [rng.choice(classes[rows[s]]) for s in range(n)]
-        q = rng.randrange(1 << n)
-        if rng.random() < 0.5:
-            val = _defined(rows, q, universal)
-        else:
-            val = rng.randrange(1 << n)
-        if any(rows[s] != rows[act[s]] for s in range(n)):
+            act = [choice(classes[row]) for row in rows]
+        q = randrange(1 << n)
+        val = None if coin() < 0.5 else randrange(1 << n)  # None: the one q defines
+        if [rows[t] for t in act] != rows:
             continue
-        if _first_witness(rows, val, universal) is None:
+        if val is None:  # q is its witness
+            val = _defined(rows, q, universal)
+        elif _first_witness(rows, val, universal) is None:
             continue
         premise_models += 1
         if any((val >> s & 1) != (val >> act[s] & 1) for s in range(n)):
             return _materialize(formalism, n, rows, act, val), checked, premise_models
-    return None, checked, premise_models
+    return None, samples, premise_models
 
 
 # ---------------------------------------------------------------------------

@@ -218,20 +218,22 @@ def domains(draw, *wanted: str):
 
     if "frame" in want:
         lines += _frames(draw, heads, params, objs)
+    full_over_sets = False
     if spec == "table":
         paths = [_pick(draw, ["(m)", "(k)"] + [f"({o})" for o in objs])
                  for _ in range(2 * draw(st.integers(1, 3)))]
         lines.append("disjoint by table " + ", ".join(
             f"{p}{q}" for p, q in zip(paths[::2], paths[1::2])))
     elif commutative:
-        # Full commutativity reads atoms only, and d raises on a path that
-        # holds a set: only "commutative(all) over sets" draws it there, and
-        # then one time in three.
+        # Full commutativity reads atoms only: the DSL rejects it where a path
+        # may hold a set, and d raises on such a path. Only "commutative(all)
+        # over sets" draws it there, one time in three, set after parsing.
         sets = "tag" in params or "paint" in heads
+        full = False
         if sets and "commutative(all) over sets" in want:
-            full = _one_in(draw, 3)
-        else:
-            full = not sets and _one_in(draw, 4)
+            full_over_sets = _one_in(draw, 3)
+        elif not sets:
+            full = _one_in(draw, 4)
         pairs = "all" if full else "a m, b m, m n, m o, k m"
         lines.append(f"disjoint by commutative({pairs})")
     else:
@@ -246,7 +248,10 @@ def domains(draw, *wanted: str):
         extra = [r for r in second.aspect_rules if r not in domain.aspect_rules]
     if lone == 3:
         extra += parse_domain(BROKEN).aspect_rules
-    return dataclasses.replace(domain, aspect_rules=domain.aspect_rules + tuple(extra))
+    domain = dataclasses.replace(domain, aspect_rules=domain.aspect_rules + tuple(extra))
+    if full_over_sets:
+        domain = dataclasses.replace(domain, disjointness=CommutativeCanonical())
+    return domain
 
 
 def _some(draw, options, most: int) -> list:

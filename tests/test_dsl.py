@@ -140,13 +140,25 @@ def test_disjoint_spec_variants_parse():
     assert (path({"u", "v"}), path("w")) in table.pairs
 
 
-@pytest.mark.xfail(strict=True, reason="parse_domain accepts commutative(all) where an aspect "
-                   "path holds a set; d raises only when it first reads such a path")
-def test_commutative_all_is_rejected_where_a_path_holds_a_set():
-    text = ("domain d\nobjects obj: a, b\nfluent tag(set of obj)\naction act()\n"
-            "aspect tag(T) (T)\naspect act() (k)\ndisjoint by commutative(all)\n")
-    with pytest.raises(DslError):
-        parse_domain(text)
+@pytest.mark.parametrize("aspects, rule", [
+    ("aspect tag(T) (T)\naspect act(x) (k)", "aspect tag(T) (T)"),
+    ("aspect tag(T) (k)\naspect act(x) ({x,k})", "aspect act(x) ({k,x})"),
+    ("aspect tag(T) (k)\naspect act(x) (k,S) if tag(S)", "aspect act(x) (k,S) if tag(S)"),
+    ("aspect tag(T) (z) if z in T\naspect act(x) (x,k)", None),
+])
+def test_commutative_all_is_rejected_where_a_path_holds_a_set(aspects, rule):
+    # A template holds a set through a {...} element or a `set of` variable;
+    # a member of a set is an atom. Listed pairs read sets, so they stay legal.
+    text = ("domain d\nobjects obj: a, b\nfluent tag(set of obj)\naction act(obj)\n"
+            f"{aspects}\ndisjoint by commutative(")
+    assert parse_domain(text + "a k)\n")
+    if rule is None:
+        assert parse_domain(text + "all)\n")
+        return
+    with pytest.raises(DslError) as exc:
+        parse_domain(text + "all)\n")
+    assert [d.message for d in exc.value.diagnostics] == [
+        f"disjoint by commutative(all) reads atoms only, but [{rule}] may hold a set"]
 
 
 @pytest.mark.parametrize("name", FIXTURE_DOMAINS)

@@ -83,8 +83,6 @@ def test_generated_domain_walks_match_the_reference():
         domain, init, true = case
         ssas = compile_ssa(domain)
         found = features(domain)
-        # The strict xfail below pins the SSA on such an effect.
-        ssa_checked = "negation before its binder in an effect" not in found
         report = None
         for _, acts, p in random_workload(domain, init, 10, seed):
             facts = true
@@ -95,8 +93,7 @@ def test_generated_domain_walks_match_the_reference():
             assert {f for f, value, _ in states[-1].fluents() if value} == facts, acts
             truth = p in facts
             assert oracle_value is truth, (acts, p)
-            if ssa_checked:
-                assert ssa_query(ssas, states, acts, p)[0] is truth, (acts, p)
+            assert ssa_query(ssas, states, acts, p)[0] is truth, (acts, p)
             seen[f"walk of {len(acts)}"] += 1
             aspect_value, trace = regress_query(domain, states, acts, p)
             seen["aspect-lookup"] += trace.count(ASPECT_LOOKUP)
@@ -140,9 +137,6 @@ disjoint by seq-diff
 """
 
 
-@pytest.mark.xfail(strict=True, reason="reiter._entry_fires binds an effect target's "
-                   "variables before solving its guard, so the SSA reads !on(z,y) at z=a "
-                   "where progression reads a negated existential")
 def test_the_ssa_reads_a_negation_before_its_binder_as_progression_does():
     # The second move(b,a) finds on(b,a): mark(a) is deleted and not added back.
     domain = parse_domain(BEFORE_BINDER)

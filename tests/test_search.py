@@ -19,6 +19,7 @@ from sitaspect.search import (
 from sitaspect.terms import path
 from sitaspect.validator import (
     FORMALISMS,
+    _defined,
     check_commutativity,
     check_premises,
     is_functional,
@@ -166,10 +167,15 @@ def test_exhaustive_level_matches_the_hand_rolled_products(monkeypatch, formalis
 
 
 # The totals the map-by-map loop gave over 1..4 situations, before a
-# structure no definable valuation cuts was counted in closed form.
+# structure no definable valuation cuts was counted in closed form (and
+# before that form was taken once per row multiset).
 @pytest.mark.parametrize("formalism, models, premise_models", [
     ("rel-exists", 268_546_308, 814_762),
+    ("rel-forall", 268_546_308, 814_762),
+    ("coll-rel-exists", 268_546_308, 814_762),
+    ("modal-diamond", 268_546_308, 814_762),
     ("fun", 1_054_474, 15_052),
+    ("seq-fun", 1_054_474, 15_052),
 ])
 def test_four_situation_totals_are_those_of_the_full_loop(formalism, models,
                                                           premise_models):
@@ -177,6 +183,28 @@ def test_four_situation_totals_are_those_of_the_full_loop(formalism, models,
     assert result.clean
     assert result.exhaustive_models == models
     assert result.exhaustive_premise_models == premise_models
+
+
+def test_permuting_the_rows_permutes_what_a_predicate_defines():
+    # The invariant `_exhaustive_level` counts each row multiset once by:
+    # `_defined` reads situation s only through rows[s].
+    pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    from tests.domains import examples
+
+    def structures(n):
+        return st.tuples(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n),
+                         st.permutations(range(n)), st.integers(0, (1 << n) - 1))
+
+    @examples(300, st.integers(1, 6).flatmap(structures), st.booleans())
+    def check(structure, universal):
+        rows, perm, q = structure
+        defined = _defined(rows, q, universal)
+        moved = _defined([rows[t] for t in perm], q, universal)
+        assert moved == sum((defined >> t & 1) << s for s, t in enumerate(perm))
+
+    check()
 
 
 def _reference_trap_violations(n, r0, r1):
