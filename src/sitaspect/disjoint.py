@@ -147,10 +147,6 @@ class MonotonicityReport:
     checked: int
     violations: tuple[MonotonicityViolation, ...]
 
-    @property
-    def clean(self) -> bool:
-        return not self.violations
-
 
 def check_monotonicity(
     spec: DisjointnessSpec,

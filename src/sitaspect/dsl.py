@@ -694,7 +694,7 @@ def parse_model(text: str, file: str = "<model>") -> FiniteModel:
     if b.diags:
         raise DslError(b.diags)
     model._memo["valid"] = True  # a clean parse checked all that validate() checks
-    return model.with_derived_dtable() if not model.d_table else model
+    return model.with_derived_dtable()
 
 
 def _situation(b: _ModelBuilder, cur: _Cursor) -> str:

@@ -4,7 +4,9 @@ A FiniteModel carries a finite situation set, one relation per aspect atom
 (optionally flagged as a function), per-element relations for collective
 aspects, total action maps, fluent valuations, aspect assignments, witness
 predicates, and an explicit non-interference table. Relations are checked
-through integer bitmask rows, one row per situation.
+through integer bitmask rows, one row per situation. The modal part is a
+Kripke evaluator over six node types, the reference the validator's closed
+forms are tested against.
 """
 
 from __future__ import annotations
@@ -187,42 +189,10 @@ def compose_rows(first: list[int], second: list[int]) -> list[int]:
 class FluentAtom:
     name: str
 
-    def __str__(self) -> str:
-        return self.name
-
 
 @dataclass(frozen=True)
 class Const:
     value: bool
-
-    def __str__(self) -> str:
-        return "true" if self.value else "false"
-
-
-@dataclass(frozen=True)
-class Not:
-    sub: "ModalFormula"
-
-    def __str__(self) -> str:
-        return f"~{self.sub}"
-
-
-@dataclass(frozen=True)
-class And:
-    left: "ModalFormula"
-    right: "ModalFormula"
-
-    def __str__(self) -> str:
-        return f"({self.left} & {self.right})"
-
-
-@dataclass(frozen=True)
-class Or:
-    left: "ModalFormula"
-    right: "ModalFormula"
-
-    def __str__(self) -> str:
-        return f"({self.left} | {self.right})"
 
 
 @dataclass(frozen=True)
@@ -230,26 +200,11 @@ class Implies:
     left: "ModalFormula"
     right: "ModalFormula"
 
-    def __str__(self) -> str:
-        return f"({self.left} -> {self.right})"
-
-
-@dataclass(frozen=True)
-class Iff:
-    left: "ModalFormula"
-    right: "ModalFormula"
-
-    def __str__(self) -> str:
-        return f"({self.left} <-> {self.right})"
-
 
 @dataclass(frozen=True)
 class BoxAction:
     action: str
     sub: "ModalFormula"
-
-    def __str__(self) -> str:
-        return f"[{self.action}]{self.sub}"
 
 
 @dataclass(frozen=True)
@@ -257,30 +212,14 @@ class BoxAspect:
     aspect: str
     sub: "ModalFormula"
 
-    def __str__(self) -> str:
-        return f"[{self.aspect}]{self.sub}"
-
 
 @dataclass(frozen=True)
 class DiamondAspect:
     aspect: str
     sub: "ModalFormula"
 
-    def __str__(self) -> str:
-        return f"<{self.aspect}>{self.sub}"
 
-
-ModalFormula = Union[FluentAtom, Const, Not, And, Or, Implies, Iff,
-                     BoxAction, BoxAspect, DiamondAspect]
-
-
-def diamond_seq(path: AspectPath, sub: ModalFormula) -> ModalFormula:
-    out = sub
-    for elem in reversed(path.elems):
-        if not isinstance(elem, AspectAtom):
-            raise ModelError(f"modal operators take atom aspects, got {elem}")
-        out = DiamondAspect(elem.name, out)
-    return out
+ModalFormula = Union[FluentAtom, Const, Implies, BoxAction, BoxAspect, DiamondAspect]
 
 
 def modal_eval(model: FiniteModel, world: str, formula: ModalFormula) -> bool:
@@ -296,16 +235,8 @@ def _eval(model: FiniteModel, w: int, formula: ModalFormula, idx: dict[str, int]
         return bool(model.val_mask(formula.name) >> w & 1)
     if isinstance(formula, Const):
         return formula.value
-    if isinstance(formula, Not):
-        return not _eval(model, w, formula.sub, idx)
-    if isinstance(formula, And):
-        return _eval(model, w, formula.left, idx) and _eval(model, w, formula.right, idx)
-    if isinstance(formula, Or):
-        return _eval(model, w, formula.left, idx) or _eval(model, w, formula.right, idx)
     if isinstance(formula, Implies):
         return (not _eval(model, w, formula.left, idx)) or _eval(model, w, formula.right, idx)
-    if isinstance(formula, Iff):
-        return _eval(model, w, formula.left, idx) == _eval(model, w, formula.right, idx)
     if isinstance(formula, BoxAction):
         return _eval(model, model.act_vec(formula.action)[w], formula.sub, idx)
     if isinstance(formula, BoxAspect):

@@ -87,9 +87,6 @@ class ProofTrace:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def count(self, kind: str) -> int:
-        return sum(1 for s in self.steps if s.kind == kind)
-
 
 @dataclass(frozen=True)
 class FrameAxiom:
@@ -619,10 +616,6 @@ class SoundnessReport:
     actions_checked: int
     valuations_checked: int
 
-    @property
-    def clean(self) -> bool:
-        return not self.violations
-
 
 def check_aspect_soundness(domain: Domain) -> SoundnessReport:
     """Verify that every fluent an action can change intersects the action.
@@ -1076,10 +1069,6 @@ def persistence_proof(domain: Domain, state: WorldState, a: GroundAction,
 @dataclass(frozen=True)
 class CompletenessReport:
     uncovered: tuple[tuple[GroundAction, GroundFluent], ...]
-
-    @property
-    def clean(self) -> bool:
-        return not self.uncovered
 
 
 def completeness_lint(domain: Domain) -> CompletenessReport:

@@ -53,10 +53,6 @@ class SearchResult:
     random_premise_models: int
     scope: tuple[str, ...]
 
-    @property
-    def clean(self) -> bool:
-        return self.counterexample is None
-
 
 def search_counterexample(formalism: str, max_situations: int = 3, seed: int = 0,
                           random_samples: int = 0,

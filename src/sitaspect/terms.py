@@ -96,11 +96,6 @@ class AspectPath:
         """True when every element is a single atom (the path addresses one node)."""
         return all(isinstance(e, AspectAtom) for e in self.elems)
 
-    def atoms(self) -> tuple[AspectAtom, ...]:
-        if not self.is_atomic():
-            raise ValueError(f"path {self} contains set elements")
-        return self.elems  # type: ignore[return-value]
-
     def append(self, *parts) -> "AspectPath":
         return AspectPath(self.elems + tuple(as_elem(p) for p in parts))
 

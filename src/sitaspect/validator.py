@@ -71,9 +71,6 @@ class PremiseReport:
     def all_hold(self) -> bool:
         return all(c.holds for c in self.checks)
 
-    def violated(self) -> tuple[PremiseCheck, ...]:
-        return tuple(c for c in self.checks if not c.holds)
-
 
 @dataclass(frozen=True)
 class NonInterferenceReport:
@@ -357,7 +354,7 @@ def check_noninterference(model: FiniteModel) -> NonInterferenceReport:
 def verify_theorem(formalism: str, model: FiniteModel) -> TheoremVerdict:
     """pass = premises and conclusion hold; vacuous = premises fail;
     counterexample = premises hold but the conclusion fails."""
-    if is_collective(formalism) and not model.d_table:
+    if is_collective(formalism):
         model = model.with_derived_dtable()
     premises = check_premises(model, formalism)
     conclusion = check_noninterference(model)

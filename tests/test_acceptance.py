@@ -159,7 +159,7 @@ def test_criterion_07_worked_model_verdicts(capsys):
     for model_name, formalism in cases:
         verdict = verify_theorem(formalism, load_model(model_name))
         assert verdict.verdict == "pass", (model_name, formalism,
-                                           verdict.premises.violated())
+                                           verdict.premises)
     with capsys.disabled():
         _ok(7, "heater and university models pass their formalisms, never vacuous")
 

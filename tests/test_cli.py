@@ -247,6 +247,19 @@ def test_frames_derives_schematic_axioms_for_element_difference_only(tmp_path, c
                          "specifications only; ground listing still applies")
 
 
+def test_frames_names_atoms_whose_aspect_rules_never_apply(tmp_path, capsys):
+    domain = tmp_path / "clash.dom"
+    domain.write_text("domain clash\nobjects obj: a, b\nfluent on(obj, obj)\n"
+                      "action never(obj)\naspect on(x,y) (x)\n"
+                      "aspect never(x) (x) if on(x,y) & !on(x,y)\n"
+                      "disjoint by seq-diff\n", encoding="utf-8")
+    code, out, err = run(capsys, "frames", str(domain))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-2:] == [
+        "error: aspect rules for action never(a) have unsatisfiable guards",
+        "error: aspect rules for action never(b) have unsatisfiable guards"]
+
+
 def test_domain_error_exit_one(tmp_path, capsys):
     bad = tmp_path / "bad.dom"
     bad.write_text("domain bad\nfluent p()\n", encoding="utf-8")
@@ -592,6 +605,11 @@ def test_compare_rejects_a_random_count_below_one(capsys):
                              "--init", BLOCKS_INIT)
         assert (code, out) == (3, "")
         assert err == f"error: --random must be at least 1, got {count}\n"
+
+
+def test_compare_needs_a_workload_or_a_random_count(capsys):
+    code, out, err = run(capsys, "compare", BLOCKS)
+    assert (code, out, err) == (3, "", "error: provide --workload or --random\n")
 
 
 def test_compare_rejects_a_workload_with_random(capsys):

@@ -212,7 +212,7 @@ def test_canonicalize_sets_are_barriers_under_partial_constraints():
 def test_monotonicity_single_extension_stays_disjoint():
     report = check_monotonicity(SeqExistsDiff(), [(path("0"), path("1"))],
                                 max_extension=1)
-    assert report.clean
+    assert not report.violations
     assert report.checked > 0
 
 
@@ -221,7 +221,7 @@ def test_monotonicity_exhaustive_binary_paths():
              for e in itertools.product("01", repeat=n)]
     samples = [(p1, p2) for p1 in paths for p2 in paths]
     report = check_monotonicity(SeqExistsDiff(), samples, max_extension=2)
-    assert report.clean
+    assert not report.violations
 
 
 def test_monotonicity_rejects_table_specs():
@@ -236,7 +236,7 @@ def test_monotonicity_commutative_reports_fluent_extension_loss():
     # the report must say so rather than hide it.
     report = check_monotonicity(CommutativeCanonical(),
                                 [(path("1"), path("0"))], max_extension=1)
-    assert not report.clean
+    assert report.violations
     assert all(v.property == "extend-fluent-path" for v in report.violations)
 
 
@@ -285,7 +285,7 @@ def test_monotonicity_matches_the_extension_loop(spec, max_extension, monkeypatc
             # One d per sample: the extensions are covered by the proof.
             assert len(calls) == len(samples)
         held += report.checked > 0
-        violated += not report.clean
+        violated += bool(report.violations)
     assert held > 50
     assert violated > 0 if isinstance(spec, CommutativeCanonical) else violated == 0
 
@@ -300,7 +300,7 @@ def test_commutative_monotonicity_canonicalizes_each_path_once(monkeypatch):
     calls = record_calls(monkeypatch, disjoint, "canonicalize", lambda p, constraints: p)
     report = check_monotonicity(spec, samples, max_extension=2)
     assert (report.checked, report.violations) == expected
-    assert report.checked > 0 and not report.clean
+    assert report.checked > 0 and report.violations
     assert len(calls) == len(set(calls))
     # Every sampled path, and every extension of a fluent path for which
     # d holds with some action path.
@@ -367,7 +367,7 @@ def test_commutative_monotonicity_matches_the_extension_loop(name, max_extension
         longer += any(len(b) > len(a) for a, b in held)
         shorter += any(len(b) < len(a) for a, b in held)
         repeated += len(set(held)) < len(held)
-        violated += not report.clean
+        violated += bool(report.violations)
     assert min(longer, shorter, repeated, violated) > 0
 
 

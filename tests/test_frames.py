@@ -10,6 +10,7 @@ import pytest
 
 from sitaspect import frames
 from sitaspect.cli import main
+from sitaspect.disjoint import SimpleInequality
 from sitaspect.domain import (
     AspectRule,
     Domain,
@@ -206,18 +207,29 @@ def test_same_aspect_yields_no_frame_axioms():
     assert result.economy == ()
 
 
+def test_simple_inequality_gives_no_schematic_condition_past_one_element():
+    text = ("domain pair\nfluent p()\naction act()\naspect p() (alpha, beta)\n"
+            "aspect act() (gamma)\ndisjoint by simple\n")
+    fluent_rule, action_rule = parse_domain(text).aspect_rules
+    spec = SimpleInequality()
+    assert frames._symbolic_disjoint(fluent_rule.template[:1], action_rule.template,
+                                     spec, set()) == ()
+    assert frames._symbolic_disjoint(fluent_rule.template, action_rule.template,
+                                     spec, set()) is None
+
+
 # -- annotation soundness ------------------------------------------------------
 
 def test_blocks_soundness_clean(blocks):
     report = check_aspect_soundness(blocks)
-    assert report.clean
+    assert not report.violations
     assert report.actions_checked == 12
 
 
 def test_fixture_domains_soundness_clean(rooms, display, blocks_nosupport):
     for domain in (rooms, display, blocks_nosupport):
         report = check_aspect_soundness(domain)
-        assert report.clean, report.violations
+        assert not report.violations, report.violations
 
 
 def test_altered_move_aspect_is_flagged(blocks):
@@ -225,13 +237,13 @@ def test_altered_move_aspect_is_flagged(blocks):
         "aspect move(x,y) ({y,z}) if on(x,z)", "aspect move(x,y) ({y})")
     broken = parse_domain(text)
     report = check_aspect_soundness(broken)
-    assert not report.clean
+    assert report.violations
     schemas = {v.fluent.schema for v in report.violations}
     assert "clear" in schemas and "on" in schemas
 
 
 def test_soundness_vacuous_without_effects(economy):
-    assert check_aspect_soundness(economy).clean
+    assert not check_aspect_soundness(economy).violations
 
 
 # -- progression ---------------------------------------------------------------
@@ -399,7 +411,7 @@ def test_regress_persistence_one_d_evaluation(blocks, blocks_init):
     value, trace = _regress(blocks, blocks_init,
                             [action("move", "a", "b")], fluent("clear", "c"))
     assert value is True
-    assert trace.count(D_EVALUATION) == 1
+    assert [s.kind for s in trace.steps].count(D_EVALUATION) == 1
     assert len(trace) == 2
 
 
@@ -420,7 +432,7 @@ def test_regress_display_repeated_actions(display, display_init):
     value, trace = _regress(display, display_init, acts,
                             fluent("pixel_lit", "p2"))
     assert value is False  # initial value: p2 is dark
-    assert trace.count(D_EVALUATION) == 3
+    assert [s.kind for s in trace.steps].count(D_EVALUATION) == 3
 
 
 def test_regress_undefined_on_uncovered_intersection(blocks, blocks_init):
@@ -541,6 +553,16 @@ def test_persistence_proof_classical_mode_is_one_step(blocks, blocks_init):
     assert len(trace) == 1
 
 
+def test_persistence_proof_classical_mode_lists_the_disjoint_pairs_by_default(
+        blocks, blocks_init):
+    move = action("move", "a", "b")
+    trace = persistence_proof(blocks, blocks_init, move, fluent("clear", "c"),
+                              mode="classical")
+    assert len(trace) == 1
+    with pytest.raises(NoProofError, match="no frame axiom listed"):
+        persistence_proof(blocks, blocks_init, move, fluent("clear", "b"), mode="classical")
+
+
 def test_persistence_proof_intersecting_pair_fails(blocks, blocks_init):
     with pytest.raises(NoProofError):
         persistence_proof(blocks, blocks_init, action("move", "a", "b"),
@@ -597,13 +619,13 @@ def test_rule_exclusivity_exhaustive_over_small_states(blocks_nosupport):
 
 def test_completeness_lint_reports_blocks_gaps(blocks):
     report = completeness_lint(blocks)
-    assert not report.clean  # the classic annotation is weaker than necessary
+    assert report.uncovered  # the classic annotation is weaker than necessary
     pairs = {(str(a), str(p)) for a, p in report.uncovered}
     assert ("move(a,b)", "on(c,floor)") in pairs
 
 
 def test_completeness_lint_display_clean(display):
-    assert completeness_lint(display).clean
+    assert not completeness_lint(display).uncovered
 
 
 @pytest.mark.parametrize("name", ["blocks", "rooms", "display"])

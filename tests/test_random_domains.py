@@ -41,7 +41,7 @@ from tests.domains import domain_states, domains, examples  # noqa: E402
 @examples(60, domain_states("propositional"))
 def test_sound_domains_never_violate_noninterference(case):
     domain, init, _ = case
-    assert check_aspect_soundness(domain).clean
+    assert not check_aspect_soundness(domain).violations
     fluents = ground_fluents(domain)
     for state in reachable_states(domain, init, 3):
         for a in applicable_actions(domain, state):

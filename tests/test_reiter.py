@@ -62,7 +62,7 @@ def test_ssa_persistence_counts_gamma_minus_checks(blocks, blocks_init):
     value, trace = _ssa(compile_ssa(blocks), blocks_init,
                         [action("move", "a", "b")], fluent("clear", "c"))
     assert value is True
-    assert trace.count(EQUALITY_CHECK) == 1  # |gamma_minus| of clear
+    assert [s.kind for s in trace.steps].count(EQUALITY_CHECK) == 1  # |gamma_minus| of clear
     assert len(trace) == 2  # 1 init lookup + 1 equality check
 
 

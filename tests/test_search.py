@@ -33,20 +33,20 @@ from tests.conftest import record_calls
 def test_exhaustive_small_search_finds_nothing(formalism):
     result = search_counterexample(formalism, max_situations=2, seed=0,
                                    random_samples=200)
-    assert result.clean
+    assert result.counterexample is None
     assert result.exhaustive_premise_models > 0
     assert result.exhaustive_models > 0
 
 
 def test_exhaustive_level_three_relational():
     result = search_counterexample("rel-exists", max_situations=3, seed=0)
-    assert result.clean
+    assert result.counterexample is None
     assert result.exhaustive_models > 4000
 
 
 def test_exhaustive_level_three_functional():
     result = search_counterexample("fun", max_situations=3, seed=0)
-    assert result.clean
+    assert result.counterexample is None
 
 
 def test_random_search_is_seeded_and_reproducible():
@@ -180,7 +180,7 @@ def test_exhaustive_level_matches_the_hand_rolled_products(monkeypatch, formalis
 def test_four_situation_totals_are_those_of_the_full_loop(formalism, models,
                                                           premise_models):
     result = search_counterexample(formalism, max_situations=4, seed=0)
-    assert result.clean
+    assert result.counterexample is None
     assert result.exhaustive_models == models
     assert result.exhaustive_premise_models == premise_models
 
@@ -276,7 +276,7 @@ def test_pitfall_witness_model_is_well_formed():
     model.validate()
     assert check_commutativity(model).holds
     report = check_premises(model, "seq-rel-exists")
-    assert report.all_hold, report.violated()
+    assert report.all_hold, report
 
 
 def test_pitfall_witness_action_changes_diagonal_fluent():

@@ -46,11 +46,6 @@ def test_empty_path_denotes_the_whole_world():
     assert whole.is_atomic()
 
 
-def test_path_atoms_rejects_set_elements():
-    with pytest.raises(ValueError):
-        path("a", {"b", "c"}).atoms()
-
-
 def test_path_rendering_is_sorted_and_stable():
     assert str(path("computer", "display", {"p2", "p1"})) == \
         "(computer,display,{p1,p2})"

@@ -23,7 +23,6 @@ from sitaspect.finite import (
     FluentAtom,
     Implies,
     compose_rows,
-    diamond_seq,
     modal_eval,
 )
 from sitaspect.terms import AspectPath, path
@@ -115,7 +114,7 @@ def test_heater_all_model_passes_rel_forall(heater_all_model):
 def test_university_passes_collective_variants(university_model):
     for formalism in ("coll-rel-exists", "coll-fun"):
         verdict = verify_theorem(formalism, university_model)
-        assert verdict.verdict == "pass", (formalism, verdict.premises.violated())
+        assert verdict.verdict == "pass", (formalism, verdict.premises)
 
 
 def test_heater_planted_violation_is_located(heater_model):
@@ -142,7 +141,7 @@ def test_heater_planted_violation_is_located(heater_model):
 @pytest.mark.parametrize("formalism", FORMALISMS)
 def test_base_models_pass(formalism):
     verdict = verify_theorem(formalism, make_model(formalism))
-    assert verdict.verdict == "pass", verdict.premises.violated()
+    assert verdict.verdict == "pass", verdict.premises
 
 
 @pytest.mark.parametrize("formalism", FORMALISMS)
@@ -187,6 +186,16 @@ def test_noninterference_vacuous_with_empty_table():
     report = check_noninterference(m)
     assert report.holds
     assert report.pairs_checked == 0
+
+
+def test_noninterference_skips_an_action_without_an_aspect():
+    # flip changes p, but with no aspect it is in no declared-disjoint pair.
+    m = dataclasses.replace(
+        _tiny_model(), d_table=frozenset({(path("a"), path("b"))}),
+        action_maps={"go": {"w": "w", "t": "t", "u": "u"},
+                     "flip": {"w": "t", "t": "w", "u": "u"}})
+    report = check_noninterference(m)
+    assert (report.pairs_checked, report.counterexamples) == (1, ())
 
 
 # -- modal/relational agreement -----------------------------------------------
@@ -256,8 +265,8 @@ def test_sequential_expansion_matches_iterated_modal():
             for t in range(n):
                 via_rows = bool(composed[s] >> t & 1)
                 via_modal = modal_eval(
-                    m, sits[s], diamond_seq(path("a1", "a2"),
-                                            FluentAtom(f"at_{sits[t]}")))
+                    m, sits[s], DiamondAspect("a1", DiamondAspect(
+                        "a2", FluentAtom(f"at_{sits[t]}"))))
                 assert via_rows == via_modal
 
 
